@@ -10,6 +10,7 @@ and by following the regularized flow through collisions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,25 +141,30 @@ def _period_quadrature(h: float, m: float, r: float, nodes: int) -> float:
     return check
 
 
+# Longest fictitious time the flow method follows before giving up on a return.
+_PERIOD_TAU_CAP = 50.0 * 4.0**5
+
+
 def _period_flow(h: float, m: float, a: float, step: float):
     """Follow the reduced regularized flow from one collision to the next.
 
     Returns (T, tau_half): the physical time between consecutive collisions
     (one full bounce of the separation, which is the physical period) and the
-    fictitious time between them (half of the closed double-cover loop).
+    fictitious time between them (half of the closed double-cover loop).  The
+    march stops at the first return and keeps no samples in between.
     """
     rhs = make_reduced_rhs(h, a)
     cfg = IntegratorConfig(method="implicit_midpoint", step=step)
     y0 = (0.0, math.sqrt(2.0 * m))
     g = lambda s: 0.5 * s[0] * s[0]
-    span = 50.0
-    for _ in range(6):
-        traj = integrate(rhs, y0, span, cfg, time_scale=g)
-        if traj.collision_events():
-            ev = traj.collision_events()[0]
-            return ev.t, ev.tau
-        span *= 4.0
-    raise AccuracyError(f"no collision return found within tau span {span} at h={h}")
+    traj = integrate(rhs, y0, _PERIOD_TAU_CAP, cfg, time_scale=g,
+                     record_every=sys.maxsize, stop_after=1)
+    if not traj.events:
+        raise AccuracyError(
+            f"no collision return found within tau span {_PERIOD_TAU_CAP} at h={h}"
+        )
+    ev = traj.events[0]
+    return ev.t, ev.tau
 
 
 def period(h: float, m: float, r: float, method: str = "quadrature",

@@ -67,12 +67,18 @@ def _require(cfg: dict, field: str, types) -> object:
     return value
 
 
-def load_run_config(path: str) -> dict:
+def read_run_config(path: str) -> dict:
+    """Parse a run-configuration document without validating it."""
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
+
+
+def validate_run_config(cfg) -> dict:
+    """Check a parsed document against schema 1; returns it with its
+    IntegratorConfig attached under "_integrator"."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
     if cfg.get("schema") != 1:
@@ -133,6 +139,10 @@ def load_run_config(path: str) -> dict:
     return cfg
 
 
+def load_run_config(path: str) -> dict:
+    return validate_run_config(read_run_config(path))
+
+
 def _default_outputs(cfg: dict, config_path: str) -> dict:
     stem = os.path.splitext(config_path)[0]
     out = dict(cfg.get("outputs", {}))
@@ -150,56 +160,62 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
     state = [float(v) for v in cfg["initial"]["state"]]
     t0 = time.perf_counter()
 
-    if problem == "kepler1d":
-        h = float(cfg["h"])
-        mu_grav = float(cfg["mu_grav"])
-        two_h = 2.0 * h
-        rhs = lambda yv: (yv[1], two_h * yv[0])
-        gam = lambda s: 0.25 * s[1] ** 2 - 0.5 * h * s[0] ** 2 - mu_grav
-        # project v onto the energy relation, keeping its sign
-        vsq = 4.0 * (mu_grav + 0.5 * h * state[0] ** 2)
-        if vsq < 0.0:
-            raise SchemaError("initial u is beyond the turning point of this level",
-                              field="initial.state")
-        v = math.copysign(math.sqrt(vsq), state[1]) if state[1] != 0.0 else math.sqrt(vsq)
-        traj = integrate(rhs, (state[0], v), span, icfg,
-                         time_scale=lambda s: s[0] * s[0], invariant=gam)
-        write_regularized_csv(traj, outputs["trajectory"], gam)
-        final_check = abs(gam(traj.states[-1]))
-    elif problem == "reduced":
-        N, m, h = int(cfg["N"]), float(cfg["m"]), float(cfg["h"])
-        a = 4.0 * ring_radius(N)
-        rhs = make_reduced_rhs(h, a)
-        gam = lambda s: gamma_reduced(s, h, m, a)
-        mag = reduced_level_momentum(state[0], h, m, a)
-        p1 = math.copysign(mag, state[1]) if state[1] != 0.0 else mag
-        traj = integrate(rhs, (state[0], p1), span, icfg,
-                         time_scale=lambda s: 0.5 * s[0] * s[0], invariant=gam)
-        write_regularized_csv(traj, outputs["trajectory"], gam)
-        final_check = abs(gam(traj.states[-1]))
-    else:  # sitnikov
+    if problem == "sitnikov" and cfg["initial"]["chart"] == "physical":
         N, m, e = int(cfg["N"]), float(cfg["m"]), float(cfg["epsilon"])
         params = MassParams(m=m, epsilon=e)
         ring = RingConfig.for_count(N)
-        if cfg["initial"]["chart"] == "regularized":
+        h = float(cfg["h"]) if "h" in cfg else hamiltonian(state, params, ring)
+        traj = integrate_physical_oracle(
+            state, span, icfg, params, ring,
+            guard=float(cfg.get("guard", 1e-4)),
+            stop_at_q=cfg.get("stop_at_q"),
+        )
+        traj.metadata.pop("dense", None)
+        write_physical_csv(traj, outputs["trajectory"], params, ring)
+        final_check = abs(hamiltonian(traj.states[-1], params, ring) - h)
+    else:
+        if problem == "kepler1d":
             h = float(cfg["h"])
-            z0 = project_to_level(state, h, params, ring)
+            mu_grav = float(cfg["mu_grav"])
+            two_h = 2.0 * h
+            rhs = lambda yv: (yv[1], two_h * yv[0])
+            gam = lambda s: 0.25 * s[1] ** 2 - 0.5 * h * s[0] ** 2 - mu_grav
+            # project v onto the energy relation, keeping its sign
+            vsq = 4.0 * (mu_grav + 0.5 * h * state[0] ** 2)
+            if vsq < 0.0:
+                raise SchemaError("initial u is beyond the turning point of this level",
+                                  field="initial.state")
+            v = math.copysign(math.sqrt(vsq), state[1]) if state[1] != 0.0 else math.sqrt(vsq)
+            y0 = (state[0], v)
+            clock = lambda s: s[0] * s[0]
+        elif problem == "reduced":
+            N, m, h = int(cfg["N"]), float(cfg["m"]), float(cfg["h"])
+            a = 4.0 * ring_radius(N)
+            rhs = make_reduced_rhs(h, a)
+            gam = lambda s: gamma_reduced(s, h, m, a)
+            mag = reduced_level_momentum(state[0], h, m, a)
+            p1 = math.copysign(mag, state[1]) if state[1] != 0.0 else mag
+            y0 = (state[0], p1)
+            clock = lambda s: 0.5 * s[0] * s[0]
+        else:  # sitnikov, regularized chart
+            N, m, e = int(cfg["N"]), float(cfg["m"]), float(cfg["epsilon"])
+            params = MassParams(m=m, epsilon=e)
+            ring = RingConfig.for_count(N)
+            h = float(cfg["h"])
+            y0 = project_to_level(state, h, params, ring)
             rhs = make_regularized_rhs(h, params, ring)
             gam = lambda z: gamma(z, h, params, ring)
-            traj = integrate(rhs, z0, span, icfg,
-                             time_scale=lambda z: time_scale(z, params), invariant=gam)
-            write_regularized_csv(traj, outputs["trajectory"], gam)
-            final_check = abs(gam(traj.states[-1]))
-        else:
-            h = float(cfg["h"]) if "h" in cfg else hamiltonian(state, params, ring)
-            traj = integrate_physical_oracle(
-                state, span, icfg, params, ring,
-                guard=float(cfg.get("guard", 1e-4)),
-                stop_at_q=cfg.get("stop_at_q"),
-            )
-            traj.metadata.pop("dense", None)
-            write_physical_csv(traj, outputs["trajectory"], params, ring)
-            final_check = abs(hamiltonian(traj.states[-1], params, ring) - h)
+            clock = lambda z: time_scale(z, params)
+        try:
+            traj = integrate(rhs, y0, span, icfg, time_scale=clock, invariant=gam)
+        except StepFailure as exc:
+            # a failed run keeps what it integrated before the failure
+            if exc.trajectory is not None:
+                write_regularized_csv(exc.trajectory, outputs["trajectory"], gam)
+                write_events_json(exc.trajectory, outputs["events"])
+            raise
+        write_regularized_csv(traj, outputs["trajectory"], gam)
+        final_check = abs(gam(traj.states[-1]))
 
     traj.metadata.update(
         {k: cfg[k] for k in ("problem", "N", "m", "epsilon", "h", "mu_grav") if k in cfg}
@@ -231,54 +247,60 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
     return summary
 
 
-def _sweep_worker(args):
-    cfg, outputs = args
-    return run_simulation(cfg, outputs)
+def _sweep_job(job):
+    """Merge, validate and run one sweep entry.
+
+    Returns (summary, None) or (None, message): a job that fails is recorded
+    as failed and leaves the other jobs running.
+    """
+    k, stem, base, override = job
+    try:
+        if not isinstance(override, dict):
+            raise SchemaError("sweep entries must be objects", field=f"sweep[{k}]")
+        cfg = validate_run_config({**base, **override, "schema": 1})
+        outputs = {
+            "trajectory": f"{stem}_sweep{k:03d}_trajectory.csv",
+            "events": f"{stem}_sweep{k:03d}_events.json",
+            "summary": f"{stem}_sweep{k:03d}_summary.json",
+            **cfg.get("outputs", {}),
+        }
+        return run_simulation(cfg, outputs), None
+    except (ValueError, RuntimeError) as exc:  # schema, domain and step failures
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_sweep(cfg: dict, config_path: str) -> int:
+    sweep = cfg.get("sweep")
+    if not isinstance(sweep, list) or not sweep:
+        raise SchemaError("--sweep requires a nonempty 'sweep' list", field="sweep")
+    stem = os.path.splitext(config_path)[0]
+    base = {key: val for key, val in cfg.items()
+            if key not in ("sweep", "_integrator", "outputs")}
+    jobs = [(k, stem, base, override) for k, override in enumerate(sweep)]
+    workers = int(os.environ.get("COLLREG_THREADS", "0")) or min(len(jobs), os.cpu_count() or 1)
+    # the stepping loops are pure Python, so real parallelism needs processes
+    from concurrent.futures import ProcessPoolExecutor
+
+    failed = 0
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for k, (summary, error) in enumerate(pool.map(_sweep_job, jobs)):
+            if error is None:
+                print(f"sweep job {k:03d} done: collisions={summary['collisions']} "
+                      f"t_end={summary['t_end']:.6g}")
+            else:
+                failed += 1
+                print(f"sweep job {k:03d} failed: {error}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     if args.sweep:
-        sweep = cfg.get("sweep")
-        if not isinstance(sweep, list) or not sweep:
-            raise SchemaError("--sweep requires a nonempty 'sweep' list", field="sweep")
-        jobs = []
-        stem = os.path.splitext(args.config)[0]
-        for k, override in enumerate(sweep):
-            if not isinstance(override, dict):
-                raise SchemaError("sweep entries must be objects", field=f"sweep[{k}]")
-            merged = {key: val for key, val in cfg.items()
-                      if key not in ("sweep", "_integrator", "outputs")}
-            merged.update(override)
-            tagged = dict(merged)
-            tagged["schema"] = 1
-            # re-validate the merged document through a round trip
-            tmp = f"{stem}_sweep{k:03d}.json"
-            with open(tmp, "w") as fh:
-                json.dump(tagged, fh)
-            merged_cfg = load_run_config(tmp)
-            outs = {
-                "trajectory": f"{stem}_sweep{k:03d}_trajectory.csv",
-                "events": f"{stem}_sweep{k:03d}_events.json",
-                "summary": f"{stem}_sweep{k:03d}_summary.json",
-            }
-            outs.update(override.get("outputs", {}))
-            jobs.append((merged_cfg, outs))
-        workers = int(os.environ.get("COLLREG_THREADS", "0")) or min(len(jobs), os.cpu_count() or 1)
-        # the stepping loops are pure Python, so real parallelism needs processes
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for summary in pool.map(_sweep_worker, jobs):
-                print(f"sweep run done: collisions={summary['collisions']} "
-                      f"t_end={summary['t_end']:.6g}")
-        return 0
+        return _run_sweep(cfg, args.config)
     outputs = _default_outputs(cfg, args.config)
     try:
         summary = run_simulation(cfg, outputs)
     except StepFailure as exc:
-        if exc.trajectory is not None:
-            write_events_json(exc.trajectory, _default_outputs(cfg, args.config)["events"])
         print(f"integration failed: {exc} (residual {exc.residual:.3e})", file=sys.stderr)
         return 3
     print(json.dumps(summary, indent=1))

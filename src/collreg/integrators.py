@@ -41,6 +41,12 @@ __all__ = [
 METHODS = ("implicit_midpoint", "rk4", "rk_adaptive")
 EVENT_KINDS = ("collision", "chart_switch", "escape_threshold")
 
+# Largest |invariant| a recorded sample may show before a run is given up as
+# off its level.  Bounded runs stay within O(dtau^2) of it (about 2e-6 on the
+# acceptance runs); an escape whose dt/dtau outgrows the fixed tau step drifts
+# by O(1e3) and would otherwise still finish as a success.
+INVARIANT_LIMIT = 1e-3
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -259,6 +265,7 @@ def integrate(
     event_kind: str = "collision",
     invariant: Optional[Callable] = None,
     record_every: int = 1,
+    stop_after: Optional[int] = None,
 ) -> Trajectory:
     """March a state field over a tau interval of the given length.
 
@@ -268,13 +275,28 @@ def integrate(
     invariant(state), when given, is evaluated on every recorded sample and
     its max abs value is stored as metadata["invariant_max"].
 
+    stop_after=k makes the k-th event terminal: the march ends at the step in
+    which that event was localized, and the state after that step is recorded
+    as the last sample whatever record_every says, so tau[-1] is how far the
+    run went and span is only a cap.  Exactly k events come back.  It needs
+    event detection and is refused by the rk_adaptive method.  With None the
+    march covers the whole span.
+
     Raises StepFailure carrying the partial trajectory if a step cannot be
-    completed or the state stops being finite.
+    completed, the state stops being finite, or a recorded sample's
+    |invariant| exceeds INVARIANT_LIMIT.
     """
     y = _tuple_state(y0)
     n = len(y)
     if span < 0.0:
         raise ParameterError(f"span must be nonnegative, got {span}")
+    if stop_after is not None:
+        if event_index is None or stop_after < 1:
+            raise ParameterError(
+                f"stop_after needs event detection and a positive count, got {stop_after}"
+            )
+        if cfg.method == "rk_adaptive":
+            raise ParameterError("stop_after is not supported by the rk_adaptive method")
     n_steps = max(int(round(span / cfg.step)), 0) if span > 0.0 else 0
     if span > 0.0 and n_steps == 0:
         n_steps = 1
@@ -292,6 +314,7 @@ def integrate(
         )
 
     t = 0.0
+    stopped = False
     for i in range(1, n_steps + 1):
         y_prev = y
         t_prev = t
@@ -334,15 +357,31 @@ def integrate(
             events.append(
                 Event(index=len(states) - 1, kind=event_kind, tau=tau_e, t=t_e, state=e_state)
             )
+            stopped = len(events) == stop_after
 
-        if i % record_every == 0 or i == n_steps:
+        if stopped or i % record_every == 0 or i == n_steps:
             taus.append(i * dstep)
             ts.append(t)
             states.append(y)
             if invariant is not None:
                 inv_max = max(inv_max, abs(float(invariant(y))))
+                if inv_max > INVARIANT_LIMIT:
+                    raise _off_level(
+                        i * dstep, inv_max, _bundle(taus, ts, states, events, cfg, span, inv_max)
+                    )
+            if stopped:
+                break
 
     return _bundle(taus, ts, states, events, cfg, span, inv_max)
+
+
+def _off_level(tau, value, traj) -> StepFailure:
+    return StepFailure(
+        f"|invariant| reached {value:.3e} at tau={tau}, past the limit {INVARIANT_LIMIT:g}: "
+        "the run has left its level",
+        residual=value,
+        trajectory=traj,
+    )
 
 
 def _bundle(taus, ts, states, events, cfg, span, inv_max) -> Trajectory:
@@ -413,9 +452,14 @@ def _integrate_adaptive(
                 )
             )
     meta = {"method": "rk_adaptive", "step": cfg.step, "span": span}
+    traj = Trajectory(tau=sol.t, t=ts, states=states, events=events, metadata=meta)
     if invariant is not None:
-        meta["invariant_max"] = float(max(abs(invariant(tuple(s))) for s in states))
-    return Trajectory(tau=sol.t, t=ts, states=states, events=events, metadata=meta)
+        levels = np.array([abs(invariant(tuple(s))) for s in states])
+        meta["invariant_max"] = float(levels.max())
+        if meta["invariant_max"] > INVARIANT_LIMIT:
+            first = int(np.argmax(levels > INVARIANT_LIMIT))
+            raise _off_level(float(sol.t[first]), float(levels[first]), traj)
+    return traj
 
 
 def integrate_physical_oracle(

@@ -221,7 +221,8 @@ def test_criterion_08_dynamics_proposition():
     h = -1.0
     rhs = make_reduced_rhs(h, a)
     y0 = (0.0, math.sqrt(2.0 * m))
-    probe = integrate(rhs, y0, 60.0, IntegratorConfig(step=2e-4, newton_tol=1e-14))
+    probe = integrate(rhs, y0, 60.0, IntegratorConfig(step=2e-4, newton_tol=1e-14),
+                      stop_after=1)
     tau_loop = 2.0 * probe.collision_events()[0].tau
     closed = integrate(rhs, y0, tau_loop, IntegratorConfig(step=2e-4, newton_tol=1e-14),
                        event_index=None)

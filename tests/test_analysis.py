@@ -114,6 +114,14 @@ def test_period_report_contents():
     assert rep["tau_period"] > 2.0 * rep["T_flow"] / 3.0
 
 
+def test_period_report_pinned():
+    # the flow stops at its first return; the figures are those of the march
+    # over a fixed span that kept every sample, to the last bits
+    rep = period_report(-1.0, 1e-3, 3)
+    assert abs(rep["T_flow"] - 6.77151113765442) <= 1e-13 * 6.77151113765442
+    assert abs(rep["tau_period"] - 16.416991897000436) <= 1e-13 * 16.416991897000436
+
+
 def test_period_small_mass_continuity():
     # the collision orbit's period approaches the massless improper integral
     r = ring_radius(3)

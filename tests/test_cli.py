@@ -151,6 +151,31 @@ def test_simulate_kepler1d(tmp_path, capsys):
     assert summary["final_invariant_error"] < 1e-12
 
 
+def test_simulate_escape_off_level_fails_with_partial_outputs(tmp_path, capsys):
+    # with a fixed tau step this escape drifts O(1e3) off its energy level;
+    # the run must fail and keep what it integrated
+    cfgp = tmp_path / "esc.json"
+    write_config(
+        cfgp,
+        problem="sitnikov", N=3, epsilon=0.3,
+        initial={"chart": "regularized", "state": [0.0, 0.1, 1.0, 0.0]},
+        integrator={"method": "implicit_midpoint", "step": 5e-4},
+        span=20.0,
+        outputs={"trajectory": str(tmp_path / "t.csv"),
+                 "events": str(tmp_path / "e.json"),
+                 "summary": str(tmp_path / "s.json")},
+    )
+    assert main(["simulate", str(cfgp)]) == 3
+    assert "left its level" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+    assert isinstance(json.loads((tmp_path / "e.json").read_text()), list)
+    rows = (tmp_path / "t.csv").read_text().splitlines()
+    assert rows[0] == "tau,t,Q1,Q2,P1,P2,gamma"
+    last = [float(v) for v in rows[-1].split(",")]
+    assert 5.0 < last[0] < 7.0 and abs(last[-1]) > 1e-3
+    assert max(abs(float(r.split(",")[-1])) for r in rows[1:-1]) <= 1e-3
+
+
 def test_schema_errors_name_the_field(tmp_path, capsys):
     cfgp = tmp_path / "bad.json"
     cfg = json.loads(json.dumps({
@@ -264,3 +289,29 @@ def test_sweep_runs(tmp_path, capsys):
     capsys.readouterr()
     for k in range(3):
         assert (tmp_path / f"sweep_sweep{k:03d}_summary.json").exists()
+
+
+def test_sweep_failed_job_leaves_the_others_running(tmp_path, capsys, monkeypatch):
+    # the middle job starts at Q1=5, where h=-1 has no real momentum
+    cfgp = tmp_path / "sweep.json"
+    cfgp.write_text(json.dumps({
+        "schema": 1,
+        "problem": "reduced",
+        "N": 2, "m": 1e-3, "epsilon": 0.0, "h": -1.0,
+        "initial": {"chart": "regularized", "state": [0.0, 1.0]},
+        "integrator": {"method": "implicit_midpoint", "step": 1e-3},
+        "span": 3.0,
+        "sweep": [{}, {"initial": {"chart": "regularized", "state": [5.0, 1.0]}},
+                  {"h": -2.0}],
+    }))
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out and "sweep job 002 done" in out
+    assert "sweep job 001 failed" in err and "no real momentum" in err
+    for k in (0, 2):
+        for kind in ("trajectory.csv", "events.json", "summary.json"):
+            assert (tmp_path / f"sweep_sweep{k:03d}_{kind}").exists()
+    assert not list(tmp_path.glob("sweep_sweep001_*"))
+    # the merged configs are validated in memory, not through temp files
+    assert not list(tmp_path.glob("sweep_sweep???.json"))

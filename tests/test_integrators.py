@@ -16,6 +16,7 @@ from collreg import (
     symplectic_defect,
 )
 from collreg.integrators import (
+    INVARIANT_LIMIT,
     write_events_json,
     write_physical_csv,
     write_regularized_csv,
@@ -217,6 +218,85 @@ def test_nan_abort_carries_partial_trajectory():
         integrate(souring, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-2))
     assert err.value.trajectory is not None
     assert len(err.value.trajectory) >= 1
+    # a failure before a terminal event keeps the trajectory just the same
+    calls["n"] = 0
+    with pytest.raises(StepFailure) as err:
+        integrate(souring, (1.0, 0.0), 10.0, IntegratorConfig(step=1e-2), stop_after=1)
+    part = err.value.trajectory
+    assert part is not None and len(part) >= 2 and not part.events
+
+
+def _collision_run(span, **kwargs):
+    ring = RingConfig.for_count(2)
+    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
+    return integrate(rhs, (0.0, math.sqrt(2e-3)), span, cfg,
+                     time_scale=lambda s: 0.5 * s[0] * s[0], **kwargs)
+
+
+def test_stop_after_ends_at_the_kth_event():
+    full = _collision_run(25.0)
+    assert len(full.events) == 3
+    for k in (1, 2):
+        part = _collision_run(25.0, stop_after=k)
+        assert len(part.events) == k
+        assert part.events == full.events[:k]
+        # the run ends on the step that holds the k-th event, and up to there
+        # it is the uncut run
+        assert part.tau[-2] < part.events[-1].tau <= part.tau[-1]
+        n = len(part)
+        assert np.array_equal(part.tau, full.tau[:n])
+        assert np.array_equal(part.t, full.t[:n])
+        assert np.array_equal(part.states, full.states[:n])
+    # without per-step samples only the start and the stopping step remain
+    sparse = _collision_run(25.0, stop_after=2, record_every=10**9)
+    assert len(sparse) == 2
+    assert sparse.tau[-1] == part.tau[-1] and np.array_equal(sparse.states[-1], part.states[-1])
+    assert [e.tau for e in sparse.events] == [e.tau for e in part.events]
+
+
+def test_without_stop_after_the_march_covers_the_span():
+    ring = RingConfig.for_count(2)
+    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
+    traj = _collision_run(20.0, stop_after=None)
+    assert len(traj.events) >= 2 and traj.tau[-1] == 20.0
+    y = np.array([0.0, math.sqrt(2e-3)])
+    march = [y]
+    for _ in range(20000):
+        y = step_implicit_midpoint(rhs, y, 1e-3, cfg)
+        march.append(y)
+    assert np.array_equal(traj.states, np.array(march))
+    assert np.array_equal(traj.tau, np.arange(20001) * 1e-3)
+
+
+def test_stop_after_validation():
+    rhs = make_reduced_rhs(-1.0, 2.0)
+    for kwargs, method in (({"stop_after": 0}, "implicit_midpoint"),
+                           ({"stop_after": 1, "event_index": None}, "implicit_midpoint"),
+                           ({"stop_after": 1}, "rk_adaptive")):
+        with pytest.raises(ParameterError):
+            integrate(rhs, (0.5, 0.1), 1.0, IntegratorConfig(method=method, step=1e-2),
+                      **kwargs)
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "rk_adaptive"])
+def test_leaving_the_invariant_level_fails(method):
+    # an anti-damped oscillator: its energy grows like exp(0.1 tau)
+    pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
+    energy = lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) - 0.5
+    with pytest.raises(StepFailure) as err:
+        integrate(pumped, (1.0, 0.0), 1.0, IntegratorConfig(method=method, step=1e-3),
+                  invariant=energy)
+    part = err.value.trajectory
+    assert part is not None and part.metadata["invariant_max"] > INVARIANT_LIMIT
+    if method == "implicit_midpoint":
+        # the march stops at the first sample past the limit
+        levels = [abs(energy(s)) for s in part.states]
+        assert levels[-1] > INVARIANT_LIMIT >= max(levels[:-1])
+    # a bounded run on the same clock passes
+    integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(method=method, step=1e-3),
+              invariant=energy)
 
 
 def test_integrate_rk4_path_matches_midpoint():
