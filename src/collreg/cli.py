@@ -45,8 +45,8 @@ from .integrators import (
 )
 from .physical import hamiltonian
 from .regularized import (
-    gamma,
     gamma_reduced,
+    make_gamma,
     make_reduced_rhs,
     make_regularized_rhs,
     project_to_level,
@@ -204,7 +204,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
             h = float(cfg["h"])
             y0 = project_to_level(state, h, params, ring)
             rhs = make_regularized_rhs(h, params, ring)
-            gam = lambda z: gamma(z, h, params, ring)
+            gam = make_gamma(h, params, ring)
             clock = lambda z: time_scale(z, params)
         try:
             traj = integrate(rhs, y0, span, icfg, time_scale=clock, invariant=gam)

@@ -117,35 +117,90 @@ def step_implicit_midpoint(field, y, dstep: float, cfg: IntegratorConfig | None 
     if cfg is None:
         cfg = IntegratorConfig(step=abs(dstep) if dstep else 1.0)
     y0 = _tuple_state(y)
-    out = _midpoint_kernel(field, y0, dstep, cfg.newton_tol, cfg.newton_max_iter)
-    return np.array(out)
-
-
-def _midpoint_kernel(field, y, dstep, tol, max_iter):
-    """Tuple-in tuple-out midpoint solve (hot path, no numpy in the loop)."""
+    solve = _midpoint_kernel(len(y0))
     if dstep == 0.0:
-        return y
-    n = len(y)
-    f0 = field(y)
-    yn = tuple(y[k] + dstep * f0[k] for k in range(n))
-    scale = 1.0 + max(abs(v) for v in y)
+        return np.array(y0)
+    return np.array(solve(field, y0, dstep, cfg.newton_tol, cfg.newton_max_iter))
+
+
+def _midpoint_kernel(n):
+    """The midpoint solver for states of size n: 2 (reduced, kepler1d) or 4
+    (sitnikov).  Any other size raises ParameterError."""
+    if n == 2:
+        return _midpoint2
+    if n == 4:
+        return _midpoint4
+    raise ParameterError(f"the implicit midpoint method takes 2-D or 4-D states, got {n}-D")
+
+
+# The two solvers below are the hot path: tuple in, tuple out, one local
+# float per component.  Both run the same iteration in the same operation
+# order: an explicit-Euler predictor, then fixed-point sweeps
+# y+ <- y + dstep * field((y + y+)/2) until the largest component change is
+# within tol * (1 + max|y_k|), with the damped Newton solve taking over after
+# ten sweeps.  max() over the components keeps its first-argument rule, so a
+# NaN is caught exactly where a component-wise scan would catch it.
+
+def _midpoint2(field, y, dstep, tol, max_iter):
+    y0, y1 = y
+    f0, f1 = field(y)
+    a0 = y0 + dstep * f0
+    a1 = y1 + dstep * f1
+    scale = 1.0 + max(abs(y0), abs(y1))
+    bound = tol * scale
     for it in range(max_iter):
-        fm = field(tuple(0.5 * (y[k] + yn[k]) for k in range(n)))
-        cand = tuple(y[k] + dstep * fm[k] for k in range(n))
-        delta = max(abs(cand[k] - yn[k]) for k in range(n))
-        yn = cand
+        f0, f1 = field((0.5 * (y0 + a0), 0.5 * (y1 + a1)))
+        c0 = y0 + dstep * f0
+        c1 = y1 + dstep * f1
+        delta = max(abs(c0 - a0), abs(c1 - a1))
+        a0, a1 = c0, c1
         if delta != delta:  # NaN contaminated the iteration
-            raise StepFailure(
-                "non-finite value in the midpoint iteration", residual=float("nan")
-            )
-        if delta <= tol * scale:
-            return yn
+            raise _midpoint_nan()
+        if delta <= bound:
+            return (a0, a1)
         if it >= 9:
-            return _midpoint_newton(field, y, yn, dstep, tol, max_iter - it - 1, scale)
-    residual = _midpoint_residual(field, y, yn, dstep)
-    raise StepFailure(
+            return _midpoint_newton(field, y, (a0, a1), dstep, tol, max_iter - it - 1, scale)
+    raise _midpoint_stalled(field, y, (a0, a1), dstep, max_iter)
+
+
+def _midpoint4(field, y, dstep, tol, max_iter):
+    y0, y1, y2, y3 = y
+    f0, f1, f2, f3 = field(y)
+    a0 = y0 + dstep * f0
+    a1 = y1 + dstep * f1
+    a2 = y2 + dstep * f2
+    a3 = y3 + dstep * f3
+    scale = 1.0 + max(abs(y0), abs(y1), abs(y2), abs(y3))
+    bound = tol * scale
+    for it in range(max_iter):
+        f0, f1, f2, f3 = field(
+            (0.5 * (y0 + a0), 0.5 * (y1 + a1), 0.5 * (y2 + a2), 0.5 * (y3 + a3))
+        )
+        c0 = y0 + dstep * f0
+        c1 = y1 + dstep * f1
+        c2 = y2 + dstep * f2
+        c3 = y3 + dstep * f3
+        delta = max(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2), abs(c3 - a3))
+        a0, a1, a2, a3 = c0, c1, c2, c3
+        if delta != delta:  # NaN contaminated the iteration
+            raise _midpoint_nan()
+        if delta <= bound:
+            return (a0, a1, a2, a3)
+        if it >= 9:
+            return _midpoint_newton(
+                field, y, (a0, a1, a2, a3), dstep, tol, max_iter - it - 1, scale
+            )
+    raise _midpoint_stalled(field, y, (a0, a1, a2, a3), dstep, max_iter)
+
+
+def _midpoint_nan() -> StepFailure:
+    return StepFailure("non-finite value in the midpoint iteration", residual=float("nan"))
+
+
+def _midpoint_stalled(field, y, yn, dstep, max_iter) -> StepFailure:
+    return StepFailure(
         f"implicit midpoint failed to converge within {max_iter} iterations",
-        residual=residual,
+        residual=_midpoint_residual(field, y, yn, dstep),
     )
 
 
@@ -313,27 +368,31 @@ def integrate(
             field, y, span, cfg, time_scale, event_index, event_kind, invariant, record_every
         )
 
+    midpoint = cfg.method == "implicit_midpoint"
+    if midpoint:
+        solve = _midpoint_kernel(n)
+        tol, max_iter = cfg.newton_tol, cfg.newton_max_iter
     t = 0.0
     stopped = False
     for i in range(1, n_steps + 1):
         y_prev = y
         t_prev = t
         try:
-            if cfg.method == "implicit_midpoint":
-                y = _midpoint_kernel(field, y, dstep, cfg.newton_tol, cfg.newton_max_iter)
+            if midpoint:
+                y = solve(field, y, dstep, tol, max_iter)
             else:  # rk4
                 y = tuple(step_rk4(field, y, dstep))
         except StepFailure as exc:
             exc.trajectory = _bundle(taus, ts, states, events, cfg, span, inv_max)
             raise
-        if not all(math.isfinite(v) for v in y):
+        if not all(map(math.isfinite, y)):
             raise StepFailure(
                 f"state became non-finite at step {i} (tau={i * dstep})",
                 residual=float("nan"),
                 trajectory=_bundle(taus, ts, states, events, cfg, span, inv_max),
             )
         if time_scale is not None:
-            g_mid = time_scale(tuple(0.5 * (y_prev[k] + y[k]) for k in range(n)))
+            g_mid = time_scale(tuple([0.5 * (a + b) for a, b in zip(y_prev, y)]))
             t += dstep * g_mid
         else:
             t = i * dstep
@@ -562,38 +621,44 @@ def integrate_physical_oracle(
     return traj
 
 
-_FMT = "%.17g"
+_CSV_CHUNK = 4096  # rows formatted per write, so the writer's memory stays flat
 
 
-def _fmt_row(values) -> str:
-    return ",".join(_FMT % v for v in values)
+def _write_csv(path, header, row_fmt, clocks, states, tail) -> None:
+    """Write header, then row_fmt % (*clocks at k, *states[k], tail(states[k]))
+    for every sample k.
+
+    The rows are formatted from plain floats taken _CSV_CHUNK samples at a
+    time; tail gets each state as a list of floats.
+    """
+    lead = len(clocks)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header)
+        for lo in range(0, len(states), _CSV_CHUNK):
+            part = slice(lo, lo + _CSV_CHUNK)
+            rows = np.column_stack([c[part] for c in clocks] + [states[part]]).tolist()
+            fh.write("".join([row_fmt % (*r, tail(r[lead:])) for r in rows]))
 
 
 def write_regularized_csv(traj: Trajectory, path, gamma_fn: Callable) -> None:
     """CSV schema: tau,t,Q1,Q2,P1,P2,gamma (reduced runs carry Q2 = P2 = 0).
 
     17 significant digits, '.' decimal separator, LF line endings: identical
-    configs must produce byte-identical files.
+    configs must produce byte-identical files.  gamma_fn is called with each
+    state as a list of floats.
     """
     dim = traj.states.shape[1]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("tau,t,Q1,Q2,P1,P2,gamma\n")
-        for k in range(len(traj)):
-            s = traj.states[k]
-            if dim == 2:
-                z = (s[0], 0.0, s[1], 0.0)
-            else:
-                z = tuple(s)
-            fh.write(_fmt_row((traj.tau[k], traj.t[k], *z, gamma_fn(s))) + "\n")
+    # a reduced state (Q1, P1) is written with the zeros %.17g gives for 0.0
+    state_fmt = "%.17g,0,%.17g,0," if dim == 2 else "%.17g," * dim
+    _write_csv(path, "tau,t,Q1,Q2,P1,P2,gamma\n", "%.17g,%.17g," + state_fmt + "%.17g\n",
+               (traj.tau, traj.t), traj.states, gamma_fn)
 
 
 def write_physical_csv(traj: Trajectory, path, params: MassParams, ring: RingConfig) -> None:
     """CSV schema: t,q1,q2,p1,p2,H."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,q1,q2,p1,p2,H\n")
-        for k in range(len(traj)):
-            s = traj.states[k]
-            fh.write(_fmt_row((traj.t[k], *s, hamiltonian(s, params, ring))) + "\n")
+    dim = traj.states.shape[1]
+    _write_csv(path, "t,q1,q2,p1,p2,H\n", "%.17g," * (1 + dim) + "%.17g\n",
+               (traj.t,), traj.states, lambda s: hamiltonian(s, params, ring))
 
 
 def write_events_json(traj: Trajectory, path) -> None:

@@ -45,6 +45,7 @@ __all__ = [
     "time_scale",
     "gamma",
     "gamma_reduced",
+    "make_gamma",
     "regularized_field",
     "reduced_field",
     "make_regularized_rhs",
@@ -125,23 +126,31 @@ def time_scale(z, params: MassParams) -> float:
 def gamma(z, h: float, params: MassParams, ring: RingConfig) -> float:
     """Regularized Hamiltonian on the level h; finite for every state,
     including the collision set Q1 = 0."""
-    Q1, Q2, P1, P2 = (float(v) for v in z)
+    return make_gamma(h, params, ring)(tuple(float(v) for v in z))
+
+
+def make_gamma(h: float, params: MassParams, ring: RingConfig):
+    """Scalar fast path of gamma: z -> Gamma(z; h) for a sequence of four
+    floats, with the state-free factors computed once."""
     mu = params.mu
     m, r = params.m, ring.radius
     omu = 1.0 - mu
-    q1sq = Q1 * Q1
-    A = 2.0 * Q2 + mu * q1sq
-    B = 2.0 * Q2 - omu * q1sq
-    bracket = (
-        4.0 * omu / math.sqrt(A * A + 4.0 * r * r)
-        + 4.0 * mu / math.sqrt(B * B + 4.0 * r * r)
-        + h
-    )
-    return (
-        0.5 * (mu * omu * P2 * P2 * q1sq + P1 * P1)
-        - 16.0 * mu * mu * omu * omu * m
-        - 2.0 * mu * omu * q1sq * bracket
-    )
+    r4 = 4.0 * r * r
+    c_omu = 4.0 * omu
+    c_mu = 4.0 * mu
+    momu = mu * omu
+    W = 2.0 * mu * omu
+    offset = 16.0 * mu * mu * omu * omu * m
+
+    def gam(z):
+        Q1, Q2, P1, P2 = z
+        q1sq = Q1 * Q1
+        A = 2.0 * Q2 + mu * q1sq
+        B = 2.0 * Q2 - omu * q1sq
+        bracket = c_omu / math.sqrt(A * A + r4) + c_mu / math.sqrt(B * B + r4) + h
+        return 0.5 * (momu * P2 * P2 * q1sq + P1 * P1) - offset - W * q1sq * bracket
+
+    return gam
 
 
 def gamma_reduced(s, h: float, m: float, a: float) -> float:

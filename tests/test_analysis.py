@@ -19,7 +19,7 @@ from collreg import (
     ring_radius,
     turning_point,
 )
-from collreg.analysis import momentum_radicand
+from collreg.analysis import _blackman_harris, momentum_radicand
 from collreg.regularized import gamma_reduced, make_reduced_rhs, reduced_level_momentum
 
 
@@ -212,6 +212,13 @@ def test_kepler1d_other_level():
     assert abs(rep["collision_speed_expected"] - 2.0 * math.sqrt(2.0)) < 1e-15
     assert rep["collision_speed_max_dev"] < 1e-8
     assert abs(rep["omega_sq_measured"] - 2.5) < 2.5e-6
+
+
+def test_fft_window_is_scipys_blackman_harris():
+    # built in numpy so that the kepler1d report needs no scipy.signal
+    windows = pytest.importorskip("scipy.signal.windows")
+    for M in (2, 7, 100531):
+        assert _blackman_harris(M).tobytes() == windows.blackmanharris(M).tobytes()
 
 
 def test_kepler1d_domain():

@@ -15,14 +15,17 @@ from collreg import (
     step_rk4,
     symplectic_defect,
 )
+from collreg import integrators
 from collreg.integrators import (
     INVARIANT_LIMIT,
     write_events_json,
     write_physical_csv,
     write_regularized_csv,
 )
+from collreg.physical import hamiltonian
 from collreg.regularized import (
     gamma_reduced,
+    make_gamma,
     make_reduced_rhs,
     make_regularized_rhs,
     gamma,
@@ -366,3 +369,182 @@ def test_invalid_method_rejected():
         IntegratorConfig(method="leapfrog")
     with pytest.raises(ParameterError):
         IntegratorConfig(step=0.0)
+
+
+# -- the unrolled midpoint kernels against the generic solve they replace --
+
+def _reference_midpoint(field, y, dstep, tol, max_iter):
+    """Generic tuple-comprehension midpoint solve, any state size: the same
+    predictor, sweeps, stopping test and Newton hand-off as the kernels."""
+    if dstep == 0.0:
+        return y
+    n = len(y)
+    f0 = field(y)
+    yn = tuple(y[k] + dstep * f0[k] for k in range(n))
+    scale = 1.0 + max(abs(v) for v in y)
+    for it in range(max_iter):
+        fm = field(tuple(0.5 * (y[k] + yn[k]) for k in range(n)))
+        cand = tuple(y[k] + dstep * fm[k] for k in range(n))
+        delta = max(abs(cand[k] - yn[k]) for k in range(n))
+        yn = cand
+        if delta != delta:
+            raise StepFailure("non-finite value", residual=float("nan"))
+        if delta <= tol * scale:
+            return yn
+        if it >= 9:
+            return integrators._midpoint_newton(
+                field, y, yn, dstep, tol, max_iter - it - 1, scale
+            )
+    raise StepFailure(
+        "no convergence", residual=integrators._midpoint_residual(field, y, yn, dstep)
+    )
+
+
+def _counting(field):
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return field(y)
+
+    return counted, calls
+
+
+def _assert_step_matches_reference(field, y, dstep, cfg):
+    f_new, n_new = _counting(field)
+    f_ref, n_ref = _counting(field)
+    got = step_implicit_midpoint(f_new, y, dstep, cfg)
+    ref = np.array(_reference_midpoint(f_ref, tuple(map(float, y)), dstep, cfg.newton_tol,
+                                       cfg.newton_max_iter))
+    assert got.tobytes() == ref.tobytes()
+    assert n_new[0] == n_ref[0]
+
+
+def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
+    rng = np.random.default_rng(71)
+    reduced = make_reduced_rhs(-1.0, 4.0 * RingConfig.for_count(2).radius)
+    full = make_regularized_rhs(-1.0, MassParams(m=1e-3, epsilon=0.25), RingConfig.for_count(3))
+    for dstep, tol in ((1e-3, 1e-13), (-1e-3, 1e-15), (5e-2, 1e-13)):
+        cfg = IntegratorConfig(step=abs(dstep), newton_tol=tol)
+        for _ in range(40):
+            _assert_step_matches_reference(reduced, rng.uniform(-2.0, 2.0, 2), dstep, cfg)
+            _assert_step_matches_reference(full, rng.uniform(-2.0, 2.0, 4), dstep, cfg)
+
+
+def test_midpoint_kernels_match_the_generic_solve_through_the_newton_fallback(monkeypatch):
+    newton = integrators._midpoint_newton
+    entered = [0]
+
+    def watched(*args):
+        entered[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(integrators, "_midpoint_newton", watched)
+    # a step of 1.9 on a rotation contracts the sweeps by only 0.95
+    rotation4 = lambda y: (y[2], y[3], -y[0], -y[1])
+    cfg = IntegratorConfig(step=1.9, newton_tol=1e-13, newton_max_iter=50)
+    _assert_step_matches_reference(oscillator, np.array([1.0, 0.0]), 1.9, cfg)
+    _assert_step_matches_reference(rotation4, np.array([1.0, -0.5, 0.0, 0.25]), 1.9, cfg)
+    assert entered[0] == 4  # kernel and reference, in each size
+    # a budget too small for either path fails with the same residual
+    cfg = IntegratorConfig(step=1.9, newton_max_iter=3)
+    for field, y in ((oscillator, (1.0, 0.0)), (rotation4, (1.0, -0.5, 0.0, 0.25))):
+        with pytest.raises(StepFailure) as got:
+            step_implicit_midpoint(field, np.array(y), 1.9, cfg)
+        with pytest.raises(StepFailure) as ref:
+            _reference_midpoint(field, y, 1.9, cfg.newton_tol, cfg.newton_max_iter)
+        assert got.value.residual == ref.value.residual > 0.0
+
+
+def test_midpoint_takes_only_2d_and_4d_states():
+    spin3, calls = _counting(lambda y: (y[1], -y[0], 0.0))
+    with pytest.raises(ParameterError):
+        step_implicit_midpoint(spin3, np.array([1.0, 0.0, 0.0]), 0.1)
+    with pytest.raises(ParameterError):
+        integrate(spin3, (1.0, 0.0, 0.0), 1.0, IntegratorConfig(step=0.1))
+    assert calls[0] == 0  # refused before the first step
+    # the explicit step keeps taking any size
+    traj = integrate(spin3, (1.0, 0.0, 0.0), 1.0, IntegratorConfig(method="rk4", step=0.1))
+    assert traj.states.shape == (11, 3)
+
+
+def test_field_evaluation_counts_are_pinned():
+    # exact counts of the midpoint march, unchanged since the generic solve:
+    # a kernel change that spends more evaluations per step fails here
+    cfg = IntegratorConfig(step=1e-3)
+    h, m = -1.0, 1e-3
+    a = 4.0 * RingConfig.for_count(3).radius
+    rhs, calls = _counting(make_reduced_rhs(h, a))
+    traj = integrate(rhs, (0.0, reduced_level_momentum(0.0, h, m, a)), 2.0, cfg,
+                     time_scale=lambda s: 0.5 * s[0] * s[0],
+                     invariant=lambda s: gamma_reduced(s, h, m, a))
+    assert len(traj) == 2001 and calls[0] == 8794
+    # the full problem from the start of the simulate-sitnikov benchmark
+    params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
+    rhs, calls = _counting(make_regularized_rhs(h, params, ring))
+    traj = integrate(rhs, project_to_level([0.0, 0.0, 1.0, 0.0], h, params, ring), 2.0, cfg,
+                     time_scale=lambda z: time_scale(z, params),
+                     invariant=make_gamma(h, params, ring))
+    assert len(traj) == 2001 and calls[0] == 8000
+
+
+# -- the chunked CSV writers against a row-by-row %.17g reference --
+
+def _reference_regularized_csv(traj, gamma_fn) -> bytes:
+    lines = ["tau,t,Q1,Q2,P1,P2,gamma\n"]
+    for k in range(len(traj)):
+        s = traj.states[k]
+        z = (s[0], 0.0, s[1], 0.0) if len(s) == 2 else tuple(s)
+        row = (traj.tau[k], traj.t[k], *z, gamma_fn(s))
+        lines.append(",".join("%.17g" % v for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+def _reference_physical_csv(traj, params, ring) -> bytes:
+    lines = ["t,q1,q2,p1,p2,H\n"]
+    for k in range(len(traj)):
+        s = traj.states[k]
+        row = (traj.t[k], *s, hamiltonian(s, params, ring))
+        lines.append(",".join("%.17g" % v for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+def test_regularized_csv_matches_the_row_by_row_reference(tmp_path):
+    path = tmp_path / "traj.csv"
+    # 2-D: a reduced run through a collision
+    ring = RingConfig.for_count(2)
+    h, m, a = -1.0, 1e-3, 4.0 * ring.radius
+    gam = lambda s: gamma_reduced(s, h, m, a)
+    traj = integrate(make_reduced_rhs(h, a), (0.0, math.sqrt(2.0 * m)), 3.0,
+                     IntegratorConfig(step=1e-3), time_scale=lambda s: 0.5 * s[0] * s[0])
+    write_regularized_csv(traj, path, gam)
+    assert path.read_bytes() == _reference_regularized_csv(traj, gam)
+    # 4-D, longer than one chunk of the writer
+    params, h = MassParams(m=1e-3, epsilon=0.3), -2.5
+    gam = make_gamma(h, params, ring)
+    traj = integrate(make_regularized_rhs(h, params, ring),
+                     project_to_level([0.0, 0.0, -1.0, 0.0], h, params, ring), 6.0,
+                     IntegratorConfig(step=1e-3), time_scale=lambda z: time_scale(z, params))
+    assert len(traj) > integrators._CSV_CHUNK + 1
+    write_regularized_csv(traj, path, gam)
+    assert path.read_bytes() == _reference_regularized_csv(traj, gam)
+    # the partial trajectory a failed run carries
+    pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
+    energy = lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) - 0.5
+    with pytest.raises(StepFailure) as err:
+        integrate(pumped, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
+    write_regularized_csv(err.value.trajectory, path, energy)
+    assert path.read_bytes() == _reference_regularized_csv(err.value.trajectory, energy)
+
+
+def test_physical_csv_matches_the_row_by_row_reference(tmp_path):
+    from collreg import integrate_physical_oracle
+    from collreg.analysis import momentum_profile
+
+    params, ring = MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2)
+    p0 = momentum_profile(1.0, 0.25, params.m, ring.radius)
+    traj = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, IntegratorConfig(),
+                                     params, ring, t_eval=np.linspace(0.0, 10.0, 5000))
+    path = tmp_path / "phys.csv"
+    write_physical_csv(traj, path, params, ring)
+    assert path.read_bytes() == _reference_physical_csv(traj, params, ring)

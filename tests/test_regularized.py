@@ -22,7 +22,7 @@ from collreg import (
     time_scale,
 )
 from collreg.physical import make_physical_rhs
-from collreg.regularized import chart_jacobian, reduced_level_momentum
+from collreg.regularized import chart_jacobian, make_gamma, reduced_level_momentum
 
 
 def params_ring(eps=0.0, N=2, m=1e-3):
@@ -328,3 +328,36 @@ def test_reflection_symmetry_of_field():
         f = regularized_field(z, h, params, ring)
         fr = regularized_field([z[0], z[1], -z[2], -z[3]], h, params, ring)
         assert fr[0] == -f[0] and fr[1] == -f[1] and fr[2] == f[2] and fr[3] == f[3]
+
+
+def _reference_gamma(z, h, params, ring):
+    """Gamma written out in one expression, every factor taken per call."""
+    Q1, Q2, P1, P2 = (float(v) for v in z)
+    mu, m, r = params.mu, params.m, ring.radius
+    omu = 1.0 - mu
+    q1sq = Q1 * Q1
+    A = 2.0 * Q2 + mu * q1sq
+    B = 2.0 * Q2 - omu * q1sq
+    bracket = (
+        4.0 * omu / math.sqrt(A * A + 4.0 * r * r)
+        + 4.0 * mu / math.sqrt(B * B + 4.0 * r * r)
+        + h
+    )
+    return (
+        0.5 * (mu * omu * P2 * P2 * q1sq + P1 * P1)
+        - 16.0 * mu * mu * omu * omu * m
+        - 2.0 * mu * omu * q1sq * bracket
+    )
+
+
+def test_make_gamma_is_gamma_bit_for_bit():
+    # the writers and the level guard use the closure; hoisting the
+    # state-free factors must not move a bit
+    rng = np.random.default_rng(4)
+    for eps, N, h in ((0.3, 2, -2.5), (0.0, 3, -1.0), (0.7, 5, 0.4)):
+        params, ring = params_ring(eps=eps, N=N)
+        gam = make_gamma(h, params, ring)
+        for _ in range(200):
+            z = rng.uniform(-3.0, 3.0, 4)
+            ref = _reference_gamma(z, h, params, ring)
+            assert gam(z.tolist()) == ref and gamma(z, h, params, ring) == ref
