@@ -49,9 +49,9 @@ from .regularized import (
     make_gamma,
     make_reduced_rhs,
     make_regularized_rhs,
+    make_time_scale,
     project_to_level,
     reduced_level_momentum,
-    time_scale,
 )
 
 PROBLEMS = ("sitnikov", "reduced", "kepler1d")
@@ -205,7 +205,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
             y0 = project_to_level(state, h, params, ring)
             rhs = make_regularized_rhs(h, params, ring)
             gam = make_gamma(h, params, ring)
-            clock = lambda z: time_scale(z, params)
+            clock = make_time_scale(params)
         try:
             traj = integrate(rhs, y0, span, icfg, time_scale=clock, invariant=gam)
         except StepFailure as exc:

@@ -43,6 +43,7 @@ __all__ = [
     "chart_to_regularized",
     "chart_jacobian",
     "time_scale",
+    "make_time_scale",
     "gamma",
     "gamma_reduced",
     "make_gamma",
@@ -118,9 +119,20 @@ def chart_jacobian(z, params: MassParams) -> np.ndarray:
 
 def time_scale(z, params: MassParams) -> float:
     """dt/dtau = 2 mu (1-mu) Q1^2; vanishes exactly at collision."""
-    Q1 = float(z[0])
+    return make_time_scale(params)((float(z[0]),))
+
+
+def make_time_scale(params: MassParams):
+    """Scalar fast path of time_scale: z -> dt/dtau for a sequence whose first
+    entry is a float Q1, with 2 mu (1-mu) computed once."""
     mu = params.mu
-    return 2.0 * mu * (1.0 - mu) * Q1 * Q1
+    W = 2.0 * mu * (1.0 - mu)
+
+    def clock(z):
+        Q1 = z[0]
+        return W * Q1 * Q1
+
+    return clock
 
 
 def gamma(z, h: float, params: MassParams, ring: RingConfig) -> float:

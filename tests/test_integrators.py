@@ -28,6 +28,7 @@ from collreg.regularized import (
     make_gamma,
     make_reduced_rhs,
     make_regularized_rhs,
+    make_time_scale,
     gamma,
     project_to_level,
     reduced_level_momentum,
@@ -264,11 +265,13 @@ def test_without_stop_after_the_march_covers_the_span():
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = _collision_run(20.0, stop_after=None)
     assert len(traj.events) >= 2 and traj.tau[-1] == 20.0
-    y = np.array([0.0, math.sqrt(2e-3)])
-    march = [y]
-    for _ in range(20000):
-        y = step_implicit_midpoint(rhs, y, 1e-3, cfg)
-        march.append(y)
+    # the reference march: two Euler-guess steps, then every solve seeded
+    # from the three latest states, 3 (y_n - y_{n-1}) + y_{n-2}
+    march = [(0.0, math.sqrt(2e-3))]
+    for n in range(20000):
+        yp, ypp = (march[-2], march[-3]) if n >= 2 else (None, None)
+        march.append(integrators._midpoint2(rhs, march[-1], 1e-3, cfg.newton_tol,
+                                            cfg.newton_max_iter, yp, ypp))
     assert np.array_equal(traj.states, np.array(march))
     assert np.array_equal(traj.tau, np.arange(20001) * 1e-3)
 
@@ -373,14 +376,18 @@ def test_invalid_method_rejected():
 
 # -- the unrolled midpoint kernels against the generic solve they replace --
 
-def _reference_midpoint(field, y, dstep, tol, max_iter):
+def _reference_midpoint(field, y, dstep, tol, max_iter, guess=None):
     """Generic tuple-comprehension midpoint solve, any state size: the same
-    predictor, sweeps, stopping test and Newton hand-off as the kernels."""
+    sweeps, stopping test and Newton hand-off as the kernels, started from
+    guess, or from the explicit-Euler predictor when guess is None."""
     if dstep == 0.0:
         return y
     n = len(y)
-    f0 = field(y)
-    yn = tuple(y[k] + dstep * f0[k] for k in range(n))
+    if guess is None:
+        f0 = field(y)
+        yn = tuple(y[k] + dstep * f0[k] for k in range(n))
+    else:
+        yn = guess
     scale = 1.0 + max(abs(v) for v in y)
     for it in range(max_iter):
         fm = field(tuple(0.5 * (y[k] + yn[k]) for k in range(n)))
@@ -410,12 +417,22 @@ def _counting(field):
     return counted, calls
 
 
-def _assert_step_matches_reference(field, y, dstep, cfg):
+def _assert_step_matches_reference(field, y, dstep, cfg, history=None):
+    """One kernel solve against the reference; history = (yp, ypp) takes the
+    extrapolated predictor of a march, None the single step's Euler guess."""
     f_new, n_new = _counting(field)
     f_ref, n_ref = _counting(field)
-    got = step_implicit_midpoint(f_new, y, dstep, cfg)
-    ref = np.array(_reference_midpoint(f_ref, tuple(map(float, y)), dstep, cfg.newton_tol,
-                                       cfg.newton_max_iter))
+    y = tuple(map(float, y))
+    if history is None:
+        got = step_implicit_midpoint(f_new, y, dstep, cfg)
+        guess = None
+    else:
+        yp, ypp = history
+        solve = integrators._midpoint_kernel(len(y))
+        got = np.array(solve(f_new, y, dstep, cfg.newton_tol, cfg.newton_max_iter, yp, ypp))
+        guess = tuple(3.0 * (y[k] - yp[k]) + ypp[k] for k in range(len(y)))
+    ref = np.array(_reference_midpoint(f_ref, y, dstep, cfg.newton_tol, cfg.newton_max_iter,
+                                       guess))
     assert got.tobytes() == ref.tobytes()
     assert n_new[0] == n_ref[0]
 
@@ -427,8 +444,12 @@ def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
     for dstep, tol in ((1e-3, 1e-13), (-1e-3, 1e-15), (5e-2, 1e-13)):
         cfg = IntegratorConfig(step=abs(dstep), newton_tol=tol)
         for _ in range(40):
-            _assert_step_matches_reference(reduced, rng.uniform(-2.0, 2.0, 2), dstep, cfg)
-            _assert_step_matches_reference(full, rng.uniform(-2.0, 2.0, 4), dstep, cfg)
+            for field, n in ((reduced, 2), (full, 4)):
+                y = rng.uniform(-2.0, 2.0, n)
+                _assert_step_matches_reference(field, y, dstep, cfg)
+                # the two states before y, as a march would hold them
+                yp, ypp = (tuple(y - k * dstep * rng.uniform(0.5, 1.5, n)) for k in (1, 2))
+                _assert_step_matches_reference(field, y, dstep, cfg, history=(yp, ypp))
 
 
 def test_midpoint_kernels_match_the_generic_solve_through_the_newton_fallback(monkeypatch):
@@ -469,7 +490,7 @@ def test_midpoint_takes_only_2d_and_4d_states():
 
 
 def test_field_evaluation_counts_are_pinned():
-    # exact counts of the midpoint march, unchanged since the generic solve:
+    # exact counts of the midpoint march with its extrapolated predictor:
     # a kernel change that spends more evaluations per step fails here
     cfg = IntegratorConfig(step=1e-3)
     h, m = -1.0, 1e-3
@@ -478,14 +499,97 @@ def test_field_evaluation_counts_are_pinned():
     traj = integrate(rhs, (0.0, reduced_level_momentum(0.0, h, m, a)), 2.0, cfg,
                      time_scale=lambda s: 0.5 * s[0] * s[0],
                      invariant=lambda s: gamma_reduced(s, h, m, a))
-    assert len(traj) == 2001 and calls[0] == 8794
+    assert len(traj) == 2001 and calls[0] == 6002
     # the full problem from the start of the simulate-sitnikov benchmark
     params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
     rhs, calls = _counting(make_regularized_rhs(h, params, ring))
     traj = integrate(rhs, project_to_level([0.0, 0.0, 1.0, 0.0], h, params, ring), 2.0, cfg,
                      time_scale=lambda z: time_scale(z, params),
                      invariant=make_gamma(h, params, ring))
-    assert len(traj) == 2001 and calls[0] == 8000
+    assert len(traj) == 2001 and calls[0] == 4507
+
+
+def test_extrapolated_march_stays_with_the_euler_guess_march():
+    # the predictor only changes where the solve starts: the march agrees
+    # with one of single Euler-guess steps to the solver tolerance
+    cfg = IntegratorConfig(step=1e-3)
+    a = 4.0 * RingConfig.for_count(3).radius
+    params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
+    starts = (
+        (make_reduced_rhs(-1.0, a), (0.0, reduced_level_momentum(0.0, -1.0, 1e-3, a))),
+        (make_regularized_rhs(h, params, ring),
+         project_to_level([0.0, 0.0, 1.0, 0.0], h, params, ring)),
+    )
+    for field, y0 in starts:
+        traj = integrate(field, y0, 2.0, cfg, event_index=None)
+        y = np.array(y0, dtype=float)
+        euler = [y]
+        for _ in range(2000):
+            y = step_implicit_midpoint(field, y, 1e-3, cfg)
+            euler.append(y)
+        assert len(traj) == 2001
+        assert np.max(np.abs(traj.states - np.array(euler))) < 1e-10
+
+
+def test_mirrored_start_gives_the_mirrored_march():
+    # z -> (-Q1, Q2, -P1, P2) is an exact symmetry of Gamma and its field, and
+    # the extrapolation commutes with it, so the two seed signs of the
+    # simulate-sitnikov benchmark march as mirror images at the same cost
+    params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
+    runs = []
+    for sign in (1.0, -1.0):
+        rhs, calls = _counting(make_regularized_rhs(h, params, ring))
+        traj = integrate(rhs, project_to_level([0.0, 0.0, sign, 0.0], h, params, ring), 15.0,
+                         IntegratorConfig(step=1e-3), time_scale=make_time_scale(params),
+                         invariant=make_gamma(h, params, ring))
+        runs.append((traj, calls[0]))
+    (plus, n_plus), (minus, n_minus) = runs
+    mirror = np.array([-1.0, 1.0, -1.0, 1.0])
+    assert n_plus == n_minus
+    assert np.array_equal(minus.states, plus.states * mirror)
+    assert np.array_equal(minus.tau, plus.tau) and np.array_equal(minus.t, plus.t)
+    assert len(plus.events) >= 1 and len(minus.events) == len(plus.events)
+    for e, f in zip(plus.events, minus.events):
+        assert (f.index, f.tau, f.t) == (e.index, e.tau, e.t)
+        assert np.array_equal(np.array(f.state), np.array(e.state) * mirror)
+
+
+def test_newton_fallback_and_step_failure_are_reached_through_the_march(monkeypatch):
+    newton = integrators._midpoint_newton
+    entered = [0]
+
+    def watched(*args):
+        entered[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(integrators, "_midpoint_newton", watched)
+    # a step of 1.9 on a rotation contracts the sweeps by only 0.95, so every
+    # step, the extrapolated ones too, hands over to Newton; each lands on
+    # the Cayley rotation of the step before
+    th = 1.9
+    traj = integrate(oscillator, (1.0, 0.0), 5 * th,
+                     IntegratorConfig(step=th, newton_tol=1e-13, newton_max_iter=50),
+                     event_index=None)
+    assert entered[0] == 5
+    c, s = (1.0 - th * th / 4.0) / (1.0 + th * th / 4.0), th / (1.0 + th * th / 4.0)
+    y = np.array([1.0, 0.0])
+    for k in range(6):
+        assert np.max(np.abs(traj.states[k] - y)) < 1e-12
+        y = np.array([c * y[0] + s * y[1], -s * y[0] + c * y[1]])
+    # x' = s below s = 2 and stiff above it, with s the clock component: the
+    # first two steps converge in two sweeps, the third, seeded from history,
+    # stalls and fails with the residual of its last iterate
+    stiffening = lambda y: (y[1] if y[1] < 2.0 else 50.0 * math.sin(100.0 * y[0]), 1.0)
+    cfg = IntegratorConfig(step=1.0, newton_max_iter=2)
+    with pytest.raises(StepFailure) as err:
+        integrate(stiffening, (1.0, 0.0), 5.0, cfg, event_index=None)
+    part = err.value.trajectory
+    assert part is not None and len(part) == 3
+    y, yp, ypp = (tuple(part.states[k]) for k in (2, 1, 0))
+    guess = tuple(3.0 * (y[k] - yp[k]) + ypp[k] for k in range(2))
+    with pytest.raises(StepFailure) as ref:
+        _reference_midpoint(stiffening, y, 1.0, cfg.newton_tol, cfg.newton_max_iter, guess)
+    assert err.value.residual == ref.value.residual > 0.0
 
 
 # -- the chunked CSV writers against a row-by-row %.17g reference --

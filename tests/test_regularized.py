@@ -22,7 +22,12 @@ from collreg import (
     time_scale,
 )
 from collreg.physical import make_physical_rhs
-from collreg.regularized import chart_jacobian, make_gamma, reduced_level_momentum
+from collreg.regularized import (
+    chart_jacobian,
+    make_gamma,
+    make_time_scale,
+    reduced_level_momentum,
+)
 
 
 def params_ring(eps=0.0, N=2, m=1e-3):
@@ -361,3 +366,18 @@ def test_make_gamma_is_gamma_bit_for_bit():
             z = rng.uniform(-3.0, 3.0, 4)
             ref = _reference_gamma(z, h, params, ring)
             assert gam(z.tolist()) == ref and gamma(z, h, params, ring) == ref
+
+
+def test_make_time_scale_is_time_scale_bit_for_bit():
+    # the simulate clock uses the closure; computing 2 mu (1-mu) once must
+    # not move a bit against the written-out formula
+    rng = np.random.default_rng(5)
+    for eps in (0.0, 0.3, 0.7, 0.999):
+        params = MassParams(m=1e-3, epsilon=eps)
+        clock = make_time_scale(params)
+        mu = params.mu
+        for _ in range(200):
+            z = rng.uniform(-3.0, 3.0, 4)
+            Q1 = float(z[0])
+            ref = 2.0 * mu * (1.0 - mu) * Q1 * Q1
+            assert clock(z.tolist()) == ref and time_scale(z, params) == ref
