@@ -45,7 +45,6 @@ from .integrators import (
     integrate,
     integrate_physical_oracle,
     step_implicit_midpoint,
-    step_rk4,
 )
 from .physical import (
     axis_field_general,
@@ -55,6 +54,7 @@ from .physical import (
     potential,
 )
 from .regularized import (
+    Problem,
     chart_to_physical,
     chart_to_regularized,
     collision_momentum,

@@ -16,9 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import ring_radius
 from .errors import AccuracyError, DomainError, ParameterError
 from .integrators import IntegratorConfig, integrate
-from .regularized import gamma_reduced, make_reduced_rhs
+from .regularized import Problem
 
 __all__ = [
     "OrbitClass",
@@ -153,11 +154,10 @@ def _period_flow(h: float, m: float, a: float, step: float):
     fictitious time between them (half of the closed double-cover loop).  The
     march stops at the first return and keeps no samples in between.
     """
-    rhs = make_reduced_rhs(h, a)
+    p = Problem.reduced(h, m, a)
     cfg = IntegratorConfig(method="implicit_midpoint", step=step)
     y0 = (0.0, math.sqrt(2.0 * m))
-    g = lambda s: 0.5 * s[0] * s[0]
-    traj = integrate(rhs, y0, _PERIOD_TAU_CAP, cfg, time_scale=g,
+    traj = integrate(p.field, y0, _PERIOD_TAU_CAP, cfg, time_scale=p.clock,
                      record_every=sys.maxsize, stop_after=1)
     if not traj.events:
         raise AccuracyError(
@@ -175,23 +175,29 @@ def period(h: float, m: float, r: float, method: str = "quadrature",
     flow: fictitious-time integration of the regularized system from collision
     to collision, reading the physical period off the dual clock.
     """
-    if h >= 0.0:
-        raise DomainError(f"periodic orbits require h < 0, got h={h}")
+    _check_period_domain(h, m, flow=method == "flow")
     if method == "quadrature":
         return _period_quadrature(h, m, r, nodes)
     if method == "flow":
-        if not m > 0.0:
-            raise DomainError("the flow method starts at a collision and needs m > 0")
-        T, _ = _period_flow(h, m, 4.0 * r, step)
-        return T
+        return _period_flow(h, m, 4.0 * r, step)[0]
     raise ParameterError(f"unknown period method {method!r}")
+
+
+def _check_period_domain(h: float, m: float, flow: bool) -> None:
+    """Refuse an energy with no periodic orbit, and for the flow method a
+    mass with no collision to start from; a parabolic or hyperbolic orbit,
+    or the rest point at m = 0, would never return."""
+    if not h < 0.0:
+        raise DomainError(f"periodic orbits require h < 0, got h={h}")
+    if flow and not m > 0.0:
+        raise DomainError(f"the flow method starts at a collision and needs m > 0, got m={m}")
 
 
 def period_report(h: float, m: float, N: int, nodes: int = 128, step: float = 2e-4) -> dict:
     """Both period computations plus the fictitious-time period of the full
-    closed orbit (two collision passages in the double cover)."""
-    from .config import ring_radius
-
+    closed orbit (two collision passages in the double cover).  Refuses
+    h >= 0 and m <= 0 before any work, as period does."""
+    _check_period_domain(h, m, flow=True)
     r = ring_radius(N)
     T_flow, tau_half = _period_flow(h, m, 4.0 * r, step)
     return {
@@ -235,12 +241,13 @@ def level_set_sample(
     """
     if resolution < 2:
         raise ParameterError(f"resolution must be at least 2, got {resolution}")
+    gam = Problem.reduced(h, m, a).gamma
 
     def g(Q1, P1):
-        return gamma_reduced((Q1, P1), h, m, a)
+        return gam((Q1, P1))
 
-    q_grid = _mirror_linspace(q1_range[0], q1_range[1], resolution)
-    p_grid = _mirror_linspace(p1_range[0], p1_range[1], resolution)
+    q_grid = _mirror_linspace(q1_range[0], q1_range[1], resolution).tolist()
+    p_grid = _mirror_linspace(p1_range[0], p1_range[1], resolution).tolist()
     pts = []
 
     def polish(f, lo, hi, flo):
@@ -299,23 +306,16 @@ def kepler1d_validation(h: float, mu_grav: float, step: float = 5e-4,
     if not mu_grav > 0.0:
         raise ParameterError(f"gravitational parameter must be positive, got {mu_grav}")
 
-    two_h = 2.0 * h
-
-    def rhs(yv):
-        u, v = yv
-        return (v, two_h * u)
-
-    omega_sq = -two_h
+    p = Problem.kepler1d(h, mu_grav)
+    omega_sq = -2.0 * h
     period_tau = 2.0 * math.pi / math.sqrt(omega_sq)
     span = n_periods * period_tau
     v0 = 2.0 * math.sqrt(mu_grav)
     cfg = IntegratorConfig(method="implicit_midpoint", step=step)
-    g = lambda s: s[0] * s[0]
-    traj = integrate(rhs, (0.0, v0), span, cfg, time_scale=g)
+    traj = integrate(p.field, (0.0, v0), span, cfg, time_scale=p.clock)
 
     us = traj.states[:, 0]
-    vs = traj.states[:, 1]
-    residual = np.max(np.abs(0.25 * vs**2 - 0.5 * h * us**2 - mu_grav))
+    residual = np.max(np.abs(p.gamma(traj.states.T)))
 
     speeds = [abs(e.state[1]) for e in traj.collision_events()]
     speed_dev = max(abs(s - v0) for s in speeds) if speeds else float("nan")

@@ -17,8 +17,10 @@ State layouts: reduced [Q1, P1]; sitnikov regularized [Q1, Q2, P1, P2];
 sitnikov physical [q1, q2, p1, p2]; kepler1d [u, v] with "mu_grav" replacing
 the ring parameters.  Regularized initial states are projected onto the
 energy level by solving for |P1| (sign preserved); states with no real
-momentum are refused.  Numeric file output uses 17 significant digits and LF
-line endings, so a fixed configuration yields byte-identical data files.
+momentum are refused.  Every number in a configuration must be finite (no
+NaN, no infinity) and not a boolean.  Numeric file output uses 17
+significant digits and LF line endings, so a fixed configuration yields
+byte-identical data files.
 """
 
 from __future__ import annotations
@@ -44,26 +46,33 @@ from .integrators import (
     write_regularized_csv,
 )
 from .physical import hamiltonian
-from .regularized import (
-    gamma_reduced,
-    make_gamma,
-    make_reduced_rhs,
-    make_regularized_rhs,
-    make_time_scale,
-    project_to_level,
-    reduced_level_momentum,
-)
+from .regularized import Problem
 
 PROBLEMS = ("sitnikov", "reduced", "kepler1d")
-STATE_DIMS = {"reduced": 2, "sitnikov": 4, "kepler1d": 2}
 
 
-def _require(cfg: dict, field: str, types) -> object:
+def _require(cfg: dict, field: str, types, name: str | None = None) -> object:
+    name = name or field
     if field not in cfg:
-        raise SchemaError(f"missing required field {field!r}", field=field)
+        raise SchemaError(f"missing required field {name!r}", field=name)
     value = cfg[field]
-    if not isinstance(value, types):
-        raise SchemaError(f"field {field!r} has the wrong type: {value!r}", field=field)
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise SchemaError(f"field {name!r} has the wrong type: {value!r}", field=name)
+    return value
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: json.load also accepts NaN and +-Infinity, and
+    a boolean is an int to Python."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _require_number(cfg: dict, field: str, name: str | None = None) -> float:
+    name = name or field
+    value = _require(cfg, field, (int, float), name)
+    if not _is_number(value):
+        raise SchemaError(f"field {name!r} must be a finite number, got {value!r}", field=name)
     return value
 
 
@@ -86,7 +95,7 @@ def validate_run_config(cfg) -> dict:
     problem = _require(cfg, "problem", str)
     if problem not in PROBLEMS:
         raise SchemaError(f"unknown problem {problem!r}", field="problem")
-    _require(cfg, "span", (int, float))
+    _require_number(cfg, "span")
     initial = _require(cfg, "initial", dict)
     chart = _require(initial, "chart", str)
     if chart not in ("physical", "regularized"):
@@ -101,28 +110,28 @@ def validate_run_config(cfg) -> dict:
                 f"problem {problem!r} is integrated in the regularized chart",
                 field="initial.chart",
             )
-    if len(state) != want or not all(isinstance(v, (int, float)) for v in state):
+    if len(state) != want or not all(map(_is_number, state)):
         raise SchemaError(
-            f"initial.state must be {want} numbers for problem {problem!r}",
+            f"initial.state must be {want} finite numbers for problem {problem!r}",
             field="initial.state",
         )
     if problem == "kepler1d":
-        _require(cfg, "mu_grav", (int, float))
-        _require(cfg, "h", (int, float))
+        numbers = ["mu_grav", "h"]
     else:
         _require(cfg, "N", int)
-        _require(cfg, "m", (int, float))
-        _require(cfg, "epsilon", (int, float))
-        if problem == "reduced" and cfg["epsilon"] != 0:
-            raise SchemaError(
-                "the reduced problem is the symmetric one; epsilon must be 0",
-                field="epsilon",
-            )
-        if chart == "regularized" or "h" in cfg:
-            _require(cfg, "h", (int, float))
+        numbers = ["m", "epsilon"] + (["h"] if chart == "regularized" or "h" in cfg else [])
+    numbers += [name for name in ("guard", "stop_at_q") if name in cfg]
+    for name in numbers:
+        _require_number(cfg, name)
+    if problem == "reduced" and cfg["epsilon"] != 0:
+        raise SchemaError("the reduced problem is the symmetric one; epsilon must be 0",
+                          field="epsilon")
     integ = cfg.get("integrator", {})
     if not isinstance(integ, dict):
         raise SchemaError("integrator must be an object", field="integrator")
+    for key in ("step", "newton_tol", "newton_max_iter", "adaptive_tol"):
+        if key in integ:
+            _require_number(integ, key, f"integrator.{key}")
     try:
         cfg["_integrator"] = IntegratorConfig(
             method=integ.get("method", "implicit_midpoint"),
@@ -152,6 +161,18 @@ def _default_outputs(cfg: dict, config_path: str) -> dict:
     return out
 
 
+def _problem(cfg: dict) -> Problem:
+    """The regularized system of a validated run configuration."""
+    h = float(cfg["h"])
+    if cfg["problem"] == "kepler1d":
+        return Problem.kepler1d(h, float(cfg["mu_grav"]))
+    N, m = int(cfg["N"]), float(cfg["m"])
+    if cfg["problem"] == "reduced":
+        return Problem.reduced(h, m, 4.0 * ring_radius(N))
+    params = MassParams(m=m, epsilon=float(cfg["epsilon"]))
+    return Problem.sitnikov(h, params, RingConfig.for_count(N))
+
+
 def run_simulation(cfg: dict, outputs: dict) -> dict:
     """Execute one validated run configuration; returns the summary dict."""
     icfg: IntegratorConfig = cfg["_integrator"]
@@ -174,48 +195,18 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         write_physical_csv(traj, outputs["trajectory"], params, ring)
         final_check = abs(hamiltonian(traj.states[-1], params, ring) - h)
     else:
-        if problem == "kepler1d":
-            h = float(cfg["h"])
-            mu_grav = float(cfg["mu_grav"])
-            two_h = 2.0 * h
-            rhs = lambda yv: (yv[1], two_h * yv[0])
-            gam = lambda s: 0.25 * s[1] ** 2 - 0.5 * h * s[0] ** 2 - mu_grav
-            # project v onto the energy relation, keeping its sign
-            vsq = 4.0 * (mu_grav + 0.5 * h * state[0] ** 2)
-            if vsq < 0.0:
-                raise SchemaError("initial u is beyond the turning point of this level",
-                                  field="initial.state")
-            v = math.copysign(math.sqrt(vsq), state[1]) if state[1] != 0.0 else math.sqrt(vsq)
-            y0 = (state[0], v)
-            clock = lambda s: s[0] * s[0]
-        elif problem == "reduced":
-            N, m, h = int(cfg["N"]), float(cfg["m"]), float(cfg["h"])
-            a = 4.0 * ring_radius(N)
-            rhs = make_reduced_rhs(h, a)
-            gam = lambda s: gamma_reduced(s, h, m, a)
-            mag = reduced_level_momentum(state[0], h, m, a)
-            p1 = math.copysign(mag, state[1]) if state[1] != 0.0 else mag
-            y0 = (state[0], p1)
-            clock = lambda s: 0.5 * s[0] * s[0]
-        else:  # sitnikov, regularized chart
-            N, m, e = int(cfg["N"]), float(cfg["m"]), float(cfg["epsilon"])
-            params = MassParams(m=m, epsilon=e)
-            ring = RingConfig.for_count(N)
-            h = float(cfg["h"])
-            y0 = project_to_level(state, h, params, ring)
-            rhs = make_regularized_rhs(h, params, ring)
-            gam = make_gamma(h, params, ring)
-            clock = make_time_scale(params)
+        p = _problem(cfg)
         try:
-            traj = integrate(rhs, y0, span, icfg, time_scale=clock, invariant=gam)
+            traj = integrate(p.field, p.project(state), span, icfg,
+                             time_scale=p.clock, invariant=p.gamma)
         except StepFailure as exc:
             # a failed run keeps what it integrated before the failure
             if exc.trajectory is not None:
-                write_regularized_csv(exc.trajectory, outputs["trajectory"], gam)
+                write_regularized_csv(exc.trajectory, outputs["trajectory"], p.gamma)
                 write_events_json(exc.trajectory, outputs["events"])
             raise
-        write_regularized_csv(traj, outputs["trajectory"], gam)
-        final_check = abs(gam(traj.states[-1]))
+        write_regularized_csv(traj, outputs["trajectory"], p.gamma)
+        final_check = abs(p.gamma(traj.states[-1]))
 
     traj.metadata.update(
         {k: cfg[k] for k in ("problem", "N", "m", "epsilon", "h", "mu_grav") if k in cfg}

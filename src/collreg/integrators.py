@@ -1,8 +1,9 @@
 """Structure-preserving and oracle time stepping, dual clocks, event logging.
 
-The production path for regularized systems is the implicit midpoint rule:
-it is symplectic for arbitrary smooth Hamiltonians, which matters here because
-the regularized Hamiltonian couples P2^2 with Q1^2 and is not separable.
+Regularized systems are integrated by the implicit midpoint rule, the one
+method of integrate: it is symplectic for arbitrary smooth Hamiltonians,
+which matters here because the regularized Hamiltonian couples P2^2 with
+Q1^2 and is not separable.
 Each step is a fixed-point solve.  A march seeds it by quadratic
 extrapolation through its last three accepted states, at no field
 evaluation; a lone step and the first two steps of a march use the
@@ -35,7 +36,6 @@ __all__ = [
     "Event",
     "Trajectory",
     "step_implicit_midpoint",
-    "step_rk4",
     "integrate",
     "integrate_physical_oracle",
     "write_regularized_csv",
@@ -43,8 +43,7 @@ __all__ = [
     "write_events_json",
 ]
 
-METHODS = ("implicit_midpoint", "rk4", "rk_adaptive")
-EVENT_KINDS = ("collision", "chart_switch", "escape_threshold")
+METHODS = ("implicit_midpoint",)
 
 # Largest |invariant| a recorded sample may show before a run is given up as
 # off its level.  Bounded runs stay within O(dtau^2) of it (about 2e-6 on the
@@ -288,19 +287,6 @@ def _np_field_jacobian(field, x, h):
     return jac
 
 
-def step_rk4(field, y, dstep: float):
-    """One classical fourth-order Runge-Kutta step (not symplectic)."""
-    y = _tuple_state(y)
-    n = len(y)
-    k1 = field(y)
-    k2 = field(tuple(y[i] + 0.5 * dstep * k1[i] for i in range(n)))
-    k3 = field(tuple(y[i] + 0.5 * dstep * k2[i] for i in range(n)))
-    k4 = field(tuple(y[i] + dstep * k3[i] for i in range(n)))
-    return np.array(
-        [y[i] + dstep / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)]
-    )
-
-
 def _hermite_eval(s, y0, y1, d0, d1):
     """Cubic Hermite on [0, 1] with endpoint values/derivatives (d scaled by dtau)."""
     h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
@@ -345,16 +331,17 @@ def integrate(
     *,
     time_scale: Optional[Callable] = None,
     event_index: Optional[int] = 0,
-    event_kind: str = "collision",
     invariant: Optional[Callable] = None,
     record_every: int = 1,
     stop_after: Optional[int] = None,
 ) -> Trajectory:
     """March a state field over a tau interval of the given length.
 
-    time_scale(state) provides dt/dtau for the dual clock (identity clock when
-    omitted).  Sign changes of state[event_index] are logged as events with
-    sub-step localization; pass event_index=None to disable detection.
+    time_scale(Q1) provides dt/dtau for the dual clock from the first state
+    component alone, the only one any clock here reads (identity clock when
+    omitted).  Sign changes of state[event_index] are logged as collision
+    events with sub-step localization; pass event_index=None to disable
+    detection.
     invariant(state), when given, is evaluated on every recorded sample and
     its max abs value is stored as metadata["invariant_max"].
 
@@ -362,8 +349,7 @@ def integrate(
     which that event was localized, and the state after that step is recorded
     as the last sample whatever record_every says, so tau[-1] is how far the
     run went and span is only a cap.  Exactly k events come back.  It needs
-    event detection and is refused by the rk_adaptive method.  With None the
-    march covers the whole span.
+    event detection.  With None the march covers the whole span.
 
     Raises StepFailure carrying the partial trajectory if a step cannot be
     completed, the state stops being finite, or a recorded sample's
@@ -373,13 +359,10 @@ def integrate(
     n = len(y)
     if span < 0.0:
         raise ParameterError(f"span must be nonnegative, got {span}")
-    if stop_after is not None:
-        if event_index is None or stop_after < 1:
-            raise ParameterError(
-                f"stop_after needs event detection and a positive count, got {stop_after}"
-            )
-        if cfg.method == "rk_adaptive":
-            raise ParameterError("stop_after is not supported by the rk_adaptive method")
+    if stop_after is not None and (event_index is None or stop_after < 1):
+        raise ParameterError(
+            f"stop_after needs event detection and a positive count, got {stop_after}"
+        )
     n_steps = max(int(round(span / cfg.step)), 0) if span > 0.0 else 0
     if span > 0.0 and n_steps == 0:
         n_steps = 1
@@ -392,15 +375,8 @@ def integrate(
     events: list[Event] = []
     inv_max = abs(float(invariant(y))) if invariant is not None else None
 
-    if cfg.method == "rk_adaptive":
-        return _integrate_adaptive(
-            field, y, span, cfg, time_scale, event_index, event_kind, invariant, record_every
-        )
-
-    midpoint = cfg.method == "implicit_midpoint"
-    if midpoint:
-        solve = _midpoint_kernel(n)
-        tol, max_iter = cfg.newton_tol, cfg.newton_max_iter
+    solve = _midpoint_kernel(n)
+    tol, max_iter = cfg.newton_tol, cfg.newton_max_iter
     t = 0.0
     stopped = False
     # the two accepted states before y, for the midpoint predictor
@@ -409,11 +385,8 @@ def integrate(
         y_prev = y
         t_prev = t
         try:
-            if midpoint:
-                y = solve(field, y, dstep, tol, max_iter, y_back, y_back2)
-                y_back2, y_back = y_back, y_prev
-            else:  # rk4
-                y = tuple(step_rk4(field, y, dstep))
+            y = solve(field, y, dstep, tol, max_iter, y_back, y_back2)
+            y_back2, y_back = y_back, y_prev
         except StepFailure as exc:
             exc.trajectory = _bundle(taus, ts, states, events, cfg, span, inv_max)
             raise
@@ -424,8 +397,7 @@ def integrate(
                 trajectory=_bundle(taus, ts, states, events, cfg, span, inv_max),
             )
         if time_scale is not None:
-            g_mid = time_scale(tuple([0.5 * (a + b) for a, b in zip(y_prev, y)]))
-            t += dstep * g_mid
+            t += dstep * time_scale(0.5 * (y_prev[0] + y[0]))
         else:
             t = i * dstep
 
@@ -440,13 +412,13 @@ def integrate(
             tau_e = (i - 1 + s) * dstep
             if time_scale is not None:
                 # trapezoidal dt over the sub-step; second order like the clock itself
-                g0 = time_scale(y_prev)
-                ge = time_scale(e_state)
+                g0 = time_scale(y_prev[0])
+                ge = time_scale(e_state[0])
                 t_e = t_prev + s * dstep * 0.5 * (g0 + ge)
             else:
                 t_e = tau_e
             events.append(
-                Event(index=len(taus) - 1, kind=event_kind, tau=tau_e, t=t_e, state=e_state)
+                Event(index=len(taus) - 1, kind="collision", tau=tau_e, t=t_e, state=e_state)
             )
             stopped = len(events) == stop_after
 
@@ -486,71 +458,6 @@ def _bundle(taus, ts, states, events, cfg, span, inv_max) -> Trajectory:
         events=events,
         metadata=meta,
     )
-
-
-def _integrate_adaptive(
-    field, y, span, cfg, time_scale, event_index, event_kind, invariant, record_every
-):
-    """Adaptive fallback for regular fields: scipy RK with the dual clock as an
-    augmented component."""
-    from scipy.integrate import solve_ivp
-
-    n = len(y)
-
-    def rhs(_, yv):
-        f = field(tuple(yv[:n]))
-        g = time_scale(tuple(yv[:n])) if time_scale is not None else 1.0
-        return [*f, g]
-
-    ev_fns = []
-    if event_index is not None:
-        def ev(_, yv):
-            return yv[event_index]
-
-        ev.terminal = False
-        ev_fns.append(ev)
-
-    grid = np.linspace(0.0, span, max(int(round(span / cfg.step)), 1) + 1)
-    sol = solve_ivp(
-        rhs,
-        (0.0, span),
-        [*y, 0.0],
-        method="DOP853",
-        rtol=cfg.adaptive_tol,
-        atol=cfg.adaptive_tol * 1e-2,
-        t_eval=grid[::record_every] if record_every > 1 else grid,
-        events=ev_fns or None,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StepFailure(f"adaptive integration failed: {sol.message}")
-    states = sol.y[:n].T
-    ts = sol.y[n]
-    events = []
-    if event_index is not None and len(sol.t_events[0]):
-        for tau_e in sol.t_events[0]:
-            if tau_e <= 0.0:
-                continue
-            full = sol.sol(tau_e)
-            idx = int(np.searchsorted(sol.t, tau_e, side="right") - 1)
-            events.append(
-                Event(
-                    index=idx,
-                    kind=event_kind,
-                    tau=float(tau_e),
-                    t=float(full[n]),
-                    state=tuple(full[:n]),
-                )
-            )
-    meta = {"method": "rk_adaptive", "step": cfg.step, "span": span}
-    traj = Trajectory(tau=sol.t, t=ts, states=states, events=events, metadata=meta)
-    if invariant is not None:
-        levels = np.array([abs(invariant(tuple(s))) for s in states])
-        meta["invariant_max"] = float(levels.max())
-        if meta["invariant_max"] > INVARIANT_LIMIT:
-            first = int(np.argmax(levels > INVARIANT_LIMIT))
-            raise _off_level(float(sol.t[first]), float(levels[first]), traj)
-    return traj
 
 
 def integrate_physical_oracle(
@@ -613,29 +520,13 @@ def integrate_physical_oracle(
         raise StepFailure(f"physical oracle failed: {sol.message}")
     states = sol.y.T
     events = []
-    if len(sol.t_events[0]):
-        te = float(sol.t_events[0][0])
-        events.append(
-            Event(
-                index=len(sol.t) - 1,
-                kind="collision",
-                tau=te,
-                t=te,
-                state=tuple(sol.sol(te)),
-                detail="proximity_abort",
-            )
-        )
-    if stop_at_q is not None and len(sol.t_events[1]):
-        te = float(sol.t_events[1][0])
-        events.append(
-            Event(
-                index=len(sol.t) - 1,
-                kind="escape_threshold",
-                tau=te,
-                t=te,
-                state=tuple(sol.sol(te)),
-            )
-        )
+    # t_events holds the proximity times, then the escape times when asked for
+    for found, kind, detail in zip(sol.t_events, ("collision", "escape_threshold"),
+                                   ("proximity_abort", None)):
+        if len(found):
+            te = float(found[0])
+            events.append(Event(index=len(sol.t) - 1, kind=kind, tau=te, t=te,
+                                state=tuple(sol.sol(te)), detail=detail))
     traj = Trajectory(
         tau=sol.t.copy(),
         t=sol.t.copy(),

@@ -26,11 +26,16 @@ cross-checked in the test suite three independent ways: by finite
 differences, by restriction of the full field, and by the chain rule against
 the physical field.  Sign conventions live or die by those oracles, nothing
 else.
+
+Problem bundles a system's field, Gamma, clock and level projection; its
+constructors are the one place where each system is wired.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from .config import MassParams, RingConfig
 from .errors import CollisionError, DomainError
 
 __all__ = [
+    "Problem",
     "chart_to_physical",
     "collision_positions",
     "chart_to_regularized",
@@ -119,17 +125,16 @@ def chart_jacobian(z, params: MassParams) -> np.ndarray:
 
 def time_scale(z, params: MassParams) -> float:
     """dt/dtau = 2 mu (1-mu) Q1^2; vanishes exactly at collision."""
-    return make_time_scale(params)((float(z[0]),))
+    return make_time_scale(params)(float(z[0]))
 
 
 def make_time_scale(params: MassParams):
-    """Scalar fast path of time_scale: z -> dt/dtau for a sequence whose first
-    entry is a float Q1, with 2 mu (1-mu) computed once."""
+    """Scalar fast path of time_scale: the clock Q1 -> dt/dtau of a float Q1,
+    with 2 mu (1-mu) computed once."""
     mu = params.mu
     W = 2.0 * mu * (1.0 - mu)
 
-    def clock(z):
-        Q1 = z[0]
+    def clock(Q1):
         return W * Q1 * Q1
 
     return clock
@@ -171,11 +176,22 @@ def gamma_reduced(s, h: float, m: float, a: float) -> float:
 
         G~ = P1^2/2 - 4 Q1^2 (1/sqrt(Q1^4 + a^2) + h/8) - m
     """
+    return _make_gamma_reduced(h, m, a)((float(s[0]), float(s[1])))
+
+
+def _make_gamma_reduced(h: float, m: float, a: float):
+    """Scalar fast path of gamma_reduced: s -> G~(s) for a pair of floats."""
     if not a > 0.0:
         raise DomainError(f"need a > 0, got {a}")
-    Q1, P1 = float(s[0]), float(s[1])
-    q = Q1 * Q1
-    return 0.5 * P1 * P1 - 4.0 * q * (1.0 / math.sqrt(q * q + a * a) + h / 8.0) - m
+    asq = a * a
+    h8 = h / 8.0
+
+    def gam(s):
+        Q1, P1 = s
+        q = Q1 * Q1
+        return 0.5 * P1 * P1 - 4.0 * q * (1.0 / math.sqrt(q * q + asq) + h8) - m
+
+    return gam
 
 
 def make_regularized_rhs(h: float, params: MassParams, ring: RingConfig):
@@ -284,5 +300,62 @@ def project_to_level(z, h: float, params: MassParams, ring: RingConfig) -> np.nd
         raise DomainError(
             f"no real momentum on the level h={h} at (Q1={Q1}, Q2={Q2}, P2={P2})"
         )
-    mag = math.sqrt(p1sq)
-    return np.array([Q1, Q2, math.copysign(mag, P1) if P1 != 0.0 else mag, P2])
+    return np.array([Q1, Q2, _signed(math.sqrt(p1sq), P1), P2])
+
+
+def _signed(mag: float, p: float) -> float:
+    """mag with the sign of p; the nonnegative branch when p is zero."""
+    return math.copysign(mag, p) if p != 0.0 else mag
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One regularized system, wired in one place.
+
+    field(z) -> dz/dtau and gamma(z) take the state as a sequence of floats;
+    clock(Q1) -> dt/dtau reads Q1 alone, as every clock here does; project(z)
+    solves Gamma = 0 for |P1| (the momentum paired with Q1), keeping its
+    sign, and raises DomainError where the level has no real momentum.
+    """
+
+    field: Callable
+    gamma: Callable
+    clock: Callable
+    project: Callable
+
+    @classmethod
+    def sitnikov(cls, h: float, params: MassParams, ring: RingConfig) -> "Problem":
+        """The full system, state (Q1, Q2, P1, P2), on the energy level h."""
+        return cls(make_regularized_rhs(h, params, ring), make_gamma(h, params, ring),
+                   make_time_scale(params), lambda z: project_to_level(z, h, params, ring))
+
+    @classmethod
+    def reduced(cls, h: float, m: float, a: float) -> "Problem":
+        """The symmetric system, state (Q1, P1), with a = 4 * ring radius and
+        the clock dt/dtau = Q1^2/2."""
+
+        def project(s):
+            Q1 = float(s[0])
+            return (Q1, _signed(reduced_level_momentum(Q1, h, m, a), float(s[1])))
+
+        return cls(make_reduced_rhs(h, a), _make_gamma_reduced(h, m, a),
+                   lambda Q1: 0.5 * Q1 * Q1, project)
+
+    @classmethod
+    def kepler1d(cls, h: float, mu_grav: float) -> "Problem":
+        """The one-dimensional two-body problem, state (u, v), in the chart
+        x = u^2/2, y = v/u, dt = u^2 dtau: the field (v, 2 h u) of
+        v^2/2 - h u^2 - 2 mu_grav, and as gamma the energy relation
+        v^2/4 - (h/2) u^2 - mu_grav."""
+        two_h = 2.0 * h
+
+        def project(s):
+            u = float(s[0])
+            vsq = 4.0 * (mu_grav + 0.5 * h * u ** 2)
+            if vsq < 0.0:
+                raise DomainError(f"no real momentum on the level h={h} at u={u}")
+            return (u, _signed(math.sqrt(vsq), float(s[1])))
+
+        return cls(lambda s: (s[1], two_h * s[0]),
+                   lambda s: 0.25 * s[1] ** 2 - 0.5 * h * s[0] ** 2 - mu_grav,
+                   lambda u: u * u, project)

@@ -165,7 +165,7 @@ def check_energy_conservation():
     ring = RingConfig.for_count(2)
     q0 = 1.0
     p0 = analysis.momentum_profile(q0, 0.25, params.m, ring.radius)
-    cfg = integrators.IntegratorConfig(method="rk_adaptive", adaptive_tol=1e-12)
+    cfg = integrators.IntegratorConfig(adaptive_tol=1e-12)
     traj = integrators.integrate_physical_oracle(
         [q0, -q0, p0, -p0], 1e6, cfg, params, ring, stop_at_q=1e3)
     return _record("physical.energy_conservation", traj.metadata["energy_drift"], 1e-9)
@@ -349,8 +349,9 @@ def check_reduced_chain_rule(field_fn=None):
     r = ring.radius
     m = params.m
     h = -1.0
+    p = regularized.Problem.reduced(h, m, a)
     if field_fn is None:
-        field_fn = lambda s: regularized.reduced_field(s, h, a)
+        field_fn = p.field
     worst = 0.0
     for _ in range(60):
         Q1 = rng.uniform(0.2, 2.4)
@@ -359,7 +360,7 @@ def check_reduced_chain_rule(field_fn=None):
         except Exception:
             continue
         dQ1, dP1 = field_fn((Q1, P1))
-        g = 0.5 * Q1 * Q1
+        g = p.clock(Q1)
         q = 0.25 * Q1 * Q1
         pdot_chain = (dP1 / Q1 - P1 * dQ1 / (Q1 * Q1)) / g
         pdot_phys = -q / (q * q + r * r) ** 1.5 - m / (4.0 * q * q)
@@ -382,22 +383,21 @@ def check_step_symplectic():
 
 
 def check_reversibility():
-    ring = RingConfig.for_count(2)
     params = MassParams(m=1e-3, epsilon=0.25)
     cfg = integrators.IntegratorConfig(step=1e-3, newton_tol=1e-15)
-    worst = 0.0
     # reduced system
-    rhs2 = regularized.make_reduced_rhs(-1.0, 4.0 * ring.radius)
-    y = (0.7, regularized.reduced_level_momentum(0.7, -1.0, params.m, 4.0 * ring.radius))
-    fwd = integrators.integrate(rhs2, y, 2.0, cfg, event_index=None).states[-1]
-    back = integrators.integrate(rhs2, (fwd[0], -fwd[1]), 2.0, cfg, event_index=None).states[-1]
-    worst = max(worst, abs(back[0] - y[0]), abs(back[1] + y[1]))
+    p = regularized.Problem.reduced(-1.0, params.m, 4.0 * RingConfig.for_count(2).radius)
+    y = p.project((0.7, 1.0))
+    fwd = integrators.integrate(p.field, y, 2.0, cfg, event_index=None).states[-1]
+    back = integrators.integrate(p.field, (fwd[0], -fwd[1]), 2.0, cfg,
+                                 event_index=None).states[-1]
+    worst = max(abs(back[0] - y[0]), abs(back[1] + y[1]))
     # full system
-    rhs4 = regularized.make_regularized_rhs(-1.0, params, RingConfig.for_count(3))
-    z = regularized.project_to_level((0.9, 0.1, 1.0, -0.2), -1.0, params, RingConfig.for_count(3))
-    fwd = integrators.integrate(rhs4, z, 2.0, cfg, event_index=None).states[-1]
+    p = regularized.Problem.sitnikov(-1.0, params, RingConfig.for_count(3))
+    z = p.project((0.9, 0.1, 1.0, -0.2))
+    fwd = integrators.integrate(p.field, z, 2.0, cfg, event_index=None).states[-1]
     zr = np.array([fwd[0], fwd[1], -fwd[2], -fwd[3]])
-    back = integrators.integrate(rhs4, zr, 2.0, cfg, event_index=None).states[-1]
+    back = integrators.integrate(p.field, zr, 2.0, cfg, event_index=None).states[-1]
     worst = max(worst, float(np.max(np.abs(back * np.array([1, 1, -1, -1]) - z))))
     return _record("integrators.reversibility", worst, 1e-8)
 
@@ -406,20 +406,16 @@ def check_gamma_conservation():
     """Secular drift of the conserved quantity, read at matched phase points
     (the collision passages); the pointwise bounded oscillation of a
     second-order symplectic method is reported separately."""
-    ring = RingConfig.for_count(2)
-    m, h = 1e-3, -1.0
-    a = 4.0 * ring.radius
-    rhs = regularized.make_reduced_rhs(h, a)
+    m = 1e-3
+    p = regularized.Problem.reduced(-1.0, m, 4.0 * RingConfig.for_count(2).radius)
     cfg = integrators.IntegratorConfig(step=1e-3, newton_tol=1e-14)
-    g = lambda s: 0.5 * s[0] * s[0]
-    traj = integrators.integrate(
-        rhs, (0.0, math.sqrt(2.0 * m)), 40.0, cfg,
-        time_scale=g, invariant=lambda s: regularized.gamma_reduced(s, h, m, a))
+    traj = integrators.integrate(p.field, (0.0, math.sqrt(2.0 * m)), 40.0, cfg,
+                                 time_scale=p.clock, invariant=p.gamma)
     evs = traj.collision_events()
     if len(evs) < 3:
         return _record("integrators.gamma_conservation", math.inf, 1e-8,
                        detail="too few collision passages")
-    g_at = [regularized.gamma_reduced(e.state, h, m, a) for e in evs]
+    g_at = [p.gamma(e.state) for e in evs]
     drift = max(abs(v - g_at[0]) for v in g_at)
     osc = traj.metadata["invariant_max"]
     return _record("integrators.gamma_conservation", drift, 1e-8,
@@ -427,11 +423,10 @@ def check_gamma_conservation():
 
 
 def check_monotone_clocks():
-    ring = RingConfig.for_count(2)
-    rhs = regularized.make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    p = regularized.Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius)
     cfg = integrators.IntegratorConfig(step=1e-3)
-    g = lambda s: 0.5 * s[0] * s[0]
-    traj = integrators.integrate(rhs, (0.0, math.sqrt(2e-3)), 20.0, cfg, time_scale=g)
+    traj = integrators.integrate(p.field, (0.0, math.sqrt(2e-3)), 20.0, cfg,
+                                 time_scale=p.clock)
     dt = np.diff(traj.t)
     dtau = np.diff(traj.tau)
     ok = bool(np.all(dt >= 0.0) and np.all(dtau > 0.0))
@@ -457,11 +452,10 @@ def check_period_agreement():
 def check_first_integral():
     ring = RingConfig.for_count(3)
     m, h = 1e-3, -1.0
-    a = 4.0 * ring.radius
-    rhs = regularized.make_reduced_rhs(h, a)
+    p = regularized.Problem.reduced(h, m, 4.0 * ring.radius)
     cfg = integrators.IntegratorConfig(step=2e-5, newton_tol=1e-15)
-    y0 = (1.0, regularized.reduced_level_momentum(1.0, h, m, a))
-    traj = integrators.integrate(rhs, y0, 1.0, cfg, event_index=None, record_every=10)
+    traj = integrators.integrate(p.field, p.project((1.0, 1.0)), 1.0, cfg,
+                                 event_index=None, record_every=10)
     worst = 0.0
     for Q1, P1 in traj.states:
         if Q1 <= 0.3 or P1 <= 0.05:

@@ -36,6 +36,7 @@ from collreg.regularized import (
     gamma_reduced,
     make_reduced_rhs,
     make_regularized_rhs,
+    make_time_scale,
     project_to_level,
     reduced_field,
     reduced_level_momentum,
@@ -158,7 +159,7 @@ def test_criterion_06_collision_transit():
     rhs = make_reduced_rhs(h, a)
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = integrate(rhs, (0.0, math.sqrt(2.0 * m)), 100.0, cfg,
-                     time_scale=lambda s: 0.5 * s[0] * s[0],
+                     time_scale=lambda Q1: 0.5 * Q1 * Q1,
                      invariant=lambda s: gamma_reduced(s, h, m, a))
     evs = traj.collision_events()
     pc = math.sqrt(2.0 * m)
@@ -173,7 +174,7 @@ def test_criterion_06_collision_transit():
     pc2 = collision_momentum(params)
     rhs4 = make_regularized_rhs(h2, params, ring)
     traj4 = integrate(rhs4, (0.0, 0.0, pc2, 0.0), 100.0, cfg,
-                      time_scale=lambda z: time_scale(z, params))
+                      time_scale=make_time_scale(params))
     evs4 = traj4.collision_events()
     pdev4 = max(abs(abs(e.state[2]) - pc2) for e in evs4)
     ok_full = len(evs4) >= 3 and pdev4 < 1e-6
@@ -197,7 +198,7 @@ def test_criterion_07_cross_chart_equivalence():
     dense = oracle.metadata["dense"]
     traj = integrate(make_regularized_rhs(h, params, ring), z0, 6.0,
                      IntegratorConfig(step=1e-4, newton_tol=1e-14),
-                     time_scale=lambda z: time_scale(z, params))
+                     time_scale=make_time_scale(params))
     worst, count = 0.0, 0
     for k in range(0, len(traj), 50):
         t = float(traj.t[k])
@@ -276,7 +277,7 @@ def test_criterion_10_invariant_plane():
     assert z0[1] == 0.0 and z0[3] == 0.0
     traj = integrate(make_regularized_rhs(h, params, ring), z0, 100.0,
                      IntegratorConfig(step=1e-3, newton_tol=1e-14),
-                     time_scale=lambda z: time_scale(z, params))
+                     time_scale=make_time_scale(params))
     worst = float(np.max(np.abs(traj.states[:, [1, 3]])))
     report(10, "invariant plane", worst < 1e-12,
            f"max(|Q2|,|P2|) = {worst:.2e} < 1e-12 over {len(traj) - 1} steps at eps=0")

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from collreg import verify
+from collreg import analysis, verify
 from collreg.cli import load_run_config, main
 from collreg.errors import SchemaError
 from collreg.regularized import gamma_reduced, reduced_field
@@ -174,6 +176,116 @@ def test_simulate_escape_off_level_fails_with_partial_outputs(tmp_path, capsys):
     last = [float(v) for v in rows[-1].split(",")]
     assert 5.0 < last[0] < 7.0 and abs(last[-1]) > 1e-3
     assert max(abs(float(r.split(",")[-1])) for r in rows[1:-1]) <= 1e-3
+
+
+# sha256 of the trajectory CSV, the events JSON and the summary JSON without
+# its wall_time_s line, for a ~2000-step run of each regularized problem
+PINNED_RUNS = {
+    "reduced": (
+        {"problem": "reduced", "N": 2, "m": 1e-3, "epsilon": 0.0, "h": -1.0,
+         "initial": {"chart": "regularized", "state": [0.5, -1.0]},
+         "integrator": {"method": "implicit_midpoint", "step": 5e-3}, "span": 10.0},
+        ("16124f60a0c6f9d40a9072753961e76fb2b1b572ede2bdb415dfe546cfa8081c",
+         "53d43663979219e6c4368b1a0f6a61c06d550f8916f69cefe971f5df5af6e110",
+         "03eb056ab67db8d5e4046574b3f437e084b3a0630f381c0ea4f06d7e03b781b7"),
+    ),
+    "sitnikov": (
+        {"problem": "sitnikov", "N": 2, "m": 1e-3, "epsilon": 0.3, "h": -2.5,
+         "initial": {"chart": "regularized", "state": [0.5, 0.1, -1.0, 0.0]},
+         "integrator": {"method": "implicit_midpoint", "step": 5e-3}, "span": 10.0},
+        ("b5ec3d573fd4cc08812cb6c7cd4b6f6dd598a29829fb84441029145327831aa0",
+         "8f259cdebf462f505a1c9548cc172d9f34c94fd97cd5f9b22ccb1c6877364a10",
+         "72c642b0c22591507f098d6454eebe86f35ed3b8aaf09aeb6f685ea24097a1dd"),
+    ),
+    "kepler1d": (
+        {"problem": "kepler1d", "h": -0.5, "mu_grav": 1.0,
+         "initial": {"chart": "regularized", "state": [0.0, 1.0]},
+         "integrator": {"method": "implicit_midpoint", "step": 4e-3}, "span": 8.0},
+        ("e0f1e1e6b1f490cb89586856bcd1fafeec73e2d99065ec4c3e0dd0fc714e7ef2",
+         "51e4184b8155af65bf45d91e98324ffaca6c1d60b7584a74263795d811e31aca",
+         "7a839f967089ec2336a306cb3da6acf3d3b728e0a4ec7a0f178ee9e478d87226"),
+    ),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(PINNED_RUNS))
+def test_simulate_outputs_are_pinned(tmp_path, capsys, problem):
+    # a rewiring of the problems must leave every output byte where it was;
+    # each run projects its start and passes through at least one collision
+    cfg, pinned = PINNED_RUNS[problem]
+    outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps({"schema": 1, **cfg, "outputs": outs}))
+    assert main(["simulate", str(cfgp)]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "events").read_text())
+    summary = b"\n".join(line for line in (tmp_path / "summary").read_bytes().split(b"\n")
+                         if b'"wall_time_s"' not in line)
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+        (tmp_path / "trajectory").read_bytes(), (tmp_path / "events").read_bytes(), summary))
+    assert digests == pinned
+
+
+@pytest.mark.parametrize("field, value", [
+    ("span", math.inf), ("span", math.nan), ("span", True), ("span", -math.inf),
+    ("h", math.nan), ("m", math.nan), ("epsilon", math.nan),
+    ("initial.state", [math.nan, 0.1, 1.0, 0.0]), ("initial.state", [0.0, 0.1, True, 0.0]),
+    ("integrator.step", math.nan), ("integrator.step", True),
+    ("integrator.newton_tol", math.inf), ("mu_grav", math.nan),
+    ("guard", math.nan), ("stop_at_q", "far"),
+])
+def test_non_finite_config_numbers_are_refused(tmp_path, capsys, field, value):
+    # json.load accepts NaN and +-Infinity, and true is an int to Python: each
+    # is a configuration error naming its field, before any step
+    cfg = {"schema": 1, "problem": "sitnikov", "N": 2, "m": 1e-3, "epsilon": 0.3,
+           "h": -2.5, "initial": {"chart": "regularized", "state": [0.0, 0.1, 1.0, 0.0]},
+           "integrator": {"method": "implicit_midpoint", "step": 1e-3}, "span": 2.0,
+           "outputs": {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}}
+    if field == "mu_grav":
+        cfg.update(problem="kepler1d", initial={"chart": "regularized", "state": [0.0, 1.0]})
+        for key in ("N", "m", "epsilon"):
+            del cfg[key]
+    head, _, key = field.rpartition(".")
+    (cfg[head] if head else cfg)[key] = value
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps(cfg))
+    assert main(["simulate", str(cfgp)]) == 2
+    assert f"configuration error (field {field})" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory").exists()
+
+
+def test_simulate_refuses_a_method_other_than_the_midpoint(tmp_path, capsys):
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, integrator={"method": "rk4", "step": 1e-3})
+    assert main(["simulate", str(cfgp)]) == 2
+    assert "configuration error (field integrator)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, state", [
+    ("reduced", [5.0, 1.0]), ("sitnikov", [5.0, 0.0, 1.0, 0.0]), ("kepler1d", [5.0, 1.0]),
+])
+def test_simulate_refuses_a_start_with_no_momentum_on_its_level(tmp_path, capsys,
+                                                                 problem, state):
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, problem=problem, initial={"chart": "regularized", "state": state},
+                 mu_grav=1.0, h=-0.5)
+    assert main(["simulate", str(cfgp)]) == 2
+    assert "no real momentum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, m", [("0", "1e-3"), ("0.5", "1e-3"), ("nan", "1e-3"),
+                                  ("-1", "0"), ("-1", "-1e-3")])
+def test_period_refuses_inputs_without_a_periodic_orbit(monkeypatch, capsys, h, m):
+    # a parabolic or hyperbolic orbit never returns, and m = 0 starts at the
+    # rest point: each is refused before the flow takes a step
+    def no_work(*args, **kwargs):
+        raise AssertionError("the period flow started")
+
+    monkeypatch.setattr(analysis, "integrate", no_work)
+    start = time.perf_counter()
+    assert main(["period", f"--h={h}", f"--m={m}", "--N", "3"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "error:" in capsys.readouterr().err
 
 
 def test_schema_errors_name_the_field(tmp_path, capsys):

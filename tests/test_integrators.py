@@ -12,7 +12,6 @@ from collreg import (
     fd_jacobian,
     integrate,
     step_implicit_midpoint,
-    step_rk4,
     symplectic_defect,
 )
 from collreg import integrators
@@ -32,7 +31,6 @@ from collreg.regularized import (
     gamma,
     project_to_level,
     reduced_level_momentum,
-    time_scale,
 )
 
 
@@ -85,14 +83,6 @@ def test_midpoint_newton_fallback_handles_moderately_large_steps():
     assert np.max(np.abs(y - expect)) < 1e-12
 
 
-def test_rk4_accuracy_on_oscillator():
-    y = np.array([1.0, 0.0])
-    n, dt = 1000, 2.0 * math.pi / 1000
-    for _ in range(n):
-        y = step_rk4(oscillator, y, dt)
-    assert np.max(np.abs(y - [1.0, 0.0])) < 1e-9
-
-
 def test_one_step_map_is_symplectic():
     ring = RingConfig.for_count(2)
     rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
@@ -128,7 +118,7 @@ def test_reduced_conservation_run_and_collision_momentum():
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = integrate(
         rhs, (0.0, math.sqrt(2.0 * m)), 50.0, cfg,
-        time_scale=lambda s: 0.5 * s[0] * s[0],
+        time_scale=lambda Q1: 0.5 * Q1 * Q1,
         invariant=lambda s: gamma_reduced(s, h, m, a),
     )
     evs = traj.collision_events()
@@ -150,7 +140,7 @@ def test_conservation_drift_from_generic_start():
     rhs = make_reduced_rhs(h, a)
     y0 = (1.0, reduced_level_momentum(1.0, h, m, a))
     traj = integrate(rhs, y0, 50.0, IntegratorConfig(step=1e-3, newton_tol=1e-14),
-                     time_scale=lambda s: 0.5 * s[0] * s[0])
+                     time_scale=lambda Q1: 0.5 * Q1 * Q1)
     evs = traj.collision_events()
     assert len(evs) >= 5
     g_at = [gamma_reduced(e.state, h, m, a) for e in evs]
@@ -169,7 +159,7 @@ def test_event_localization_flatness():
     rhs = make_reduced_rhs(h, a)
     traj = integrate(rhs, (0.0, math.sqrt(2.0 * m)), 16.0,
                      IntegratorConfig(step=1e-3, newton_tol=1e-14),
-                     time_scale=lambda s: 0.5 * s[0] * s[0])
+                     time_scale=lambda Q1: 0.5 * Q1 * Q1)
     e = traj.collision_events()[0]
     assert abs(e.state[0]) < 1e-12
     assert abs(abs(e.state[1]) - math.sqrt(2.0 * m)) < 1e-9
@@ -180,7 +170,7 @@ def test_monotone_clocks():
     rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
     traj = integrate(rhs, (0.0, math.sqrt(2e-3)), 20.0,
                      IntegratorConfig(step=1e-3),
-                     time_scale=lambda s: 0.5 * s[0] * s[0])
+                     time_scale=lambda Q1: 0.5 * Q1 * Q1)
     assert np.all(np.diff(traj.tau) > 0.0)
     assert np.all(np.diff(traj.t) >= 0.0)
     # t really does slow to a crawl near the collision passages
@@ -235,7 +225,7 @@ def _collision_run(span, **kwargs):
     rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     return integrate(rhs, (0.0, math.sqrt(2e-3)), span, cfg,
-                     time_scale=lambda s: 0.5 * s[0] * s[0], **kwargs)
+                     time_scale=lambda Q1: 0.5 * Q1 * Q1, **kwargs)
 
 
 def test_stop_after_ends_at_the_kth_event():
@@ -278,56 +268,42 @@ def test_without_stop_after_the_march_covers_the_span():
 
 def test_stop_after_validation():
     rhs = make_reduced_rhs(-1.0, 2.0)
-    for kwargs, method in (({"stop_after": 0}, "implicit_midpoint"),
-                           ({"stop_after": 1, "event_index": None}, "implicit_midpoint"),
-                           ({"stop_after": 1}, "rk_adaptive")):
+    for kwargs in ({"stop_after": 0}, {"stop_after": 1, "event_index": None}):
         with pytest.raises(ParameterError):
-            integrate(rhs, (0.5, 0.1), 1.0, IntegratorConfig(method=method, step=1e-2),
-                      **kwargs)
+            integrate(rhs, (0.5, 0.1), 1.0, IntegratorConfig(step=1e-2), **kwargs)
 
 
-@pytest.mark.parametrize("method", ["implicit_midpoint", "rk_adaptive"])
-def test_leaving_the_invariant_level_fails(method):
+def test_leaving_the_invariant_level_fails():
     # an anti-damped oscillator: its energy grows like exp(0.1 tau)
     pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
     energy = lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) - 0.5
     with pytest.raises(StepFailure) as err:
-        integrate(pumped, (1.0, 0.0), 1.0, IntegratorConfig(method=method, step=1e-3),
-                  invariant=energy)
+        integrate(pumped, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
     part = err.value.trajectory
     assert part is not None and part.metadata["invariant_max"] > INVARIANT_LIMIT
-    if method == "implicit_midpoint":
-        # the march stops at the first sample past the limit
-        levels = [abs(energy(s)) for s in part.states]
-        assert levels[-1] > INVARIANT_LIMIT >= max(levels[:-1])
+    # the march stops at the first sample past the limit
+    levels = [abs(energy(s)) for s in part.states]
+    assert levels[-1] > INVARIANT_LIMIT >= max(levels[:-1])
     # a bounded run on the same clock passes
-    integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(method=method, step=1e-3),
-              invariant=energy)
+    integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
 
 
-def test_integrate_rk4_path_matches_midpoint():
-    ring = RingConfig.for_count(2)
-    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
-    y0 = (0.8, reduced_level_momentum(0.8, -1.0, 1e-3, 4.0 * ring.radius))
-    ts = lambda s: 0.5 * s[0] * s[0]
-    tr_r = integrate(rhs, y0, 2.0, IntegratorConfig(method="rk4", step=1e-3), time_scale=ts)
-    tr_m = integrate(rhs, y0, 2.0, IntegratorConfig(step=1e-4, newton_tol=1e-15),
-                     time_scale=ts)
-    assert np.max(np.abs(tr_r.states[-1] - tr_m.states[-1])) < 1e-7
-    assert abs(tr_r.t[-1] - tr_m.t[-1]) < 1e-6
+def test_midpoint_march_matches_a_dop853_reference():
+    # the march against scipy's DOP853 at tight tolerances, with the clock
+    # integrated as an extra component
+    from scipy.integrate import solve_ivp
 
-
-def test_rk_adaptive_matches_midpoint():
-    ring = RingConfig.for_count(2)
-    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
-    y0 = (0.8, reduced_level_momentum(0.8, -1.0, 1e-3, 4.0 * ring.radius))
-    ts = lambda s: 0.5 * s[0] * s[0]
-    tr_a = integrate(rhs, y0, 2.0, IntegratorConfig(method="rk_adaptive", step=1e-2,
-                                                    adaptive_tol=1e-12), time_scale=ts)
-    tr_m = integrate(rhs, y0, 2.0, IntegratorConfig(step=1e-4, newton_tol=1e-15),
-                     time_scale=ts)
-    assert np.max(np.abs(tr_a.states[-1] - tr_m.states[-1])) < 1e-6
-    assert abs(tr_a.t[-1] - tr_m.t[-1]) < 1e-6
+    a = 4.0 * RingConfig.for_count(2).radius
+    rhs = make_reduced_rhs(-1.0, a)
+    clock = lambda Q1: 0.5 * Q1 * Q1
+    y0 = (0.8, reduced_level_momentum(0.8, -1.0, 1e-3, a))
+    traj = integrate(rhs, y0, 2.0, IntegratorConfig(step=1e-4, newton_tol=1e-15),
+                     time_scale=clock)
+    ref = solve_ivp(lambda _, w: [*rhs((w[0], w[1])), clock(w[0])], (0.0, 2.0), [*y0, 0.0],
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert ref.success
+    assert np.max(np.abs(traj.states[-1] - ref.y[:2, -1])) < 1e-7
+    assert abs(traj.t[-1] - ref.y[2, -1]) < 1e-6
 
 
 def test_csv_formats_and_determinism(tmp_path):
@@ -338,7 +314,7 @@ def test_csv_formats_and_determinism(tmp_path):
     rhs = make_reduced_rhs(h, a)
     traj = integrate(rhs, (0.0, math.sqrt(2e-3)), 1.0,
                      IntegratorConfig(step=1e-3),
-                     time_scale=lambda s: 0.5 * s[0] * s[0])
+                     time_scale=lambda Q1: 0.5 * Q1 * Q1)
     gam = lambda s: gamma_reduced(s, h, 1e-3, a)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
@@ -368,8 +344,9 @@ def test_csv_formats_and_determinism(tmp_path):
 
 
 def test_invalid_method_rejected():
-    with pytest.raises(ParameterError):
-        IntegratorConfig(method="leapfrog")
+    for method in ("leapfrog", "rk4", "rk_adaptive"):
+        with pytest.raises(ParameterError):
+            IntegratorConfig(method=method)
     with pytest.raises(ParameterError):
         IntegratorConfig(step=0.0)
 
@@ -484,9 +461,6 @@ def test_midpoint_takes_only_2d_and_4d_states():
     with pytest.raises(ParameterError):
         integrate(spin3, (1.0, 0.0, 0.0), 1.0, IntegratorConfig(step=0.1))
     assert calls[0] == 0  # refused before the first step
-    # the explicit step keeps taking any size
-    traj = integrate(spin3, (1.0, 0.0, 0.0), 1.0, IntegratorConfig(method="rk4", step=0.1))
-    assert traj.states.shape == (11, 3)
 
 
 def test_field_evaluation_counts_are_pinned():
@@ -497,14 +471,14 @@ def test_field_evaluation_counts_are_pinned():
     a = 4.0 * RingConfig.for_count(3).radius
     rhs, calls = _counting(make_reduced_rhs(h, a))
     traj = integrate(rhs, (0.0, reduced_level_momentum(0.0, h, m, a)), 2.0, cfg,
-                     time_scale=lambda s: 0.5 * s[0] * s[0],
+                     time_scale=lambda Q1: 0.5 * Q1 * Q1,
                      invariant=lambda s: gamma_reduced(s, h, m, a))
     assert len(traj) == 2001 and calls[0] == 6002
     # the full problem from the start of the simulate-sitnikov benchmark
     params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
     rhs, calls = _counting(make_regularized_rhs(h, params, ring))
     traj = integrate(rhs, project_to_level([0.0, 0.0, 1.0, 0.0], h, params, ring), 2.0, cfg,
-                     time_scale=lambda z: time_scale(z, params),
+                     time_scale=make_time_scale(params),
                      invariant=make_gamma(h, params, ring))
     assert len(traj) == 2001 and calls[0] == 4507
 
@@ -620,7 +594,7 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path):
     h, m, a = -1.0, 1e-3, 4.0 * ring.radius
     gam = lambda s: gamma_reduced(s, h, m, a)
     traj = integrate(make_reduced_rhs(h, a), (0.0, math.sqrt(2.0 * m)), 3.0,
-                     IntegratorConfig(step=1e-3), time_scale=lambda s: 0.5 * s[0] * s[0])
+                     IntegratorConfig(step=1e-3), time_scale=lambda Q1: 0.5 * Q1 * Q1)
     write_regularized_csv(traj, path, gam)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
     # 4-D, longer than one chunk of the writer
@@ -628,7 +602,7 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path):
     gam = make_gamma(h, params, ring)
     traj = integrate(make_regularized_rhs(h, params, ring),
                      project_to_level([0.0, 0.0, -1.0, 0.0], h, params, ring), 6.0,
-                     IntegratorConfig(step=1e-3), time_scale=lambda z: time_scale(z, params))
+                     IntegratorConfig(step=1e-3), time_scale=make_time_scale(params))
     assert len(traj) > integrators._CSV_CHUNK + 1
     write_regularized_csv(traj, path, gam)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)

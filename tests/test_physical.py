@@ -198,7 +198,7 @@ def test_oracle_energy_conservation_on_escape():
     params = MassParams(m=1e-3, epsilon=0.0)
     q0 = 1.0
     p0 = momentum_profile(q0, 0.25, params.m, ring.radius)
-    cfg = IntegratorConfig(method="rk_adaptive", adaptive_tol=1e-12)
+    cfg = IntegratorConfig(adaptive_tol=1e-12)
     traj = integrate_physical_oracle([q0, -q0, p0, -p0], 1e6, cfg, params, ring, stop_at_q=1e3)
     assert traj.metadata["energy_drift"] < 1e-9
     assert any(e.kind == "escape_threshold" for e in traj.events)

@@ -7,6 +7,7 @@ from collreg import (
     CollisionError,
     DomainError,
     MassParams,
+    Problem,
     RingConfig,
     canonical_form,
     chart_to_physical,
@@ -380,4 +381,36 @@ def test_make_time_scale_is_time_scale_bit_for_bit():
             z = rng.uniform(-3.0, 3.0, 4)
             Q1 = float(z[0])
             ref = 2.0 * mu * (1.0 - mu) * Q1 * Q1
-            assert clock(z.tolist()) == ref and time_scale(z, params) == ref
+            assert clock(Q1) == ref and time_scale(z, params) == ref
+
+
+def test_reduced_problem_gamma_is_gamma_reduced_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for h, m, N in ((-1.0, 1e-3, 2), (-0.3, 0.02, 3), (0.4, 1e-5, 7)):
+        a = 4.0 * RingConfig.for_count(N).radius
+        gam = Problem.reduced(h, m, a).gamma
+        for _ in range(200):
+            s = rng.uniform(-3.0, 3.0, 2)
+            assert gam(s.tolist()) == gamma_reduced(s, h, m, a)
+
+
+def test_problem_projection_keeps_the_sign_and_lands_on_the_level():
+    params, ring = params_ring(eps=0.3, N=3)
+    a = 4.0 * ring.radius
+    cases = (
+        (Problem.sitnikov(-1.0, params, ring), [0.7, 0.1, 0.0, -0.2]),
+        (Problem.reduced(-1.0, 1e-3, a), [0.7, 0.0]),
+        (Problem.kepler1d(-0.5, 1.0), [0.7, 0.0]),
+    )
+    for p, z in cases:
+        k = len(z) // 2  # P1 follows the positions
+        up = p.project(z)  # a zero momentum projects onto the nonnegative branch
+        z[k] = -3.0
+        down = p.project(z)
+        assert up[k] > 0.0 and down[k] == -up[k]
+        assert abs(p.gamma(up)) < 1e-13 and abs(p.gamma(down)) < 1e-13
+        assert p.clock(0.0) == 0.0 and p.clock(-up[0]) == p.clock(up[0]) > 0.0
+        # beyond the turning point the level has no real momentum
+        z[0] = 5.0
+        with pytest.raises(DomainError):
+            p.project(z)
