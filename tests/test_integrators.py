@@ -288,18 +288,41 @@ def test_leaving_the_invariant_level_fails():
     integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
 
 
-def test_midpoint_march_matches_a_dop853_reference():
-    # the march against scipy's DOP853 at tight tolerances, with the clock
-    # integrated as an extra component
-    from scipy.integrate import solve_ivp
-
+def _reduced_reference_setup():
     a = 4.0 * RingConfig.for_count(2).radius
     rhs = make_reduced_rhs(-1.0, a)
     clock = lambda Q1: 0.5 * Q1 * Q1
     y0 = (0.8, reduced_level_momentum(0.8, -1.0, 1e-3, a))
     traj = integrate(rhs, y0, 2.0, IntegratorConfig(step=1e-4, newton_tol=1e-15),
                      time_scale=clock)
-    ref = solve_ivp(lambda _, w: [*rhs((w[0], w[1])), clock(w[0])], (0.0, 2.0), [*y0, 0.0],
+    # the field extended by the clock, so a reference integrates t alongside
+    extended = lambda w: (*rhs((w[0], w[1])), clock(w[0]))
+    return extended, (*y0, 0.0), traj
+
+
+def test_integrate_rk4_path_matches_midpoint():
+    # the march against a test-local classical RK4 march (dτ = 1e-3) of the
+    # field with the clock as an extra component
+    extended, w, traj = _reduced_reference_setup()
+    d = 1e-3
+    for _ in range(2000):
+        k1 = extended(w)
+        k2 = extended(tuple(w[i] + 0.5 * d * k1[i] for i in range(3)))
+        k3 = extended(tuple(w[i] + 0.5 * d * k2[i] for i in range(3)))
+        k4 = extended(tuple(w[i] + d * k3[i] for i in range(3)))
+        w = tuple(w[i] + d / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                  for i in range(3))
+    assert np.max(np.abs(traj.states[-1] - np.array(w[:2]))) < 1e-7
+    assert abs(traj.t[-1] - w[2]) < 1e-6
+
+
+def test_rk_adaptive_matches_midpoint():
+    # the march against scipy's adaptive DOP853 at tight tolerances, with the
+    # clock integrated as an extra component
+    from scipy.integrate import solve_ivp
+
+    extended, w0, traj = _reduced_reference_setup()
+    ref = solve_ivp(lambda _, w: extended(w), (0.0, 2.0), w0,
                     method="DOP853", rtol=1e-12, atol=1e-14)
     assert ref.success
     assert np.max(np.abs(traj.states[-1] - ref.y[:2, -1])) < 1e-7
