@@ -18,9 +18,9 @@ sitnikov physical [q1, q2, p1, p2]; kepler1d [u, v] with "mu_grav" replacing
 the ring parameters.  Regularized initial states are projected onto the
 energy level by solving for |P1| (sign preserved); states with no real
 momentum are refused.  Every number in a configuration must be finite (no
-NaN, no infinity) and not a boolean.  Numeric file output uses 17
-significant digits and LF line endings, so a fixed configuration yields
-byte-identical data files.
+NaN, no infinity) and not a boolean; the masses m and mu_grav must be
+positive.  Numeric file output uses 17 significant digits and LF line
+endings, so a fixed configuration yields byte-identical data files.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -123,21 +124,26 @@ def validate_run_config(cfg) -> dict:
     numbers += [name for name in ("guard", "stop_at_q") if name in cfg]
     for name in numbers:
         _require_number(cfg, name)
+    for name in ("m", "mu_grav"):
+        if name in numbers and not cfg[name] > 0:
+            raise SchemaError(f"field {name!r} must be positive, got {cfg[name]!r}", field=name)
     if problem == "reduced" and cfg["epsilon"] != 0:
         raise SchemaError("the reduced problem is the symmetric one; epsilon must be 0",
                           field="epsilon")
     integ = cfg.get("integrator", {})
     if not isinstance(integ, dict):
         raise SchemaError("integrator must be an object", field="integrator")
-    for key in ("step", "newton_tol", "newton_max_iter", "adaptive_tol"):
+    for key in ("step", "newton_tol", "adaptive_tol"):
         if key in integ:
             _require_number(integ, key, f"integrator.{key}")
+    if "newton_max_iter" in integ:
+        _require(integ, "newton_max_iter", int, "integrator.newton_max_iter")
     try:
         cfg["_integrator"] = IntegratorConfig(
             method=integ.get("method", "implicit_midpoint"),
             step=float(integ.get("step", 1e-3)),
             newton_tol=float(integ.get("newton_tol", 1e-13)),
-            newton_max_iter=int(integ.get("newton_max_iter", 50)),
+            newton_max_iter=integ.get("newton_max_iter", 50),
             adaptive_tol=float(integ.get("adaptive_tol", 1e-12)),
         )
     except Exception as exc:
@@ -194,6 +200,11 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         traj.metadata.pop("dense", None)
         write_physical_csv(traj, outputs["trajectory"], params, ring)
         final_check = abs(hamiltonian(traj.states[-1], params, ring) - h)
+        extras = {
+            "terminal_speed": float(traj.states[-1][2]),
+            "energy_drift": traj.metadata.get("energy_drift"),
+            "initial_energy_mismatch": abs(hamiltonian(traj.states[0], params, ring) - h),
+        }
     else:
         p = _problem(cfg)
         try:
@@ -207,10 +218,8 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
             raise
         write_regularized_csv(traj, outputs["trajectory"], p.gamma)
         final_check = abs(p.gamma(traj.states[-1]))
+        extras = {}
 
-    traj.metadata.update(
-        {k: cfg[k] for k in ("problem", "N", "m", "epsilon", "h", "mu_grav") if k in cfg}
-    )
     write_events_json(traj, outputs["events"])
     wall = time.perf_counter() - t0
     summary = {
@@ -225,13 +234,8 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         "t_end": float(traj.t[-1]),
         "final_state": [float(v) for v in traj.states[-1]],
         "wall_time_s": wall,
+        **extras,
     }
-    if problem == "sitnikov" and cfg["initial"]["chart"] == "physical":
-        summary["terminal_speed"] = float(traj.states[-1][2])
-        summary["energy_drift"] = traj.metadata.get("energy_drift")
-        summary["initial_energy_mismatch"] = abs(
-            hamiltonian(traj.states[0], params, ring) - h
-        )
     with open(outputs["summary"], "w", newline="\n") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
@@ -348,8 +352,18 @@ def cmd_period(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes -1e-1 and -1E+2 as negative numbers, not
+    as options; before Python 3.14 argparse knows only the -1 and -.5 shapes.
+    Subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="collreg",
         description="Collision-regularized dynamics of two secondaries on the "
                     "axis of a rotating N-gon of primaries.",

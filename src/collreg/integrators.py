@@ -30,6 +30,7 @@ import numpy as np
 from .config import MassParams, RingConfig
 from .errors import CollisionError, ParameterError, StepFailure
 from .physical import hamiltonian, make_physical_rhs
+from .symplectic import fd_jacobian
 
 __all__ = [
     "IntegratorConfig",
@@ -67,6 +68,8 @@ class IntegratorConfig:
             raise ParameterError(f"step must be positive, got {self.step}")
         if not (self.newton_tol > 0.0 and self.adaptive_tol > 0.0):
             raise ParameterError("tolerances must be positive")
+        if not self.newton_max_iter >= 1:
+            raise ParameterError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +249,7 @@ def _midpoint_newton(field, y, yn, dstep, tol, budget, scale):
     rnorm = float(np.max(np.abs(res)))
     for _ in range(max(budget, 1)):
         mid = 0.5 * (yv + x)
-        jac = _np_field_jacobian(field, mid, 1e-7)
+        jac = fd_jacobian(lambda w: field(tuple(w)), mid, step=1e-7)
         try:
             dx = np.linalg.solve(np.eye(n) - 0.5 * dstep * jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -273,18 +276,6 @@ def _midpoint_newton(field, y, yn, dstep, tol, budget, scale):
 def _np_residual(field, y, x, dstep):
     f = np.array(field(tuple(0.5 * (y + x))))
     return x - y - dstep * f
-
-
-def _np_field_jacobian(field, x, h):
-    n = len(x)
-    jac = np.empty((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        fp = np.array(field(tuple(x + e)))
-        fm = np.array(field(tuple(x - e)))
-        jac[:, k] = (fp - fm) / (2.0 * h)
-    return jac
 
 
 def _hermite_eval(s, y0, y1, d0, d1):

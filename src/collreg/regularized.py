@@ -49,14 +49,10 @@ __all__ = [
     "chart_to_regularized",
     "chart_jacobian",
     "time_scale",
-    "make_time_scale",
     "gamma",
     "gamma_reduced",
-    "make_gamma",
     "regularized_field",
     "reduced_field",
-    "make_regularized_rhs",
-    "make_reduced_rhs",
     "collision_momentum",
     "project_to_level",
     "reduced_level_momentum",
@@ -125,49 +121,14 @@ def chart_jacobian(z, params: MassParams) -> np.ndarray:
 
 def time_scale(z, params: MassParams) -> float:
     """dt/dtau = 2 mu (1-mu) Q1^2; vanishes exactly at collision."""
-    return make_time_scale(params)(float(z[0]))
-
-
-def make_time_scale(params: MassParams):
-    """Scalar fast path of time_scale: the clock Q1 -> dt/dtau of a float Q1,
-    with 2 mu (1-mu) computed once."""
-    mu = params.mu
-    W = 2.0 * mu * (1.0 - mu)
-
-    def clock(Q1):
-        return W * Q1 * Q1
-
-    return clock
+    Q1, mu = float(z[0]), params.mu
+    return 2.0 * mu * (1.0 - mu) * Q1 * Q1
 
 
 def gamma(z, h: float, params: MassParams, ring: RingConfig) -> float:
     """Regularized Hamiltonian on the level h; finite for every state,
     including the collision set Q1 = 0."""
-    return make_gamma(h, params, ring)(tuple(float(v) for v in z))
-
-
-def make_gamma(h: float, params: MassParams, ring: RingConfig):
-    """Scalar fast path of gamma: z -> Gamma(z; h) for a sequence of four
-    floats, with the state-free factors computed once."""
-    mu = params.mu
-    m, r = params.m, ring.radius
-    omu = 1.0 - mu
-    r4 = 4.0 * r * r
-    c_omu = 4.0 * omu
-    c_mu = 4.0 * mu
-    momu = mu * omu
-    W = 2.0 * mu * omu
-    offset = 16.0 * mu * mu * omu * omu * m
-
-    def gam(z):
-        Q1, Q2, P1, P2 = z
-        q1sq = Q1 * Q1
-        A = 2.0 * Q2 + mu * q1sq
-        B = 2.0 * Q2 - omu * q1sq
-        bracket = c_omu / math.sqrt(A * A + r4) + c_mu / math.sqrt(B * B + r4) + h
-        return 0.5 * (momu * P2 * P2 * q1sq + P1 * P1) - offset - W * q1sq * bracket
-
-    return gam
+    return Problem.sitnikov(h, params, ring).gamma(tuple(float(v) for v in z))
 
 
 def gamma_reduced(s, h: float, m: float, a: float) -> float:
@@ -176,85 +137,18 @@ def gamma_reduced(s, h: float, m: float, a: float) -> float:
 
         G~ = P1^2/2 - 4 Q1^2 (1/sqrt(Q1^4 + a^2) + h/8) - m
     """
-    return _make_gamma_reduced(h, m, a)((float(s[0]), float(s[1])))
-
-
-def _make_gamma_reduced(h: float, m: float, a: float):
-    """Scalar fast path of gamma_reduced: s -> G~(s) for a pair of floats."""
-    if not a > 0.0:
-        raise DomainError(f"need a > 0, got {a}")
-    asq = a * a
-    h8 = h / 8.0
-
-    def gam(s):
-        Q1, P1 = s
-        q = Q1 * Q1
-        return 0.5 * P1 * P1 - 4.0 * q * (1.0 / math.sqrt(q * q + asq) + h8) - m
-
-    return gam
-
-
-def make_regularized_rhs(h: float, params: MassParams, ring: RingConfig):
-    """Scalar fast path: z -> dz/dtau as a tuple, the symplectic gradient of
-    gamma with closed-form partials.  Regular through Q1 = 0, where the field
-    collapses to (P1, 0, 0, 0)."""
-    mu = params.mu
-    omu = 1.0 - mu
-    r4 = 4.0 * ring.radius**2
-    W = 2.0 * mu * omu
-    momu = mu * omu
-
-    def rhs(z):
-        Q1, Q2, P1, P2 = z
-        q1sq = Q1 * Q1
-        A = 2.0 * Q2 + mu * q1sq
-        B = 2.0 * Q2 - omu * q1sq
-        DA = A * A + r4
-        DB = B * B + r4
-        sA = math.sqrt(DA)
-        sB = math.sqrt(DB)
-        U = 4.0 * omu / sA + 4.0 * mu / sB
-        dU_dQ1 = 8.0 * momu * Q1 * (B / (DB * sB) - A / (DA * sA))
-        dU_dQ2 = -8.0 * (omu * A / (DA * sA) + mu * B / (DB * sB))
-        return (
-            P1,
-            momu * q1sq * P2,
-            -momu * P2 * P2 * Q1 + W * (2.0 * Q1 * (U + h) + q1sq * dU_dQ1),
-            W * q1sq * dU_dQ2,
-        )
-
-    return rhs
+    return Problem.reduced(h, m, a).gamma((float(s[0]), float(s[1])))
 
 
 def regularized_field(z, h: float, params: MassParams, ring: RingConfig) -> np.ndarray:
-    """dz/dtau for the full regularized system (see make_regularized_rhs)."""
-    return np.array(make_regularized_rhs(h, params, ring)(tuple(float(v) for v in z)))
-
-
-def make_reduced_rhs(h: float, a: float):
-    """Scalar fast path for the symmetric one-degree-of-freedom system:
-
-        Q1' = P1,   P1' = 8 Q1 (a^2/(Q1^4 + a^2)^(3/2) + h/8).
-
-    The positive sign of P1' is the symplectic gradient of gamma_reduced and
-    is independently confirmed by the chain rule from the physical force (the
-    verification suite encodes both checks; a flipped sign fails them).
-    """
-    if not a > 0.0:
-        raise DomainError(f"need a > 0, got {a}")
-    asq = a * a
-
-    def rhs(s):
-        Q1, P1 = s
-        d = Q1 * Q1 * Q1 * Q1 + asq
-        return (P1, 8.0 * Q1 * (asq / (d * math.sqrt(d)) + h / 8.0))
-
-    return rhs
+    """dz/dtau for the full regularized system (see Problem.sitnikov)."""
+    return np.array(Problem.sitnikov(h, params, ring).field(tuple(float(v) for v in z)))
 
 
 def reduced_field(s, h: float, a: float) -> np.ndarray:
-    """ds/dtau for the reduced system (see make_reduced_rhs)."""
-    return np.array(make_reduced_rhs(h, a)((float(s[0]), float(s[1]))))
+    """ds/dtau for the reduced system (see Problem.reduced); the mass enters
+    only Gamma and the projection."""
+    return np.array(Problem.reduced(h, 0.0, a).field((float(s[0]), float(s[1]))))
 
 
 def collision_momentum(params: MassParams, m: float | None = None) -> float:
@@ -283,24 +177,7 @@ def project_to_level(z, h: float, params: MassParams, ring: RingConfig) -> np.nd
     The given (Q1, Q2, P2) are held fixed; refuses when no real P1 exists.
     A zero input momentum projects onto the nonnegative branch.
     """
-    Q1, Q2, P1, P2 = (float(v) for v in z)
-    mu = params.mu
-    omu = 1.0 - mu
-    q1sq = Q1 * Q1
-    A = 2.0 * Q2 + mu * q1sq
-    B = 2.0 * Q2 - omu * q1sq
-    r4 = 4.0 * ring.radius**2
-    U = 4.0 * omu / math.sqrt(A * A + r4) + 4.0 * mu / math.sqrt(B * B + r4)
-    p1sq = (
-        32.0 * (mu * omu) ** 2 * params.m
-        + 4.0 * mu * omu * q1sq * (U + h)
-        - mu * omu * P2 * P2 * q1sq
-    )
-    if p1sq < 0.0:
-        raise DomainError(
-            f"no real momentum on the level h={h} at (Q1={Q1}, Q2={Q2}, P2={P2})"
-        )
-    return np.array([Q1, Q2, _signed(math.sqrt(p1sq), P1), P2])
+    return Problem.sitnikov(h, params, ring).project(z)
 
 
 def _signed(mag: float, p: float) -> float:
@@ -325,21 +202,94 @@ class Problem:
 
     @classmethod
     def sitnikov(cls, h: float, params: MassParams, ring: RingConfig) -> "Problem":
-        """The full system, state (Q1, Q2, P1, P2), on the energy level h."""
-        return cls(make_regularized_rhs(h, params, ring), make_gamma(h, params, ring),
-                   make_time_scale(params), lambda z: project_to_level(z, h, params, ring))
+        """The full system, state (Q1, Q2, P1, P2), on the energy level h.  Its
+        field, the symplectic gradient of Gamma with closed-form partials, is
+        regular through Q1 = 0, where it collapses to (P1, 0, 0, 0)."""
+        mu = params.mu
+        omu = 1.0 - mu
+        r4 = 4.0 * ring.radius**2
+        c_omu = 4.0 * omu
+        c_mu = 4.0 * mu
+        momu = mu * omu
+        W = 2.0 * mu * omu
+        offset = 16.0 * mu * mu * omu * omu * params.m
+        pc_sq = 32.0 * (mu * omu) ** 2 * params.m  # |P1|^2 at Q1 = 0
+
+        def field(z):
+            Q1, Q2, P1, P2 = z
+            q1sq = Q1 * Q1
+            A = 2.0 * Q2 + mu * q1sq
+            B = 2.0 * Q2 - omu * q1sq
+            DA = A * A + r4
+            DB = B * B + r4
+            sA = math.sqrt(DA)
+            sB = math.sqrt(DB)
+            U = c_omu / sA + c_mu / sB
+            dU_dQ1 = 8.0 * momu * Q1 * (B / (DB * sB) - A / (DA * sA))
+            dU_dQ2 = -8.0 * (omu * A / (DA * sA) + mu * B / (DB * sB))
+            return (
+                P1,
+                momu * q1sq * P2,
+                -momu * P2 * P2 * Q1 + W * (2.0 * Q1 * (U + h) + q1sq * dU_dQ1),
+                W * q1sq * dU_dQ2,
+            )
+
+        def gam(z):
+            Q1, Q2, P1, P2 = z
+            q1sq = Q1 * Q1
+            A = 2.0 * Q2 + mu * q1sq
+            B = 2.0 * Q2 - omu * q1sq
+            bracket = c_omu / math.sqrt(A * A + r4) + c_mu / math.sqrt(B * B + r4) + h
+            return 0.5 * (momu * P2 * P2 * q1sq + P1 * P1) - offset - W * q1sq * bracket
+
+        def clock(Q1):
+            return W * Q1 * Q1
+
+        def project(z):
+            Q1, Q2, P1, P2 = (float(v) for v in z)
+            q1sq = Q1 * Q1
+            A = 2.0 * Q2 + mu * q1sq
+            B = 2.0 * Q2 - omu * q1sq
+            U = c_omu / math.sqrt(A * A + r4) + c_mu / math.sqrt(B * B + r4)
+            p1sq = pc_sq + c_mu * omu * q1sq * (U + h) - momu * P2 * P2 * q1sq
+            if p1sq < 0.0:
+                raise DomainError(
+                    f"no real momentum on the level h={h} at (Q1={Q1}, Q2={Q2}, P2={P2})"
+                )
+            return np.array([Q1, Q2, _signed(math.sqrt(p1sq), P1), P2])
+
+        return cls(field, gam, clock, project)
 
     @classmethod
     def reduced(cls, h: float, m: float, a: float) -> "Problem":
-        """The symmetric system, state (Q1, P1), with a = 4 * ring radius and
-        the clock dt/dtau = Q1^2/2."""
+        """The symmetric system, state (Q1, P1), with a = 4 * ring radius, the
+        clock dt/dtau = Q1^2/2 and the field
+
+            Q1' = P1,   P1' = 8 Q1 (a^2/(Q1^4 + a^2)^(3/2) + h/8),
+
+        whose sign of P1' the verification suite confirms twice, as the
+        symplectic gradient of gamma_reduced and by the chain rule from the
+        physical force; a flipped sign fails both."""
+        if not a > 0.0:
+            raise DomainError(f"need a > 0, got {a}")
+        asq = a * a
+        h8 = h / 8.0
+
+        def field(s):
+            Q1, P1 = s
+            d = Q1 * Q1 * Q1 * Q1 + asq
+            return (P1, 8.0 * Q1 * (asq / (d * math.sqrt(d)) + h8))
+
+        def gam(s):
+            Q1, P1 = s
+            q = Q1 * Q1
+            return 0.5 * P1 * P1 - 4.0 * q * (1.0 / math.sqrt(q * q + asq) + h8) - m
 
         def project(s):
             Q1 = float(s[0])
             return (Q1, _signed(reduced_level_momentum(Q1, h, m, a), float(s[1])))
 
-        return cls(make_reduced_rhs(h, a), _make_gamma_reduced(h, m, a),
-                   lambda Q1: 0.5 * Q1 * Q1, project)
+        return cls(field, gam, lambda Q1: 0.5 * Q1 * Q1, project)
 
     @classmethod
     def kepler1d(cls, h: float, mu_grav: float) -> "Problem":

@@ -131,13 +131,7 @@ def check_field_gradient():
         q2 = rng.uniform(-2.0, 1.0)
         q1 = q2 + rng.uniform(0.3, 3.0)
         y = np.array([q1, q2, rng.uniform(-2, 2), rng.uniform(-2, 2)])
-        s = 1e-6
-        grad = np.zeros(4)
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = s
-            grad[k] = (physical.hamiltonian(y + e, params, ring)
-                       - physical.hamiltonian(y - e, params, ring)) / (2 * s)
+        grad = symplectic.fd_jacobian(lambda w: physical.hamiltonian(w, params, ring), y)[0]
         worst = max(worst, float(np.max(np.abs(
             omega @ grad - physical.physical_field(y, params, ring)))))
     return _record("physical.field_gradient", worst, 1e-7)
@@ -308,13 +302,7 @@ def check_regularized_field_gradient():
     worst = 0.0
     for _ in range(100):
         z = rng.uniform(-2, 2, 4)
-        s = 1e-6
-        grad = np.zeros(4)
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = s
-            grad[k] = (regularized.gamma(z + e, h, params, ring)
-                       - regularized.gamma(z - e, h, params, ring)) / (2 * s)
+        grad = symplectic.fd_jacobian(lambda w: regularized.gamma(w, h, params, ring), z)[0]
         worst = max(worst, float(np.max(np.abs(
             omega @ grad - regularized.regularized_field(z, h, params, ring)))))
     return _record("regularized.field_gradient", worst, 1e-7)
@@ -371,7 +359,7 @@ def check_reduced_chain_rule(field_fn=None):
 def check_step_symplectic():
     rng = np.random.default_rng(SEED + 17)
     ring = RingConfig.for_count(2)
-    rhs = regularized.make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    rhs = regularized.Problem.reduced(-1.0, 0.0, 4.0 * ring.radius).field
     cfg = integrators.IntegratorConfig(step=1e-3, newton_tol=1e-15)
     worst = 0.0
     for _ in range(50):

@@ -30,13 +30,11 @@ from collreg import (
 from collreg.analysis import momentum_profile
 from collreg.physical import physical_field
 from collreg.regularized import (
+    Problem,
     chart_to_physical,
     collision_momentum,
     gamma,
     gamma_reduced,
-    make_reduced_rhs,
-    make_regularized_rhs,
-    make_time_scale,
     project_to_level,
     reduced_field,
     reduced_level_momentum,
@@ -156,7 +154,7 @@ def test_criterion_06_collision_transit():
     ring = RingConfig.for_count(2)
     m, h = 1e-3, -1.0
     a = 4.0 * ring.radius
-    rhs = make_reduced_rhs(h, a)
+    rhs = Problem.reduced(h, m, a).field
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = integrate(rhs, (0.0, math.sqrt(2.0 * m)), 100.0, cfg,
                      time_scale=lambda Q1: 0.5 * Q1 * Q1,
@@ -172,9 +170,8 @@ def test_criterion_06_collision_transit():
     params = MassParams(m=m, epsilon=0.3)
     h2 = -2.5
     pc2 = collision_momentum(params)
-    rhs4 = make_regularized_rhs(h2, params, ring)
-    traj4 = integrate(rhs4, (0.0, 0.0, pc2, 0.0), 100.0, cfg,
-                      time_scale=make_time_scale(params))
+    p4 = Problem.sitnikov(h2, params, ring)
+    traj4 = integrate(p4.field, (0.0, 0.0, pc2, 0.0), 100.0, cfg, time_scale=p4.clock)
     evs4 = traj4.collision_events()
     pdev4 = max(abs(abs(e.state[2]) - pc2) for e in evs4)
     ok_full = len(evs4) >= 3 and pdev4 < 1e-6
@@ -196,9 +193,9 @@ def test_criterion_07_cross_chart_equivalence():
     t_abort = float(oracle.t[-1])
     aborted = any(e.detail == "proximity_abort" for e in oracle.events)
     dense = oracle.metadata["dense"]
-    traj = integrate(make_regularized_rhs(h, params, ring), z0, 6.0,
-                     IntegratorConfig(step=1e-4, newton_tol=1e-14),
-                     time_scale=make_time_scale(params))
+    p = Problem.sitnikov(h, params, ring)
+    traj = integrate(p.field, z0, 6.0, IntegratorConfig(step=1e-4, newton_tol=1e-14),
+                     time_scale=p.clock)
     worst, count = 0.0, 0
     for k in range(0, len(traj), 50):
         t = float(traj.t[k])
@@ -220,7 +217,7 @@ def test_criterion_08_dynamics_proposition():
     a = 4.0 * ring.radius
     # h < 0: periodic return after one fictitious-time loop of the double cover
     h = -1.0
-    rhs = make_reduced_rhs(h, a)
+    rhs = Problem.reduced(h, m, a).field
     y0 = (0.0, math.sqrt(2.0 * m))
     probe = integrate(rhs, y0, 60.0, IntegratorConfig(step=2e-4, newton_tol=1e-14),
                       stop_after=1)
@@ -275,9 +272,9 @@ def test_criterion_10_invariant_plane():
     h = -1.0
     z0 = project_to_level([1.0, 0.0, 1.0, 0.0], h, params, ring)
     assert z0[1] == 0.0 and z0[3] == 0.0
-    traj = integrate(make_regularized_rhs(h, params, ring), z0, 100.0,
-                     IntegratorConfig(step=1e-3, newton_tol=1e-14),
-                     time_scale=make_time_scale(params))
+    p = Problem.sitnikov(h, params, ring)
+    traj = integrate(p.field, z0, 100.0, IntegratorConfig(step=1e-3, newton_tol=1e-14),
+                     time_scale=p.clock)
     worst = float(np.max(np.abs(traj.states[:, [1, 3]])))
     report(10, "invariant plane", worst < 1e-12,
            f"max(|Q2|,|P2|) = {worst:.2e} < 1e-12 over {len(traj) - 1} steps at eps=0")
@@ -288,7 +285,7 @@ def test_criterion_11_reversibility_and_symmetry():
     m, h = 1e-3, -1.0
     a = 4.0 * ring.radius
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-15)
-    rhs = make_reduced_rhs(h, a)
+    rhs = Problem.reduced(h, m, a).field
     y0 = (0.0, math.sqrt(2.0 * m))
     fwd = integrate(rhs, y0, 20.0, cfg, event_index=None).states[-1]
     back = integrate(rhs, (fwd[0], -fwd[1]), 20.0, cfg, event_index=None).states[-1]
@@ -296,7 +293,7 @@ def test_criterion_11_reversibility_and_symmetry():
 
     params = MassParams(m=m, epsilon=0.25)
     ring3 = RingConfig.for_count(3)
-    rhs4 = make_regularized_rhs(h, params, ring3)
+    rhs4 = Problem.sitnikov(h, params, ring3).field
     z0 = project_to_level([0.9, 0.1, 1.0, -0.2], h, params, ring3)
     fwd4 = integrate(rhs4, z0, 5.0, cfg, event_index=None).states[-1]
     back4 = integrate(rhs4, fwd4 * np.array([1, 1, -1, -1]), 5.0, cfg,

@@ -20,7 +20,7 @@ from collreg import (
     turning_point,
 )
 from collreg.analysis import _blackman_harris, momentum_radicand
-from collreg.regularized import gamma_reduced, make_reduced_rhs, reduced_level_momentum
+from collreg.regularized import Problem, gamma_reduced, reduced_level_momentum
 
 
 def test_classify_cases():
@@ -180,7 +180,7 @@ def test_first_integral_along_regularized_flow():
     ring = RingConfig.for_count(3)
     m, h = 1e-3, -1.0
     a = 4.0 * ring.radius
-    rhs = make_reduced_rhs(h, a)
+    rhs = Problem.reduced(h, m, a).field
     y0 = (1.0, reduced_level_momentum(1.0, h, m, a))
     traj = integrate(rhs, y0, 1.0, IntegratorConfig(step=2e-5, newton_tol=1e-15),
                      event_index=None, record_every=10)

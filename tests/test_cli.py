@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from collreg import analysis, verify
-from collreg.cli import load_run_config, main
+from collreg.cli import build_parser, load_run_config, main
 from collreg.errors import SchemaError
 from collreg.regularized import gamma_reduced, reduced_field
 from collreg.config import ring_radius
@@ -254,6 +254,37 @@ def test_non_finite_config_numbers_are_refused(tmp_path, capsys, field, value):
     assert not (tmp_path / "trajectory").exists()
 
 
+@pytest.mark.parametrize("problem, field, value", [
+    ("reduced", "m", -1e-3), ("reduced", "m", 0), ("sitnikov", "m", -1e-3),
+    ("kepler1d", "mu_grav", -1.0), ("kepler1d", "mu_grav", 0),
+])
+def test_non_positive_masses_are_refused(tmp_path, capsys, problem, field, value):
+    # the reduced and kepler1d starts have real momentum on their levels, so
+    # without the check they would run a repulsive or absent force as if valid
+    starts = {"reduced": [0.5, -1.0], "sitnikov": [0.5, 0.1, -1.0, 0.0], "kepler1d": [2.0, 1.0]}
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, problem=problem, h=-1.0 if problem == "reduced" else 0.5,
+                 epsilon=0.3 if problem == "sitnikov" else 0.0,
+                 initial={"chart": "regularized", "state": starts[problem]},
+                 integrator={"method": "implicit_midpoint", "step": 5e-3}, span=2.0,
+                 **{"mu_grav": 1.0, field: value})
+    assert main(["simulate", str(cfgp)]) == 2
+    assert f"configuration error (field {field})" in capsys.readouterr().err
+    assert not (tmp_path / "run_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("value, field", [
+    (0, "integrator"), (-3, "integrator"), (2.5, "integrator.newton_max_iter"),
+])
+def test_bad_newton_max_iter_is_a_config_error(tmp_path, capsys, value, field):
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, integrator={"method": "implicit_midpoint", "step": 1e-3,
+                                   "newton_max_iter": value})
+    assert main(["simulate", str(cfgp)]) == 2
+    assert f"configuration error (field {field})" in capsys.readouterr().err
+    assert not (tmp_path / "run_trajectory.csv").exists()
+
+
 def test_simulate_refuses_a_method_other_than_the_midpoint(tmp_path, capsys):
     cfgp = tmp_path / "run.json"
     write_config(cfgp, integrator={"method": "rk4", "step": 1e-3})
@@ -286,6 +317,13 @@ def test_period_refuses_inputs_without_a_periodic_orbit(monkeypatch, capsys, h, 
     assert main(["period", f"--h={h}", f"--m={m}", "--N", "3"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["period", "levelset", "classify"])
+@pytest.mark.parametrize("text, value", [("-1e-1", -0.1), ("-1E+2", -100.0), ("-.5", -0.5)])
+def test_negative_numbers_in_exponent_form_are_values(command, text, value):
+    rest = [] if command == "classify" else ["--m", "1e-3", "--N", "3"]
+    assert build_parser().parse_args([command, "--h", text, *rest]).h == value
 
 
 def test_schema_errors_name_the_field(tmp_path, capsys):

@@ -23,11 +23,8 @@ from collreg.integrators import (
 )
 from collreg.physical import hamiltonian
 from collreg.regularized import (
+    Problem,
     gamma_reduced,
-    make_gamma,
-    make_reduced_rhs,
-    make_regularized_rhs,
-    make_time_scale,
     gamma,
     project_to_level,
     reduced_level_momentum,
@@ -55,7 +52,7 @@ def test_midpoint_conserves_quadratic_invariant():
 
 def test_midpoint_second_order_richardson():
     ring = RingConfig.for_count(2)
-    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    rhs = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     y0 = (0.9, reduced_level_momentum(0.9, -1.0, 1e-3, 4.0 * ring.radius))
     cfg = lambda s: IntegratorConfig(step=s, newton_tol=1e-15)
     ref = integrate(rhs, y0, 1.0, cfg(1e-5), event_index=None).states[-1]
@@ -85,7 +82,7 @@ def test_midpoint_newton_fallback_handles_moderately_large_steps():
 
 def test_one_step_map_is_symplectic():
     ring = RingConfig.for_count(2)
-    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    rhs = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-15)
     rng = np.random.default_rng(109)
     for _ in range(50):
@@ -95,14 +92,14 @@ def test_one_step_map_is_symplectic():
 
 
 def test_zero_span_single_sample():
-    rhs = make_reduced_rhs(-1.0, 2.0)
+    rhs = Problem.reduced(-1.0, 1e-3, 2.0).field
     traj = integrate(rhs, (0.5, 0.1), 0.0, IntegratorConfig(step=1e-3))
     assert len(traj) == 1
     assert traj.tau[0] == 0.0 and traj.t[0] == 0.0
 
 
 def test_span_validation():
-    rhs = make_reduced_rhs(-1.0, 2.0)
+    rhs = Problem.reduced(-1.0, 1e-3, 2.0).field
     with pytest.raises(ParameterError):
         integrate(rhs, (0.5, 0.1), -1.0, IntegratorConfig(step=1e-3))
 
@@ -114,7 +111,7 @@ def test_reduced_conservation_run_and_collision_momentum():
     ring = RingConfig.for_count(2)
     m, h = 1e-3, -1.0
     a = 4.0 * ring.radius
-    rhs = make_reduced_rhs(h, a)
+    rhs = Problem.reduced(h, m, a).field
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = integrate(
         rhs, (0.0, math.sqrt(2.0 * m)), 50.0, cfg,
@@ -137,7 +134,7 @@ def test_conservation_drift_from_generic_start():
     ring = RingConfig.for_count(2)
     m, h = 1e-3, -1.0
     a = 4.0 * ring.radius
-    rhs = make_reduced_rhs(h, a)
+    rhs = Problem.reduced(h, m, a).field
     y0 = (1.0, reduced_level_momentum(1.0, h, m, a))
     traj = integrate(rhs, y0, 50.0, IntegratorConfig(step=1e-3, newton_tol=1e-14),
                      time_scale=lambda Q1: 0.5 * Q1 * Q1)
@@ -156,7 +153,7 @@ def test_event_localization_flatness():
     ring = RingConfig.for_count(2)
     m, h = 1e-3, -1.0
     a = 4.0 * ring.radius
-    rhs = make_reduced_rhs(h, a)
+    rhs = Problem.reduced(h, m, a).field
     traj = integrate(rhs, (0.0, math.sqrt(2.0 * m)), 16.0,
                      IntegratorConfig(step=1e-3, newton_tol=1e-14),
                      time_scale=lambda Q1: 0.5 * Q1 * Q1)
@@ -167,7 +164,7 @@ def test_event_localization_flatness():
 
 def test_monotone_clocks():
     ring = RingConfig.for_count(2)
-    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    rhs = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     traj = integrate(rhs, (0.0, math.sqrt(2e-3)), 20.0,
                      IntegratorConfig(step=1e-3),
                      time_scale=lambda Q1: 0.5 * Q1 * Q1)
@@ -184,14 +181,14 @@ def test_reversibility_roundtrip():
     params = MassParams(m=1e-3, epsilon=0.25)
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-15)
     # reduced, through a collision passage
-    rhs2 = make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    rhs2 = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     y0 = (0.0, math.sqrt(2e-3))
     fwd = integrate(rhs2, y0, 10.0, cfg, event_index=None).states[-1]
     back = integrate(rhs2, (fwd[0], -fwd[1]), 10.0, cfg, event_index=None).states[-1]
     assert abs(back[0] - y0[0]) < 1e-8 and abs(-back[1] - y0[1]) < 1e-8
     # full system
     ring3 = RingConfig.for_count(3)
-    rhs4 = make_regularized_rhs(-1.0, params, ring3)
+    rhs4 = Problem.sitnikov(-1.0, params, ring3).field
     z0 = project_to_level([0.9, 0.1, 1.0, -0.2], -1.0, params, ring3)
     fwd = integrate(rhs4, z0, 3.0, cfg, event_index=None).states[-1]
     back = integrate(rhs4, [fwd[0], fwd[1], -fwd[2], -fwd[3]], 3.0, cfg,
@@ -222,7 +219,7 @@ def test_nan_abort_carries_partial_trajectory():
 
 def _collision_run(span, **kwargs):
     ring = RingConfig.for_count(2)
-    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    rhs = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     return integrate(rhs, (0.0, math.sqrt(2e-3)), span, cfg,
                      time_scale=lambda Q1: 0.5 * Q1 * Q1, **kwargs)
@@ -251,7 +248,7 @@ def test_stop_after_ends_at_the_kth_event():
 
 def test_without_stop_after_the_march_covers_the_span():
     ring = RingConfig.for_count(2)
-    rhs = make_reduced_rhs(-1.0, 4.0 * ring.radius)
+    rhs = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = _collision_run(20.0, stop_after=None)
     assert len(traj.events) >= 2 and traj.tau[-1] == 20.0
@@ -267,7 +264,7 @@ def test_without_stop_after_the_march_covers_the_span():
 
 
 def test_stop_after_validation():
-    rhs = make_reduced_rhs(-1.0, 2.0)
+    rhs = Problem.reduced(-1.0, 1e-3, 2.0).field
     for kwargs in ({"stop_after": 0}, {"stop_after": 1, "event_index": None}):
         with pytest.raises(ParameterError):
             integrate(rhs, (0.5, 0.1), 1.0, IntegratorConfig(step=1e-2), **kwargs)
@@ -290,7 +287,7 @@ def test_leaving_the_invariant_level_fails():
 
 def _reduced_reference_setup():
     a = 4.0 * RingConfig.for_count(2).radius
-    rhs = make_reduced_rhs(-1.0, a)
+    rhs = Problem.reduced(-1.0, 1e-3, a).field
     clock = lambda Q1: 0.5 * Q1 * Q1
     y0 = (0.8, reduced_level_momentum(0.8, -1.0, 1e-3, a))
     traj = integrate(rhs, y0, 2.0, IntegratorConfig(step=1e-4, newton_tol=1e-15),
@@ -334,7 +331,7 @@ def test_csv_formats_and_determinism(tmp_path):
     params = MassParams(m=1e-3, epsilon=0.0)
     h = -1.0
     a = 4.0 * ring.radius
-    rhs = make_reduced_rhs(h, a)
+    rhs = Problem.reduced(h, 1e-3, a).field
     traj = integrate(rhs, (0.0, math.sqrt(2e-3)), 1.0,
                      IntegratorConfig(step=1e-3),
                      time_scale=lambda Q1: 0.5 * Q1 * Q1)
@@ -375,6 +372,12 @@ def test_invalid_method_rejected():
 
 
 # -- the unrolled midpoint kernels against the generic solve they replace --
+
+def test_newton_max_iter_below_one_is_refused():
+    for value in (0, -3):
+        with pytest.raises(ParameterError):
+            IntegratorConfig(newton_max_iter=value)
+
 
 def _reference_midpoint(field, y, dstep, tol, max_iter, guess=None):
     """Generic tuple-comprehension midpoint solve, any state size: the same
@@ -439,8 +442,8 @@ def _assert_step_matches_reference(field, y, dstep, cfg, history=None):
 
 def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
     rng = np.random.default_rng(71)
-    reduced = make_reduced_rhs(-1.0, 4.0 * RingConfig.for_count(2).radius)
-    full = make_regularized_rhs(-1.0, MassParams(m=1e-3, epsilon=0.25), RingConfig.for_count(3))
+    reduced = Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius).field
+    full = Problem.sitnikov(-1.0, MassParams(m=1e-3, epsilon=0.25), RingConfig.for_count(3)).field
     for dstep, tol in ((1e-3, 1e-13), (-1e-3, 1e-15), (5e-2, 1e-13)):
         cfg = IntegratorConfig(step=abs(dstep), newton_tol=tol)
         for _ in range(40):
@@ -492,17 +495,17 @@ def test_field_evaluation_counts_are_pinned():
     cfg = IntegratorConfig(step=1e-3)
     h, m = -1.0, 1e-3
     a = 4.0 * RingConfig.for_count(3).radius
-    rhs, calls = _counting(make_reduced_rhs(h, a))
+    rhs, calls = _counting(Problem.reduced(h, m, a).field)
     traj = integrate(rhs, (0.0, reduced_level_momentum(0.0, h, m, a)), 2.0, cfg,
                      time_scale=lambda Q1: 0.5 * Q1 * Q1,
                      invariant=lambda s: gamma_reduced(s, h, m, a))
     assert len(traj) == 2001 and calls[0] == 6002
     # the full problem from the start of the simulate-sitnikov benchmark
     params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
-    rhs, calls = _counting(make_regularized_rhs(h, params, ring))
-    traj = integrate(rhs, project_to_level([0.0, 0.0, 1.0, 0.0], h, params, ring), 2.0, cfg,
-                     time_scale=make_time_scale(params),
-                     invariant=make_gamma(h, params, ring))
+    p = Problem.sitnikov(h, params, ring)
+    rhs, calls = _counting(p.field)
+    traj = integrate(rhs, p.project([0.0, 0.0, 1.0, 0.0]), 2.0, cfg,
+                     time_scale=p.clock, invariant=p.gamma)
     assert len(traj) == 2001 and calls[0] == 4507
 
 
@@ -513,8 +516,8 @@ def test_extrapolated_march_stays_with_the_euler_guess_march():
     a = 4.0 * RingConfig.for_count(3).radius
     params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
     starts = (
-        (make_reduced_rhs(-1.0, a), (0.0, reduced_level_momentum(0.0, -1.0, 1e-3, a))),
-        (make_regularized_rhs(h, params, ring),
+        (Problem.reduced(-1.0, 1e-3, a).field, (0.0, reduced_level_momentum(0.0, -1.0, 1e-3, a))),
+        (Problem.sitnikov(h, params, ring).field,
          project_to_level([0.0, 0.0, 1.0, 0.0], h, params, ring)),
     )
     for field, y0 in starts:
@@ -533,12 +536,12 @@ def test_mirrored_start_gives_the_mirrored_march():
     # the extrapolation commutes with it, so the two seed signs of the
     # simulate-sitnikov benchmark march as mirror images at the same cost
     params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
+    p = Problem.sitnikov(h, params, ring)
     runs = []
     for sign in (1.0, -1.0):
-        rhs, calls = _counting(make_regularized_rhs(h, params, ring))
-        traj = integrate(rhs, project_to_level([0.0, 0.0, sign, 0.0], h, params, ring), 15.0,
-                         IntegratorConfig(step=1e-3), time_scale=make_time_scale(params),
-                         invariant=make_gamma(h, params, ring))
+        rhs, calls = _counting(p.field)
+        traj = integrate(rhs, p.project([0.0, 0.0, sign, 0.0]), 15.0,
+                         IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=p.gamma)
         runs.append((traj, calls[0]))
     (plus, n_plus), (minus, n_minus) = runs
     mirror = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -616,16 +619,16 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path):
     ring = RingConfig.for_count(2)
     h, m, a = -1.0, 1e-3, 4.0 * ring.radius
     gam = lambda s: gamma_reduced(s, h, m, a)
-    traj = integrate(make_reduced_rhs(h, a), (0.0, math.sqrt(2.0 * m)), 3.0,
+    traj = integrate(Problem.reduced(h, m, a).field, (0.0, math.sqrt(2.0 * m)), 3.0,
                      IntegratorConfig(step=1e-3), time_scale=lambda Q1: 0.5 * Q1 * Q1)
     write_regularized_csv(traj, path, gam)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
     # 4-D, longer than one chunk of the writer
     params, h = MassParams(m=1e-3, epsilon=0.3), -2.5
-    gam = make_gamma(h, params, ring)
-    traj = integrate(make_regularized_rhs(h, params, ring),
-                     project_to_level([0.0, 0.0, -1.0, 0.0], h, params, ring), 6.0,
-                     IntegratorConfig(step=1e-3), time_scale=make_time_scale(params))
+    p = Problem.sitnikov(h, params, ring)
+    gam = p.gamma
+    traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 6.0,
+                     IntegratorConfig(step=1e-3), time_scale=p.clock)
     assert len(traj) > integrators._CSV_CHUNK + 1
     write_regularized_csv(traj, path, gam)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)

@@ -25,8 +25,6 @@ from collreg import (
 from collreg.physical import make_physical_rhs
 from collreg.regularized import (
     chart_jacobian,
-    make_gamma,
-    make_time_scale,
     reduced_level_momentum,
 )
 
@@ -362,7 +360,7 @@ def test_make_gamma_is_gamma_bit_for_bit():
     rng = np.random.default_rng(4)
     for eps, N, h in ((0.3, 2, -2.5), (0.0, 3, -1.0), (0.7, 5, 0.4)):
         params, ring = params_ring(eps=eps, N=N)
-        gam = make_gamma(h, params, ring)
+        gam = Problem.sitnikov(h, params, ring).gamma
         for _ in range(200):
             z = rng.uniform(-3.0, 3.0, 4)
             ref = _reference_gamma(z, h, params, ring)
@@ -375,7 +373,7 @@ def test_make_time_scale_is_time_scale_bit_for_bit():
     rng = np.random.default_rng(5)
     for eps in (0.0, 0.3, 0.7, 0.999):
         params = MassParams(m=1e-3, epsilon=eps)
-        clock = make_time_scale(params)
+        clock = Problem.sitnikov(-1.0, params, RingConfig.for_count(3)).clock
         mu = params.mu
         for _ in range(200):
             z = rng.uniform(-3.0, 3.0, 4)
