@@ -185,25 +185,25 @@ PINNED_RUNS = {
         {"problem": "reduced", "N": 2, "m": 1e-3, "epsilon": 0.0, "h": -1.0,
          "initial": {"chart": "regularized", "state": [0.5, -1.0]},
          "integrator": {"method": "implicit_midpoint", "step": 5e-3}, "span": 10.0},
-        ("16124f60a0c6f9d40a9072753961e76fb2b1b572ede2bdb415dfe546cfa8081c",
-         "53d43663979219e6c4368b1a0f6a61c06d550f8916f69cefe971f5df5af6e110",
-         "03eb056ab67db8d5e4046574b3f437e084b3a0630f381c0ea4f06d7e03b781b7"),
+        ("81e1c03d44ad974d00eca6776407cc65703b3735ddb6d2c065050197faaf5723",
+         "e30251332851d27f590700eb8c16f9c83d1e0fa4fb2f11345e42287447a0592b",
+         "eaff6147a87d49f0734205716052b0a96b7382dacfb566472fd25d9ee7a2f57d"),
     ),
     "sitnikov": (
         {"problem": "sitnikov", "N": 2, "m": 1e-3, "epsilon": 0.3, "h": -2.5,
          "initial": {"chart": "regularized", "state": [0.5, 0.1, -1.0, 0.0]},
          "integrator": {"method": "implicit_midpoint", "step": 5e-3}, "span": 10.0},
-        ("b5ec3d573fd4cc08812cb6c7cd4b6f6dd598a29829fb84441029145327831aa0",
-         "8f259cdebf462f505a1c9548cc172d9f34c94fd97cd5f9b22ccb1c6877364a10",
-         "72c642b0c22591507f098d6454eebe86f35ed3b8aaf09aeb6f685ea24097a1dd"),
+        ("0f6c521b06e49fa500737edc5c0142dc0e2a70d71d9c62fa5a567a91cf347fb7",
+         "08bf0666b4774b719114b05b70dfe21fad6b7496a5d9aa08b799438312625b01",
+         "3352fd394010af2a2613dc3d97bffa64a379c3ab303c073410327f1e800010d0"),
     ),
     "kepler1d": (
         {"problem": "kepler1d", "h": -0.5, "mu_grav": 1.0,
          "initial": {"chart": "regularized", "state": [0.0, 1.0]},
          "integrator": {"method": "implicit_midpoint", "step": 4e-3}, "span": 8.0},
-        ("e0f1e1e6b1f490cb89586856bcd1fafeec73e2d99065ec4c3e0dd0fc714e7ef2",
-         "51e4184b8155af65bf45d91e98324ffaca6c1d60b7584a74263795d811e31aca",
-         "7a839f967089ec2336a306cb3da6acf3d3b728e0a4ec7a0f178ee9e478d87226"),
+        ("5117876f2c7b46f75c59d46bc53aa1b52f738eeab3533d655d3cc0d3a10cc7d9",
+         "d8a4738e99c97e1323d5758ea484063c8c74769cba8114fbb5c0e6060e8a93b0",
+         "0a9a74476ab9d1ff57aad8d7a0c844a294fd31029f6f5f68a9d0db604c28b686"),
     ),
 }
 

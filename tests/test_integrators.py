@@ -252,22 +252,37 @@ def test_without_stop_after_the_march_covers_the_span():
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = _collision_run(20.0, stop_after=None)
     assert len(traj.events) >= 2 and traj.tau[-1] == 20.0
-    # the reference march: two Euler-guess steps, then every solve seeded
-    # from the three latest states, 3 (y_n - y_{n-1}) + y_{n-2}
+    # the reference march: five Euler-guess steps, then every solve seeded
+    # from the five states before the latest, newest first
     march = [(0.0, math.sqrt(2e-3))]
     for n in range(20000):
-        yp, ypp = (march[-2], march[-3]) if n >= 2 else (None, None)
+        back = tuple(march[-2:-7:-1]) if n >= 5 else None
         march.append(integrators._midpoint2(rhs, march[-1], 1e-3, cfg.newton_tol,
-                                            cfg.newton_max_iter, yp, ypp))
+                                            cfg.newton_max_iter, back))
     assert np.array_equal(traj.states, np.array(march))
     assert np.array_equal(traj.tau, np.arange(20001) * 1e-3)
 
 
 def test_stop_after_validation():
-    rhs = Problem.reduced(-1.0, 1e-3, 2.0).field
-    for kwargs in ({"stop_after": 0}, {"stop_after": 1, "event_index": None}):
+    rhs, calls = _counting(Problem.reduced(-1.0, 1e-3, 2.0).field)
+    for kwargs in ({"stop_after": 0}, {"stop_after": 1, "event_index": None},
+                   {"record_every": 0}, {"record_every": -1}):
         with pytest.raises(ParameterError):
             integrate(rhs, (0.5, 0.1), 1.0, IntegratorConfig(step=1e-2), **kwargs)
+    assert calls[0] == 0  # refused before the first step
+
+
+def test_a_step_landing_on_zero_is_one_event():
+    # Q1 runs -0.5, -0.25, 0.0, 0.25, 0.5: the step onto 0 is the event, at
+    # its end; the step out of 0 is none
+    drift = lambda y: (1.0, 0.0)
+    cfg = IntegratorConfig(step=0.25)
+    traj = integrate(drift, (-0.5, 0.0), 1.0, cfg)
+    assert [(e.tau, e.t, e.state) for e in traj.events] == [(0.5, 0.5, (0.0, 0.0))]
+    part = integrate(drift, (-0.5, 0.0), 1.0, cfg, stop_after=1)
+    assert len(part.events) == 1 and part.tau[-1] == 0.5 and part.states[-1][0] == 0.0
+    # a start on 0 is no event
+    assert not integrate(drift, (0.0, 0.0), 1.0, cfg).events
 
 
 def test_leaving_the_invariant_level_fails():
@@ -420,20 +435,29 @@ def _counting(field):
     return counted, calls
 
 
-def _assert_step_matches_reference(field, y, dstep, cfg, history=None):
-    """One kernel solve against the reference; history = (yp, ypp) takes the
-    extrapolated predictor of a march, None the single step's Euler guess."""
+def _quintic_guess(y, back):
+    """6 y - 15 y1 + 20 y2 - 15 y3 + 6 y4 - y5 for back = (y1, ..., y5), in
+    the kernels' backward-difference form and operation order."""
+    b1, b2, b3, b4, b5 = back
+    return tuple(y[k] + (5.0 * ((y[k] - b1[k]) - (b3[k] - b4[k]))
+                         - 10.0 * ((b1[k] - b2[k]) - (b2[k] - b3[k])) + (b4[k] - b5[k]))
+                 for k in range(len(y)))
+
+
+def _assert_step_matches_reference(field, y, dstep, cfg, back=None):
+    """One kernel solve against the reference; back, the five states before
+    y, takes the extrapolated predictor of a march, None the single step's
+    Euler guess."""
     f_new, n_new = _counting(field)
     f_ref, n_ref = _counting(field)
     y = tuple(map(float, y))
-    if history is None:
+    if back is None:
         got = step_implicit_midpoint(f_new, y, dstep, cfg)
         guess = None
     else:
-        yp, ypp = history
         solve = integrators._midpoint_kernel(len(y))
-        got = np.array(solve(f_new, y, dstep, cfg.newton_tol, cfg.newton_max_iter, yp, ypp))
-        guess = tuple(3.0 * (y[k] - yp[k]) + ypp[k] for k in range(len(y)))
+        got = np.array(solve(f_new, y, dstep, cfg.newton_tol, cfg.newton_max_iter, back))
+        guess = _quintic_guess(y, back)
     ref = np.array(_reference_midpoint(f_ref, y, dstep, cfg.newton_tol, cfg.newton_max_iter,
                                        guess))
     assert got.tobytes() == ref.tobytes()
@@ -450,9 +474,10 @@ def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
             for field, n in ((reduced, 2), (full, 4)):
                 y = rng.uniform(-2.0, 2.0, n)
                 _assert_step_matches_reference(field, y, dstep, cfg)
-                # the two states before y, as a march would hold them
-                yp, ypp = (tuple(y - k * dstep * rng.uniform(0.5, 1.5, n)) for k in (1, 2))
-                _assert_step_matches_reference(field, y, dstep, cfg, history=(yp, ypp))
+                # the five states before y, as a march would hold them
+                back = tuple(tuple(y - k * dstep * rng.uniform(0.5, 1.5, n))
+                             for k in range(1, 6))
+                _assert_step_matches_reference(field, y, dstep, cfg, back=back)
 
 
 def test_midpoint_kernels_match_the_generic_solve_through_the_newton_fallback(monkeypatch):
@@ -499,14 +524,29 @@ def test_field_evaluation_counts_are_pinned():
     traj = integrate(rhs, (0.0, reduced_level_momentum(0.0, h, m, a)), 2.0, cfg,
                      time_scale=lambda Q1: 0.5 * Q1 * Q1,
                      invariant=lambda s: gamma_reduced(s, h, m, a))
-    assert len(traj) == 2001 and calls[0] == 6002
+    assert len(traj) == 2001 and calls[0] == 2015
     # the full problem from the start of the simulate-sitnikov benchmark
     params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
     p = Problem.sitnikov(h, params, ring)
     rhs, calls = _counting(p.field)
     traj = integrate(rhs, p.project([0.0, 0.0, 1.0, 0.0]), 2.0, cfg,
                      time_scale=p.clock, invariant=p.gamma)
-    assert len(traj) == 2001 and calls[0] == 4507
+    assert len(traj) == 2001 and calls[0] == 2015
+
+
+def test_steps_seeded_from_history_take_one_evaluation_on_quintic_iterates():
+    # x' = 1, v' = x^4 from (-1, 0): x_n is linear in n and the midpoint
+    # rule makes v_n a polynomial of degree 5 in n, which the quintic
+    # extrapolation reproduces, so every step after the five Euler-guess
+    # steps passes the stopping test at its first sweep, its one evaluation
+    field, calls = _counting(lambda y: (1.0, y[0] ** 4))
+    counts = {}
+    for span in (0.05, 2.0, 4.0):
+        calls[0] = 0
+        integrate(field, (-1.0, 0.0), span, IntegratorConfig(step=1e-2), event_index=None)
+        counts[span] = calls[0]
+    assert counts[2.0] - counts[0.05] == 195
+    assert counts[4.0] - counts[2.0] == 200
 
 
 def test_extrapolated_march_stays_with_the_euler_guess_march():
@@ -564,29 +604,30 @@ def test_newton_fallback_and_step_failure_are_reached_through_the_march(monkeypa
 
     monkeypatch.setattr(integrators, "_midpoint_newton", watched)
     # a step of 1.9 on a rotation contracts the sweeps by only 0.95, so every
-    # step, the extrapolated ones too, hands over to Newton; each lands on
-    # the Cayley rotation of the step before
+    # step, the extrapolated ones after the fifth too, hands over to Newton;
+    # each lands on the Cayley rotation of the step before
     th = 1.9
-    traj = integrate(oscillator, (1.0, 0.0), 5 * th,
+    traj = integrate(oscillator, (1.0, 0.0), 8 * th,
                      IntegratorConfig(step=th, newton_tol=1e-13, newton_max_iter=50),
                      event_index=None)
-    assert entered[0] == 5
+    assert entered[0] == 8
     c, s = (1.0 - th * th / 4.0) / (1.0 + th * th / 4.0), th / (1.0 + th * th / 4.0)
     y = np.array([1.0, 0.0])
-    for k in range(6):
+    for k in range(9):
         assert np.max(np.abs(traj.states[k] - y)) < 1e-12
         y = np.array([c * y[0] + s * y[1], -s * y[0] + c * y[1]])
-    # x' = s below s = 2 and stiff above it, with s the clock component: the
-    # first two steps converge in two sweeps, the third, seeded from history,
-    # stalls and fails with the residual of its last iterate
-    stiffening = lambda y: (y[1] if y[1] < 2.0 else 50.0 * math.sin(100.0 * y[0]), 1.0)
+    # x' = s below s = 5 and stiff above it, with s the clock component: the
+    # five Euler-guess steps converge in two sweeps, the sixth, the first
+    # seeded from history, stalls and fails with the residual of its last
+    # iterate
+    stiffening = lambda y: (y[1] if y[1] < 5.0 else 50.0 * math.sin(100.0 * y[0]), 1.0)
     cfg = IntegratorConfig(step=1.0, newton_max_iter=2)
     with pytest.raises(StepFailure) as err:
-        integrate(stiffening, (1.0, 0.0), 5.0, cfg, event_index=None)
+        integrate(stiffening, (1.0, 0.0), 8.0, cfg, event_index=None)
     part = err.value.trajectory
-    assert part is not None and len(part) == 3
-    y, yp, ypp = (tuple(part.states[k]) for k in (2, 1, 0))
-    guess = tuple(3.0 * (y[k] - yp[k]) + ypp[k] for k in range(2))
+    assert part is not None and len(part) == 6
+    y, *back = (tuple(part.states[k]) for k in (5, 4, 3, 2, 1, 0))
+    guess = _quintic_guess(y, back)
     with pytest.raises(StepFailure) as ref:
         _reference_midpoint(stiffening, y, 1.0, cfg.newton_tol, cfg.newton_max_iter, guess)
     assert err.value.residual == ref.value.residual > 0.0
