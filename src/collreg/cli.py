@@ -33,7 +33,6 @@ import re
 import sys
 import time
 
-import numpy as np
 
 from . import analysis, verify
 from .config import MassParams, RingConfig, ring_radius
@@ -46,7 +45,6 @@ from .integrators import (
     write_physical_csv,
     write_regularized_csv,
 )
-from .physical import hamiltonian
 from .regularized import Problem
 
 PROBLEMS = ("sitnikov", "reduced", "kepler1d")
@@ -191,19 +189,20 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         N, m, e = int(cfg["N"]), float(cfg["m"]), float(cfg["epsilon"])
         params = MassParams(m=m, epsilon=e)
         ring = RingConfig.for_count(N)
-        h = float(cfg["h"]) if "h" in cfg else hamiltonian(state, params, ring)
         traj = integrate_physical_oracle(
             state, span, icfg, params, ring,
             guard=float(cfg.get("guard", 1e-4)),
             stop_at_q=cfg.get("stop_at_q"),
         )
-        traj.metadata.pop("dense", None)
-        write_physical_csv(traj, outputs["trajectory"], params, ring)
-        final_check = abs(hamiltonian(traj.states[-1], params, ring) - h)
+        write_physical_csv(traj, outputs["trajectory"])
+        # the oracle's first sample is the start itself
+        energy = traj.invariant
+        h = float(cfg["h"]) if "h" in cfg else float(energy[0])
+        final_check = abs(float(energy[-1]) - h)
         extras = {
             "terminal_speed": float(traj.states[-1][2]),
-            "energy_drift": traj.metadata.get("energy_drift"),
-            "initial_energy_mismatch": abs(hamiltonian(traj.states[0], params, ring) - h),
+            "energy_drift": traj.metadata["energy_drift"],
+            "initial_energy_mismatch": abs(float(energy[0]) - h),
         }
     else:
         p = _problem(cfg)
@@ -213,11 +212,11 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         except StepFailure as exc:
             # a failed run keeps what it integrated before the failure
             if exc.trajectory is not None:
-                write_regularized_csv(exc.trajectory, outputs["trajectory"], p.gamma)
+                write_regularized_csv(exc.trajectory, outputs["trajectory"])
                 write_events_json(exc.trajectory, outputs["events"])
             raise
-        write_regularized_csv(traj, outputs["trajectory"], p.gamma)
-        final_check = abs(p.gamma(traj.states[-1]))
+        write_regularized_csv(traj, outputs["trajectory"])
+        final_check = abs(float(traj.invariant[-1]))
         extras = {}
 
     write_events_json(traj, outputs["events"])

@@ -93,12 +93,15 @@ class Trajectory:
     """Ordered samples of one run with both clocks and its event log.
 
     tau is strictly increasing; t is nondecreasing (the physical clock can
-    only freeze, at collisions, never run backwards).
+    only freeze, at collisions, never run backwards).  invariant holds the
+    run's invariant at each sample (Gamma from integrate, H from the
+    physical oracle), or None when the run was given none.
     """
 
     tau: np.ndarray
     t: np.ndarray
     states: np.ndarray
+    invariant: Optional[np.ndarray] = None
     events: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -347,8 +350,9 @@ def integrate(
     events with sub-step localization; a step that lands exactly on 0 from a
     nonzero value is an event at its end, and the step out of that 0 is none.
     Pass event_index=None to disable detection.
-    invariant(state), when given, is evaluated on every recorded sample and
-    its max abs value is stored as metadata["invariant_max"].
+    invariant(state), when given, is evaluated once on every recorded
+    sample; the values are the trajectory's invariant column and their
+    largest magnitude is metadata["invariant_max"].
 
     stop_after=k makes the k-th event terminal: the march ends at the step in
     which that event was localized, and the state after that step is recorded
@@ -379,8 +383,9 @@ def integrate(
     taus = array("d", (0.0,))
     ts = array("d", (0.0,))
     states = array("d", y)
+    invs = None if invariant is None else array("d", (float(invariant(y)),))
+    inv_max = None if invs is None else abs(invs[0])
     events: list[Event] = []
-    inv_max = abs(float(invariant(y))) if invariant is not None else None
 
     solve = _midpoint_kernel(n)
     tol, max_iter = cfg.newton_tol, cfg.newton_max_iter
@@ -396,13 +401,13 @@ def integrate(
         try:
             y = solve(field, y, dstep, tol, max_iter, back)
         except StepFailure as exc:
-            exc.trajectory = _bundle(taus, ts, states, events, cfg, span, inv_max)
+            exc.trajectory = _bundle(taus, ts, states, invs, events, inv_max)
             raise
         if not all(map(math.isfinite, y)):
             raise StepFailure(
                 f"state became non-finite at step {i} (tau={i * dstep})",
                 residual=float("nan"),
-                trajectory=_bundle(taus, ts, states, events, cfg, span, inv_max),
+                trajectory=_bundle(taus, ts, states, invs, events, inv_max),
             )
         if back is None:
             recent = (y_prev, *recent)
@@ -445,16 +450,18 @@ def integrate(
             taus.append(i * dstep)
             ts.append(t)
             states.extend(y)
-            if invariant is not None:
-                inv_max = max(inv_max, abs(float(invariant(y))))
+            if invs is not None:
+                value = float(invariant(y))
+                invs.append(value)
+                inv_max = max(inv_max, abs(value))
                 if inv_max > INVARIANT_LIMIT:
                     raise _off_level(
-                        i * dstep, inv_max, _bundle(taus, ts, states, events, cfg, span, inv_max)
+                        i * dstep, inv_max, _bundle(taus, ts, states, invs, events, inv_max)
                     )
             if stopped:
                 break
 
-    return _bundle(taus, ts, states, events, cfg, span, inv_max)
+    return _bundle(taus, ts, states, invs, events, inv_max)
 
 
 def _off_level(tau, value, traj) -> StepFailure:
@@ -466,16 +473,16 @@ def _off_level(tau, value, traj) -> StepFailure:
     )
 
 
-def _bundle(taus, ts, states, events, cfg, span, inv_max) -> Trajectory:
-    meta = {"method": cfg.method, "step": cfg.step, "span": span}
-    if inv_max is not None:
-        meta["invariant_max"] = inv_max
+def _bundle(taus, ts, states, invs, events, inv_max) -> Trajectory:
+    """Wrap the sample buffers as arrays, uncopied: the march bundles only
+    when it returns or just before it raises, so it never appends after."""
     return Trajectory(
-        tau=np.frombuffer(taus).copy(),
-        t=np.frombuffer(ts).copy(),
-        states=np.frombuffer(states).reshape(len(taus), -1).copy(),
+        tau=np.frombuffer(taus),
+        t=np.frombuffer(ts),
+        states=np.frombuffer(states).reshape(len(taus), -1),
+        invariant=None if invs is None else np.frombuffer(invs),
         events=events,
-        metadata=meta,
+        metadata={} if inv_max is None else {"invariant_max": inv_max},
     )
 
 
@@ -495,7 +502,9 @@ def integrate_physical_oracle(
     Terminates with a proximity event when the separation q1 - q2 drops to the
     guard distance (the chart is singular there; near-collision work belongs
     to the regularized chart).  Optionally terminates with an escape event
-    when q1 reaches stop_at_q.  Both clocks coincide in this chart.
+    when q1 reaches stop_at_q.  Both clocks coincide in this chart.  The
+    invariant column is H at each sample, and metadata["energy_drift"] is
+    |H(last) - H(first)|.
     """
     from scipy.integrate import solve_ivp
 
@@ -546,61 +555,62 @@ def integrate_physical_oracle(
             te = float(found[0])
             events.append(Event(index=len(sol.t) - 1, kind=kind, tau=te, t=te,
                                 state=tuple(sol.sol(te)), detail=detail))
-    traj = Trajectory(
-        tau=sol.t.copy(),
-        t=sol.t.copy(),
+    energy = np.array([hamiltonian(s, params, ring) for s in states])
+    return Trajectory(
+        tau=sol.t,
+        t=sol.t,
         states=states,
+        invariant=energy,
         events=events,
-        metadata={"method": "oracle", "adaptive_tol": cfg.adaptive_tol, "guard": guard},
+        metadata={"dense": sol.sol, "energy_drift": float(abs(energy[-1] - energy[0]))},
     )
-    traj.metadata["dense"] = sol.sol
-    traj.metadata["energy_drift"] = float(
-        abs(
-            hamiltonian(states[-1], params, ring)
-            - hamiltonian(states[0], params, ring)
-        )
-    )
-    return traj
 
 
 _CSV_CHUNK = 4096  # rows formatted per write, so the writer's memory stays flat
 
 
-def _write_csv(path, header, row_fmt, clocks, states, tail) -> None:
-    """Write header, then row_fmt % (*clocks at k, *states[k], tail(states[k]))
-    for every sample k.
+def _write_csv(path, header, row_fmt, columns) -> None:
+    """Write header, then row_fmt % (the k-th row of every column) for every
+    sample k; a column is a 1-D array or a 2-D array of several.
 
     The rows are formatted from plain floats taken _CSV_CHUNK samples at a
-    time; tail gets each state as a list of floats.
+    time.
     """
-    lead = len(clocks)
     with open(path, "w", newline="\n") as fh:
         fh.write(header)
-        for lo in range(0, len(states), _CSV_CHUNK):
+        for lo in range(0, len(columns[0]), _CSV_CHUNK):
             part = slice(lo, lo + _CSV_CHUNK)
-            rows = np.column_stack([c[part] for c in clocks] + [states[part]]).tolist()
-            fh.write("".join([row_fmt % (*r, tail(r[lead:])) for r in rows]))
+            rows = np.column_stack([c[part] for c in columns]).tolist()
+            fh.write("".join([row_fmt % tuple(r) for r in rows]))
 
 
-def write_regularized_csv(traj: Trajectory, path, gamma_fn: Callable) -> None:
+def _invariant_column(traj: Trajectory) -> np.ndarray:
+    if traj.invariant is None:
+        raise ParameterError("the trajectory carries no invariant column to write")
+    return traj.invariant
+
+
+def write_regularized_csv(traj: Trajectory, path) -> None:
     """CSV schema: tau,t,Q1,Q2,P1,P2,gamma (reduced runs carry Q2 = P2 = 0).
 
     17 significant digits, '.' decimal separator, LF line endings: identical
-    configs must produce byte-identical files.  gamma_fn is called with each
-    state as a list of floats.
+    configs must produce byte-identical files.  The gamma column is the
+    trajectory's invariant column, as the run computed it; a trajectory
+    without one raises ParameterError.
     """
     dim = traj.states.shape[1]
     # a reduced state (Q1, P1) is written with the zeros %.17g gives for 0.0
     state_fmt = "%.17g,0,%.17g,0," if dim == 2 else "%.17g," * dim
     _write_csv(path, "tau,t,Q1,Q2,P1,P2,gamma\n", "%.17g,%.17g," + state_fmt + "%.17g\n",
-               (traj.tau, traj.t), traj.states, gamma_fn)
+               (traj.tau, traj.t, traj.states, _invariant_column(traj)))
 
 
-def write_physical_csv(traj: Trajectory, path, params: MassParams, ring: RingConfig) -> None:
-    """CSV schema: t,q1,q2,p1,p2,H."""
+def write_physical_csv(traj: Trajectory, path) -> None:
+    """CSV schema: t,q1,q2,p1,p2,H, with H the trajectory's invariant
+    column; a trajectory without one raises ParameterError."""
     dim = traj.states.shape[1]
     _write_csv(path, "t,q1,q2,p1,p2,H\n", "%.17g," * (1 + dim) + "%.17g\n",
-               (traj.t,), traj.states, lambda s: hamiltonian(s, params, ring))
+               (traj.t, traj.states, _invariant_column(traj)))
 
 
 def write_events_json(traj: Trajectory, path) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from collreg import analysis, verify
+from collreg import analysis, cli, verify
 from collreg.cli import build_parser, load_run_config, main
 from collreg.errors import SchemaError
 from collreg.regularized import gamma_reduced, reduced_field
@@ -224,6 +225,32 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys, problem):
     digests = tuple(hashlib.sha256(data).hexdigest() for data in (
         (tmp_path / "trajectory").read_bytes(), (tmp_path / "events").read_bytes(), summary))
     assert digests == pinned
+
+
+def test_simulate_evaluates_gamma_once_per_sample(tmp_path, capsys, monkeypatch):
+    # the CSV's gamma column and the summary's invariant errors are read from
+    # the column the march records, not recomputed
+    calls = [0]
+    make = cli._problem
+
+    def counted_problem(cfg):
+        p = make(cfg)
+
+        def gamma(z):
+            calls[0] += 1
+            return p.gamma(z)
+
+        return dataclasses.replace(p, gamma=gamma)
+
+    monkeypatch.setattr(cli, "_problem", counted_problem)
+    cfg, _ = PINNED_RUNS["sitnikov"]
+    outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps({"schema": 1, **cfg, "outputs": outs}))
+    assert main(["simulate", str(cfgp)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary").read_text())
+    assert summary["samples"] == 2001 and calls[0] == 2001
 
 
 @pytest.mark.parametrize("field, value", [

@@ -9,6 +9,7 @@ from collreg import (
     ParameterError,
     RingConfig,
     StepFailure,
+    Trajectory,
     fd_jacobian,
     integrate,
     step_implicit_midpoint,
@@ -347,14 +348,14 @@ def test_csv_formats_and_determinism(tmp_path):
     h = -1.0
     a = 4.0 * ring.radius
     rhs = Problem.reduced(h, 1e-3, a).field
+    gam = lambda s: gamma_reduced(s, h, 1e-3, a)
     traj = integrate(rhs, (0.0, math.sqrt(2e-3)), 1.0,
                      IntegratorConfig(step=1e-3),
-                     time_scale=lambda Q1: 0.5 * Q1 * Q1)
-    gam = lambda s: gamma_reduced(s, h, 1e-3, a)
+                     time_scale=lambda Q1: 0.5 * Q1 * Q1, invariant=gam)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_regularized_csv(traj, p1, gam)
-    write_regularized_csv(traj, p2, gam)
+    write_regularized_csv(traj, p1)
+    write_regularized_csv(traj, p2)
     b1 = p1.read_bytes()
     assert b1 == p2.read_bytes()
     assert b1.startswith(b"tau,t,Q1,Q2,P1,P2,gamma\n")
@@ -374,8 +375,34 @@ def test_csv_formats_and_determinism(tmp_path):
     tr = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, IntegratorConfig(),
                                    params, ring)
     pp = tmp_path / "phys.csv"
-    write_physical_csv(tr, pp, params, ring)
+    write_physical_csv(tr, pp)
     assert pp.read_bytes().startswith(b"t,q1,q2,p1,p2,H\n")
+
+
+def test_the_invariant_column_holds_one_value_per_sample():
+    energy = lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) - 0.5
+    traj = integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-2),
+                     invariant=energy, record_every=7)
+    assert traj.invariant.tolist() == [energy(tuple(s)) for s in traj.states.tolist()]
+    assert traj.metadata["invariant_max"] == max(abs(traj.invariant))
+    assert integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-2)).invariant is None
+    # the physical oracle's column is H at each sample
+    from collreg import integrate_physical_oracle
+    from collreg.analysis import momentum_profile
+
+    params, ring = MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2)
+    p0 = momentum_profile(1.0, 0.25, params.m, ring.radius)
+    orb = integrate_physical_oracle([1.0, -1.0, p0, -p0], 2.0, IntegratorConfig(), params, ring)
+    assert orb.invariant.tolist() == [hamiltonian(s, params, ring) for s in orb.states]
+    assert orb.metadata["energy_drift"] == abs(orb.invariant[-1] - orb.invariant[0])
+
+
+def test_writers_refuse_a_trajectory_without_an_invariant(tmp_path):
+    traj = Trajectory(tau=np.zeros(2), t=np.zeros(2), states=np.zeros((2, 4)))
+    for write in (write_regularized_csv, write_physical_csv):
+        with pytest.raises(ParameterError, match="invariant"):
+            write(traj, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_invalid_method_rejected():
@@ -661,24 +688,25 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path):
     h, m, a = -1.0, 1e-3, 4.0 * ring.radius
     gam = lambda s: gamma_reduced(s, h, m, a)
     traj = integrate(Problem.reduced(h, m, a).field, (0.0, math.sqrt(2.0 * m)), 3.0,
-                     IntegratorConfig(step=1e-3), time_scale=lambda Q1: 0.5 * Q1 * Q1)
-    write_regularized_csv(traj, path, gam)
+                     IntegratorConfig(step=1e-3), time_scale=lambda Q1: 0.5 * Q1 * Q1,
+                     invariant=gam)
+    write_regularized_csv(traj, path)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
     # 4-D, longer than one chunk of the writer
     params, h = MassParams(m=1e-3, epsilon=0.3), -2.5
     p = Problem.sitnikov(h, params, ring)
     gam = p.gamma
     traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 6.0,
-                     IntegratorConfig(step=1e-3), time_scale=p.clock)
+                     IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=gam)
     assert len(traj) > integrators._CSV_CHUNK + 1
-    write_regularized_csv(traj, path, gam)
+    write_regularized_csv(traj, path)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
     # the partial trajectory a failed run carries
     pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
     energy = lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) - 0.5
     with pytest.raises(StepFailure) as err:
         integrate(pumped, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
-    write_regularized_csv(err.value.trajectory, path, energy)
+    write_regularized_csv(err.value.trajectory, path)
     assert path.read_bytes() == _reference_regularized_csv(err.value.trajectory, energy)
 
 
@@ -691,5 +719,5 @@ def test_physical_csv_matches_the_row_by_row_reference(tmp_path):
     traj = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, IntegratorConfig(),
                                      params, ring, t_eval=np.linspace(0.0, 10.0, 5000))
     path = tmp_path / "phys.csv"
-    write_physical_csv(traj, path, params, ring)
+    write_physical_csv(traj, path)
     assert path.read_bytes() == _reference_physical_csv(traj, params, ring)
