@@ -9,7 +9,8 @@ extrapolation through its last six accepted states, at no field evaluation,
 and the first sweep then nearly always converges; a lone step and the first
 five steps of a march use the explicit-Euler guess.
 Physical time is accumulated alongside fictitious time with the same
-second-order midpoint quadrature of dt/dtau.
+second-order midpoint quadrature of dt/dtau; a step with an event takes it
+in two midpoint pieces, split at the event.
 
 A conventional adaptive Runge-Kutta pair (through scipy) integrates the
 physical chart as an equivalence oracle; it is valid only away from
@@ -77,7 +78,10 @@ class Event:
     """A localized happening along a trajectory.
 
     index is the position of the last recorded sample at or before the event;
-    tau, t and state are sub-step interpolated at the event itself.
+    tau and state are sub-step interpolated at the event itself.  t is the
+    clock's midpoint rule from the step's start to the event, so an event
+    never lies outside the t of the samples around it, and one at a step's
+    end has that step's t.
     """
 
     index: int
@@ -346,10 +350,11 @@ def integrate(
 
     time_scale(Q1) provides dt/dtau for the dual clock from the first state
     component alone, the only one any clock here reads (identity clock when
-    omitted).  Sign changes of state[event_index] are logged as collision
-    events with sub-step localization; a step that lands exactly on 0 from a
-    nonzero value is an event at its end, and the step out of that 0 is none.
-    Pass event_index=None to disable detection.
+    omitted), by the midpoint rule over each step, or over its two pieces on
+    either side of an event.  Sign changes of state[event_index] are logged
+    as collision events with sub-step localization; a step that lands exactly
+    on 0 from a nonzero value is an event at its end, and the step out of
+    that 0 is none.  Pass event_index=None to disable detection.
     invariant(state), when given, is evaluated once on every recorded
     sample; the values are the trajectory's invariant column and their
     largest magnitude is metadata["invariant_max"].
@@ -397,7 +402,6 @@ def integrate(
     back = None
     for i in range(1, n_steps + 1):
         y_prev = y
-        t_prev = t
         try:
             y = solve(field, y, dstep, tol, max_iter, back)
         except StepFailure as exc:
@@ -415,17 +419,18 @@ def integrate(
                 back = recent
         else:
             back = (y_prev, back[0], back[1], back[2], back[3])
-        if time_scale is not None:
-            t += dstep * time_scale(0.5 * (y_prev[0] + y[0]))
-        else:
-            t = i * dstep
 
         # a step that lands on 0 localizes at s = 1 (the Hermite root seed
         # is then exact); a step out of 0 has a zero product and is no event
-        if event_index is not None and (
+        crossed = event_index is not None and (
             y_prev[event_index] * y[event_index] < 0.0
             or (y[event_index] == 0.0 and y_prev[event_index] != 0.0)
-        ):
+        )
+        if time_scale is None:
+            t = i * dstep
+        elif not crossed:
+            t += dstep * time_scale(0.5 * (y_prev[0] + y[0]))
+        if crossed:
             f_prev = field(y_prev)
             f_next = field(y)
             s = _locate_crossing(y_prev, y, f_prev, f_next, dstep, event_index)
@@ -434,13 +439,13 @@ def integrate(
                 for k in range(n)
             )
             tau_e = (i - 1 + s) * dstep
-            if time_scale is not None:
-                # trapezoidal dt over the sub-step; second order like the clock itself
-                g0 = time_scale(y_prev[0])
-                ge = time_scale(e_state[0])
-                t_e = t_prev + s * dstep * 0.5 * (g0 + ge)
-            else:
+            if time_scale is None:
                 t_e = tau_e
+            else:
+                # the midpoint clock on each side of the event, so that
+                # t_prev <= t_e <= t, and s = 1 dates it at the step's own t
+                t_e = t + s * dstep * time_scale(0.5 * (y_prev[0] + e_state[0]))
+                t = t_e + (1.0 - s) * dstep * time_scale(0.5 * (e_state[0] + y[0]))
             events.append(
                 Event(index=len(taus) - 1, kind="collision", tau=tau_e, t=t_e, state=e_state)
             )

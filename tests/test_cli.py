@@ -186,25 +186,25 @@ PINNED_RUNS = {
         {"problem": "reduced", "N": 2, "m": 1e-3, "epsilon": 0.0, "h": -1.0,
          "initial": {"chart": "regularized", "state": [0.5, -1.0]},
          "integrator": {"method": "implicit_midpoint", "step": 5e-3}, "span": 10.0},
-        ("81e1c03d44ad974d00eca6776407cc65703b3735ddb6d2c065050197faaf5723",
-         "e30251332851d27f590700eb8c16f9c83d1e0fa4fb2f11345e42287447a0592b",
-         "eaff6147a87d49f0734205716052b0a96b7382dacfb566472fd25d9ee7a2f57d"),
+        ("3fa6b1193f000b66dcdbef7e8bf361f18cc2b58e455edd55a9a8ad7b2848df48",
+         "dd376969ba3a123ed487a9468ba4067634de2ffc5616e0ee83a6ff2ecc2991b5",
+         "ecba144fbdaec622dc7427379db3888d8cf3ac117c7326d49075a94a62ae4211"),
     ),
     "sitnikov": (
         {"problem": "sitnikov", "N": 2, "m": 1e-3, "epsilon": 0.3, "h": -2.5,
          "initial": {"chart": "regularized", "state": [0.5, 0.1, -1.0, 0.0]},
          "integrator": {"method": "implicit_midpoint", "step": 5e-3}, "span": 10.0},
-        ("0f6c521b06e49fa500737edc5c0142dc0e2a70d71d9c62fa5a567a91cf347fb7",
-         "08bf0666b4774b719114b05b70dfe21fad6b7496a5d9aa08b799438312625b01",
-         "3352fd394010af2a2613dc3d97bffa64a379c3ab303c073410327f1e800010d0"),
+        ("b02e29a27c63d8de317058b7084d12edb7510367143430801a838a2ee2185bd6",
+         "464762d17c0ee7a8f0226c82090bf2bf0093f665291845bed95d2afe18f5d9ea",
+         "412c5eff2d4a16412410ffb8e9da81ef7bcd807ed939c2db8fe4e1ad7db38b58"),
     ),
     "kepler1d": (
         {"problem": "kepler1d", "h": -0.5, "mu_grav": 1.0,
          "initial": {"chart": "regularized", "state": [0.0, 1.0]},
          "integrator": {"method": "implicit_midpoint", "step": 4e-3}, "span": 8.0},
-        ("5117876f2c7b46f75c59d46bc53aa1b52f738eeab3533d655d3cc0d3a10cc7d9",
-         "d8a4738e99c97e1323d5758ea484063c8c74769cba8114fbb5c0e6060e8a93b0",
-         "0a9a74476ab9d1ff57aad8d7a0c844a294fd31029f6f5f68a9d0db604c28b686"),
+        ("5053adc6af7d87a7d98e79709a7027caa1759ab6beffce204cb1b7cdeb3cb8e4",
+         "886cf30b784e90f40f8c3fe641c5a28372cff50dcd7ea79f8a2e4815b293deac",
+         "5fe08630978c2209e9259d96a3dce393686003b5d8124ce78c9020d415f348f8"),
     ),
 }
 

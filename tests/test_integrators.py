@@ -286,6 +286,24 @@ def test_a_step_landing_on_zero_is_one_event():
     assert not integrate(drift, (0.0, 0.0), 1.0, cfg).events
 
 
+def test_an_event_is_dated_by_the_clock_of_its_samples():
+    # the step onto 0 ends at the event, so both carry the same t
+    drift = lambda y: (1.0, 0.0)
+    traj = integrate(drift, (-0.5, 0.0), 1.0, IntegratorConfig(step=0.25),
+                     time_scale=lambda q: q * q)
+    (ev,) = traj.events
+    assert ev.tau == traj.tau[2] == 0.5
+    assert ev.t == traj.t[2] == 0.0390625
+    # each event's t lies between the samples around it
+    a = 4.0 * RingConfig.for_count(2).radius
+    p = Problem.reduced(-1.0, 1e-3, a)
+    traj = integrate(p.field, (0.0, math.sqrt(2e-3)), 40.0, IntegratorConfig(step=1e-3),
+                     time_scale=p.clock)
+    assert len(traj.events) >= 5
+    for ev in traj.events:
+        assert traj.t[ev.index] <= ev.t <= traj.t[ev.index + 1]
+
+
 def test_leaving_the_invariant_level_fails():
     # an anti-damped oscillator: its energy grows like exp(0.1 tau)
     pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
