@@ -48,8 +48,10 @@ def classify(h: float, tol: float = 1e-12) -> OrbitClass:
     The tolerance band around h = 0 exists because exact parabolicity is
     measure zero; it only relabels that boundary.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ParameterError(f"tolerance must be nonnegative, got {tol}")
+    if math.isnan(h):
+        raise DomainError("the energy h is NaN; no orbit class")
     if h < -tol:
         kind = "Periodic"
     elif h > tol:
@@ -241,6 +243,8 @@ def level_set_sample(
     """
     if resolution < 2:
         raise ParameterError(f"resolution must be at least 2, got {resolution}")
+    if not (math.isfinite(h) and math.isfinite(m)):
+        raise DomainError(f"the level set needs a finite h and m, got h={h}, m={m}")
     gam = Problem.reduced(h, m, a).gamma
 
     def g(Q1, P1):

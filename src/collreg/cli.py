@@ -149,6 +149,9 @@ def validate_run_config(cfg) -> dict:
     outputs = cfg.get("outputs", {})
     if not isinstance(outputs, dict):
         raise SchemaError("outputs must be an object", field="outputs")
+    for key, path in outputs.items():
+        if not (isinstance(path, str) and path):
+            raise SchemaError(f"output {key!r} must be a nonempty path", field=f"outputs.{key}")
     return cfg
 
 
@@ -186,23 +189,20 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
     t0 = time.perf_counter()
 
     if problem == "sitnikov" and cfg["initial"]["chart"] == "physical":
-        N, m, e = int(cfg["N"]), float(cfg["m"]), float(cfg["epsilon"])
-        params = MassParams(m=m, epsilon=e)
-        ring = RingConfig.for_count(N)
+        params = MassParams(m=float(cfg["m"]), epsilon=float(cfg["epsilon"]))
+        ring = RingConfig.for_count(int(cfg["N"]))
         traj = integrate_physical_oracle(
             state, span, icfg, params, ring,
             guard=float(cfg.get("guard", 1e-4)),
             stop_at_q=cfg.get("stop_at_q"),
         )
         write_physical_csv(traj, outputs["trajectory"])
-        # the oracle's first sample is the start itself
-        energy = traj.invariant
-        h = float(cfg["h"]) if "h" in cfg else float(energy[0])
-        final_check = abs(float(energy[-1]) - h)
+        # H's level; the oracle's first sample is the start itself
+        level = float(cfg["h"]) if "h" in cfg else float(traj.invariant[0])
         extras = {
             "terminal_speed": float(traj.states[-1][2]),
             "energy_drift": traj.metadata["energy_drift"],
-            "initial_energy_mismatch": abs(float(energy[0]) - h),
+            "initial_energy_mismatch": abs(float(traj.invariant[0]) - level),
         }
     else:
         p = _problem(cfg)
@@ -216,8 +216,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
                 write_events_json(exc.trajectory, outputs["events"])
             raise
         write_regularized_csv(traj, outputs["trajectory"])
-        final_check = abs(float(traj.invariant[-1]))
-        extras = {}
+        level, extras = 0.0, {}
 
     write_events_json(traj, outputs["events"])
     wall = time.perf_counter() - t0
@@ -227,7 +226,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         "samples": len(traj),
         "collisions": len(traj.collision_events()),
         "events": [{"kind": ev.kind, "tau": ev.tau, "t": ev.t} for ev in traj.events],
-        "final_invariant_error": final_check,
+        "final_invariant_error": abs(float(traj.invariant[-1]) - level),
         "max_invariant_error": traj.metadata.get("invariant_max"),
         "tau_end": float(traj.tau[-1]),
         "t_end": float(traj.t[-1]),

@@ -8,9 +8,8 @@ Each step is a fixed-point solve.  A march seeds it by quintic
 extrapolation through its last six accepted states, at no field evaluation,
 and the first sweep then nearly always converges; a lone step and the first
 five steps of a march use the explicit-Euler guess.
-Physical time is accumulated alongside fictitious time with the same
-second-order midpoint quadrature of dt/dtau; a step with an event takes it
-in two midpoint pieces, split at the event.
+Physical time is accumulated alongside fictitious time by the midpoint rule
+for dt/dtau, in two pieces on a step with an event, split at the event.
 
 A conventional adaptive Runge-Kutta pair (through scipy) integrates the
 physical chart as an equivalence oracle; it is valid only away from
@@ -78,10 +77,9 @@ class Event:
     """A localized happening along a trajectory.
 
     index is the position of the last recorded sample at or before the event;
-    tau and state are sub-step interpolated at the event itself.  t is the
-    clock's midpoint rule from the step's start to the event, so an event
-    never lies outside the t of the samples around it, and one at a step's
-    end has that step's t.
+    tau and state are sub-step interpolated at the event itself; t is the
+    clock's midpoint rule from the step's start to it, so it lies between the
+    t of the samples around it, and equals the step's t at the step's end.
     """
 
     index: int
@@ -97,9 +95,8 @@ class Trajectory:
     """Ordered samples of one run with both clocks and its event log.
 
     tau is strictly increasing; t is nondecreasing (the physical clock can
-    only freeze, at collisions, never run backwards).  invariant holds the
-    run's invariant at each sample (Gamma from integrate, H from the
-    physical oracle), or None when the run was given none.
+    only freeze, at collisions, never run backwards).  invariant is the run's
+    invariant at each sample (Gamma from integrate, H from the oracle) or None.
     """
 
     tau: np.ndarray
@@ -379,9 +376,7 @@ def integrate(
         )
     if record_every < 1:
         raise ParameterError(f"record_every must be at least 1, got {record_every}")
-    n_steps = max(int(round(span / cfg.step)), 0) if span > 0.0 else 0
-    if span > 0.0 and n_steps == 0:
-        n_steps = 1
+    n_steps = max(int(round(span / cfg.step)), 1) if span > 0.0 else 0
     dstep = span / n_steps if n_steps else 0.0
 
     # samples go to flat float buffers: 8 bytes a value, not a tuple per state
@@ -460,22 +455,16 @@ def integrate(
                 invs.append(value)
                 inv_max = max(inv_max, abs(value))
                 if inv_max > INVARIANT_LIMIT:
-                    raise _off_level(
-                        i * dstep, inv_max, _bundle(taus, ts, states, invs, events, inv_max)
+                    raise StepFailure(
+                        f"|invariant| reached {inv_max:.3e} at tau={i * dstep}, past the "
+                        f"limit {INVARIANT_LIMIT:g}: the run has left its level",
+                        residual=inv_max,
+                        trajectory=_bundle(taus, ts, states, invs, events, inv_max),
                     )
             if stopped:
                 break
 
     return _bundle(taus, ts, states, invs, events, inv_max)
-
-
-def _off_level(tau, value, traj) -> StepFailure:
-    return StepFailure(
-        f"|invariant| reached {value:.3e} at tau={tau}, past the limit {INVARIANT_LIMIT:g}: "
-        "the run has left its level",
-        residual=value,
-        trajectory=traj,
-    )
 
 
 def _bundle(taus, ts, states, invs, events, inv_max) -> Trajectory:
@@ -508,8 +497,7 @@ def integrate_physical_oracle(
     guard distance (the chart is singular there; near-collision work belongs
     to the regularized chart).  Optionally terminates with an escape event
     when q1 reaches stop_at_q.  Both clocks coincide in this chart.  The
-    invariant column is H at each sample, and metadata["energy_drift"] is
-    |H(last) - H(first)|.
+    invariant column is H at each sample.
     """
     from scipy.integrate import solve_ivp
 
@@ -575,12 +563,11 @@ _CSV_CHUNK = 4096  # rows formatted per write, so the writer's memory stays flat
 
 
 def _write_csv(path, header, row_fmt, columns) -> None:
-    """Write header, then row_fmt % (the k-th row of every column) for every
-    sample k; a column is a 1-D array or a 2-D array of several.
-
-    The rows are formatted from plain floats taken _CSV_CHUNK samples at a
-    time.
-    """
+    """Write header, then row_fmt % (row k of every column) for every sample
+    k, formatted from plain floats _CSV_CHUNK samples at a time.  A column is
+    an array of one or more values a sample; the last is the invariant."""
+    if columns[-1] is None:
+        raise ParameterError("the trajectory carries no invariant column to write")
     with open(path, "w", newline="\n") as fh:
         fh.write(header)
         for lo in range(0, len(columns[0]), _CSV_CHUNK):
@@ -589,25 +576,18 @@ def _write_csv(path, header, row_fmt, columns) -> None:
             fh.write("".join([row_fmt % tuple(r) for r in rows]))
 
 
-def _invariant_column(traj: Trajectory) -> np.ndarray:
-    if traj.invariant is None:
-        raise ParameterError("the trajectory carries no invariant column to write")
-    return traj.invariant
-
-
 def write_regularized_csv(traj: Trajectory, path) -> None:
     """CSV schema: tau,t,Q1,Q2,P1,P2,gamma (reduced runs carry Q2 = P2 = 0).
 
     17 significant digits, '.' decimal separator, LF line endings: identical
     configs must produce byte-identical files.  The gamma column is the
-    trajectory's invariant column, as the run computed it; a trajectory
-    without one raises ParameterError.
+    trajectory's invariant; a trajectory without one raises ParameterError.
     """
     dim = traj.states.shape[1]
     # a reduced state (Q1, P1) is written with the zeros %.17g gives for 0.0
     state_fmt = "%.17g,0,%.17g,0," if dim == 2 else "%.17g," * dim
     _write_csv(path, "tau,t,Q1,Q2,P1,P2,gamma\n", "%.17g,%.17g," + state_fmt + "%.17g\n",
-               (traj.tau, traj.t, traj.states, _invariant_column(traj)))
+               (traj.tau, traj.t, traj.states, traj.invariant))
 
 
 def write_physical_csv(traj: Trajectory, path) -> None:
@@ -615,7 +595,7 @@ def write_physical_csv(traj: Trajectory, path) -> None:
     column; a trajectory without one raises ParameterError."""
     dim = traj.states.shape[1]
     _write_csv(path, "t,q1,q2,p1,p2,H\n", "%.17g," * (1 + dim) + "%.17g\n",
-               (traj.t, traj.states, _invariant_column(traj)))
+               (traj.t, traj.states, traj.invariant))
 
 
 def write_events_json(traj: Trajectory, path) -> None:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analysis, config, integrators, physical, regularized, symplectic
 from .config import MassParams, RingConfig
+from .errors import ParameterError
 
 SEED = 20240917
 
@@ -524,6 +525,8 @@ CHECKS = [
 def run_checks(name_filter: str | None = None) -> dict:
     """Run the (optionally filtered) suite; returns the JSON-ready report."""
     results = [fn() for name, fn in CHECKS if name_filter is None or name_filter in name]
+    if not results:
+        raise ParameterError(f"the filter {name_filter!r} selects no check")
     return {
         "schema": 1,
         "all_passed": all(r["passed"] for r in results),

@@ -312,6 +312,19 @@ def test_bad_newton_max_iter_is_a_config_error(tmp_path, capsys, value, field):
     assert not (tmp_path / "run_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trajectory", 1), ("events", None), ("summary", ["a"]), ("trajectory", ""),
+    ("events", {"path": "e.json"}),
+])
+def test_output_paths_must_be_nonempty_strings(tmp_path, capsys, key, value):
+    outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, outputs={**outs, key: value})
+    assert main(["simulate", str(cfgp)]) == 2
+    assert f"configuration error (field outputs.{key})" in capsys.readouterr().err
+    assert not any((tmp_path / k).exists() for k in outs)
+
+
 def test_simulate_refuses_a_method_other_than_the_midpoint(tmp_path, capsys):
     cfgp = tmp_path / "run.json"
     write_config(cfgp, integrator={"method": "rk4", "step": 1e-3})
@@ -383,6 +396,23 @@ def test_schema_rejects_bad_state_length(tmp_path):
     assert exc.value.field == "initial.state"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--h", "nan"],
+    ["classify", "--h", "-0.5", "--tol", "nan"],
+    ["levelset", "--h", "nan", "--m", "1e-3", "--N", "3"],
+    ["levelset", "--h", "-1", "--m", "nan", "--N", "3"],
+    ["levelset", "--h", "inf", "--m", "1e-3", "--N", "3"],
+    ["levelset", "--h", "-1", "--m", "inf", "--N", "3"],
+])
+def test_non_finite_energies_and_masses_are_refused(tmp_path, capsys, argv):
+    if argv[0] == "levelset":
+        argv = argv + ["--output", str(tmp_path / "ls.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert not (tmp_path / "ls.csv").exists()
+
+
 def test_levelset_command(tmp_path, capsys):
     out = tmp_path / "ls.csv"
     assert main(["levelset", "--h", "-1", "--m", "1e-3", "--N", "3",
@@ -417,6 +447,12 @@ def test_verify_filter_subset(capsys):
     assert {"symplectic.relative_map", "symplectic.euler_roundtrip",
             "symplectic.chart_jacobian"} <= names
     assert all("symplectic" in n for n in names)
+
+
+def test_verify_filter_that_selects_no_check_is_an_error(capsys):
+    assert main(["verify", "--filter", "nosuchcheck"]) == 2
+    captured = capsys.readouterr()
+    assert "'nosuchcheck' selects no check" in captured.err and not captured.out
 
 
 def test_verify_classify_and_radius_checks(capsys):
