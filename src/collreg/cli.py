@@ -33,7 +33,6 @@ import re
 import sys
 import time
 
-
 from . import analysis, verify
 from .config import MassParams, RingConfig, ring_radius
 from .errors import SchemaError, StepFailure
@@ -216,7 +215,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
                 write_events_json(exc.trajectory, outputs["events"])
             raise
         write_regularized_csv(traj, outputs["trajectory"])
-        level, extras = 0.0, {}
+        level, extras = 0.0, {}  # Gamma's level
 
     write_events_json(traj, outputs["events"])
     wall = time.perf_counter() - t0
