@@ -245,6 +245,9 @@ def level_set_sample(
         raise ParameterError(f"resolution must be at least 2, got {resolution}")
     if not (math.isfinite(h) and math.isfinite(m)):
         raise DomainError(f"the level set needs a finite h and m, got h={h}, m={m}")
+    if not all(map(math.isfinite, (*q1_range, *p1_range))):
+        raise DomainError(f"the level set needs a finite grid window, got Q1 range "
+                          f"{q1_range} and P1 range {p1_range}")
     gam = Problem.reduced(h, m, a).gamma
 
     def g(Q1, P1):

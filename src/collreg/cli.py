@@ -350,13 +350,15 @@ def cmd_period(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes -1e-1 and -1E+2 as negative numbers, not
-    as options; before Python 3.14 argparse knows only the -1 and -.5 shapes.
-    Subparsers are built from the same class."""
+    """An ArgumentParser that takes -1e-1, -1E+2, -inf, -Infinity and -nan
+    as negative numbers, not as options, so that a non-finite value reaches
+    the domain checks; before Python 3.14 argparse knows only the -1 and -.5
+    shapes.  Subparsers are built from the same class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,13 @@ method of integrate: it is symplectic for arbitrary smooth Hamiltonians,
 which matters here because the regularized Hamiltonian couples P2^2 with
 Q1^2 and is not separable.
 Each step is a fixed-point solve.  A march seeds it by quintic
-extrapolation through its last six accepted states, at no field evaluation,
-and the first sweep then nearly always converges; a lone step and the first
-five steps of a march use the explicit-Euler guess.
+extrapolation through its last six accepted states, from backward
+differences it carries from step to step, at no field evaluation, and the
+first sweep then nearly always converges; a lone step and the first five
+steps of a march use the explicit-Euler guess.  integrate runs one fused
+loop per state size, 2-D or 4-D, on local floats: predictor, first sweep,
+finiteness test, event test, clock and recording; later sweeps, the Newton
+fallback and event localization are shared helpers it calls only when needed.
 Physical time is accumulated alongside fictitious time by the midpoint rule
 for dt/dtau, in two pieces on a step with an event, split at the event.
 
@@ -20,7 +24,6 @@ the failure mode the regularized chart removes.
 from __future__ import annotations
 
 import json
-import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -130,114 +133,47 @@ def step_implicit_midpoint(field, y, dstep: float, cfg: IntegratorConfig | None 
     if cfg is None:
         cfg = IntegratorConfig(step=abs(dstep) if dstep else 1.0)
     y0 = _tuple_state(y)
-    solve = _midpoint_kernel(len(y0))
+    _check_size(len(y0))
     if dstep == 0.0:
         return np.array(y0)
-    return np.array(solve(field, y0, dstep, cfg.newton_tol, cfg.newton_max_iter))
+    f = field(y0)
+    guess = tuple([y0[k] + dstep * f[k] for k in range(len(y0))])
+    return np.array(_solve(field, y0, guess, dstep, cfg.newton_tol, cfg.newton_max_iter))
 
 
-def _midpoint_kernel(n):
-    """The midpoint solver for states of size n: 2 (reduced, kepler1d) or 4
-    (sitnikov).  Any other size raises ParameterError."""
-    if n == 2:
-        return _midpoint2
-    if n == 4:
-        return _midpoint4
-    raise ParameterError(f"the implicit midpoint method takes 2-D or 4-D states, got {n}-D")
+def _check_size(n):
+    """Refuse a state that no march takes: 2 (reduced, kepler1d) and 4
+    (sitnikov) are the sizes of the regularized systems."""
+    if n not in (2, 4):
+        raise ParameterError(f"the implicit midpoint method takes 2-D or 4-D states, got {n}-D")
 
 
-# The two solvers below are the hot path: tuple in, tuple out, one local
-# float per component.  Both run the same iteration in the same operation
-# order: a predictor, then fixed-point sweeps
-# y+ <- y + dstep * field((y + y+)/2) until the largest component change is
-# within tol * (1 + max|y_k|), with the damped Newton solve taking over after
-# ten sweeps.  max() over the components keeps its first-argument rule, so a
-# NaN is caught exactly where a component-wise scan would catch it.
-#
-# The predictor is the quintic extrapolation
-# 6 y - 15 y1 + 20 y2 - 15 y3 + 6 y4 - y5 through the last six accepted
-# states of a march, back = (y1, ..., y5) the five before y, newest first.
-# It costs no field evaluation and starts O(dstep^6) from the solution, so
-# the first sweep nearly always passes the stopping test.  It is evaluated
-# as y + 5 (d0 - d3) - 10 (d1 - d2) + d4 on the backward differences
-# d0 = y - y1, ..., d4 = y4 - y5: the same polynomial, but rounded at the
-# size of the differences rather than 63 ulp of y, which at newton_tol 1e-15
-# would cost a second sweep.  Without that history (back None: a single
-# step, or the first five steps of a march) it is the explicit-Euler guess
-# y + dstep * field(y), one evaluation.  Field evaluations per step on the
-# 1e5-step Sitnikov benchmark run: 4.24 with the Euler guess throughout,
-# 2.45 with quadratic and 1.01 with quintic extrapolation.  A sextic one
-# saves under 1% there and pays one more Euler start step on every short run.
+def _solve(field, y, a, dstep, tol, max_iter, first=0):
+    """Sweeps first, first + 1, ... of the midpoint solve for the step from
+    y, starting from the iterate a.
 
-def _midpoint2(field, y, dstep, tol, max_iter, back=None):
-    y0, y1 = y
-    if back is None:
-        f0, f1 = field(y)
-        a0 = y0 + dstep * f0
-        a1 = y1 + dstep * f1
-    else:
-        (b10, b11), (b20, b21), (b30, b31), (b40, b41), (b50, b51) = back
-        a0 = y0 + (5.0 * ((y0 - b10) - (b30 - b40))
-                   - 10.0 * ((b10 - b20) - (b20 - b30)) + (b40 - b50))
-        a1 = y1 + (5.0 * ((y1 - b11) - (b31 - b41))
-                   - 10.0 * ((b11 - b21) - (b21 - b31)) + (b41 - b51))
-    scale = 1.0 + max(abs(y0), abs(y1))
+    Each sweep is a <- y + dstep * field((y + a)/2), until the largest
+    component change is within tol * (1 + max|y_k|); the damped Newton solve
+    takes over after the tenth.  max() over the components keeps its first
+    argument against a NaN, so the NaN test sees one only in the first
+    component; integrate's finiteness test catches the others.  A march runs
+    the first sweep itself and hands over from the second.
+    """
+    n = range(len(y))
+    scale = 1.0 + max([abs(v) for v in y])
     bound = tol * scale
-    for it in range(max_iter):
-        f0, f1 = field((0.5 * (y0 + a0), 0.5 * (y1 + a1)))
-        c0 = y0 + dstep * f0
-        c1 = y1 + dstep * f1
-        delta = max(abs(c0 - a0), abs(c1 - a1))
-        a0, a1 = c0, c1
+    for it in range(first, max_iter):
+        f = field(tuple([0.5 * (y[k] + a[k]) for k in n]))
+        c = tuple([y[k] + dstep * f[k] for k in n])
+        delta = max([abs(c[k] - a[k]) for k in n])
+        a = c
         if delta != delta:  # NaN contaminated the iteration
             raise _midpoint_nan()
         if delta <= bound:
-            return (a0, a1)
+            return a
         if it >= 9:
-            return _midpoint_newton(field, y, (a0, a1), dstep, tol, max_iter - it - 1, scale)
-    raise _midpoint_stalled(field, y, (a0, a1), dstep, max_iter)
-
-
-def _midpoint4(field, y, dstep, tol, max_iter, back=None):
-    y0, y1, y2, y3 = y
-    if back is None:
-        f0, f1, f2, f3 = field(y)
-        a0 = y0 + dstep * f0
-        a1 = y1 + dstep * f1
-        a2 = y2 + dstep * f2
-        a3 = y3 + dstep * f3
-    else:
-        ((b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33),
-         (b40, b41, b42, b43), (b50, b51, b52, b53)) = back
-        a0 = y0 + (5.0 * ((y0 - b10) - (b30 - b40))
-                   - 10.0 * ((b10 - b20) - (b20 - b30)) + (b40 - b50))
-        a1 = y1 + (5.0 * ((y1 - b11) - (b31 - b41))
-                   - 10.0 * ((b11 - b21) - (b21 - b31)) + (b41 - b51))
-        a2 = y2 + (5.0 * ((y2 - b12) - (b32 - b42))
-                   - 10.0 * ((b12 - b22) - (b22 - b32)) + (b42 - b52))
-        a3 = y3 + (5.0 * ((y3 - b13) - (b33 - b43))
-                   - 10.0 * ((b13 - b23) - (b23 - b33)) + (b43 - b53))
-    scale = 1.0 + max(abs(y0), abs(y1), abs(y2), abs(y3))
-    bound = tol * scale
-    for it in range(max_iter):
-        f0, f1, f2, f3 = field(
-            (0.5 * (y0 + a0), 0.5 * (y1 + a1), 0.5 * (y2 + a2), 0.5 * (y3 + a3))
-        )
-        c0 = y0 + dstep * f0
-        c1 = y1 + dstep * f1
-        c2 = y2 + dstep * f2
-        c3 = y3 + dstep * f3
-        delta = max(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2), abs(c3 - a3))
-        a0, a1, a2, a3 = c0, c1, c2, c3
-        if delta != delta:  # NaN contaminated the iteration
-            raise _midpoint_nan()
-        if delta <= bound:
-            return (a0, a1, a2, a3)
-        if it >= 9:
-            return _midpoint_newton(
-                field, y, (a0, a1, a2, a3), dstep, tol, max_iter - it - 1, scale
-            )
-    raise _midpoint_stalled(field, y, (a0, a1, a2, a3), dstep, max_iter)
+            return _midpoint_newton(field, y, a, dstep, tol, max_iter - it - 1, scale)
+    raise _midpoint_stalled(field, y, a, dstep, max_iter)
 
 
 def _midpoint_nan() -> StepFailure:
@@ -304,15 +240,15 @@ def _hermite_eval(s, y0, y1, d0, d1):
     return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
 
 
-def _locate_crossing(y_prev, y_next, f_prev, f_next, dstep, comp):
-    """Sub-step root of component `comp` via linear guess plus bisection on the
-    cubic Hermite interpolant; returns the fractional position s in [0, 1]."""
+def _locate_crossing(y_prev, y_next, f_prev, f_next, dstep):
+    """Sub-step root of Q1 via linear guess plus bisection on the cubic
+    Hermite interpolant; returns the fractional position s in [0, 1]."""
     a, b = 0.0, 1.0
-    ya = y_prev[comp]
-    yb = y_next[comp]
+    ya = y_prev[0]
+    yb = y_next[0]
     s = ya / (ya - yb)  # linear interpolation seed
-    d0 = dstep * f_prev[comp]
-    d1 = dstep * f_next[comp]
+    d0 = dstep * f_prev[0]
+    d1 = dstep * f_next[0]
     lo, hi = (a, b)
     flo = ya
     for _ in range(80):
@@ -331,6 +267,41 @@ def _locate_crossing(y_prev, y_next, f_prev, f_next, dstep, comp):
     return min(max(s, 0.0), 1.0)
 
 
+def _event(field, y_prev, y, dstep, i, t, clock, index):
+    """The collision in step i, from y_prev to y, and the clock at the step's
+    end, given t at its start.  The event sits at the root of Q1 on the
+    step's cubic Hermite interpolant; index is the last sample before it."""
+    f_prev = field(y_prev)
+    f_next = field(y)
+    s = _locate_crossing(y_prev, y, f_prev, f_next, dstep)
+    state = tuple(
+        _hermite_eval(s, y_prev[k], y[k], dstep * f_prev[k], dstep * f_next[k])
+        for k in range(len(y))
+    )
+    tau = (i - 1 + s) * dstep
+    if clock is None:
+        t_e, t = tau, i * dstep
+    else:
+        # the midpoint clock on each side of the event, so that
+        # t_prev <= t_e <= t, and s = 1 dates it at the step's own t
+        t_e = t + s * dstep * clock(0.5 * (y_prev[0] + state[0]))
+        t = t_e + (1.0 - s) * dstep * clock(0.5 * (state[0] + y[0]))
+    return Event(index=index, kind="collision", tau=tau, t=t_e, state=state), t
+
+
+def _non_finite(i, dstep) -> StepFailure:
+    return StepFailure(f"state became non-finite at step {i} (tau={i * dstep})",
+                       residual=float("nan"))
+
+
+def _off_level(inv_max, tau) -> StepFailure:
+    return StepFailure(
+        f"|invariant| reached {inv_max:.3e} at tau={tau}, past the "
+        f"limit {INVARIANT_LIMIT:g}: the run has left its level",
+        residual=inv_max,
+    )
+
+
 def integrate(
     field,
     y0,
@@ -338,7 +309,7 @@ def integrate(
     cfg: IntegratorConfig,
     *,
     time_scale: Optional[Callable] = None,
-    event_index: Optional[int] = 0,
+    collisions: bool = True,
     invariant: Optional[Callable] = None,
     record_every: int = 1,
     stop_after: Optional[int] = None,
@@ -348,10 +319,10 @@ def integrate(
     time_scale(Q1) provides dt/dtau for the dual clock from the first state
     component alone, the only one any clock here reads (identity clock when
     omitted), by the midpoint rule over each step, or over its two pieces on
-    either side of an event.  Sign changes of state[event_index] are logged
-    as collision events with sub-step localization; a step that lands exactly
-    on 0 from a nonzero value is an event at its end, and the step out of
-    that 0 is none.  Pass event_index=None to disable detection.
+    either side of an event.  With collisions, sign changes of Q1, the first
+    state component, are logged as collision events with sub-step
+    localization; a step that lands exactly on 0 from a nonzero value is an
+    event at its end, and the step out of that 0 is none.
     invariant(state), when given, is evaluated once on every recorded
     sample; the values are the trajectory's invariant column and their
     largest magnitude is metadata["invariant_max"].
@@ -360,22 +331,22 @@ def integrate(
     which that event was localized, and the state after that step is recorded
     as the last sample whatever record_every says, so tau[-1] is how far the
     run went and span is only a cap.  Exactly k events come back.  It needs
-    event detection.  With None the march covers the whole span.
+    collisions.  With None the march covers the whole span.
 
     Raises StepFailure carrying the partial trajectory if a step cannot be
     completed, the state stops being finite, or a recorded sample's
     |invariant| exceeds INVARIANT_LIMIT.
     """
     y = _tuple_state(y0)
-    n = len(y)
     if span < 0.0:
         raise ParameterError(f"span must be nonnegative, got {span}")
-    if stop_after is not None and (event_index is None or stop_after < 1):
+    if stop_after is not None and (not collisions or stop_after < 1):
         raise ParameterError(
-            f"stop_after needs event detection and a positive count, got {stop_after}"
+            f"stop_after needs collision detection and a positive count, got {stop_after}"
         )
     if record_every < 1:
         raise ParameterError(f"record_every must be at least 1, got {record_every}")
+    _check_size(len(y))
     n_steps = max(int(round(span / cfg.step)), 1) if span > 0.0 else 0
     dstep = span / n_steps if n_steps else 0.0
 
@@ -384,87 +355,169 @@ def integrate(
     ts = array("d", (0.0,))
     states = array("d", y)
     invs = None if invariant is None else array("d", (float(invariant(y)),))
-    inv_max = None if invs is None else abs(invs[0])
     events: list[Event] = []
+    march = _march2 if len(y) == 2 else _march4
+    try:
+        inv_max = march(field, y, dstep, n_steps, cfg.newton_tol, cfg.newton_max_iter,
+                        time_scale, invariant, collisions, stop_after, record_every,
+                        taus, ts, states, invs, events)
+    except StepFailure as exc:
+        # the running max of the march, recomputed from the column it filled
+        exc.trajectory = _bundle(taus, ts, states, invs, events,
+                                 None if invs is None else max(map(abs, invs)))
+        raise
+    return _bundle(taus, ts, states, invs, events, inv_max)
 
-    solve = _midpoint_kernel(n)
-    tol, max_iter = cfg.newton_tol, cfg.newton_max_iter
+
+# The two marches below are the hot loop of integrate, one per state size,
+# on local floats only: a step calls nothing but the field and the clock
+# unless it needs a second sweep (_solve) or holds an event (_event).  Both
+# do the same operations in the same order.
+#
+# The predictor is the quintic extrapolation
+# 6 y - 15 y1 + 20 y2 - 15 y3 + 6 y4 - y5 through the last six accepted
+# states y, y1, ..., y5.  It costs no field evaluation and starts
+# O(dstep^6) from the solution, so the first sweep nearly always passes the
+# stopping test.  It is evaluated as y + 5 (d0 - d3) - 10 (d1 - d2) + d4 on
+# the backward differences d0 = y - y1, ..., d4 = y4 - y5, carried from step
+# to step (d<j><k> is d_j of component k): the same polynomial, but rounded
+# at the size of the differences rather than 63 ulp of y, which at
+# newton_tol 1e-15 would cost a second sweep.  The first five steps, before
+# that history exists, take the explicit-Euler guess y + dstep * field(y),
+# one evaluation.  Field evaluations per step on the 1e5-step Sitnikov
+# benchmark run: 4.24 with the Euler guess throughout, 2.45 with quadratic
+# and 1.01 with quintic extrapolation.  A sextic one saves under 1% there
+# and pays one more Euler start step on every short run.
+#
+# The first sweep, its max() rule and its NaN test are those of _solve.
+# (a - a) is 0.0 for a finite float and NaN otherwise, so the sum of those
+# terms is the finiteness test of the new state.  Each returns the largest
+# |invariant| over the samples.
+
+def _march2(field, y, dstep, n_steps, tol, max_iter, clock, invariant, collisions,
+            stop_after, record_every, taus, ts, states, invs, events):
+    y0, y1 = y
+    d00 = d10 = d20 = d30 = d40 = 0.0
+    d01 = d11 = d21 = d31 = d41 = 0.0
+    inv_max = None if invs is None else abs(invs[0])
     t = 0.0
     stopped = False
-    # the accepted states before y, newest first; the midpoint predictor
-    # takes them as back once there are five
-    recent = ()
-    back = None
     for i in range(1, n_steps + 1):
-        y_prev = y
-        try:
-            y = solve(field, y, dstep, tol, max_iter, back)
-        except StepFailure as exc:
-            exc.trajectory = _bundle(taus, ts, states, invs, events, inv_max)
-            raise
-        if not all(map(math.isfinite, y)):
-            raise StepFailure(
-                f"state became non-finite at step {i} (tau={i * dstep})",
-                residual=float("nan"),
-                trajectory=_bundle(taus, ts, states, invs, events, inv_max),
-            )
-        if back is None:
-            recent = (y_prev, *recent)
-            if len(recent) == 5:
-                back = recent
+        if i > 5:
+            a0 = y0 + (5.0 * (d00 - d30) - 10.0 * (d10 - d20) + d40)
+            a1 = y1 + (5.0 * (d01 - d31) - 10.0 * (d11 - d21) + d41)
         else:
-            back = (y_prev, back[0], back[1], back[2], back[3])
+            f0, f1 = field((y0, y1))
+            a0 = y0 + dstep * f0
+            a1 = y1 + dstep * f1
+        bound = tol * (1.0 + max(abs(y0), abs(y1)))
+        f0, f1 = field((0.5 * (y0 + a0), 0.5 * (y1 + a1)))
+        c0 = y0 + dstep * f0
+        c1 = y1 + dstep * f1
+        delta = max(abs(c0 - a0), abs(c1 - a1))
+        if not delta <= bound:
+            if delta != delta:
+                raise _midpoint_nan()
+            c0, c1 = _solve(field, (y0, y1), (c0, c1), dstep, tol, max_iter, 1)
+        if (c0 - c0) + (c1 - c1) != 0.0:
+            raise _non_finite(i, dstep)
+        d40, d30, d20, d10, d00 = d30, d20, d10, d00, c0 - y0
+        d41, d31, d21, d11, d01 = d31, d21, d11, d01, c1 - y1
 
-        # a step that lands on 0 localizes at s = 1 (the Hermite root seed
-        # is then exact); a step out of 0 has a zero product and is no event
-        crossed = event_index is not None and (
-            y_prev[event_index] * y[event_index] < 0.0
-            or (y[event_index] == 0.0 and y_prev[event_index] != 0.0)
-        )
-        if time_scale is None:
-            t = i * dstep
-        elif not crossed:
-            t += dstep * time_scale(0.5 * (y_prev[0] + y[0]))
-        if crossed:
-            f_prev = field(y_prev)
-            f_next = field(y)
-            s = _locate_crossing(y_prev, y, f_prev, f_next, dstep, event_index)
-            e_state = tuple(
-                _hermite_eval(s, y_prev[k], y[k], dstep * f_prev[k], dstep * f_next[k])
-                for k in range(n)
-            )
-            tau_e = (i - 1 + s) * dstep
-            if time_scale is None:
-                t_e = tau_e
-            else:
-                # the midpoint clock on each side of the event, so that
-                # t_prev <= t_e <= t, and s = 1 dates it at the step's own t
-                t_e = t + s * dstep * time_scale(0.5 * (y_prev[0] + e_state[0]))
-                t = t_e + (1.0 - s) * dstep * time_scale(0.5 * (e_state[0] + y[0]))
-            events.append(
-                Event(index=len(taus) - 1, kind="collision", tau=tau_e, t=t_e, state=e_state)
-            )
+        if collisions and (y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0)):
+            event, t = _event(field, (y0, y1), (c0, c1), dstep, i, t, clock, len(taus) - 1)
+            events.append(event)
             stopped = len(events) == stop_after
+        elif clock is None:
+            t = i * dstep
+        else:
+            t += dstep * clock(0.5 * (y0 + c0))
+        y0, y1 = c0, c1
 
         if stopped or i % record_every == 0 or i == n_steps:
             taus.append(i * dstep)
             ts.append(t)
+            y = (y0, y1)
             states.extend(y)
             if invs is not None:
                 value = float(invariant(y))
                 invs.append(value)
                 inv_max = max(inv_max, abs(value))
                 if inv_max > INVARIANT_LIMIT:
-                    raise StepFailure(
-                        f"|invariant| reached {inv_max:.3e} at tau={i * dstep}, past the "
-                        f"limit {INVARIANT_LIMIT:g}: the run has left its level",
-                        residual=inv_max,
-                        trajectory=_bundle(taus, ts, states, invs, events, inv_max),
-                    )
+                    raise _off_level(inv_max, i * dstep)
             if stopped:
                 break
+    return inv_max
 
-    return _bundle(taus, ts, states, invs, events, inv_max)
+
+def _march4(field, y, dstep, n_steps, tol, max_iter, clock, invariant, collisions,
+            stop_after, record_every, taus, ts, states, invs, events):
+    y0, y1, y2, y3 = y
+    d00 = d10 = d20 = d30 = d40 = 0.0
+    d01 = d11 = d21 = d31 = d41 = 0.0
+    d02 = d12 = d22 = d32 = d42 = 0.0
+    d03 = d13 = d23 = d33 = d43 = 0.0
+    inv_max = None if invs is None else abs(invs[0])
+    t = 0.0
+    stopped = False
+    for i in range(1, n_steps + 1):
+        if i > 5:
+            a0 = y0 + (5.0 * (d00 - d30) - 10.0 * (d10 - d20) + d40)
+            a1 = y1 + (5.0 * (d01 - d31) - 10.0 * (d11 - d21) + d41)
+            a2 = y2 + (5.0 * (d02 - d32) - 10.0 * (d12 - d22) + d42)
+            a3 = y3 + (5.0 * (d03 - d33) - 10.0 * (d13 - d23) + d43)
+        else:
+            f0, f1, f2, f3 = field((y0, y1, y2, y3))
+            a0 = y0 + dstep * f0
+            a1 = y1 + dstep * f1
+            a2 = y2 + dstep * f2
+            a3 = y3 + dstep * f3
+        bound = tol * (1.0 + max(abs(y0), abs(y1), abs(y2), abs(y3)))
+        f0, f1, f2, f3 = field(
+            (0.5 * (y0 + a0), 0.5 * (y1 + a1), 0.5 * (y2 + a2), 0.5 * (y3 + a3))
+        )
+        c0 = y0 + dstep * f0
+        c1 = y1 + dstep * f1
+        c2 = y2 + dstep * f2
+        c3 = y3 + dstep * f3
+        delta = max(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2), abs(c3 - a3))
+        if not delta <= bound:
+            if delta != delta:
+                raise _midpoint_nan()
+            c0, c1, c2, c3 = _solve(field, (y0, y1, y2, y3), (c0, c1, c2, c3),
+                                    dstep, tol, max_iter, 1)
+        if (c0 - c0) + (c1 - c1) + (c2 - c2) + (c3 - c3) != 0.0:
+            raise _non_finite(i, dstep)
+        d40, d30, d20, d10, d00 = d30, d20, d10, d00, c0 - y0
+        d41, d31, d21, d11, d01 = d31, d21, d11, d01, c1 - y1
+        d42, d32, d22, d12, d02 = d32, d22, d12, d02, c2 - y2
+        d43, d33, d23, d13, d03 = d33, d23, d13, d03, c3 - y3
+
+        if collisions and (y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0)):
+            event, t = _event(field, (y0, y1, y2, y3), (c0, c1, c2, c3), dstep, i, t, clock,
+                              len(taus) - 1)
+            events.append(event)
+            stopped = len(events) == stop_after
+        elif clock is None:
+            t = i * dstep
+        else:
+            t += dstep * clock(0.5 * (y0 + c0))
+        y0, y1, y2, y3 = c0, c1, c2, c3
+
+        if stopped or i % record_every == 0 or i == n_steps:
+            taus.append(i * dstep)
+            ts.append(t)
+            y = (y0, y1, y2, y3)
+            states.extend(y)
+            if invs is not None:
+                value = float(invariant(y))
+                invs.append(value)
+                inv_max = max(inv_max, abs(value))
+                if inv_max > INVARIANT_LIMIT:
+                    raise _off_level(inv_max, i * dstep)
+            if stopped:
+                break
+    return inv_max
 
 
 def _bundle(taus, ts, states, invs, events, inv_max) -> Trajectory:
@@ -564,16 +617,17 @@ _CSV_CHUNK = 4096  # rows formatted per write, so the writer's memory stays flat
 
 def _write_csv(path, header, row_fmt, columns) -> None:
     """Write header, then row_fmt % (row k of every column) for every sample
-    k, formatted from plain floats _CSV_CHUNK samples at a time.  A column is
-    an array of one or more values a sample; the last is the invariant."""
+    k, formatted from plain floats _CSV_CHUNK samples at a time, one %
+    operation a chunk.  A column is an array of one or more values a sample;
+    the last is the invariant."""
     if columns[-1] is None:
         raise ParameterError("the trajectory carries no invariant column to write")
     with open(path, "w", newline="\n") as fh:
         fh.write(header)
         for lo in range(0, len(columns[0]), _CSV_CHUNK):
             part = slice(lo, lo + _CSV_CHUNK)
-            rows = np.column_stack([c[part] for c in columns]).tolist()
-            fh.write("".join([row_fmt % tuple(r) for r in rows]))
+            block = np.column_stack([c[part] for c in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_regularized_csv(traj: Trajectory, path) -> None:

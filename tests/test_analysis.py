@@ -183,7 +183,7 @@ def test_first_integral_along_regularized_flow():
     rhs = Problem.reduced(h, m, a).field
     y0 = (1.0, reduced_level_momentum(1.0, h, m, a))
     traj = integrate(rhs, y0, 1.0, IntegratorConfig(step=2e-5, newton_tol=1e-15),
-                     event_index=None, record_every=10)
+                     collisions=False, record_every=10)
     worst = 0.0
     for Q1, P1 in traj.states:
         if Q1 <= 0.3 or P1 <= 0.05:

@@ -403,6 +403,11 @@ def test_schema_rejects_bad_state_length(tmp_path):
     ["levelset", "--h", "-1", "--m", "nan", "--N", "3"],
     ["levelset", "--h", "inf", "--m", "1e-3", "--N", "3"],
     ["levelset", "--h", "-1", "--m", "inf", "--N", "3"],
+    # negative non-finite values are values, not options, in any case
+    ["classify", "--h", "-nan"],
+    ["classify", "--h", "-NaN"],
+    ["levelset", "--h", "-1", "--m", "-inf", "--N", "3"],
+    ["levelset", "--h", "-Infinity", "--m", "1e-3", "--N", "3"],
 ])
 def test_non_finite_energies_and_masses_are_refused(tmp_path, capsys, argv):
     if argv[0] == "levelset":
@@ -411,6 +416,17 @@ def test_non_finite_energies_and_masses_are_refused(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
     assert not (tmp_path / "ls.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--qmax", "--pmax"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_levelset_refuses_a_non_finite_window(tmp_path, capsys, flag, value):
+    out = tmp_path / "ls.csv"
+    argv = ["levelset", "--h", "-1", "--m", "1e-3", "--N", "3", flag, value, "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "grid window" in captured.err
+    assert not captured.out and not out.exists()
 
 
 def test_levelset_command(tmp_path, capsys):

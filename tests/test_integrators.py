@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from collreg import (
+    Event,
     IntegratorConfig,
     MassParams,
     ParameterError,
@@ -56,9 +57,9 @@ def test_midpoint_second_order_richardson():
     rhs = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     y0 = (0.9, reduced_level_momentum(0.9, -1.0, 1e-3, 4.0 * ring.radius))
     cfg = lambda s: IntegratorConfig(step=s, newton_tol=1e-15)
-    ref = integrate(rhs, y0, 1.0, cfg(1e-5), event_index=None).states[-1]
-    e1 = np.max(np.abs(integrate(rhs, y0, 1.0, cfg(4e-3), event_index=None).states[-1] - ref))
-    e2 = np.max(np.abs(integrate(rhs, y0, 1.0, cfg(2e-3), event_index=None).states[-1] - ref))
+    ref = integrate(rhs, y0, 1.0, cfg(1e-5), collisions=False).states[-1]
+    e1 = np.max(np.abs(integrate(rhs, y0, 1.0, cfg(4e-3), collisions=False).states[-1] - ref))
+    e2 = np.max(np.abs(integrate(rhs, y0, 1.0, cfg(2e-3), collisions=False).states[-1] - ref))
     assert 3.5 < e1 / e2 < 4.5
 
 
@@ -184,16 +185,16 @@ def test_reversibility_roundtrip():
     # reduced, through a collision passage
     rhs2 = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     y0 = (0.0, math.sqrt(2e-3))
-    fwd = integrate(rhs2, y0, 10.0, cfg, event_index=None).states[-1]
-    back = integrate(rhs2, (fwd[0], -fwd[1]), 10.0, cfg, event_index=None).states[-1]
+    fwd = integrate(rhs2, y0, 10.0, cfg, collisions=False).states[-1]
+    back = integrate(rhs2, (fwd[0], -fwd[1]), 10.0, cfg, collisions=False).states[-1]
     assert abs(back[0] - y0[0]) < 1e-8 and abs(-back[1] - y0[1]) < 1e-8
     # full system
     ring3 = RingConfig.for_count(3)
     rhs4 = Problem.sitnikov(-1.0, params, ring3).field
     z0 = project_to_level([0.9, 0.1, 1.0, -0.2], -1.0, params, ring3)
-    fwd = integrate(rhs4, z0, 3.0, cfg, event_index=None).states[-1]
+    fwd = integrate(rhs4, z0, 3.0, cfg, collisions=False).states[-1]
     back = integrate(rhs4, [fwd[0], fwd[1], -fwd[2], -fwd[3]], 3.0, cfg,
-                     event_index=None).states[-1]
+                     collisions=False).states[-1]
     assert np.max(np.abs(back * np.array([1, 1, -1, -1]) - z0)) < 1e-8
 
 
@@ -247,26 +248,9 @@ def test_stop_after_ends_at_the_kth_event():
     assert [e.tau for e in sparse.events] == [e.tau for e in part.events]
 
 
-def test_without_stop_after_the_march_covers_the_span():
-    ring = RingConfig.for_count(2)
-    rhs = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
-    cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
-    traj = _collision_run(20.0, stop_after=None)
-    assert len(traj.events) >= 2 and traj.tau[-1] == 20.0
-    # the reference march: five Euler-guess steps, then every solve seeded
-    # from the five states before the latest, newest first
-    march = [(0.0, math.sqrt(2e-3))]
-    for n in range(20000):
-        back = tuple(march[-2:-7:-1]) if n >= 5 else None
-        march.append(integrators._midpoint2(rhs, march[-1], 1e-3, cfg.newton_tol,
-                                            cfg.newton_max_iter, back))
-    assert np.array_equal(traj.states, np.array(march))
-    assert np.array_equal(traj.tau, np.arange(20001) * 1e-3)
-
-
 def test_stop_after_validation():
     rhs, calls = _counting(Problem.reduced(-1.0, 1e-3, 2.0).field)
-    for kwargs in ({"stop_after": 0}, {"stop_after": 1, "event_index": None},
+    for kwargs in ({"stop_after": 0}, {"stop_after": 1, "collisions": False},
                    {"record_every": 0}, {"record_every": -1}):
         with pytest.raises(ParameterError):
             integrate(rhs, (0.5, 0.1), 1.0, IntegratorConfig(step=1e-2), **kwargs)
@@ -431,13 +415,13 @@ def test_invalid_method_rejected():
         IntegratorConfig(step=0.0)
 
 
-# -- the unrolled midpoint kernels against the generic solve they replace --
-
 def test_newton_max_iter_below_one_is_refused():
     for value in (0, -3):
         with pytest.raises(ParameterError):
             IntegratorConfig(newton_max_iter=value)
 
+
+# -- the midpoint solve and march against generic references --
 
 def _reference_midpoint(field, y, dstep, tol, max_iter, guess=None):
     """Generic tuple-comprehension midpoint solve, any state size: the same
@@ -489,40 +473,100 @@ def _quintic_guess(y, back):
                  for k in range(len(y)))
 
 
-def _assert_step_matches_reference(field, y, dstep, cfg, back=None):
-    """One kernel solve against the reference; back, the five states before
-    y, takes the extrapolated predictor of a march, None the single step's
-    Euler guess."""
+def _assert_step_matches_reference(field, y, dstep, cfg):
+    """One step_implicit_midpoint solve, from its Euler guess, against the
+    reference, in its result and its field evaluations."""
     f_new, n_new = _counting(field)
     f_ref, n_ref = _counting(field)
     y = tuple(map(float, y))
-    if back is None:
-        got = step_implicit_midpoint(f_new, y, dstep, cfg)
-        guess = None
-    else:
-        solve = integrators._midpoint_kernel(len(y))
-        got = np.array(solve(f_new, y, dstep, cfg.newton_tol, cfg.newton_max_iter, back))
-        guess = _quintic_guess(y, back)
-    ref = np.array(_reference_midpoint(f_ref, y, dstep, cfg.newton_tol, cfg.newton_max_iter,
-                                       guess))
+    got = step_implicit_midpoint(f_new, y, dstep, cfg)
+    ref = np.array(_reference_midpoint(f_ref, y, dstep, cfg.newton_tol, cfg.newton_max_iter))
     assert got.tobytes() == ref.tobytes()
     assert n_new[0] == n_ref[0]
 
 
-def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
+def _reference_march(field, y, span, cfg, clock, invariant, record_every=1, stop_after=None):
+    """integrate as a plain loop over state tuples: five Euler-guess solves,
+    then every solve seeded by _quintic_guess from the five states before
+    the latest; a sign change of Q1 is an event on the step's Hermite
+    interpolant, dated by the clock's midpoint rule on each side of it.
+    Returns (tau, t, states, invariant column, events) as lists."""
+    n_steps = max(int(round(span / cfg.step)), 1)
+    dstep = span / n_steps
+    march = [tuple(y)]
+    taus, ts, states, invs, events = [0.0], [0.0], [march[0]], [invariant(march[0])], []
+    t = 0.0
+    for i in range(1, n_steps + 1):
+        y_prev = march[-1]
+        guess = _quintic_guess(y_prev, march[-2:-7:-1]) if i > 5 else None
+        y = _reference_midpoint(field, y_prev, dstep, cfg.newton_tol, cfg.newton_max_iter, guess)
+        march.append(y)
+        if y_prev[0] * y[0] < 0.0 or (y[0] == 0.0 and y_prev[0] != 0.0):
+            f_prev, f_next = field(y_prev), field(y)
+            s = integrators._locate_crossing(y_prev, y, f_prev, f_next, dstep)
+            e = tuple(integrators._hermite_eval(s, y_prev[k], y[k], dstep * f_prev[k],
+                                                dstep * f_next[k]) for k in range(len(y)))
+            t_e = t + s * dstep * clock(0.5 * (y_prev[0] + e[0]))
+            t = t_e + (1.0 - s) * dstep * clock(0.5 * (e[0] + y[0]))
+            events.append(Event(len(taus) - 1, "collision", (i - 1 + s) * dstep, t_e, e))
+        else:
+            t += dstep * clock(0.5 * (y_prev[0] + y[0]))
+        stopped = len(events) == stop_after
+        if stopped or i % record_every == 0 or i == n_steps:
+            taus.append(i * dstep)
+            ts.append(t)
+            states.append(y)
+            invs.append(invariant(y))
+            if stopped:
+                break
+    return taus, ts, states, invs, events
+
+
+def test_the_march_matches_a_reference_march_bit_for_bit():
     rng = np.random.default_rng(71)
-    reduced = Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius).field
-    full = Problem.sitnikov(-1.0, MassParams(m=1e-3, epsilon=0.25), RingConfig.for_count(3)).field
+    a = 4.0 * RingConfig.for_count(2).radius
+    reduced = Problem.reduced(-1.0, 1e-3, a)
+    full = Problem.sitnikov(-2.5, MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2))
+    # a lone step from random states, from its Euler guess
     for dstep, tol in ((1e-3, 1e-13), (-1e-3, 1e-15), (5e-2, 1e-13)):
         cfg = IntegratorConfig(step=abs(dstep), newton_tol=tol)
         for _ in range(40):
-            for field, n in ((reduced, 2), (full, 4)):
-                y = rng.uniform(-2.0, 2.0, n)
-                _assert_step_matches_reference(field, y, dstep, cfg)
-                # the five states before y, as a march would hold them
-                back = tuple(tuple(y - k * dstep * rng.uniform(0.5, 1.5, n))
-                             for k in range(1, 6))
-                _assert_step_matches_reference(field, y, dstep, cfg, back=back)
+            for p, n in ((reduced, 2), (full, 4)):
+                _assert_step_matches_reference(p.field, rng.uniform(-2.0, 2.0, n), dstep, cfg)
+    # marches through two collisions each; at dtau = 5e-3 about half of the
+    # steps need a second sweep
+    cfg = IntegratorConfig(step=5e-3, newton_tol=1e-13)
+    runs = ((reduced, (0.0, math.sqrt(2e-3)), 20.0), (full, full.project([0.0, 0.0, 1.0, 0.0]), 25.0))
+    for p, y0, span in runs:
+        for kwargs in ({}, {"record_every": 3}, {"stop_after": 2}):
+            f_new, n_new = _counting(p.field)
+            f_ref, n_ref = _counting(p.field)
+            traj = integrate(f_new, y0, span, cfg, time_scale=p.clock, invariant=p.gamma,
+                             **kwargs)
+            taus, ts, states, invs, events = _reference_march(f_ref, y0, span, cfg, p.clock,
+                                                              p.gamma, **kwargs)
+            assert traj.tau.tobytes() == np.array(taus).tobytes()
+            assert traj.t.tobytes() == np.array(ts).tobytes()
+            assert traj.states.tobytes() == np.array(states).tobytes()
+            assert traj.invariant.tobytes() == np.array(invs).tobytes()
+            assert traj.events == events and len(events) == 2
+            assert n_new[0] == n_ref[0]
+            if not kwargs:
+                assert traj.tau[-1] == span and len(traj) == round(span / 5e-3) + 1
+
+
+def test_a_nan_the_first_sweep_lets_through_fails_the_step():
+    # x' = 1 and a last component that turns NaN once the midpoint passes
+    # x = -0.85: max() keeps its first argument against a NaN, so the first
+    # sweep's stopping test passes, and only the march's finiteness test
+    # fails the step, the one from x = -0.85 to -0.84
+    for n in (2, 4):
+        field = lambda y: (1.0, *[0.0] * (n - 2), y[0] ** 4 if y[0] < -0.85 else math.nan)
+        with pytest.raises(StepFailure, match="state became non-finite at step 16") as err:
+            integrate(field, (-1.0,) + (0.0,) * (n - 1), 1.0, IntegratorConfig(step=1e-2),
+                      collisions=False)
+        part = err.value.trajectory
+        assert len(part) == 16 and np.all(np.isfinite(part.states))
 
 
 def test_midpoint_kernels_match_the_generic_solve_through_the_newton_fallback(monkeypatch):
@@ -588,7 +632,7 @@ def test_steps_seeded_from_history_take_one_evaluation_on_quintic_iterates():
     counts = {}
     for span in (0.05, 2.0, 4.0):
         calls[0] = 0
-        integrate(field, (-1.0, 0.0), span, IntegratorConfig(step=1e-2), event_index=None)
+        integrate(field, (-1.0, 0.0), span, IntegratorConfig(step=1e-2), collisions=False)
         counts[span] = calls[0]
     assert counts[2.0] - counts[0.05] == 195
     assert counts[4.0] - counts[2.0] == 200
@@ -606,7 +650,7 @@ def test_extrapolated_march_stays_with_the_euler_guess_march():
          project_to_level([0.0, 0.0, 1.0, 0.0], h, params, ring)),
     )
     for field, y0 in starts:
-        traj = integrate(field, y0, 2.0, cfg, event_index=None)
+        traj = integrate(field, y0, 2.0, cfg, collisions=False)
         y = np.array(y0, dtype=float)
         euler = [y]
         for _ in range(2000):
@@ -654,7 +698,7 @@ def test_newton_fallback_and_step_failure_are_reached_through_the_march(monkeypa
     th = 1.9
     traj = integrate(oscillator, (1.0, 0.0), 8 * th,
                      IntegratorConfig(step=th, newton_tol=1e-13, newton_max_iter=50),
-                     event_index=None)
+                     collisions=False)
     assert entered[0] == 8
     c, s = (1.0 - th * th / 4.0) / (1.0 + th * th / 4.0), th / (1.0 + th * th / 4.0)
     y = np.array([1.0, 0.0])
@@ -668,7 +712,7 @@ def test_newton_fallback_and_step_failure_are_reached_through_the_march(monkeypa
     stiffening = lambda y: (y[1] if y[1] < 5.0 else 50.0 * math.sin(100.0 * y[0]), 1.0)
     cfg = IntegratorConfig(step=1.0, newton_max_iter=2)
     with pytest.raises(StepFailure) as err:
-        integrate(stiffening, (1.0, 0.0), 8.0, cfg, event_index=None)
+        integrate(stiffening, (1.0, 0.0), 8.0, cfg, collisions=False)
     part = err.value.trajectory
     assert part is not None and len(part) == 6
     y, *back = (tuple(part.states[k]) for k in (5, 4, 3, 2, 1, 0))
