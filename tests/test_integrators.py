@@ -248,6 +248,19 @@ def test_stop_after_ends_at_the_kth_event():
     assert [e.tau for e in sparse.events] == [e.tau for e in part.events]
 
 
+def test_without_stop_after_the_march_covers_the_span():
+    traj = _collision_run(20.0, stop_after=None)
+    assert len(traj.events) >= 2 and traj.tau[-1] == 20.0
+    assert np.array_equal(traj.tau, np.arange(20001) * 1e-3)
+    # every state of the reference march: five Euler-guess steps, then every
+    # solve seeded from the five states before the latest, newest first
+    rhs = Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius).field
+    cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
+    _, _, states, _, _ = _reference_march(rhs, (0.0, math.sqrt(2e-3)), 20.0, cfg,
+                                          lambda Q1: 0.5 * Q1 * Q1, lambda y: 0.0)
+    assert np.array_equal(traj.states, np.array(states))
+
+
 def test_stop_after_validation():
     rhs, calls = _counting(Problem.reduced(-1.0, 1e-3, 2.0).field)
     for kwargs in ({"stop_after": 0}, {"stop_after": 1, "collisions": False},
@@ -522,17 +535,34 @@ def _reference_march(field, y, span, cfg, clock, invariant, record_every=1, stop
     return taus, ts, states, invs, events
 
 
-def test_the_march_matches_a_reference_march_bit_for_bit():
+def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
     rng = np.random.default_rng(71)
-    a = 4.0 * RingConfig.for_count(2).radius
-    reduced = Problem.reduced(-1.0, 1e-3, a)
-    full = Problem.sitnikov(-2.5, MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2))
-    # a lone step from random states, from its Euler guess
+    reduced = Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius).field
+    full = Problem.sitnikov(-1.0, MassParams(m=1e-3, epsilon=0.25), RingConfig.for_count(3)).field
     for dstep, tol in ((1e-3, 1e-13), (-1e-3, 1e-15), (5e-2, 1e-13)):
         cfg = IntegratorConfig(step=abs(dstep), newton_tol=tol)
         for _ in range(40):
-            for p, n in ((reduced, 2), (full, 4)):
-                _assert_step_matches_reference(p.field, rng.uniform(-2.0, 2.0, n), dstep, cfg)
+            for field, n in ((reduced, 2), (full, 4)):
+                y = rng.uniform(-2.0, 2.0, n)
+                _assert_step_matches_reference(field, y, dstep, cfg)
+                # the solve a march hands over, from the quintic guess of the
+                # five states before y, as a march would hold them
+                back = tuple(tuple(y - k * dstep * rng.uniform(0.5, 1.5, n))
+                             for k in range(1, 6))
+                y = tuple(map(float, y))
+                guess = _quintic_guess(y, back)
+                f_new, n_new = _counting(field)
+                f_ref, n_ref = _counting(field)
+                got = integrators._solve(f_new, y, guess, dstep, tol, cfg.newton_max_iter)
+                ref = _reference_midpoint(f_ref, y, dstep, tol, cfg.newton_max_iter, guess)
+                assert np.array(got).tobytes() == np.array(ref).tobytes()
+                assert n_new[0] == n_ref[0]
+
+
+def test_the_march_matches_a_reference_march_bit_for_bit():
+    a = 4.0 * RingConfig.for_count(2).radius
+    reduced = Problem.reduced(-1.0, 1e-3, a)
+    full = Problem.sitnikov(-2.5, MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2))
     # marches through two collisions each; at dtau = 5e-3 about half of the
     # steps need a second sweep
     cfg = IntegratorConfig(step=5e-3, newton_tol=1e-13)
