@@ -11,7 +11,9 @@ first sweep then nearly always converges; a lone step and the first five
 steps of a march use the explicit-Euler guess.  integrate runs one fused
 loop per state size, 2-D or 4-D, on local floats: predictor, first sweep,
 finiteness test, event test, clock and recording; later sweeps, the Newton
-fallback and event localization are shared helpers it calls only when needed.
+fallback and event localization are shared helpers it calls only when needed,
+and the invariant and its level guard run in numpy on each block of
+recorded samples.
 Physical time is accumulated alongside fictitious time by the midpoint rule
 for dt/dtau, in two pieces on a step with an event, split at the event.
 
@@ -24,6 +26,10 @@ the failure mode the regularized chart removes.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
+import threading
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -54,6 +60,11 @@ METHODS = ("implicit_midpoint",)
 # acceptance runs); an escape whose dt/dtau outgrows the fixed tau step drifts
 # by O(1e3) and would otherwise still finish as a success.
 INVARIANT_LIMIT = 1e-3
+
+# Recorded samples per evaluation of integrate's invariant and its level guard.
+# The Sitnikov Gamma on a block of 4096 columns costs ~0.03 us a sample, one
+# call on a state ~0.8 us (2-core Xeon VM, Python 3.11, numpy 2.4).
+GUARD_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,8 @@ def step_implicit_midpoint(field, y, dstep: float, cfg: IntegratorConfig | None 
     solves from its last six states); after ten stalled
     iterations it switches to a damped Newton solve on the residual (Jacobian
     by central differences).  Raises StepFailure with the last residual if the
-    allowed iterations are exhausted.
+    allowed iterations are exhausted, and, as a march does, if the new state
+    is not finite.
     """
     if cfg is None:
         cfg = IntegratorConfig(step=abs(dstep) if dstep else 1.0)
@@ -138,7 +150,10 @@ def step_implicit_midpoint(field, y, dstep: float, cfg: IntegratorConfig | None 
         return np.array(y0)
     f = field(y0)
     guess = tuple([y0[k] + dstep * f[k] for k in range(len(y0))])
-    return np.array(_solve(field, y0, guess, dstep, cfg.newton_tol, cfg.newton_max_iter))
+    y1 = _solve(field, y0, guess, dstep, cfg.newton_tol, cfg.newton_max_iter)
+    if sum([c - c for c in y1]) != 0.0:  # the march's finiteness test
+        raise _non_finite(1, dstep)
+    return np.array(y1)
 
 
 def _check_size(n):
@@ -323,9 +338,12 @@ def integrate(
     state component, are logged as collision events with sub-step
     localization; a step that lands exactly on 0 from a nonzero value is an
     event at its end, and the step out of that 0 is none.
-    invariant(state), when given, is evaluated once on every recorded
-    sample; the values are the trajectory's invariant column and their
-    largest magnitude is metadata["invariant_max"].
+    invariant(columns), when given, is evaluated once on every recorded
+    sample, a block of GUARD_BLOCK samples at a time: columns is the block's
+    states as an (n, k) array, one row a component, and the invariant returns
+    the k values (Problem.gamma takes both forms).  The values are the
+    trajectory's invariant column and their largest magnitude is
+    metadata["invariant_max"].
 
     stop_after=k makes the k-th event terminal: the march ends at the step in
     which that event was localized, and the state after that step is recorded
@@ -335,7 +353,11 @@ def integrate(
 
     Raises StepFailure carrying the partial trajectory if a step cannot be
     completed, the state stops being finite, or a recorded sample's
-    |invariant| exceeds INVARIANT_LIMIT.
+    |invariant| exceeds INVARIANT_LIMIT.  The level guard runs on each block
+    as it fills, so it fires up to GUARD_BLOCK - 1 samples after the sample
+    that trips it; the partial trajectory still ends at that sample, with the
+    events logged before it, and the guard's failure comes before any later
+    one in the same block.
     """
     y = _tuple_state(y0)
     if span < 0.0:
@@ -346,7 +368,8 @@ def integrate(
         )
     if record_every < 1:
         raise ParameterError(f"record_every must be at least 1, got {record_every}")
-    _check_size(len(y))
+    n = len(y)
+    _check_size(n)
     n_steps = max(int(round(span / cfg.step)), 1) if span > 0.0 else 0
     dstep = span / n_steps if n_steps else 0.0
 
@@ -354,25 +377,52 @@ def integrate(
     taus = array("d", (0.0,))
     ts = array("d", (0.0,))
     states = array("d", y)
-    invs = None if invariant is None else array("d", (float(invariant(y)),))
+    invs = None if invariant is None else array("d")
     events: list[Event] = []
-    march = _march2 if len(y) == 2 else _march4
+
+    def settle():
+        """The invariant on the samples recorded since the last call, and the
+        level guard on them; returns the sample count of the next call."""
+        hi = len(taus)
+        lo = hi if invs is None else len(invs)
+        if lo < hi:
+            # a copy of the block: a view would pin the buffer against appends
+            cols = np.frombuffer(states[lo * n:hi * n]).reshape(hi - lo, n).T
+            values = np.broadcast_to(np.asarray(invariant(cols), dtype=float), (hi - lo,))
+            # the running max over the block, NaN-blind as the scalar max()
+            # of a march; blocks before it all stayed within the limit, and
+            # sample 0 alone is never tested, as a march tests from its first step
+            peak = np.fmax.accumulate(np.abs(values))
+            over = np.flatnonzero(peak > INVARIANT_LIMIT)
+            k = max(lo + int(over[0]), 1) if over.size else hi
+            invs.frombytes(values[:k + 1 - lo].tobytes())
+            if k < hi:  # cut the run at sample k, as if the march had stopped there
+                del taus[k + 1:], ts[k + 1:], states[(k + 1) * n:]
+                events[:] = [e for e in events if e.index < k]
+                raise _off_level(float(peak[k - lo]), taus[k])
+        return hi + GUARD_BLOCK
+
+    march = _march2 if n == 2 else _march4
     try:
-        inv_max = march(field, y, dstep, n_steps, cfg.newton_tol, cfg.newton_max_iter,
-                        time_scale, invariant, collisions, stop_after, record_every,
-                        taus, ts, states, invs, events)
+        try:
+            march(field, y, dstep, n_steps, cfg.newton_tol, cfg.newton_max_iter,
+                  time_scale, collisions, stop_after, record_every,
+                  taus, ts, states, events, settle)
+        except StepFailure:
+            settle()  # an off-level sample before the failure fails the run first
+            raise
+        settle()
     except StepFailure as exc:
-        # the running max of the march, recomputed from the column it filled
-        exc.trajectory = _bundle(taus, ts, states, invs, events,
-                                 None if invs is None else max(map(abs, invs)))
+        exc.trajectory = _bundle(taus, ts, states, invs, events)
         raise
-    return _bundle(taus, ts, states, invs, events, inv_max)
+    return _bundle(taus, ts, states, invs, events)
 
 
 # The two marches below are the hot loop of integrate, one per state size,
 # on local floats only: a step calls nothing but the field and the clock
-# unless it needs a second sweep (_solve) or holds an event (_event).  Both
-# do the same operations in the same order.
+# unless it needs a second sweep (_solve) or holds an event (_event), and a
+# recorded sample calls settle only when it completes a block.  Both do the
+# same operations in the same order.
 #
 # The predictor is the quintic extrapolation
 # 6 y - 15 y1 + 20 y2 - 15 y3 + 6 y4 - y5 through the last six accepted
@@ -391,16 +441,15 @@ def integrate(
 #
 # The first sweep, its max() rule and its NaN test are those of _solve.
 # (a - a) is 0.0 for a finite float and NaN otherwise, so the sum of those
-# terms is the finiteness test of the new state.  Each returns the largest
-# |invariant| over the samples.
+# terms is the finiteness test of the new state.
 
-def _march2(field, y, dstep, n_steps, tol, max_iter, clock, invariant, collisions,
-            stop_after, record_every, taus, ts, states, invs, events):
+def _march2(field, y, dstep, n_steps, tol, max_iter, clock, collisions,
+            stop_after, record_every, taus, ts, states, events, settle):
     y0, y1 = y
     d00 = d10 = d20 = d30 = d40 = 0.0
     d01 = d11 = d21 = d31 = d41 = 0.0
-    inv_max = None if invs is None else abs(invs[0])
     t = 0.0
+    due = GUARD_BLOCK
     stopped = False
     for i in range(1, n_steps + 1):
         if i > 5:
@@ -437,28 +486,22 @@ def _march2(field, y, dstep, n_steps, tol, max_iter, clock, invariant, collision
         if stopped or i % record_every == 0 or i == n_steps:
             taus.append(i * dstep)
             ts.append(t)
-            y = (y0, y1)
-            states.extend(y)
-            if invs is not None:
-                value = float(invariant(y))
-                invs.append(value)
-                inv_max = max(inv_max, abs(value))
-                if inv_max > INVARIANT_LIMIT:
-                    raise _off_level(inv_max, i * dstep)
+            states.extend((y0, y1))
+            if len(taus) == due:
+                due = settle()
             if stopped:
                 break
-    return inv_max
 
 
-def _march4(field, y, dstep, n_steps, tol, max_iter, clock, invariant, collisions,
-            stop_after, record_every, taus, ts, states, invs, events):
+def _march4(field, y, dstep, n_steps, tol, max_iter, clock, collisions,
+            stop_after, record_every, taus, ts, states, events, settle):
     y0, y1, y2, y3 = y
     d00 = d10 = d20 = d30 = d40 = 0.0
     d01 = d11 = d21 = d31 = d41 = 0.0
     d02 = d12 = d22 = d32 = d42 = 0.0
     d03 = d13 = d23 = d33 = d43 = 0.0
-    inv_max = None if invs is None else abs(invs[0])
     t = 0.0
+    due = GUARD_BLOCK
     stopped = False
     for i in range(1, n_steps + 1):
         if i > 5:
@@ -507,29 +550,25 @@ def _march4(field, y, dstep, n_steps, tol, max_iter, clock, invariant, collision
         if stopped or i % record_every == 0 or i == n_steps:
             taus.append(i * dstep)
             ts.append(t)
-            y = (y0, y1, y2, y3)
-            states.extend(y)
-            if invs is not None:
-                value = float(invariant(y))
-                invs.append(value)
-                inv_max = max(inv_max, abs(value))
-                if inv_max > INVARIANT_LIMIT:
-                    raise _off_level(inv_max, i * dstep)
+            states.extend((y0, y1, y2, y3))
+            if len(taus) == due:
+                due = settle()
             if stopped:
                 break
-    return inv_max
 
 
-def _bundle(taus, ts, states, invs, events, inv_max) -> Trajectory:
-    """Wrap the sample buffers as arrays, uncopied: the march bundles only
-    when it returns or just before it raises, so it never appends after."""
+def _bundle(taus, ts, states, invs, events) -> Trajectory:
+    """Wrap the sample buffers as arrays, uncopied: integrate bundles only
+    when the march has returned or raised, so nothing appends after."""
+    inv = None if invs is None else np.frombuffer(invs)
     return Trajectory(
         tau=np.frombuffer(taus),
         t=np.frombuffer(ts),
         states=np.frombuffer(states).reshape(len(taus), -1),
-        invariant=None if invs is None else np.frombuffer(invs),
+        invariant=inv,
         events=events,
-        metadata={} if inv_max is None else {"invariant_max": inv_max},
+        # NaN-blind, as the guard is
+        metadata={} if inv is None else {"invariant_max": float(np.fmax.reduce(np.abs(inv)))},
     )
 
 
@@ -617,17 +656,72 @@ _CSV_CHUNK = 4096  # rows formatted per write, so the writer's memory stays flat
 
 def _write_csv(path, header, row_fmt, columns) -> None:
     """Write header, then row_fmt % (row k of every column) for every sample
-    k, formatted from plain floats _CSV_CHUNK samples at a time, one %
-    operation a chunk.  A column is an array of one or more values a sample;
-    the last is the invariant."""
+    k.  A column is an array of one or more values a sample; the last is the
+    invariant.  From two chunks of rows on, _write_csv_split writes them on
+    two processes, where a helper process can be forked."""
     if columns[-1] is None:
         raise ParameterError("the trajectory carries no invariant column to write")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header)
-        for lo in range(0, len(columns[0]), _CSV_CHUNK):
-            part = slice(lo, lo + _CSV_CHUNK)
-            block = np.column_stack([c[part] for c in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    rows = len(columns[0])
+    if rows >= 2 * _CSV_CHUNK and _can_fork():
+        _write_csv_split(path, header, row_fmt, columns, rows)
+        return
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        _format_rows(fh, row_fmt, columns, 0, rows)
+
+
+def _can_fork() -> bool:
+    """Whether a helper process may be forked: fork exists, no other Python
+    thread runs that could hold a lock the helper needs, and this process is
+    not a daemon, which multiprocessing lets have no children.  multiprocessing
+    is imported here, the first time a CSV is long enough to need it."""
+    import multiprocessing
+
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1
+            and not multiprocessing.current_process().daemon)
+
+
+def _write_csv_split(path, header, row_fmt, columns, rows) -> None:
+    """_write_csv on two processes: a forked helper formats the rows from
+    the chunk boundary nearest the middle into an anonymous temporary file
+    while this process formats the rows before it into the target, then the
+    helper's file is appended in pieces.  The bytes are the one-process
+    writer's, and the helper's text never enters this process's memory."""
+    import multiprocessing
+
+    split = _CSV_CHUNK * round(rows / (2 * _CSV_CHUNK))
+    with tempfile.TemporaryFile() as back:
+        helper = multiprocessing.get_context("fork").Process(
+            target=_format_rows, args=(back, row_fmt, columns, split, rows))
+        with warnings.catch_warnings():
+            # Python 3.12 warns about forking beside native threads (numpy's
+            # BLAS pool); the helper only formats floats and writes its file
+            warnings.simplefilter("ignore", DeprecationWarning)
+            helper.start()  # before the target is open: the helper inherits no buffered bytes
+        try:
+            with open(path, "wb") as fh:
+                fh.write(header.encode())
+                _format_rows(fh, row_fmt, columns, 0, split)
+                helper.join()
+                if helper.exitcode != 0:
+                    raise OSError(f"the CSV writer's helper process exited with code "
+                                  f"{helper.exitcode}; {path} holds only its first {split} rows")
+                back.seek(0)
+                shutil.copyfileobj(back, fh)  # in pieces of shutil.COPY_BUFSIZE
+        finally:
+            helper.terminate()  # a no-op unless this process failed first
+            helper.join()
+
+
+def _format_rows(fh, row_fmt, columns, lo, hi) -> None:
+    """Rows lo to hi into the binary file fh, formatted from plain floats
+    _CSV_CHUNK samples at a time, one % operation a chunk, and flushed."""
+    for a in range(lo, hi, _CSV_CHUNK):
+        part = slice(a, min(a + _CSV_CHUNK, hi))
+        block = np.column_stack([c[part] for c in columns])
+        fh.write(((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode())
+    fh.flush()
 
 
 def write_regularized_csv(traj: Trajectory, path) -> None:

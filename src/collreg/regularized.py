@@ -180,6 +180,12 @@ def project_to_level(z, h: float, params: MassParams, ring: RingConfig) -> np.nd
     return Problem.sitnikov(h, params, ring).project(z)
 
 
+def _sqrt(x):
+    """math.sqrt for a float, numpy's for a column of them: both round
+    correctly, so a Gamma gives the same bits on a state and on columns."""
+    return math.sqrt(x) if x.__class__ is float else np.sqrt(x)
+
+
 def _signed(mag: float, p: float) -> float:
     """mag with the sign of p; the nonnegative branch when p is zero."""
     return math.copysign(mag, p) if p != 0.0 else mag
@@ -189,10 +195,14 @@ def _signed(mag: float, p: float) -> float:
 class Problem:
     """One regularized system, wired in one place.
 
-    field(z) -> dz/dtau and gamma(z) take the state as a sequence of floats;
-    clock(Q1) -> dt/dtau reads Q1 alone, as every clock here does; project(z)
-    solves Gamma = 0 for |P1| (the momentum paired with Q1), keeping its
-    sign, and raises DomainError where the level has no real momentum.
+    field(z) -> dz/dtau takes the state as a sequence of floats.  gamma(z)
+    takes it so too, or as columns, one array a component (a 2-D array of
+    shape (n, k) for k states), and then gives the k values, bit for bit
+    the ones it gives state by state: its squares are products and its roots
+    correctly rounded, never a libm pow.  clock(Q1) -> dt/dtau reads Q1
+    alone, as every clock here does; project(z) solves Gamma = 0 for |P1|
+    (the momentum paired with Q1), keeping its sign, and raises DomainError
+    where the level has no real momentum.
     """
 
     field: Callable
@@ -239,7 +249,7 @@ class Problem:
             q1sq = Q1 * Q1
             A = 2.0 * Q2 + mu * q1sq
             B = 2.0 * Q2 - omu * q1sq
-            bracket = c_omu / math.sqrt(A * A + r4) + c_mu / math.sqrt(B * B + r4) + h
+            bracket = c_omu / _sqrt(A * A + r4) + c_mu / _sqrt(B * B + r4) + h
             return 0.5 * (momu * P2 * P2 * q1sq + P1 * P1) - offset - W * q1sq * bracket
 
         def clock(Q1):
@@ -283,7 +293,7 @@ class Problem:
         def gam(s):
             Q1, P1 = s
             q = Q1 * Q1
-            return 0.5 * P1 * P1 - 4.0 * q * (1.0 / math.sqrt(q * q + asq) + h8) - m
+            return 0.5 * P1 * P1 - 4.0 * q * (1.0 / _sqrt(q * q + asq) + h8) - m
 
         def project(s):
             Q1 = float(s[0])
@@ -307,5 +317,5 @@ class Problem:
             return (u, _signed(math.sqrt(vsq), float(s[1])))
 
         return cls(lambda s: (s[1], two_h * s[0]),
-                   lambda s: 0.25 * s[1] ** 2 - 0.5 * h * s[0] ** 2 - mu_grav,
+                   lambda s: 0.25 * (s[1] * s[1]) - 0.5 * h * (s[0] * s[0]) - mu_grav,
                    lambda u: u * u, project)

@@ -158,7 +158,7 @@ def test_criterion_06_collision_transit():
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = integrate(rhs, (0.0, math.sqrt(2.0 * m)), 100.0, cfg,
                      time_scale=lambda Q1: 0.5 * Q1 * Q1,
-                     invariant=lambda s: gamma_reduced(s, h, m, a))
+                     invariant=Problem.reduced(h, m, a).gamma)
     evs = traj.collision_events()
     pc = math.sqrt(2.0 * m)
     drift = max(abs(gamma_reduced(e.state, h, m, a)) for e in evs)

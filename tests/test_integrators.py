@@ -118,7 +118,7 @@ def test_reduced_conservation_run_and_collision_momentum():
     traj = integrate(
         rhs, (0.0, math.sqrt(2.0 * m)), 50.0, cfg,
         time_scale=lambda Q1: 0.5 * Q1 * Q1,
-        invariant=lambda s: gamma_reduced(s, h, m, a),
+        invariant=Problem.reduced(h, m, a).gamma,
     )
     evs = traj.collision_events()
     assert len(evs) >= 6
@@ -304,7 +304,7 @@ def test_an_event_is_dated_by_the_clock_of_its_samples():
 def test_leaving_the_invariant_level_fails():
     # an anti-damped oscillator: its energy grows like exp(0.1 tau)
     pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
-    energy = lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) - 0.5
+    energy = lambda y: 0.5 * (y[0] * y[0] + y[1] * y[1]) - 0.5
     with pytest.raises(StepFailure) as err:
         integrate(pumped, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
     part = err.value.trajectory
@@ -314,6 +314,43 @@ def test_leaving_the_invariant_level_fails():
     assert levels[-1] > INVARIANT_LIMIT >= max(levels[:-1])
     # a bounded run on the same clock passes
     integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4095, 4096, 4097, 8191])
+def test_the_level_guard_cuts_at_the_first_sample_over_the_limit(k):
+    # x' = 1 from 0 at dtau = 1 makes x the sample index, and the invariant
+    # leaves its level at sample k, on either side of a block boundary of the
+    # guard; sample 0 alone is never tested, so k = 0 trips at sample 1
+    invariant = lambda c: np.where(c[0] >= k, 0.5, 0.0)
+    with pytest.raises(StepFailure) as err:
+        integrate(lambda y: (1.0, 0.0), (0.0, 0.0), k + 5000.0, IntegratorConfig(step=1.0),
+                  collisions=False, invariant=invariant)
+    cut = max(k, 1)
+    assert str(err.value) == (f"|invariant| reached 5.000e-01 at tau={float(cut)}, past the "
+                              f"limit {INVARIANT_LIMIT:g}: the run has left its level")
+    part = err.value.trajectory
+    assert len(part) == cut + 1 and part.states[:, 0].tolist() == list(range(cut + 1))
+    assert part.invariant.tolist() == [0.5 if x >= k else 0.0 for x in range(cut + 1)]
+    assert part.metadata["invariant_max"] == 0.5
+
+
+@pytest.mark.parametrize("x0, kept", [(-0.0015, 1), (-0.0105, 0)])
+def test_the_level_guard_outranks_a_later_failure_in_its_block(x0, kept):
+    # v = tau leaves the level at sample 2 (tau = 0.002); the field turns NaN
+    # at x = 0.3, a few hundred steps on in the same block of the guard, which
+    # runs only when the march has failed.  The run fails as it would with the
+    # level checked at every sample: off its level at sample 2, with the
+    # collision of step 2 (index 1) kept and that of step 11 (index 10) dropped
+    field = lambda y: (1.0, 1.0 if y[0] < 0.3 else math.nan)
+    with pytest.raises(StepFailure, match="left its level") as err:
+        integrate(field, (x0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=lambda c: c[1])
+    assert "at tau=0.002," in str(err.value)
+    part = err.value.trajectory
+    assert len(part) == 3 and part.invariant.tolist() == part.states[:, 1].tolist()
+    assert [e.index for e in part.events] == [1] * kept
+    # the march's own failure, with no level to leave
+    with pytest.raises(StepFailure, match="non-finite"):
+        integrate(field, (x0, 0.0), 1.0, IntegratorConfig(step=1e-3))
 
 
 def _reduced_reference_setup():
@@ -363,7 +400,7 @@ def test_csv_formats_and_determinism(tmp_path):
     h = -1.0
     a = 4.0 * ring.radius
     rhs = Problem.reduced(h, 1e-3, a).field
-    gam = lambda s: gamma_reduced(s, h, 1e-3, a)
+    gam = Problem.reduced(h, 1e-3, a).gamma
     traj = integrate(rhs, (0.0, math.sqrt(2e-3)), 1.0,
                      IntegratorConfig(step=1e-3),
                      time_scale=lambda Q1: 0.5 * Q1 * Q1, invariant=gam)
@@ -395,7 +432,7 @@ def test_csv_formats_and_determinism(tmp_path):
 
 
 def test_the_invariant_column_holds_one_value_per_sample():
-    energy = lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) - 0.5
+    energy = lambda y: 0.5 * (y[0] * y[0] + y[1] * y[1]) - 0.5
     traj = integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-2),
                      invariant=energy, record_every=7)
     assert traj.invariant.tolist() == [energy(tuple(s)) for s in traj.states.tolist()]
@@ -585,6 +622,16 @@ def test_the_march_matches_a_reference_march_bit_for_bit():
                 assert traj.tau[-1] == span and len(traj) == round(span / 5e-3) + 1
 
 
+def test_a_lone_step_fails_on_a_non_finite_state():
+    # the first sweep's max() keeps its first argument against a NaN in a
+    # later component, so only the finiteness test the march also runs
+    # catches it
+    for n in (2, 4):
+        field = lambda y: (1.0, *[0.0] * (n - 2), math.nan)
+        with pytest.raises(StepFailure, match=r"non-finite at step 1 \(tau=0.001\)"):
+            step_implicit_midpoint(field, (1.0,) + (0.0,) * (n - 1), 1e-3)
+
+
 def test_a_nan_the_first_sweep_lets_through_fails_the_step():
     # x' = 1 and a last component that turns NaN once the midpoint passes
     # x = -0.85: max() keeps its first argument against a NaN, so the first
@@ -642,7 +689,7 @@ def test_field_evaluation_counts_are_pinned():
     rhs, calls = _counting(Problem.reduced(h, m, a).field)
     traj = integrate(rhs, (0.0, reduced_level_momentum(0.0, h, m, a)), 2.0, cfg,
                      time_scale=lambda Q1: 0.5 * Q1 * Q1,
-                     invariant=lambda s: gamma_reduced(s, h, m, a))
+                     invariant=Problem.reduced(h, m, a).gamma)
     assert len(traj) == 2001 and calls[0] == 2015
     # the full problem from the start of the simulate-sitnikov benchmark
     params, ring, h = MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2), -2.5
@@ -773,12 +820,16 @@ def _reference_physical_csv(traj, params, ring) -> bytes:
     return "".join(lines).encode()
 
 
-def test_regularized_csv_matches_the_row_by_row_reference(tmp_path):
+def test_regularized_csv_matches_the_row_by_row_reference(tmp_path, monkeypatch):
     path = tmp_path / "traj.csv"
+    splits = []  # row counts of the writes made on two processes
+    split = integrators._write_csv_split
+    monkeypatch.setattr(integrators, "_write_csv_split",
+                        lambda *args: splits.append(args[-1]) or split(*args))
     # 2-D: a reduced run through a collision
     ring = RingConfig.for_count(2)
     h, m, a = -1.0, 1e-3, 4.0 * ring.radius
-    gam = lambda s: gamma_reduced(s, h, m, a)
+    gam = Problem.reduced(h, m, a).gamma
     traj = integrate(Problem.reduced(h, m, a).field, (0.0, math.sqrt(2.0 * m)), 3.0,
                      IntegratorConfig(step=1e-3), time_scale=lambda Q1: 0.5 * Q1 * Q1,
                      invariant=gam)
@@ -793,13 +844,61 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path):
     assert len(traj) > integrators._CSV_CHUNK + 1
     write_regularized_csv(traj, path)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
+    # 4-D, two chunks and more: a forked helper writes the rows after 4096
+    traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 10.0,
+                     IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=gam)
+    write_regularized_csv(traj, path)
+    assert path.read_bytes() == _reference_regularized_csv(traj, gam)
+    assert splits == [10001]
     # the partial trajectory a failed run carries
     pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
-    energy = lambda y: 0.5 * (y[0] ** 2 + y[1] ** 2) - 0.5
+    energy = lambda y: 0.5 * (y[0] * y[0] + y[1] * y[1]) - 0.5
     with pytest.raises(StepFailure) as err:
         integrate(pumped, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
     write_regularized_csv(err.value.trajectory, path)
     assert path.read_bytes() == _reference_regularized_csv(err.value.trajectory, energy)
+
+
+def test_a_failing_csv_helper_fails_the_write_and_leaves_no_process(tmp_path, monkeypatch):
+    import multiprocessing
+    import os
+
+    rows = 2 * integrators._CSV_CHUNK
+    traj = Trajectory(tau=np.arange(rows, dtype=float), t=np.arange(rows, dtype=float),
+                      states=np.ones((rows, 2)), invariant=np.zeros(rows))
+    parent = os.getpid()
+    format_rows = integrators._format_rows
+
+    def failing_in_the_helper(*args):
+        if os.getpid() != parent:
+            raise OSError("no space left for the helper's rows")
+        format_rows(*args)
+
+    monkeypatch.setattr(integrators, "_format_rows", failing_in_the_helper)
+    with pytest.raises(OSError, match="helper process exited with code 1"):
+        write_regularized_csv(traj, tmp_path / "t.csv")
+    assert multiprocessing.active_children() == []
+    # a failure on this side stops the helper too
+    monkeypatch.setattr(integrators, "_format_rows", format_rows)
+    with pytest.raises(FileNotFoundError):
+        write_regularized_csv(traj, tmp_path / "missing" / "t.csv")
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # the CSV writer imports it for its first long file, so a process's
+    # set-up does not pay for it
+    import os
+    import subprocess
+    import sys
+
+    import collreg
+
+    src = os.path.dirname(os.path.dirname(collreg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = "import sys, collreg.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_physical_csv_matches_the_row_by_row_reference(tmp_path):

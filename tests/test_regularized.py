@@ -412,3 +412,24 @@ def test_problem_projection_keeps_the_sign_and_lands_on_the_level():
         z[0] = 5.0
         with pytest.raises(DomainError):
             p.project(z)
+
+
+def test_gamma_on_columns_is_gamma_on_states_bit_for_bit():
+    # integrate evaluates each Problem's gamma on blocks of columns; every
+    # value must be the one the state alone gives, on Q1 = 0 too.  Squares
+    # written as ** 2 would fail here: a float's ** calls libm pow, which
+    # misrounds about 1 square in 1000 against numpy's product
+    rng = np.random.default_rng(8)
+    params, ring = params_ring(eps=0.3, N=3)
+    cases = ((Problem.sitnikov(-2.5, params, ring), 4),
+             (Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius), 2),
+             (Problem.kepler1d(-0.5, 1.0), 2))
+    for p, n in cases:
+        states = rng.uniform(-3.0, 3.0, (20000, n))
+        states[::10, 0] = 0.0
+        values = p.gamma(states.T)
+        assert isinstance(values, np.ndarray) and values.shape == (20000,)
+        assert values.tolist() == [p.gamma(tuple(z)) for z in states.tolist()]
+    # the per-state functions still give a Python float
+    assert type(gamma([0.5, 0.1, -1.0, 0.2], -2.5, params, ring)) is float
+    assert type(gamma_reduced(np.array([0.5, -1.0]), -1.0, 1e-3, 2.0)) is float
