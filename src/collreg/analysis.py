@@ -86,11 +86,9 @@ def momentum_profile(q: float, h: float, m: float, r: float) -> float:
 def turning_point(h: float, m: float, r: float) -> float:
     """Unique q > 0 where the radicand vanishes, for h < 0.
 
-    The radicand is strictly decreasing in q, so a bracketed Brent solve is
-    enough; monotone increasing in h.
+    The radicand is strictly decreasing in q, so bisecting its sign-change
+    bracket down to adjacent floats finds it; monotone increasing in h.
     """
-    from scipy.optimize import brentq
-
     if h >= 0.0:
         raise DomainError(f"turning point exists only for h < 0, got h={h}")
     lo = 1e-300 if m > 0.0 else 1e-12
@@ -101,14 +99,34 @@ def turning_point(h: float, m: float, r: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise DomainError(f"radicand does not change sign below q=1e12 at h={h}")
-    return brentq(lambda q: momentum_radicand(q, h, m, r), lo, hi, xtol=1e-14, rtol=8.9e-16)
+    return _bisect(lambda q: momentum_radicand(q, h, m, r), lo, hi,
+                   momentum_radicand(lo, h, m, r))
+
+
+def _bisect(f, lo, hi, flo):
+    """Root of f in a sign-change bracket [lo, hi] with flo = f(lo), halved
+    until lo and hi are adjacent floats (at most 200 halvings) or f hits an
+    exact zero."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo = mid
+            flo = fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=16)
 def _gauss_nodes(n: int):
-    from scipy.special import roots_legendre
-
-    return roots_legendre(n)
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], from numpy's
+    Golub-Welsch eigenvalue solve; cached, since each period needs n and 2n."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _period_quadrature(h: float, m: float, r: float, nodes: int) -> float:
@@ -256,34 +274,18 @@ def level_set_sample(
     q_grid = _mirror_linspace(q1_range[0], q1_range[1], resolution).tolist()
     p_grid = _mirror_linspace(p1_range[0], p1_range[1], resolution).tolist()
     pts = []
-
-    def polish(f, lo, hi, flo):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                return mid
-            if (fm > 0.0) == (flo > 0.0):
-                lo = mid
-                flo = fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     for P1 in p_grid:  # scan along Q1
         vals = [g(Q1, P1) for Q1 in q_grid]
         for k in range(resolution - 1):
             if vals[k] * vals[k + 1] < 0.0:
-                root = polish(lambda Q: g(Q, P1), q_grid[k], q_grid[k + 1], vals[k])
+                root = _bisect(lambda Q: g(Q, P1), q_grid[k], q_grid[k + 1], vals[k])
                 if abs(g(root, P1)) < 1e-10:
                     pts.append((root, P1))
     for Q1 in q_grid:  # scan along P1
         vals = [g(Q1, P1) for P1 in p_grid]
         for k in range(resolution - 1):
             if vals[k] * vals[k + 1] < 0.0:
-                root = polish(lambda P: g(Q1, P), p_grid[k], p_grid[k + 1], vals[k])
+                root = _bisect(lambda P: g(Q1, P), p_grid[k], p_grid[k + 1], vals[k])
                 if abs(g(Q1, root)) < 1e-10:
                     pts.append((Q1, root))
     if not pts:

@@ -26,6 +26,7 @@ endings, so a fixed configuration yields byte-identical data files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -130,19 +131,19 @@ def validate_run_config(cfg) -> dict:
     integ = cfg.get("integrator", {})
     if not isinstance(integ, dict):
         raise SchemaError("integrator must be an object", field="integrator")
+    known = tuple(f.name for f in dataclasses.fields(IntegratorConfig))
+    for key in integ:
+        if key not in known:
+            raise SchemaError(f"unknown integrator setting {key!r}; choose from {known}",
+                              field=f"integrator.{key}")
+    settings = dict(integ)  # a setting left out takes IntegratorConfig's default
     for key in ("step", "newton_tol", "adaptive_tol"):
         if key in integ:
-            _require_number(integ, key, f"integrator.{key}")
+            settings[key] = float(_require_number(integ, key, f"integrator.{key}"))
     if "newton_max_iter" in integ:
         _require(integ, "newton_max_iter", int, "integrator.newton_max_iter")
     try:
-        cfg["_integrator"] = IntegratorConfig(
-            method=integ.get("method", "implicit_midpoint"),
-            step=float(integ.get("step", 1e-3)),
-            newton_tol=float(integ.get("newton_tol", 1e-13)),
-            newton_max_iter=integ.get("newton_max_iter", 50),
-            adaptive_tol=float(integ.get("adaptive_tol", 1e-12)),
-        )
+        cfg["_integrator"] = IntegratorConfig(**settings)
     except Exception as exc:
         raise SchemaError(f"bad integrator settings: {exc}", field="integrator") from exc
     outputs = cfg.get("outputs", {})

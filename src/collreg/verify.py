@@ -1,11 +1,11 @@
 """Machine-checkable invariant suite behind `collreg verify`.
 
-Each check returns a record {name, passed, measured, tolerance, detail} and
-the runner aggregates them into a JSON report.  The checks mirror the
-library's mathematical contracts: symplecticity defects, chart identities,
-conservation along flows, dual-route agreements (quadrature vs flow,
-derived fields vs finite-difference gradients vs the chain rule), and the
-one-dimensional validation case.
+Each check returns a record {passed, measured, tolerance, detail}; the runner
+names it from CHECKS and aggregates the records into a JSON report.  The
+checks mirror the library's mathematical contracts: symplecticity defects,
+chart identities, conservation along flows, dual-route agreements
+(quadrature vs flow, derived fields vs finite-difference gradients vs the
+chain rule), and the one-dimensional validation case.
 
 Checks are sized to finish in a few seconds each; the pytest acceptance
 suite runs the same oracles at full scale.
@@ -24,10 +24,11 @@ from .errors import ParameterError
 SEED = 20240917
 
 
-def _record(name, measured, tolerance, passed=None, detail=None):
+def _record(measured, tolerance, passed=None, detail=None):
+    """A check's result; run_checks puts the check's name in front."""
     if passed is None:
         passed = bool(measured < tolerance)
-    rec = {"name": name, "passed": bool(passed), "measured": float(measured),
+    rec = {"passed": bool(passed), "measured": float(measured),
            "tolerance": float(tolerance)}
     if detail:
         rec["detail"] = detail
@@ -39,7 +40,7 @@ def check_relative_map_symplectic():
     worst = 0.0
     for mu in rng.uniform(1e-6, 0.5, 100):
         worst = max(worst, symplectic.symplectic_defect(symplectic.build_relative_map(mu)))
-    return _record("symplectic.relative_map", worst, 1e-12)
+    return _record(worst, 1e-12)
 
 
 def check_euler_roundtrip():
@@ -51,7 +52,7 @@ def check_euler_roundtrip():
         Q, P = symplectic.euler_inverse(q, p)
         q2, p2 = symplectic.euler_forward(Q, P)
         worst = max(worst, abs(q2 - q) / max(abs(q), 1.0), abs(p2 - p) / max(abs(p), 1.0))
-    return _record("symplectic.euler_roundtrip", worst, 1e-14)
+    return _record(worst, 1e-14)
 
 
 def check_chart_jacobian_defect():
@@ -68,7 +69,7 @@ def check_chart_jacobian_defect():
             ])
             jac = symplectic.fd_jacobian(lambda w: regularized.chart_to_physical(w, params), z)
             worst = max(worst, symplectic.symplectic_defect(jac))
-    return _record("symplectic.chart_jacobian", worst, 1e-6)
+    return _record(worst, 1e-6)
 
 
 def check_ring_radius():
@@ -83,7 +84,7 @@ def check_ring_radius():
             target = 0.5 + sum(1.0 / math.sin(math.pi * g / N) for g in range(1, nu))
         worst = max(worst, abs(2.0 * N * r**3 - target))
     worst = max(worst, abs(config.ring_radius(3) - config.bp_radius(3)))
-    return _record("config.ring_radius", worst, 1e-12)
+    return _record(worst, 1e-12)
 
 
 def check_mass_roundtrip():
@@ -96,7 +97,7 @@ def check_mass_roundtrip():
         m2 = rng.uniform(0.1, 1.0) * m1
         p = config.rescale_masses(m1, m2)
         worst = max(worst, abs(p.m1 - m1) / m1, abs(p.m2 - m2) / m2)
-    return _record("config.mass_roundtrip", worst, 1e-15)
+    return _record(worst, 1e-15)
 
 
 def check_positions_center():
@@ -107,7 +108,7 @@ def check_positions_center():
         for phase in rng.uniform(0.0, 2.0 * math.pi, 5):
             pos = config.primary_positions_3d(ring, phase)
             worst = max(worst, float(np.max(np.abs(pos.sum(axis=0)))))
-    return _record("config.positions_center", worst, 1e-13)
+    return _record(worst, 1e-13)
 
 
 def check_axis_invariance():
@@ -119,7 +120,7 @@ def check_axis_invariance():
             for phase in rng.uniform(0.0, 2.0 * math.pi, 10):
                 a = physical.infinitesimal_accel_3d(z, ring, phase)
                 worst = max(worst, abs(a[0]), abs(a[1]))
-    return _record("physical.axis_invariance", worst, 1e-13)
+    return _record(worst, 1e-13)
 
 
 def check_field_gradient():
@@ -135,7 +136,7 @@ def check_field_gradient():
         grad = symplectic.fd_jacobian(lambda w: physical.hamiltonian(w, params, ring), y)[0]
         worst = max(worst, float(np.max(np.abs(
             omega @ grad - physical.physical_field(y, params, ring)))))
-    return _record("physical.field_gradient", worst, 1e-7)
+    return _record(worst, 1e-7)
 
 
 def check_general_equivalence():
@@ -152,7 +153,7 @@ def check_general_equivalence():
             d = physical.axis_field_general(y, params, gen, t=rng.uniform(0, 10)) \
                 - physical.physical_field(y, params, ring)
             worst = max(worst, float(np.max(np.abs(d))))
-    return _record("physical.general_equivalence", worst, 1e-13)
+    return _record(worst, 1e-13)
 
 
 def check_energy_conservation():
@@ -163,7 +164,7 @@ def check_energy_conservation():
     cfg = integrators.IntegratorConfig(adaptive_tol=1e-12)
     traj = integrators.integrate_physical_oracle(
         [q0, -q0, p0, -p0], 1e6, cfg, params, ring, stop_at_q=1e3)
-    return _record("physical.energy_conservation", traj.metadata["energy_drift"], 1e-9)
+    return _record(traj.metadata["energy_drift"], 1e-9)
 
 
 def check_defining_identity():
@@ -186,7 +187,7 @@ def check_defining_identity():
                 rhs = g * (physical.hamiltonian(
                     regularized.chart_to_physical(z, params), params, ring) - h)
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return _record("regularized.defining_identity", worst, 1e-12)
+    return _record(worst, 1e-12)
 
 
 def check_zero_set():
@@ -210,7 +211,7 @@ def check_zero_set():
         n += 1
         worst = max(worst, abs(physical.hamiltonian(
             regularized.chart_to_physical(zs, params), params, ring) - h))
-    return _record("regularized.zero_set", worst, 1e-10)
+    return _record(worst, 1e-10)
 
 
 def check_chart_roundtrip():
@@ -225,7 +226,7 @@ def check_chart_roundtrip():
             back = regularized.chart_to_physical(
                 regularized.chart_to_regularized(y, params), params)
             worst = max(worst, float(np.max(np.abs(back - y))) / max(1.0, float(np.max(np.abs(y)))))
-    return _record("regularized.chart_roundtrip", worst, 1e-13)
+    return _record(worst, 1e-13)
 
 
 def check_collision_regularity():
@@ -241,7 +242,7 @@ def check_collision_regularity():
             for Q1 in qs
         ])
         if not np.all(np.isfinite(vals)):
-            return _record("regularized.collision_regularity", math.inf, 1e-8)
+            return _record(math.inf, 1e-8)
         # interior points against the cubic through their four outer neighbours
         for j in range(vals.shape[1]):
             for k in range(2, len(qs) - 2):
@@ -249,7 +250,7 @@ def check_collision_regularity():
                 ys = np.array([vals[k - 2, j], vals[k - 1, j], vals[k + 1, j], vals[k + 2, j]])
                 pred = np.polyval(np.polyfit(xs, ys, 3), qs[k])
                 worst = max(worst, abs(pred - vals[k, j]))
-    return _record("regularized.collision_regularity", worst, 1e-8)
+    return _record(worst, 1e-8)
 
 
 def check_collision_momentum():
@@ -262,7 +263,7 @@ def check_collision_momentum():
         for _ in range(30):
             z = (0.0, rng.uniform(-2, 2), pc * rng.choice([-1.0, 1.0]), rng.uniform(-2, 2))
             worst = max(worst, abs(regularized.gamma(z, rng.uniform(-2, 1), params, ring)))
-    return _record("regularized.collision_momentum", worst, 1e-14)
+    return _record(worst, 1e-14)
 
 
 def check_invariant_plane_field():
@@ -274,7 +275,7 @@ def check_invariant_plane_field():
         z = (rng.uniform(-3, 3), 0.0, rng.uniform(-3, 3), 0.0)
         f = regularized.regularized_field(z, rng.uniform(-2, 1), params, ring)
         worst = max(worst, abs(f[1]), abs(f[3]))
-    return _record("regularized.invariant_plane_field", worst, 0.0, passed=worst == 0.0,
+    return _record(worst, 0.0, passed=worst == 0.0,
                    detail="Q2' and P2' vanish identically on the symmetric plane")
 
 
@@ -290,7 +291,7 @@ def check_reflection_symmetry():
         f = regularized.regularized_field(z, h, params, ring)
         fr = regularized.regularized_field(zr, h, params, ring)
         worst = max(worst, float(np.max(np.abs(fr - f * np.array([-1.0, -1.0, 1.0, 1.0])))))
-    return _record("regularized.reflection_symmetry", worst, 0.0, passed=worst == 0.0,
+    return _record(worst, 0.0, passed=worst == 0.0,
                    detail="momentum flip reverses the flow exactly")
 
 
@@ -306,7 +307,7 @@ def check_regularized_field_gradient():
         grad = symplectic.fd_jacobian(lambda w: regularized.gamma(w, h, params, ring), z)[0]
         worst = max(worst, float(np.max(np.abs(
             omega @ grad - regularized.regularized_field(z, h, params, ring)))))
-    return _record("regularized.field_gradient", worst, 1e-7)
+    return _record(worst, 1e-7)
 
 
 def check_reduced_restriction():
@@ -324,7 +325,7 @@ def check_reduced_restriction():
             g4 = regularized.gamma((Q1, 0.0, P1, 0.0), h, params, ring)
             g2 = regularized.gamma_reduced((Q1, P1), h, params.m, a)
             worst = max(worst, abs(f4[0] - f2[0]), abs(f4[2] - f2[1]), abs(g4 - g2))
-    return _record("regularized.reduced_restriction", worst, 1e-13)
+    return _record(worst, 1e-13)
 
 
 def check_reduced_chain_rule(field_fn=None):
@@ -354,7 +355,7 @@ def check_reduced_chain_rule(field_fn=None):
         pdot_chain = (dP1 / Q1 - P1 * dQ1 / (Q1 * Q1)) / g
         pdot_phys = -q / (q * q + r * r) ** 1.5 - m / (4.0 * q * q)
         worst = max(worst, abs(pdot_chain - pdot_phys))
-    return _record("regularized.reduced_chain_rule", worst, 1e-10)
+    return _record(worst, 1e-10)
 
 
 def check_step_symplectic():
@@ -368,7 +369,7 @@ def check_step_symplectic():
         jac = symplectic.fd_jacobian(
             lambda w: integrators.step_implicit_midpoint(rhs, w, 1e-3, cfg), s0, step=1e-6)
         worst = max(worst, symplectic.symplectic_defect(jac))
-    return _record("integrators.step_symplectic", worst, 1e-8)
+    return _record(worst, 1e-8)
 
 
 def check_reversibility():
@@ -388,7 +389,7 @@ def check_reversibility():
     zr = np.array([fwd[0], fwd[1], -fwd[2], -fwd[3]])
     back = integrators.integrate(p.field, zr, 2.0, cfg, collisions=False).states[-1]
     worst = max(worst, float(np.max(np.abs(back * np.array([1, 1, -1, -1]) - z))))
-    return _record("integrators.reversibility", worst, 1e-8)
+    return _record(worst, 1e-8)
 
 
 def check_gamma_conservation():
@@ -402,12 +403,11 @@ def check_gamma_conservation():
                                  time_scale=p.clock, invariant=p.gamma)
     evs = traj.collision_events()
     if len(evs) < 3:
-        return _record("integrators.gamma_conservation", math.inf, 1e-8,
-                       detail="too few collision passages")
+        return _record(math.inf, 1e-8, detail="too few collision passages")
     g_at = [p.gamma(e.state) for e in evs]
     drift = max(abs(v - g_at[0]) for v in g_at)
     osc = traj.metadata["invariant_max"]
-    return _record("integrators.gamma_conservation", drift, 1e-8,
+    return _record(drift, 1e-8,
                    detail=f"bounded oscillation {osc:.3e} over {len(evs)} passages")
 
 
@@ -419,7 +419,7 @@ def check_monotone_clocks():
     dt = np.diff(traj.t)
     dtau = np.diff(traj.tau)
     ok = bool(np.all(dt >= 0.0) and np.all(dtau > 0.0))
-    return _record("integrators.monotone_clocks", 0.0 if ok else 1.0, 0.5, passed=ok)
+    return _record(0.0 if ok else 1.0, 0.5, passed=ok)
 
 
 def check_turning_monotone():
@@ -427,7 +427,7 @@ def check_turning_monotone():
     hs = np.arange(-2.0, -0.05, 0.1)
     qs = [analysis.turning_point(h, 1e-3, ring.radius) for h in hs]
     ok = all(qs[i] < qs[i + 1] for i in range(len(qs) - 1))
-    return _record("analysis.turning_monotone", 0.0 if ok else 1.0, 0.5, passed=ok)
+    return _record(0.0 if ok else 1.0, 0.5, passed=ok)
 
 
 def check_period_agreement():
@@ -435,7 +435,7 @@ def check_period_agreement():
     tq = analysis.period(-1.0, 1e-3, r, method="quadrature")
     tf = analysis.period(-1.0, 1e-3, r, method="flow", step=5e-4)
     rel = abs(tq - tf) / tq
-    return _record("analysis.period_agreement", rel, 1e-5)
+    return _record(rel, 1e-5)
 
 
 def check_first_integral():
@@ -451,7 +451,7 @@ def check_first_integral():
             continue
         q = 0.25 * Q1 * Q1
         worst = max(worst, abs(P1 / Q1 - analysis.momentum_profile(q, h, m, ring.radius)))
-    return _record("analysis.first_integral", worst, 1e-9)
+    return _record(worst, 1e-9)
 
 
 def check_classify():
@@ -460,18 +460,18 @@ def check_classify():
           and analysis.classify(0.1).kind == "Hyperbolic"
           and analysis.classify(5e-13).kind == "Parabolic")
     ok = ok and abs(analysis.escape_speed(0.25) - 0.5) == 0.0 and analysis.escape_speed(0.0) == 0.0
-    return _record("analysis.classify", 0.0 if ok else 1.0, 0.5, passed=ok)
+    return _record(0.0 if ok else 1.0, 0.5, passed=ok)
 
 
 def check_level_set():
     a = 4.0 * config.ring_radius(3)
     pts = analysis.level_set_sample(-1.0, 1e-3, a, (-4.0, 4.0), (-3.0, 3.0), 161)
     if len(pts) == 0:
-        return _record("analysis.level_set", math.inf, 1e-10, detail="empty level set")
+        return _record(math.inf, 1e-10, detail="empty level set")
     resid = max(abs(regularized.gamma_reduced(p, -1.0, 1e-3, a)) for p in pts)
     as_set = {(x, y) for x, y in pts}
     sym = all((-x, y) in as_set and (x, -y) in as_set and (-x, -y) in as_set for x, y in as_set)
-    return _record("analysis.level_set", resid, 1e-10, passed=bool(resid < 1e-10 and sym),
+    return _record(resid, 1e-10, passed=bool(resid < 1e-10 and sym),
                    detail=f"{len(pts)} points, mirror-symmetric: {sym}")
 
 
@@ -482,7 +482,7 @@ def check_kepler1d():
               and abs(rep["omega_sq_measured"] / rep["omega_sq_expected"] - 1.0) < 1e-6
               and rep["fft_peak_ratio"] > 1e3
               and abs(rep["x_turning_measured"] - rep["x_turning_expected"]) < 1e-5)
-    return _record("analysis.kepler1d", rep["energy_relation_residual"], 1e-9, passed=passed,
+    return _record(rep["energy_relation_residual"], 1e-9, passed=passed,
                    detail=f"speed dev {rep['collision_speed_max_dev']:.2e}, "
                           f"omega_sq ratio {rep['omega_sq_measured'] / rep['omega_sq_expected']:.9f}, "
                           f"fft ratio {rep['fft_peak_ratio']:.1e}")
@@ -524,7 +524,8 @@ CHECKS = [
 
 def run_checks(name_filter: str | None = None) -> dict:
     """Run the (optionally filtered) suite; returns the JSON-ready report."""
-    results = [fn() for name, fn in CHECKS if name_filter is None or name_filter in name]
+    results = [{"name": name, **fn()} for name, fn in CHECKS
+               if name_filter is None or name_filter in name]
     if not results:
         raise ParameterError(f"the filter {name_filter!r} selects no check")
     return {

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from collreg import analysis, cli, verify
 from collreg.cli import build_parser, load_run_config, main
 from collreg.errors import SchemaError
+from collreg.integrators import IntegratorConfig
 from collreg.regularized import gamma_reduced, reduced_field
 from collreg.config import ring_radius
 
@@ -338,6 +342,23 @@ def test_output_paths_must_be_nonempty_strings(tmp_path, capsys, key, value):
     assert not any((tmp_path / k).exists() for k in outs)
 
 
+@pytest.mark.parametrize("key", ["setp", "Step", "tolerance"])
+def test_unknown_integrator_keys_are_refused(tmp_path, capsys, key):
+    # a misspelt setting would otherwise run silently at the default step
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, integrator={"method": "implicit_midpoint", key: 0.5})
+    assert main(["simulate", str(cfgp)]) == 2
+    assert f"configuration error (field integrator.{key})" in capsys.readouterr().err
+    assert not any(tmp_path.glob("run_*"))
+
+
+def test_integrator_settings_left_out_take_the_dataclass_defaults(tmp_path):
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, integrator={"step": 2})
+    icfg = load_run_config(str(cfgp))["_integrator"]
+    assert icfg == IntegratorConfig(step=2.0) and isinstance(icfg.step, float)
+
+
 def test_simulate_refuses_a_method_other_than_the_midpoint(tmp_path, capsys):
     cfgp = tmp_path / "run.json"
     write_config(cfgp, integrator={"method": "rk4", "step": 1e-3})
@@ -457,6 +478,32 @@ def test_levelset_command(tmp_path, capsys):
     as_set = set(rows)
     for Q1, P1 in rows:
         assert (-Q1, P1) in as_set and (Q1, -P1) in as_set
+
+
+def test_levelset_csv_is_pinned(tmp_path, capsys):
+    out = tmp_path / "ls.csv"
+    assert main(["levelset", "--h", "-1", "--m", "1e-3", "--N", "3", "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7a91b50bf71a9187e57d77d44190490a365b81fdd6c84f271eaf927d8f0107e5")
+
+
+@pytest.mark.parametrize("argv", [
+    ["period", "--h", "-1", "--m", "1e-3", "--N", "3", "--step", "5e-4"],
+    ["levelset", "--h", "-1", "--m", "1e-3", "--N", "3", "--resolution", "41"],
+    ["classify", "--h", "-1"],
+], ids=lambda argv: argv[0])
+def test_analysis_commands_run_without_scipy(tmp_path, argv):
+    # scipy is only the physical-chart oracle; with it blocked, importing any
+    # part of it raises ImportError
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys; sys.modules['scipy'] = None; from collreg.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_period_command(tmp_path, capsys):
