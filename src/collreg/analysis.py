@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ring_radius
 from .errors import AccuracyError, DomainError, ParameterError
-from .integrators import IntegratorConfig, integrate
+from .integrators import IntegratorConfig, _bisect, integrate
 from .regularized import Problem
 
 __all__ = [
@@ -101,25 +101,6 @@ def turning_point(h: float, m: float, r: float) -> float:
             raise DomainError(f"radicand does not change sign below q=1e12 at h={h}")
     return _bisect(lambda q: momentum_radicand(q, h, m, r), lo, hi,
                    momentum_radicand(lo, h, m, r))
-
-
-def _bisect(f, lo, hi, flo):
-    """Root of f in a sign-change bracket [lo, hi] with flo = f(lo), halved
-    until lo and hi are adjacent floats (at most 200 halvings) or f hits an
-    exact zero."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
-            flo = fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=16)
@@ -267,27 +248,20 @@ def level_set_sample(
         raise DomainError(f"the level set needs a finite grid window, got Q1 range "
                           f"{q1_range} and P1 range {p1_range}")
     gam = Problem.reduced(h, m, a).gamma
-
-    def g(Q1, P1):
-        return gam((Q1, P1))
-
     q_grid = _mirror_linspace(q1_range[0], q1_range[1], resolution).tolist()
     p_grid = _mirror_linspace(p1_range[0], p1_range[1], resolution).tolist()
     pts = []
-    for P1 in p_grid:  # scan along Q1
-        vals = [g(Q1, P1) for Q1 in q_grid]
-        for k in range(resolution - 1):
-            if vals[k] * vals[k + 1] < 0.0:
-                root = _bisect(lambda Q: g(Q, P1), q_grid[k], q_grid[k + 1], vals[k])
-                if abs(g(root, P1)) < 1e-10:
-                    pts.append((root, P1))
-    for Q1 in q_grid:  # scan along P1
-        vals = [g(Q1, P1) for P1 in p_grid]
-        for k in range(resolution - 1):
-            if vals[k] * vals[k + 1] < 0.0:
-                root = _bisect(lambda P: g(Q1, P), p_grid[k], p_grid[k + 1], vals[k])
-                if abs(g(Q1, root)) < 1e-10:
-                    pts.append((Q1, root))
+    # along Q1 on every P1 grid line, then along P1 on every Q1 grid line;
+    # point(x, c) is the state at x along the scan on the line at c
+    for along, across, point in ((q_grid, p_grid, lambda x, c: (x, c)),
+                                 (p_grid, q_grid, lambda x, c: (c, x))):
+        for c in across:
+            vals = [gam(point(x, c)) for x in along]
+            for k in range(resolution - 1):
+                if vals[k] * vals[k + 1] < 0.0:
+                    root = _bisect(lambda x: gam(point(x, c)), along[k], along[k + 1], vals[k])
+                    if abs(gam(point(root, c))) < 1e-10:
+                        pts.append(point(root, c))
     if not pts:
         return np.empty((0, 2))
     out = np.array(sorted(pts))

@@ -42,6 +42,7 @@ from .integrators import (
     integrate,
     integrate_physical_oracle,
     write_events_json,
+    write_json,
     write_physical_csv,
     write_regularized_csv,
 )
@@ -234,9 +235,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         "wall_time_s": wall,
         **extras,
     }
-    with open(outputs["summary"], "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    write_json(summary, outputs["summary"])
     return summary
 
 
@@ -251,14 +250,9 @@ def _sweep_job(job):
         if not isinstance(override, dict):
             raise SchemaError("sweep entries must be objects", field=f"sweep[{k}]")
         cfg = validate_run_config({**base, **override, "schema": 1})
-        outputs = {
-            "trajectory": f"{stem}_sweep{k:03d}_trajectory.csv",
-            "events": f"{stem}_sweep{k:03d}_events.json",
-            "summary": f"{stem}_sweep{k:03d}_summary.json",
-            **cfg.get("outputs", {}),
-        }
+        outputs = _default_outputs(cfg, f"{stem}_sweep{k:03d}.json")
         return run_simulation(cfg, outputs), None
-    except (ValueError, RuntimeError) as exc:  # schema, domain and step failures
+    except (ValueError, RuntimeError, OSError) as exc:  # schema, domain, step and file failures
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -303,9 +297,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     report = verify.run_checks(args.filter)
     if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
+        write_json(report, args.output)
     print(json.dumps(report, indent=1))
     if not report["all_passed"]:
         failures = [c for c in report["checks"] if not c["passed"]]
@@ -342,11 +334,9 @@ def cmd_levelset(args) -> int:
 def cmd_period(args) -> int:
     report = analysis.period_report(args.h, args.m, args.N,
                                     nodes=args.nodes, step=args.step)
-    text = json.dumps(report, indent=1)
     if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(report, args.output)
+    print(json.dumps(report, indent=1))
     return 0
 
 
@@ -418,7 +408,7 @@ def main(argv=None) -> int:
         where = f" (field {exc.field})" if exc.field else ""
         print(f"configuration error{where}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,14 +177,12 @@ class GeneralSymmetricConfig:
         return self.r_order * self.s_count
 
     @classmethod
-    def from_ring(
-        cls, ring: RingConfig, angular_velocity: float = 1.0, phase: float = 0.0
-    ) -> "GeneralSymmetricConfig":
-        """The ring as a single subsystem of order N."""
+    def from_ring(cls, ring: RingConfig) -> "GeneralSymmetricConfig":
+        """The ring as a single subsystem of order N, turning at the unit
+        angular velocity of its radius from phase 0 at t = 0."""
 
         def rep(t: float) -> np.ndarray:
-            a = phase + angular_velocity * t
-            return np.array([[ring.radius * math.cos(a), ring.radius * math.sin(a), 0.0]])
+            return np.array([[ring.radius * math.cos(t), ring.radius * math.sin(t), 0.0]])
 
         return cls(
             r_order=ring.N,

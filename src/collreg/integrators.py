@@ -14,8 +14,10 @@ finiteness test, event test, clock and recording; later sweeps, the Newton
 fallback and event localization are shared helpers it calls only when needed,
 and the invariant and its level guard run in numpy on each block of
 recorded samples.
-Physical time is accumulated alongside fictitious time by the midpoint rule
-for dt/dtau, in two pieces on a step with an event, split at the event.
+Collision events are bisected to adjacent floats, by the package's one
+bisection _bisect, on the step's cubic Hermite interpolant of Q1.  Physical
+time is accumulated alongside fictitious time by the midpoint rule for
+dt/dtau, in two pieces on a step with an event, split at the event.
 
 A conventional adaptive Runge-Kutta pair (through scipy) integrates the
 physical chart as an equivalence oracle; it is valid only away from
@@ -51,6 +53,7 @@ __all__ = [
     "write_regularized_csv",
     "write_physical_csv",
     "write_events_json",
+    "write_json",
 ]
 
 METHODS = ("implicit_midpoint",)
@@ -196,16 +199,11 @@ def _midpoint_nan() -> StepFailure:
 
 
 def _midpoint_stalled(field, y, yn, dstep, max_iter) -> StepFailure:
+    res = _np_residual(field, np.array(y), np.array(yn), dstep)
     return StepFailure(
         f"implicit midpoint failed to converge within {max_iter} iterations",
-        residual=_midpoint_residual(field, y, yn, dstep),
+        residual=float(np.max(np.abs(res))),
     )
-
-
-def _midpoint_residual(field, y, yn, dstep):
-    n = len(y)
-    fm = field(tuple(0.5 * (y[k] + yn[k]) for k in range(n)))
-    return max(abs(yn[k] - y[k] - dstep * fm[k]) for k in range(n))
 
 
 def _midpoint_newton(field, y, yn, dstep, tol, budget, scale):
@@ -255,31 +253,35 @@ def _hermite_eval(s, y0, y1, d0, d1):
     return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
 
 
-def _locate_crossing(y_prev, y_next, f_prev, f_next, dstep):
-    """Sub-step root of Q1 via linear guess plus bisection on the cubic
-    Hermite interpolant; returns the fractional position s in [0, 1]."""
-    a, b = 0.0, 1.0
-    ya = y_prev[0]
-    yb = y_next[0]
-    s = ya / (ya - yb)  # linear interpolation seed
-    d0 = dstep * f_prev[0]
-    d1 = dstep * f_next[0]
-    lo, hi = (a, b)
-    flo = ya
-    for _ in range(80):
-        val = _hermite_eval(s, ya, yb, d0, d1)
-        if val == 0.0:
+def _bisect(f, lo, hi, flo):
+    """Root of f in a sign-change bracket [lo, hi] with flo = f(lo), halved
+    until lo and hi are adjacent floats (at most 200 halvings) or f hits an
+    exact zero."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-        if (val > 0.0) == (flo > 0.0):
-            lo = s
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo = mid
+            flo = fm
         else:
-            hi = s
-        s_new = 0.5 * (lo + hi)
-        if abs(s_new - s) < 1e-15:
-            s = s_new
-            break
-        s = s_new
-    return min(max(s, 0.0), 1.0)
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _locate_crossing(y_prev, y_next, f_prev, f_next, dstep):
+    """Fractional position s in [0, 1] of the root of Q1 on the step's cubic
+    Hermite interpolant, bisected down to adjacent floats.  A step that lands
+    on 0 has its root at s = 1, the step's end, not at a rounding zero of
+    the cubic just before it."""
+    if y_next[0] == 0.0:
+        return 1.0
+    ya, yb = y_prev[0], y_next[0]
+    d0, d1 = dstep * f_prev[0], dstep * f_next[0]
+    return _bisect(lambda s: _hermite_eval(s, ya, yb, d0, d1), 0.0, 1.0, ya)
 
 
 def _event(field, y_prev, y, dstep, i, t, clock, index):
@@ -758,6 +760,12 @@ def write_events_json(traj: Trajectory, path) -> None:
         }
         for e in traj.events
     ]
+    write_json(payload, path)
+
+
+def write_json(obj, path) -> None:
+    """obj as JSON indented by 1, with LF line endings and one trailing
+    newline, so that equal objects give byte-identical files."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(obj, fh, indent=1)
         fh.write("\n")

@@ -151,13 +151,11 @@ def reduced_field(s, h: float, a: float) -> np.ndarray:
     return np.array(Problem.reduced(h, 0.0, a).field((float(s[0]), float(s[1]))))
 
 
-def collision_momentum(params: MassParams, m: float | None = None) -> float:
+def collision_momentum(params: MassParams) -> float:
     """|P1| forced at any Q1 = 0 point of the level set Gamma = 0:
     (1 - eps^2) * sqrt(2m), independent of Q2 and P2."""
-    if m is None:
-        m = params.m
     e = params.epsilon
-    return (1.0 - e * e) * math.sqrt(2.0 * m)
+    return (1.0 - e * e) * math.sqrt(2.0 * params.m)
 
 
 def reduced_level_momentum(Q1: float, h: float, m: float, a: float) -> float:
@@ -244,13 +242,16 @@ class Problem:
                 W * q1sq * dU_dQ2,
             )
 
+        def bracket(q1sq, Q2):
+            """U + h, the potential's bracket in Gamma, at Q1^2 and Q2."""
+            A = 2.0 * Q2 + mu * q1sq
+            B = 2.0 * Q2 - omu * q1sq
+            return c_omu / _sqrt(A * A + r4) + c_mu / _sqrt(B * B + r4) + h
+
         def gam(z):
             Q1, Q2, P1, P2 = z
             q1sq = Q1 * Q1
-            A = 2.0 * Q2 + mu * q1sq
-            B = 2.0 * Q2 - omu * q1sq
-            bracket = c_omu / _sqrt(A * A + r4) + c_mu / _sqrt(B * B + r4) + h
-            return 0.5 * (momu * P2 * P2 * q1sq + P1 * P1) - offset - W * q1sq * bracket
+            return 0.5 * (momu * P2 * P2 * q1sq + P1 * P1) - offset - W * q1sq * bracket(q1sq, Q2)
 
         def clock(Q1):
             return W * Q1 * Q1
@@ -258,10 +259,7 @@ class Problem:
         def project(z):
             Q1, Q2, P1, P2 = (float(v) for v in z)
             q1sq = Q1 * Q1
-            A = 2.0 * Q2 + mu * q1sq
-            B = 2.0 * Q2 - omu * q1sq
-            U = c_omu / math.sqrt(A * A + r4) + c_mu / math.sqrt(B * B + r4)
-            p1sq = pc_sq + c_mu * omu * q1sq * (U + h) - momu * P2 * P2 * q1sq
+            p1sq = pc_sq + c_mu * omu * q1sq * bracket(q1sq, Q2) - momu * P2 * P2 * q1sq
             if p1sq < 0.0:
                 raise DomainError(
                     f"no real momentum on the level h={h} at (Q1={Q1}, Q2={Q2}, P2={P2})"

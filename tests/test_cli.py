@@ -201,7 +201,7 @@ PINNED_RUNS = {
          "initial": {"chart": "regularized", "state": [0.5, -1.0]},
          "integrator": {"method": "implicit_midpoint", "step": 5e-3}, "span": 10.0},
         ("3fa6b1193f000b66dcdbef7e8bf361f18cc2b58e455edd55a9a8ad7b2848df48",
-         "dd376969ba3a123ed487a9468ba4067634de2ffc5616e0ee83a6ff2ecc2991b5",
+         "1cda6d1ff52b5a6a44e74903a6cd85cd05b9cece299a04c61db0b0e9b42387b8",
          "ecba144fbdaec622dc7427379db3888d8cf3ac117c7326d49075a94a62ae4211"),
     ),
     "sitnikov": (
@@ -209,7 +209,7 @@ PINNED_RUNS = {
          "initial": {"chart": "regularized", "state": [0.5, 0.1, -1.0, 0.0]},
          "integrator": {"method": "implicit_midpoint", "step": 5e-3}, "span": 10.0},
         ("b02e29a27c63d8de317058b7084d12edb7510367143430801a838a2ee2185bd6",
-         "464762d17c0ee7a8f0226c82090bf2bf0093f665291845bed95d2afe18f5d9ea",
+         "d16f6b60c87bd29e7246d0d192b4b804c898bb038065f5cc80c2e19d51026670",
          "412c5eff2d4a16412410ffb8e9da81ef7bcd807ed939c2db8fe4e1ad7db38b58"),
     ),
     "kepler1d": (
@@ -219,7 +219,7 @@ PINNED_RUNS = {
         # its gamma squares are products, as numpy's columns are: 2 of the
         # 2001 gamma values moved by 2.2e-16 from the libm pow ones
         ("c016c34be3eccd7a9fe2ffe0690d6f94cbcbfc4409802f991aeb5b31ce5216cc",
-         "886cf30b784e90f40f8c3fe641c5a28372cff50dcd7ea79f8a2e4815b293deac",
+         "6b5d001316c0e74633000155d426e736af235827318ef5bef0f22530294f6b59",
          "5fe08630978c2209e9259d96a3dce393686003b5d8124ce78c9020d415f348f8"),
     ),
 }
@@ -463,6 +463,15 @@ def test_levelset_refuses_a_non_finite_window(tmp_path, capsys, flag, value):
     assert not captured.out and not out.exists()
 
 
+def test_an_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys):
+    # the output path is a directory: open fails with an OSError
+    assert main(["levelset", "--h", "-1", "--m", "1e-3", "--N", "3", "--resolution", "21",
+                 "--output", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not captured.out
+
+
 def test_levelset_command(tmp_path, capsys):
     out = tmp_path / "ls.csv"
     assert main(["levelset", "--h", "-1", "--m", "1e-3", "--N", "3",
@@ -604,3 +613,25 @@ def test_sweep_failed_job_leaves_the_others_running(tmp_path, capsys, monkeypatc
     assert not list(tmp_path.glob("sweep_sweep001_*"))
     # the merged configs are validated in memory, not through temp files
     assert not list(tmp_path.glob("sweep_sweep???.json"))
+
+
+def test_sweep_job_that_cannot_write_leaves_the_others_running(tmp_path, capsys, monkeypatch):
+    # the middle job integrates, then fails to open its trajectory path, a directory
+    cfgp = tmp_path / "sweep.json"
+    cfgp.write_text(json.dumps({
+        "schema": 1,
+        "problem": "reduced",
+        "N": 2, "m": 1e-3, "epsilon": 0.0, "h": -1.0,
+        "initial": {"chart": "regularized", "state": [0.0, 1.0]},
+        "integrator": {"method": "implicit_midpoint", "step": 1e-3},
+        "span": 3.0,
+        "sweep": [{}, {"outputs": {"trajectory": str(tmp_path)}}, {"h": -2.0}],
+    }))
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out and "sweep job 002 done" in out
+    assert "sweep job 001 failed" in err and "Traceback" not in err
+    for k in (0, 2):
+        assert (tmp_path / f"sweep_sweep{k:03d}_summary.json").exists()
+    assert not (tmp_path / "sweep_sweep001_summary.json").exists()

@@ -126,7 +126,7 @@ def test_general_config_rotation_symmetry():
     # rotating the representative by 2 pi / r about the z axis leaves the
     # generated configuration invariant at sampled times
     ring = RingConfig.for_count(5)
-    gen = GeneralSymmetricConfig.from_ring(ring, angular_velocity=0.7, phase=0.3)
+    gen = GeneralSymmetricConfig.from_ring(ring)
     ang = 2.0 * math.pi / gen.r_order
     rot = np.array([
         [math.cos(ang), -math.sin(ang), 0.0],

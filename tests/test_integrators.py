@@ -283,6 +283,21 @@ def test_a_step_landing_on_zero_is_one_event():
     assert not integrate(drift, (0.0, 0.0), 1.0, cfg).events
 
 
+def test_a_crossing_is_located_to_adjacent_floats():
+    # on random steps through Q1 = 0, the step's Hermite cubic of Q1 is 0 at
+    # the s returned, or changes sign between s and a neighbouring float
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        side = rng.choice((-1.0, 1.0))
+        ya, yb = float(side * rng.uniform(0.01, 1.0)), float(-side * rng.uniform(0.01, 1.0))
+        fa, fb = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+        dstep = float(rng.uniform(1e-3, 0.5))
+        s = integrators._locate_crossing((ya,), (yb,), (fa,), (fb,), dstep)
+        signs = {np.sign(integrators._hermite_eval(x, ya, yb, dstep * fa, dstep * fb))
+                 for x in (np.nextafter(s, 0.0), s, np.nextafter(s, 1.0))}
+        assert 0.0 < s < 1.0 and (0.0 in signs or signs == {-1.0, 1.0})
+
+
 def test_an_event_is_dated_by_the_clock_of_its_samples():
     # the step onto 0 ends at the event, so both carry the same t
     drift = lambda y: (1.0, 0.0)
@@ -499,9 +514,9 @@ def _reference_midpoint(field, y, dstep, tol, max_iter, guess=None):
             return integrators._midpoint_newton(
                 field, y, yn, dstep, tol, max_iter - it - 1, scale
             )
-    raise StepFailure(
-        "no convergence", residual=integrators._midpoint_residual(field, y, yn, dstep)
-    )
+    fm = field(tuple(0.5 * (y[k] + yn[k]) for k in range(n)))
+    raise StepFailure("no convergence",
+                      residual=max(abs(yn[k] - y[k] - dstep * fm[k]) for k in range(n)))
 
 
 def _counting(field):
