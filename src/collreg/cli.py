@@ -18,9 +18,10 @@ sitnikov physical [q1, q2, p1, p2]; kepler1d [u, v] with "mu_grav" replacing
 the ring parameters.  Regularized initial states are projected onto the
 energy level by solving for |P1| (sign preserved); states with no real
 momentum are refused.  Every number in a configuration must be finite (no
-NaN, no infinity) and not a boolean; the masses m and mu_grav must be
-positive.  Numeric file output uses 17 significant digits and LF line
-endings, so a fixed configuration yields byte-identical data files.
+NaN, no infinity) and not a boolean; the masses m and mu_grav and the
+physical chart's guard must be positive.  Numeric file output uses 17
+significant digits and LF line endings, so a fixed configuration yields
+byte-identical data files.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .config import MassParams, RingConfig, ring_radius
 from .errors import SchemaError, StepFailure
 from .integrators import (
     IntegratorConfig,
+    _write_csv,
     integrate,
     integrate_physical_oracle,
     write_events_json,
@@ -74,15 +76,6 @@ def _require_number(cfg: dict, field: str, name: str | None = None) -> float:
     if not _is_number(value):
         raise SchemaError(f"field {name!r} must be a finite number, got {value!r}", field=name)
     return value
-
-
-def read_run_config(path: str) -> dict:
-    """Parse a run-configuration document without validating it."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config is not valid JSON: {exc}") from exc
 
 
 def validate_run_config(cfg) -> dict:
@@ -123,7 +116,7 @@ def validate_run_config(cfg) -> dict:
     numbers += [name for name in ("guard", "stop_at_q") if name in cfg]
     for name in numbers:
         _require_number(cfg, name)
-    for name in ("m", "mu_grav"):
+    for name in ("m", "mu_grav", "guard"):
         if name in numbers and not cfg[name] > 0:
             raise SchemaError(f"field {name!r} must be positive, got {cfg[name]!r}", field=name)
     if problem == "reduced" and cfg["epsilon"] != 0:
@@ -157,7 +150,13 @@ def validate_run_config(cfg) -> dict:
 
 
 def load_run_config(path: str) -> dict:
-    return validate_run_config(read_run_config(path))
+    """Parse and validate the run-configuration document at path."""
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"config is not valid JSON: {exc}") from exc
+    return validate_run_config(cfg)
 
 
 def _default_outputs(cfg: dict, config_path: str) -> dict:
@@ -192,10 +191,10 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
     if problem == "sitnikov" and cfg["initial"]["chart"] == "physical":
         params = MassParams(m=float(cfg["m"]), epsilon=float(cfg["epsilon"]))
         ring = RingConfig.for_count(int(cfg["N"]))
+        # guard and stop_at_q left out take the oracle's defaults
         traj = integrate_physical_oracle(
             state, span, icfg, params, ring,
-            guard=float(cfg.get("guard", 1e-4)),
-            stop_at_q=cfg.get("stop_at_q"),
+            **{k: float(cfg[k]) for k in ("guard", "stop_at_q") if k in cfg},
         )
         write_physical_csv(traj, outputs["trajectory"])
         # H's level; the oracle's first sample is the start itself
@@ -323,10 +322,7 @@ def cmd_levelset(args) -> int:
         args.h, args.m, a,
         (-args.qmax, args.qmax), (-args.pmax, args.pmax), args.resolution,
     )
-    with open(args.output, "w", newline="\n") as fh:
-        fh.write("Q1,P1\n")
-        for Q1, P1 in pts:
-            fh.write("%.17g,%.17g\n" % (Q1, P1))
+    _write_csv(args.output, "Q1,P1\n", "%.17g,%.17g\n", (pts,))
     print(f"{len(pts)} points -> {args.output}")
     return 0
 

@@ -134,14 +134,10 @@ class RingConfig:
     def primary_mass(self) -> float:
         return 1.0 / self.N
 
-    @property
-    def vertex_angles(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.N) / self.N
-
 
 def primary_positions_3d(ring: RingConfig, phase: float = 0.0) -> np.ndarray:
     """(N, 3) vertex positions at a given rotation phase; all at height z = 0."""
-    ang = ring.vertex_angles + phase
+    ang = 2.0 * math.pi * np.arange(ring.N) / ring.N + phase
     return np.column_stack(
         [ring.radius * np.cos(ang), ring.radius * np.sin(ang), np.zeros(ring.N)]
     )

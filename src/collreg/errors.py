@@ -29,10 +29,6 @@ class StepFailure(RuntimeError):
 class AccuracyError(RuntimeError):
     """A numerical routine could not certify its accuracy target."""
 
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
 
 class SchemaError(ValueError):
     """A run-configuration document failed validation."""

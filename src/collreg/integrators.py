@@ -28,13 +28,14 @@ the failure mode the regularized chart removes.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import tempfile
 import threading
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,10 +82,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not self.step > 0.0:
-            raise ParameterError(f"step must be positive, got {self.step}")
-        if not (self.newton_tol > 0.0 and self.adaptive_tol > 0.0):
-            raise ParameterError("tolerances must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ParameterError(f"step must be positive and finite, got {self.step}")
+        if not (0.0 < self.newton_tol < math.inf and 0.0 < self.adaptive_tol < math.inf):
+            raise ParameterError("tolerances must be positive and finite")
         if not self.newton_max_iter >= 1:
             raise ParameterError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
 
@@ -134,7 +135,7 @@ def _tuple_state(y) -> tuple:
     return tuple(float(v) for v in np.asarray(y, dtype=float).ravel())
 
 
-def step_implicit_midpoint(field, y, dstep: float, cfg: IntegratorConfig | None = None):
+def step_implicit_midpoint(field, y, dstep: float, cfg: IntegratorConfig = IntegratorConfig()):
     """One step of y+ = y + dstep * field((y + y+)/2).
 
     Fixed-point iteration with an explicit-Euler predictor (a single step has
@@ -145,8 +146,6 @@ def step_implicit_midpoint(field, y, dstep: float, cfg: IntegratorConfig | None 
     allowed iterations are exhausted, and, as a march does, if the new state
     is not finite.
     """
-    if cfg is None:
-        cfg = IntegratorConfig(step=abs(dstep) if dstep else 1.0)
     y0 = _tuple_state(y)
     _check_size(len(y0))
     if dstep == 0.0:
@@ -583,16 +582,17 @@ def integrate_physical_oracle(
     *,
     guard: float = 1e-4,
     stop_at_q: Optional[float] = None,
-    t_eval: Optional[Sequence[float]] = None,
 ) -> Trajectory:
     """Reference adaptive integration in the physical chart.
 
     Terminates with a proximity event when the separation q1 - q2 drops to the
-    guard distance (the chart is singular there; near-collision work belongs
-    to the regularized chart).  Optionally terminates with an escape event
-    when q1 reaches stop_at_q.  Both clocks coincide in this chart.  The
-    invariant column is H at each sample.
+    guard distance, which must be positive (the chart is singular at q1 = q2;
+    near-collision work belongs to the regularized chart).  Optionally
+    terminates with an escape event when q1 reaches stop_at_q.  Both clocks
+    coincide in this chart.  The invariant column is H at each sample.
     """
+    if not guard > 0.0:
+        raise ParameterError(f"the proximity guard must be positive, got {guard}")
     from scipy.integrate import solve_ivp
 
     y0 = _tuple_state(y0)
@@ -627,7 +627,6 @@ def integrate_physical_oracle(
         method="DOP853",
         rtol=cfg.adaptive_tol,
         atol=cfg.adaptive_tol * 1e-2,
-        t_eval=t_eval,
         events=ev_fns,
         dense_output=True,
     )
@@ -658,9 +657,10 @@ _CSV_CHUNK = 4096  # rows formatted per write, so the writer's memory stays flat
 
 def _write_csv(path, header, row_fmt, columns) -> None:
     """Write header, then row_fmt % (row k of every column) for every sample
-    k.  A column is an array of one or more values a sample; the last is the
-    invariant.  From two chunks of rows on, _write_csv_split writes them on
-    two processes, where a helper process can be forked."""
+    k.  A column is an array of one or more values a sample; in a trajectory
+    the last is the invariant, which may be missing (None) and is then
+    refused.  From two chunks of rows on, _write_csv_split writes them on two
+    processes, where a helper process can be forked."""
     if columns[-1] is None:
         raise ParameterError("the trajectory carries no invariant column to write")
     rows = len(columns[0])

@@ -65,14 +65,13 @@ def chart_to_physical(z, params: MassParams) -> np.ndarray:
     The momentum components carry P1/Q1 and are genuinely singular at Q1 = 0;
     use collision_positions for the (well-defined) positions there.
     """
-    Q1, Q2, P1, P2 = (float(v) for v in z)
+    Q1, _, P1, P2 = (float(v) for v in z)
     if Q1 == 0.0:
         raise CollisionError("momenta are undefined at the collision point Q1 = 0")
     mu = params.mu
     return np.array(
         [
-            Q2 + 0.5 * mu * Q1 * Q1,
-            Q2 - 0.5 * (1.0 - mu) * Q1 * Q1,
+            *collision_positions(z, params),
             (1.0 - mu) * P2 + P1 / Q1,
             mu * P2 - P1 / Q1,
         ]

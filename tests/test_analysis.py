@@ -93,8 +93,12 @@ def test_turning_point_residual_and_monotonicity():
 
 
 def test_turning_point_domain():
-    with pytest.raises(DomainError):
-        turning_point(0.0, 1e-3, 0.5)
+    # m < 0: the radicand rises from -inf at q = 0, so its first sign change
+    # is an inner zero, not the turning point
+    for h, m in ((0.0, 1e-3), (math.nan, 1e-3), (-math.inf, 1e-3), (-1.0, math.inf),
+                 (-1.0, math.nan), (-1.0, -1e-3)):
+        with pytest.raises(DomainError):
+            turning_point(h, m, ring_radius(3))
 
 
 def test_period_methods_agree():
@@ -139,6 +143,10 @@ def test_period_domain_and_methods():
         period(0.1, 1e-3, r)
     with pytest.raises(DomainError):
         period(-1.0, 0.0, r, method="flow")
+    for h, m in ((-1.0, -1e-3), (-math.inf, 1e-3), (-1.0, math.inf)):
+        for method in ("quadrature", "flow"):
+            with pytest.raises(DomainError):
+                period(h, m, r, method=method)
     with pytest.raises(ValueError):
         period(-1.0, 1e-3, r, method="simpson")
 

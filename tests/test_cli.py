@@ -6,16 +6,17 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from collreg import analysis, cli, verify
+from collreg import analysis, cli, integrators, verify
 from collreg.cli import build_parser, load_run_config, main
-from collreg.errors import SchemaError
-from collreg.integrators import IntegratorConfig
+from collreg.errors import ParameterError, SchemaError
+from collreg.integrators import IntegratorConfig, integrate_physical_oracle
 from collreg.regularized import gamma_reduced, reduced_field
-from collreg.config import ring_radius
+from collreg.config import MassParams, RingConfig, ring_radius
 
 
 def write_config(path, **overrides):
@@ -359,6 +360,39 @@ def test_integrator_settings_left_out_take_the_dataclass_defaults(tmp_path):
     assert icfg == IntegratorConfig(step=2.0) and isinstance(icfg.step, float)
 
 
+@pytest.mark.parametrize("setting", ["--step=inf", "--step=nan"])
+def test_period_refuses_a_non_finite_step(capsys, setting):
+    # an infinite step would run the midpoint solve on inf and fail inside it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["period", "--h", "-1", "--m", "1e-3", "--N", "3", setting]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: step must be positive and finite")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+@pytest.mark.parametrize("key", ["step", "newton_tol", "adaptive_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_integrator_config_refuses_a_non_finite_setting(key, value):
+    with pytest.raises(ParameterError):
+        IntegratorConfig(**{key: value})
+
+
+@pytest.mark.parametrize("guard", [-1e-4, 0])
+def test_a_nonpositive_guard_is_a_config_error(tmp_path, capsys, guard):
+    # the proximity event at q1 - q2 = guard cannot fire before the collision
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, problem="sitnikov", epsilon=0.2, h=0.25, guard=guard, span=50.0,
+                 initial={"chart": "physical", "state": [1.0, -1.0, 0.9, -0.9]})
+    assert main(["simulate", str(cfgp)]) == 2
+    assert "configuration error (field guard)" in capsys.readouterr().err
+    assert not any(tmp_path.glob("run_*"))
+    with pytest.raises(ParameterError):
+        integrate_physical_oracle([1.0, -1.0, 0.9, -0.9], 1.0, IntegratorConfig(),
+                                  MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2),
+                                  guard=guard)
+
+
 def test_simulate_refuses_a_method_other_than_the_midpoint(tmp_path, capsys):
     cfgp = tmp_path / "run.json"
     write_config(cfgp, integrator={"method": "rk4", "step": 1e-3})
@@ -379,10 +413,12 @@ def test_simulate_refuses_a_start_with_no_momentum_on_its_level(tmp_path, capsys
 
 
 @pytest.mark.parametrize("h, m", [("0", "1e-3"), ("0.5", "1e-3"), ("nan", "1e-3"),
-                                  ("-1", "0"), ("-1", "-1e-3")])
+                                  ("-1", "0"), ("-1", "-1e-3"), ("-inf", "1e-3"),
+                                  ("-1", "inf")])
 def test_period_refuses_inputs_without_a_periodic_orbit(monkeypatch, capsys, h, m):
-    # a parabolic or hyperbolic orbit never returns, and m = 0 starts at the
-    # rest point: each is refused before the flow takes a step
+    # a parabolic or hyperbolic orbit never returns, m = 0 starts at the rest
+    # point, and a non-finite h or m has no orbit: each is refused before the
+    # flow takes a step
     def no_work(*args, **kwargs):
         raise AssertionError("the period flow started")
 
@@ -487,6 +523,23 @@ def test_levelset_command(tmp_path, capsys):
     as_set = set(rows)
     for Q1, P1 in rows:
         assert (-Q1, P1) in as_set and (Q1, -P1) in as_set
+
+
+def test_a_long_levelset_csv_is_written_on_two_processes(tmp_path, capsys, monkeypatch):
+    # the level set goes through the trajectory writer, so from two chunks of
+    # rows on it takes the two-process path, with the bytes of one process
+    pts = np.random.default_rng(0).standard_normal((10000, 2))
+    monkeypatch.setattr(analysis, "level_set_sample", lambda *args: pts)
+    splits = []
+    split = integrators._write_csv_split
+    monkeypatch.setattr(integrators, "_write_csv_split",
+                        lambda *args: splits.append(args[-1]) or split(*args))
+    out = tmp_path / "ls.csv"
+    assert main(["levelset", "--h", "-1", "--m", "1e-3", "--N", "3", "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert splits == [10000]
+    assert out.read_bytes() == ("Q1,P1\n" + "".join(
+        "%.17g,%.17g\n" % (q, p) for q, p in pts)).encode()
 
 
 def test_levelset_csv_is_pinned(tmp_path, capsys):

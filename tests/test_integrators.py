@@ -922,8 +922,13 @@ def test_physical_csv_matches_the_row_by_row_reference(tmp_path):
 
     params, ring = MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2)
     p0 = momentum_profile(1.0, 0.25, params.m, ring.radius)
-    traj = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, IntegratorConfig(),
-                                     params, ring, t_eval=np.linspace(0.0, 10.0, 5000))
+    oracle = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, IntegratorConfig(),
+                                       params, ring)
+    # 5000 rows of the oracle's dense solution: longer than one chunk of the writer
+    t = np.linspace(0.0, 10.0, 5000)
+    states = oracle.metadata["dense"](t).T
+    traj = Trajectory(tau=t, t=t, states=states,
+                      invariant=np.array([hamiltonian(s, params, ring) for s in states]))
     path = tmp_path / "phys.csv"
     write_physical_csv(traj, path)
     assert path.read_bytes() == _reference_physical_csv(traj, params, ring)
