@@ -44,7 +44,6 @@ from .integrators import (
     Trajectory,
     integrate,
     integrate_physical_oracle,
-    step_implicit_midpoint,
 )
 from .physical import (
     axis_field_general,

@@ -48,8 +48,8 @@ def classify(h: float, tol: float = 1e-12) -> OrbitClass:
     The tolerance band around h = 0 exists because exact parabolicity is
     measure zero; it only relabels that boundary.
     """
-    if not tol >= 0.0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tolerance must be nonnegative and finite, got {tol}")
     if math.isnan(h):
         raise DomainError("the energy h is NaN; no orbit class")
     if h < -tol:
@@ -151,25 +151,32 @@ def _period_quadrature(h: float, m: float, r: float, nodes: int) -> float:
 _PERIOD_TAU_CAP = 50.0 * 4.0**5
 
 
-def _period_flow(h: float, m: float, a: float, step: float):
+def _period_flow(h: float, m: float, r: float, step: float):
     """Follow the reduced regularized flow from one collision to the next.
 
     Returns (T, tau_half): the physical time between consecutive collisions
     (one full bounce of the separation, which is the physical period) and the
     fictitious time between them (half of the closed double-cover loop).  The
     march stops at the first return and keeps no samples in between.
+
+    On Gamma = 0, P1^2 = 2m + 8 Q1^2/sqrt(Q1^4 + a^2) + h Q1^2 < 2m + 8, and
+    Q1 runs from 0 to 2 sqrt(qmax) and back, so tau_half is at least
+    4 sqrt(qmax) / sqrt(8 + 2m); when that lower bound is past the cap the
+    return is refused before any march.
     """
-    p = Problem.reduced(h, m, a)
-    cfg = IntegratorConfig(method="implicit_midpoint", step=step)
-    y0 = (0.0, math.sqrt(2.0 * m))
-    traj = integrate(p.field, y0, _PERIOD_TAU_CAP, cfg, time_scale=p.clock,
-                     record_every=sys.maxsize, stop_after=1)
-    if not traj.events:
-        raise AccuracyError(
-            f"no collision return found within tau span {_PERIOD_TAU_CAP} at h={h}"
-        )
-    ev = traj.events[0]
-    return ev.t, ev.tau
+    tau_min = 4.0 * math.sqrt(turning_point(h, m, r)) / math.sqrt(8.0 + 2.0 * m)
+    if tau_min <= _PERIOD_TAU_CAP:
+        p = Problem.reduced(h, m, 4.0 * r)
+        cfg = IntegratorConfig(method="implicit_midpoint", step=step)
+        y0 = (0.0, math.sqrt(2.0 * m))
+        traj = integrate(p.field, y0, _PERIOD_TAU_CAP, cfg, time_scale=p.clock,
+                         record_every=sys.maxsize, stop_after=1)
+        if traj.events:
+            ev = traj.events[0]
+            return ev.t, ev.tau
+    raise AccuracyError(
+        f"no collision return found within tau span {_PERIOD_TAU_CAP} at h={h}"
+    )
 
 
 def period(h: float, m: float, r: float, method: str = "quadrature",
@@ -180,18 +187,21 @@ def period(h: float, m: float, r: float, method: str = "quadrature",
     flow: fictitious-time integration of the regularized system from collision
     to collision, reading the physical period off the dual clock.
     """
-    _check_period_domain(h, m, flow=method == "flow")
+    _check_period_inputs(h, m, nodes, flow=method == "flow")
     if method == "quadrature":
         return _period_quadrature(h, m, r, nodes)
     if method == "flow":
-        return _period_flow(h, m, 4.0 * r, step)[0]
+        return _period_flow(h, m, r, step)[0]
     raise ParameterError(f"unknown period method {method!r}")
 
 
-def _check_period_domain(h: float, m: float, flow: bool) -> None:
-    """Refuse a non-finite h or m, an energy with no periodic orbit, and for
-    the flow method a mass with no collision to start from; a parabolic or
-    hyperbolic orbit, or the rest point at m = 0, would never return."""
+def _check_period_inputs(h: float, m: float, nodes: int, flow: bool) -> None:
+    """Refuse fewer than one quadrature node, a non-finite h or m, an energy
+    with no periodic orbit, and for the flow method a mass with no collision
+    to start from; a parabolic or hyperbolic orbit, or the rest point at
+    m = 0, would never return."""
+    if not nodes >= 1:
+        raise ParameterError(f"nodes must be a positive integer, got {nodes}")
     if not (math.isfinite(h) and math.isfinite(m)):
         raise DomainError(f"the period needs a finite h and m, got h={h}, m={m}")
     if not h < 0.0:
@@ -203,10 +213,10 @@ def _check_period_domain(h: float, m: float, flow: bool) -> None:
 def period_report(h: float, m: float, N: int, nodes: int = 128, step: float = 2e-4) -> dict:
     """Both period computations plus the fictitious-time period of the full
     closed orbit (two collision passages in the double cover).  Refuses
-    h >= 0 and m <= 0 before any work, as period does."""
-    _check_period_domain(h, m, flow=True)
+    h >= 0, m <= 0 and nodes < 1 before any work, as period does."""
+    _check_period_inputs(h, m, nodes, flow=True)
     r = ring_radius(N)
-    T_flow, tau_half = _period_flow(h, m, 4.0 * r, step)
+    T_flow, tau_half = _period_flow(h, m, r, step)
     return {
         "h": h,
         "m": m,

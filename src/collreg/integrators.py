@@ -7,13 +7,13 @@ Q1^2 and is not separable.
 Each step is a fixed-point solve.  A march seeds it by quintic
 extrapolation through its last six accepted states, from backward
 differences it carries from step to step, at no field evaluation, and the
-first sweep then nearly always converges; a lone step and the first five
-steps of a march use the explicit-Euler guess.  integrate runs one fused
-loop per state size, 2-D or 4-D, on local floats: predictor, first sweep,
-finiteness test, event test, clock and recording; later sweeps, the Newton
-fallback and event localization are shared helpers it calls only when needed,
-and the invariant and its level guard run in numpy on each block of
-recorded samples.
+first sweep then nearly always converges; the first five steps of a march
+use the explicit-Euler guess.  integrate, the one way to take midpoint steps,
+runs one fused loop per state size, 2-D or 4-D, on local floats: predictor,
+first sweep, finiteness test, event test, clock and recording; later sweeps,
+the Newton fallback and event localization are shared helpers it calls only
+when needed, and the invariant and its level guard run in numpy on each
+block of recorded samples.
 Collision events are bisected to adjacent floats, by the package's one
 bisection _bisect, on the step's cubic Hermite interpolant of Q1.  Physical
 time is accumulated alongside fictitious time by the midpoint rule for
@@ -48,7 +48,6 @@ __all__ = [
     "IntegratorConfig",
     "Event",
     "Trajectory",
-    "step_implicit_midpoint",
     "integrate",
     "integrate_physical_oracle",
     "write_regularized_csv",
@@ -135,51 +134,20 @@ def _tuple_state(y) -> tuple:
     return tuple(float(v) for v in np.asarray(y, dtype=float).ravel())
 
 
-def step_implicit_midpoint(field, y, dstep: float, cfg: IntegratorConfig = IntegratorConfig()):
-    """One step of y+ = y + dstep * field((y + y+)/2).
-
-    Fixed-point iteration with an explicit-Euler predictor (a single step has
-    no history to extrapolate, unlike a march in integrate, which seeds its
-    solves from its last six states); after ten stalled
-    iterations it switches to a damped Newton solve on the residual (Jacobian
-    by central differences).  Raises StepFailure with the last residual if the
-    allowed iterations are exhausted, and, as a march does, if the new state
-    is not finite.
-    """
-    y0 = _tuple_state(y)
-    _check_size(len(y0))
-    if dstep == 0.0:
-        return np.array(y0)
-    f = field(y0)
-    guess = tuple([y0[k] + dstep * f[k] for k in range(len(y0))])
-    y1 = _solve(field, y0, guess, dstep, cfg.newton_tol, cfg.newton_max_iter)
-    if sum([c - c for c in y1]) != 0.0:  # the march's finiteness test
-        raise _non_finite(1, dstep)
-    return np.array(y1)
-
-
-def _check_size(n):
-    """Refuse a state that no march takes: 2 (reduced, kepler1d) and 4
-    (sitnikov) are the sizes of the regularized systems."""
-    if n not in (2, 4):
-        raise ParameterError(f"the implicit midpoint method takes 2-D or 4-D states, got {n}-D")
-
-
-def _solve(field, y, a, dstep, tol, max_iter, first=0):
-    """Sweeps first, first + 1, ... of the midpoint solve for the step from
-    y, starting from the iterate a.
+def _solve(field, y, a, dstep, tol, max_iter):
+    """Sweeps 1, 2, ... of the midpoint solve for the step from y, starting
+    from a, the iterate of the march's own first sweep (sweep 0).
 
     Each sweep is a <- y + dstep * field((y + a)/2), until the largest
     component change is within tol * (1 + max|y_k|); the damped Newton solve
-    takes over after the tenth.  max() over the components keeps its first
-    argument against a NaN, so the NaN test sees one only in the first
-    component; integrate's finiteness test catches the others.  A march runs
-    the first sweep itself and hands over from the second.
+    takes over after the tenth sweep.  max() over the components keeps its
+    first argument against a NaN, so the NaN test sees one only in the first
+    component; integrate's finiteness test catches the others.
     """
     n = range(len(y))
     scale = 1.0 + max([abs(v) for v in y])
     bound = tol * scale
-    for it in range(first, max_iter):
+    for it in range(1, max_iter):
         f = field(tuple([0.5 * (y[k] + a[k]) for k in n]))
         c = tuple([y[k] + dstep * f[k] for k in n])
         delta = max([abs(c[k] - a[k]) for k in n])
@@ -325,7 +293,6 @@ def integrate(
     cfg: IntegratorConfig,
     *,
     time_scale: Optional[Callable] = None,
-    collisions: bool = True,
     invariant: Optional[Callable] = None,
     record_every: int = 1,
     stop_after: Optional[int] = None,
@@ -335,10 +302,10 @@ def integrate(
     time_scale(Q1) provides dt/dtau for the dual clock from the first state
     component alone, the only one any clock here reads (identity clock when
     omitted), by the midpoint rule over each step, or over its two pieces on
-    either side of an event.  With collisions, sign changes of Q1, the first
-    state component, are logged as collision events with sub-step
-    localization; a step that lands exactly on 0 from a nonzero value is an
-    event at its end, and the step out of that 0 is none.
+    either side of an event.  Every sign change of Q1, the first state
+    component, is logged as a collision event with sub-step localization; a
+    step that lands exactly on 0 from a nonzero value is an event at its end,
+    and the step out of that 0 is none.  An event changes no state.
     invariant(columns), when given, is evaluated once on every recorded
     sample, a block of GUARD_BLOCK samples at a time: columns is the block's
     states as an (n, k) array, one row a component, and the invariant returns
@@ -349,8 +316,8 @@ def integrate(
     stop_after=k makes the k-th event terminal: the march ends at the step in
     which that event was localized, and the state after that step is recorded
     as the last sample whatever record_every says, so tau[-1] is how far the
-    run went and span is only a cap.  Exactly k events come back.  It needs
-    collisions.  With None the march covers the whole span.
+    run went and span is only a cap.  Exactly k events come back.  With None
+    the march covers the whole span.
 
     Raises StepFailure carrying the partial trajectory if a step cannot be
     completed, the state stops being finite, or a recorded sample's
@@ -363,14 +330,14 @@ def integrate(
     y = _tuple_state(y0)
     if span < 0.0:
         raise ParameterError(f"span must be nonnegative, got {span}")
-    if stop_after is not None and (not collisions or stop_after < 1):
-        raise ParameterError(
-            f"stop_after needs collision detection and a positive count, got {stop_after}"
-        )
+    if stop_after is not None and stop_after < 1:
+        raise ParameterError(f"stop_after must be a positive count, got {stop_after}")
     if record_every < 1:
         raise ParameterError(f"record_every must be at least 1, got {record_every}")
     n = len(y)
-    _check_size(n)
+    # the sizes of the regularized systems: 2 (reduced, kepler1d), 4 (sitnikov)
+    if n not in (2, 4):
+        raise ParameterError(f"the implicit midpoint method takes 2-D or 4-D states, got {n}-D")
     n_steps = max(int(round(span / cfg.step)), 1) if span > 0.0 else 0
     dstep = span / n_steps if n_steps else 0.0
 
@@ -407,7 +374,7 @@ def integrate(
     try:
         try:
             march(field, y, dstep, n_steps, cfg.newton_tol, cfg.newton_max_iter,
-                  time_scale, collisions, stop_after, record_every,
+                  time_scale, stop_after, record_every,
                   taus, ts, states, events, settle)
         except StepFailure:
             settle()  # an off-level sample before the failure fails the run first
@@ -444,8 +411,8 @@ def integrate(
 # (a - a) is 0.0 for a finite float and NaN otherwise, so the sum of those
 # terms is the finiteness test of the new state.
 
-def _march2(field, y, dstep, n_steps, tol, max_iter, clock, collisions,
-            stop_after, record_every, taus, ts, states, events, settle):
+def _march2(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_every,
+            taus, ts, states, events, settle):
     y0, y1 = y
     d00 = d10 = d20 = d30 = d40 = 0.0
     d01 = d11 = d21 = d31 = d41 = 0.0
@@ -468,13 +435,13 @@ def _march2(field, y, dstep, n_steps, tol, max_iter, clock, collisions,
         if not delta <= bound:
             if delta != delta:
                 raise _midpoint_nan()
-            c0, c1 = _solve(field, (y0, y1), (c0, c1), dstep, tol, max_iter, 1)
+            c0, c1 = _solve(field, (y0, y1), (c0, c1), dstep, tol, max_iter)
         if (c0 - c0) + (c1 - c1) != 0.0:
             raise _non_finite(i, dstep)
         d40, d30, d20, d10, d00 = d30, d20, d10, d00, c0 - y0
         d41, d31, d21, d11, d01 = d31, d21, d11, d01, c1 - y1
 
-        if collisions and (y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0)):
+        if y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0):
             event, t = _event(field, (y0, y1), (c0, c1), dstep, i, t, clock, len(taus) - 1)
             events.append(event)
             stopped = len(events) == stop_after
@@ -494,8 +461,8 @@ def _march2(field, y, dstep, n_steps, tol, max_iter, clock, collisions,
                 break
 
 
-def _march4(field, y, dstep, n_steps, tol, max_iter, clock, collisions,
-            stop_after, record_every, taus, ts, states, events, settle):
+def _march4(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_every,
+            taus, ts, states, events, settle):
     y0, y1, y2, y3 = y
     d00 = d10 = d20 = d30 = d40 = 0.0
     d01 = d11 = d21 = d31 = d41 = 0.0
@@ -529,7 +496,7 @@ def _march4(field, y, dstep, n_steps, tol, max_iter, clock, collisions,
             if delta != delta:
                 raise _midpoint_nan()
             c0, c1, c2, c3 = _solve(field, (y0, y1, y2, y3), (c0, c1, c2, c3),
-                                    dstep, tol, max_iter, 1)
+                                    dstep, tol, max_iter)
         if (c0 - c0) + (c1 - c1) + (c2 - c2) + (c3 - c3) != 0.0:
             raise _non_finite(i, dstep)
         d40, d30, d20, d10, d00 = d30, d20, d10, d00, c0 - y0
@@ -537,7 +504,7 @@ def _march4(field, y, dstep, n_steps, tol, max_iter, clock, collisions,
         d42, d32, d22, d12, d02 = d32, d22, d12, d02, c2 - y2
         d43, d33, d23, d13, d03 = d33, d23, d13, d03, c3 - y3
 
-        if collisions and (y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0)):
+        if y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0):
             event, t = _event(field, (y0, y1, y2, y3), (c0, c1, c2, c3), dstep, i, t, clock,
                               len(taus) - 1)
             events.append(event)

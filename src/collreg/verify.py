@@ -367,7 +367,7 @@ def check_step_symplectic():
     for _ in range(50):
         s0 = rng.uniform(-2, 2, 2)
         jac = symplectic.fd_jacobian(
-            lambda w: integrators.step_implicit_midpoint(rhs, w, 1e-3, cfg), s0, step=1e-6)
+            lambda w: integrators.integrate(rhs, w, 1e-3, cfg).states[-1], s0, step=1e-6)
         worst = max(worst, symplectic.symplectic_defect(jac))
     return _record(worst, 1e-8)
 
@@ -378,16 +378,15 @@ def check_reversibility():
     # reduced system
     p = regularized.Problem.reduced(-1.0, params.m, 4.0 * RingConfig.for_count(2).radius)
     y = p.project((0.7, 1.0))
-    fwd = integrators.integrate(p.field, y, 2.0, cfg, collisions=False).states[-1]
-    back = integrators.integrate(p.field, (fwd[0], -fwd[1]), 2.0, cfg,
-                                 collisions=False).states[-1]
+    fwd = integrators.integrate(p.field, y, 2.0, cfg).states[-1]
+    back = integrators.integrate(p.field, (fwd[0], -fwd[1]), 2.0, cfg).states[-1]
     worst = max(abs(back[0] - y[0]), abs(back[1] + y[1]))
     # full system
     p = regularized.Problem.sitnikov(-1.0, params, RingConfig.for_count(3))
     z = p.project((0.9, 0.1, 1.0, -0.2))
-    fwd = integrators.integrate(p.field, z, 2.0, cfg, collisions=False).states[-1]
+    fwd = integrators.integrate(p.field, z, 2.0, cfg).states[-1]
     zr = np.array([fwd[0], fwd[1], -fwd[2], -fwd[3]])
-    back = integrators.integrate(p.field, zr, 2.0, cfg, collisions=False).states[-1]
+    back = integrators.integrate(p.field, zr, 2.0, cfg).states[-1]
     worst = max(worst, float(np.max(np.abs(back * np.array([1, 1, -1, -1]) - z))))
     return _record(worst, 1e-8)
 
@@ -444,7 +443,7 @@ def check_first_integral():
     p = regularized.Problem.reduced(h, m, 4.0 * ring.radius)
     cfg = integrators.IntegratorConfig(step=2e-5, newton_tol=1e-15)
     traj = integrators.integrate(p.field, p.project((1.0, 1.0)), 1.0, cfg,
-                                 collisions=False, record_every=10)
+                                 record_every=10)
     worst = 0.0
     for Q1, P1 in traj.states:
         if Q1 <= 0.3 or P1 <= 0.05:

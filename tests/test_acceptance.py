@@ -222,8 +222,7 @@ def test_criterion_08_dynamics_proposition():
     probe = integrate(rhs, y0, 60.0, IntegratorConfig(step=2e-4, newton_tol=1e-14),
                       stop_after=1)
     tau_loop = 2.0 * probe.collision_events()[0].tau
-    closed = integrate(rhs, y0, tau_loop, IntegratorConfig(step=2e-4, newton_tol=1e-14),
-                       collisions=False)
+    closed = integrate(rhs, y0, tau_loop, IntegratorConfig(step=2e-4, newton_tol=1e-14))
     ret = float(np.max(np.abs(closed.states[-1] - np.array(y0))))
     ok_periodic = ret < 1e-6
 
@@ -287,17 +286,16 @@ def test_criterion_11_reversibility_and_symmetry():
     cfg = IntegratorConfig(step=1e-3, newton_tol=1e-15)
     rhs = Problem.reduced(h, m, a).field
     y0 = (0.0, math.sqrt(2.0 * m))
-    fwd = integrate(rhs, y0, 20.0, cfg, collisions=False).states[-1]
-    back = integrate(rhs, (fwd[0], -fwd[1]), 20.0, cfg, collisions=False).states[-1]
+    fwd = integrate(rhs, y0, 20.0, cfg).states[-1]
+    back = integrate(rhs, (fwd[0], -fwd[1]), 20.0, cfg).states[-1]
     rev = max(abs(back[0] - y0[0]), abs(-back[1] - y0[1]))
 
     params = MassParams(m=m, epsilon=0.25)
     ring3 = RingConfig.for_count(3)
     rhs4 = Problem.sitnikov(h, params, ring3).field
     z0 = project_to_level([0.9, 0.1, 1.0, -0.2], h, params, ring3)
-    fwd4 = integrate(rhs4, z0, 5.0, cfg, collisions=False).states[-1]
-    back4 = integrate(rhs4, fwd4 * np.array([1, 1, -1, -1]), 5.0, cfg,
-                      collisions=False).states[-1]
+    fwd4 = integrate(rhs4, z0, 5.0, cfg).states[-1]
+    back4 = integrate(rhs4, fwd4 * np.array([1, 1, -1, -1]), 5.0, cfg).states[-1]
     rev4 = float(np.max(np.abs(back4 * np.array([1, 1, -1, -1]) - z0)))
 
     pts = level_set_sample(h, m, a, (-4.0, 4.0), (-3.0, 3.0), 201)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from collreg import (
+    AccuracyError,
     DomainError,
     IntegratorConfig,
     MassParams,
+    ParameterError,
     RingConfig,
     classify,
     escape_speed,
@@ -19,6 +21,7 @@ from collreg import (
     ring_radius,
     turning_point,
 )
+from collreg import analysis
 from collreg.analysis import _blackman_harris, momentum_radicand
 from collreg.regularized import Problem, gamma_reduced, reduced_level_momentum
 
@@ -151,6 +154,30 @@ def test_period_domain_and_methods():
         period(-1.0, 1e-3, r, method="simpson")
 
 
+def _no_march(*args, **kwargs):
+    raise AssertionError("the period flow started")
+
+
+def test_a_return_past_the_tau_cap_is_refused_before_the_march(monkeypatch):
+    # at h = -1e-9 the half loop takes at least 4 sqrt(qmax) / sqrt(8 + 2m),
+    # about 63246 in tau, past the flow's cap of 51200
+    monkeypatch.setattr(analysis, "integrate", _no_march)
+    with pytest.raises(AccuracyError, match="no collision return found"):
+        period(-1e-9, 1e-3, ring_radius(3), method="flow")
+    with pytest.raises(AccuracyError, match="no collision return found"):
+        period_report(-1e-9, 1e-3, 3)
+
+
+@pytest.mark.parametrize("nodes", [0, -2])
+def test_fewer_than_one_quadrature_node_is_refused_before_the_march(monkeypatch, nodes):
+    monkeypatch.setattr(analysis, "integrate", _no_march)
+    for method in ("quadrature", "flow"):
+        with pytest.raises(ParameterError, match="nodes"):
+            period(-1.0, 1e-3, ring_radius(3), method=method, nodes=nodes)
+    with pytest.raises(ParameterError, match="nodes"):
+        period_report(-1.0, 1e-3, 3, nodes=nodes)
+
+
 def test_level_set_symmetry_and_residual():
     a = 4.0 * ring_radius(3)
     pts = level_set_sample(-1.0, 1e-3, a, (-4.0, 4.0), (-3.0, 3.0), 201)
@@ -191,7 +218,7 @@ def test_first_integral_along_regularized_flow():
     rhs = Problem.reduced(h, m, a).field
     y0 = (1.0, reduced_level_momentum(1.0, h, m, a))
     traj = integrate(rhs, y0, 1.0, IntegratorConfig(step=2e-5, newton_tol=1e-15),
-                     collisions=False, record_every=10)
+                     record_every=10)
     worst = 0.0
     for Q1, P1 in traj.states:
         if Q1 <= 0.3 or P1 <= 0.05:

@@ -371,6 +371,17 @@ def test_period_refuses_a_non_finite_step(capsys, setting):
     assert captured.err.count("\n") == 1 and not captured.out
 
 
+def test_period_refuses_zero_nodes_before_the_flow(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the period flow started")
+
+    monkeypatch.setattr(analysis, "integrate", no_work)
+    assert main(["period", "--h", "-1", "--m", "1e-3", "--N", "3", "--nodes", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: nodes must be a positive integer")
+    assert not captured.out
+
+
 @pytest.mark.parametrize("key", ["step", "newton_tol", "adaptive_tol"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_integrator_config_refuses_a_non_finite_setting(key, value):
@@ -469,6 +480,7 @@ def test_schema_rejects_bad_state_length(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["classify", "--h", "nan"],
     ["classify", "--h", "-0.5", "--tol", "nan"],
+    ["classify", "--h", "-1", "--tol", "inf"],
     ["levelset", "--h", "nan", "--m", "1e-3", "--N", "3"],
     ["levelset", "--h", "-1", "--m", "nan", "--N", "3"],
     ["levelset", "--h", "inf", "--m", "1e-3", "--N", "3"],

@@ -13,7 +13,6 @@ from collreg import (
     Trajectory,
     fd_jacobian,
     integrate,
-    step_implicit_midpoint,
     symplectic_defect,
 )
 from collreg import integrators
@@ -37,18 +36,13 @@ def oscillator(y):
     return (y[1], -y[0])
 
 
-def test_zero_step_is_identity():
-    y = np.array([1.0, 0.5])
-    assert np.array_equal(step_implicit_midpoint(oscillator, y, 0.0), y)
-
-
 def test_midpoint_conserves_quadratic_invariant():
     # the midpoint rule preserves quadratic first integrals exactly, so the
     # oscillator radius stays at 1 up to solver tolerance
     cfg = IntegratorConfig(step=0.1, newton_tol=1e-15)
     y = np.array([1.0, 0.0])
-    for _ in range(500):
-        y = step_implicit_midpoint(oscillator, y, 0.1, cfg)
+    for _ in range(500):  # one-step marches: each starts from the Euler guess
+        y = integrate(oscillator, y, 0.1, cfg).states[-1]
     assert abs(y[0] ** 2 + y[1] ** 2 - 1.0) < 1e-13
 
 
@@ -57,9 +51,9 @@ def test_midpoint_second_order_richardson():
     rhs = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     y0 = (0.9, reduced_level_momentum(0.9, -1.0, 1e-3, 4.0 * ring.radius))
     cfg = lambda s: IntegratorConfig(step=s, newton_tol=1e-15)
-    ref = integrate(rhs, y0, 1.0, cfg(1e-5), collisions=False).states[-1]
-    e1 = np.max(np.abs(integrate(rhs, y0, 1.0, cfg(4e-3), collisions=False).states[-1] - ref))
-    e2 = np.max(np.abs(integrate(rhs, y0, 1.0, cfg(2e-3), collisions=False).states[-1] - ref))
+    ref = integrate(rhs, y0, 1.0, cfg(1e-5)).states[-1]
+    e1 = np.max(np.abs(integrate(rhs, y0, 1.0, cfg(4e-3)).states[-1] - ref))
+    e2 = np.max(np.abs(integrate(rhs, y0, 1.0, cfg(2e-3)).states[-1] - ref))
     assert 3.5 < e1 / e2 < 4.5
 
 
@@ -67,7 +61,7 @@ def test_midpoint_step_failure_carries_residual():
     cfg = IntegratorConfig(step=10.0, newton_tol=1e-16, newton_max_iter=2)
     stiff = lambda y: (math.sin(100.0 * y[0]) * 50.0, -50.0 * y[0])
     with pytest.raises(StepFailure) as err:
-        step_implicit_midpoint(stiff, np.array([1.0, 0.0]), 10.0, cfg)
+        integrate(stiff, (1.0, 0.0), 10.0, cfg)
     assert math.isfinite(err.value.residual) and err.value.residual > 0.0
 
 
@@ -75,7 +69,7 @@ def test_midpoint_newton_fallback_handles_moderately_large_steps():
     # a step too large for the fixed-point contraction still converges via
     # the damped Newton path
     cfg = IntegratorConfig(step=1.9, newton_tol=1e-13, newton_max_iter=50)
-    y = step_implicit_midpoint(oscillator, np.array([1.0, 0.0]), 1.9, cfg)
+    y = integrate(oscillator, (1.0, 0.0), 1.9, cfg).states[-1]
     # implicit midpoint of the rotation field is the Cayley rotation map
     th = 1.9
     expect = np.array([1.0 - th * th / 4.0, -th]) / (1.0 + th * th / 4.0)
@@ -89,7 +83,7 @@ def test_one_step_map_is_symplectic():
     rng = np.random.default_rng(109)
     for _ in range(50):
         s0 = rng.uniform(-2, 2, 2)
-        jac = fd_jacobian(lambda w: step_implicit_midpoint(rhs, w, 1e-3, cfg), s0, step=1e-6)
+        jac = fd_jacobian(lambda w: integrate(rhs, w, 1e-3, cfg).states[-1], s0, step=1e-6)
         assert symplectic_defect(jac) < 1e-8
 
 
@@ -185,16 +179,15 @@ def test_reversibility_roundtrip():
     # reduced, through a collision passage
     rhs2 = Problem.reduced(-1.0, 1e-3, 4.0 * ring.radius).field
     y0 = (0.0, math.sqrt(2e-3))
-    fwd = integrate(rhs2, y0, 10.0, cfg, collisions=False).states[-1]
-    back = integrate(rhs2, (fwd[0], -fwd[1]), 10.0, cfg, collisions=False).states[-1]
+    fwd = integrate(rhs2, y0, 10.0, cfg).states[-1]
+    back = integrate(rhs2, (fwd[0], -fwd[1]), 10.0, cfg).states[-1]
     assert abs(back[0] - y0[0]) < 1e-8 and abs(-back[1] - y0[1]) < 1e-8
     # full system
     ring3 = RingConfig.for_count(3)
     rhs4 = Problem.sitnikov(-1.0, params, ring3).field
     z0 = project_to_level([0.9, 0.1, 1.0, -0.2], -1.0, params, ring3)
-    fwd = integrate(rhs4, z0, 3.0, cfg, collisions=False).states[-1]
-    back = integrate(rhs4, [fwd[0], fwd[1], -fwd[2], -fwd[3]], 3.0, cfg,
-                     collisions=False).states[-1]
+    fwd = integrate(rhs4, z0, 3.0, cfg).states[-1]
+    back = integrate(rhs4, [fwd[0], fwd[1], -fwd[2], -fwd[3]], 3.0, cfg).states[-1]
     assert np.max(np.abs(back * np.array([1, 1, -1, -1]) - z0)) < 1e-8
 
 
@@ -263,8 +256,7 @@ def test_without_stop_after_the_march_covers_the_span():
 
 def test_stop_after_validation():
     rhs, calls = _counting(Problem.reduced(-1.0, 1e-3, 2.0).field)
-    for kwargs in ({"stop_after": 0}, {"stop_after": 1, "collisions": False},
-                   {"record_every": 0}, {"record_every": -1}):
+    for kwargs in ({"stop_after": 0}, {"record_every": 0}, {"record_every": -1}):
         with pytest.raises(ParameterError):
             integrate(rhs, (0.5, 0.1), 1.0, IntegratorConfig(step=1e-2), **kwargs)
     assert calls[0] == 0  # refused before the first step
@@ -339,7 +331,7 @@ def test_the_level_guard_cuts_at_the_first_sample_over_the_limit(k):
     invariant = lambda c: np.where(c[0] >= k, 0.5, 0.0)
     with pytest.raises(StepFailure) as err:
         integrate(lambda y: (1.0, 0.0), (0.0, 0.0), k + 5000.0, IntegratorConfig(step=1.0),
-                  collisions=False, invariant=invariant)
+                  invariant=invariant)
     cut = max(k, 1)
     assert str(err.value) == (f"|invariant| reached 5.000e-01 at tau={float(cut)}, past the "
                               f"limit {INVARIANT_LIMIT:g}: the run has left its level")
@@ -492,8 +484,6 @@ def _reference_midpoint(field, y, dstep, tol, max_iter, guess=None):
     """Generic tuple-comprehension midpoint solve, any state size: the same
     sweeps, stopping test and Newton hand-off as the kernels, started from
     guess, or from the explicit-Euler predictor when guess is None."""
-    if dstep == 0.0:
-        return y
     n = len(y)
     if guess is None:
         f0 = field(y)
@@ -538,14 +528,14 @@ def _quintic_guess(y, back):
                  for k in range(len(y)))
 
 
-def _assert_step_matches_reference(field, y, dstep, cfg):
-    """One step_implicit_midpoint solve, from its Euler guess, against the
-    reference, in its result and its field evaluations."""
+def _assert_step_matches_reference(field, y, cfg):
+    """A one-step march of integrate, from its Euler guess, against the
+    reference solve, in its result and its field evaluations."""
     f_new, n_new = _counting(field)
     f_ref, n_ref = _counting(field)
     y = tuple(map(float, y))
-    got = step_implicit_midpoint(f_new, y, dstep, cfg)
-    ref = np.array(_reference_midpoint(f_ref, y, dstep, cfg.newton_tol, cfg.newton_max_iter))
+    got = integrate(f_new, y, cfg.step, cfg).states[-1]
+    ref = np.array(_reference_midpoint(f_ref, y, cfg.step, cfg.newton_tol, cfg.newton_max_iter))
     assert got.tobytes() == ref.tobytes()
     assert n_new[0] == n_ref[0]
 
@@ -596,16 +586,20 @@ def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
         for _ in range(40):
             for field, n in ((reduced, 2), (full, 4)):
                 y = rng.uniform(-2.0, 2.0, n)
-                _assert_step_matches_reference(field, y, dstep, cfg)
-                # the solve a march hands over, from the quintic guess of the
-                # five states before y, as a march would hold them
+                if dstep > 0.0:  # a march only steps forward
+                    _assert_step_matches_reference(field, y, cfg)
+                # the solve a march hands over: its own first sweep from the
+                # quintic guess of the five states before y, as a march would
+                # hold them, then _solve from the second sweep
                 back = tuple(tuple(y - k * dstep * rng.uniform(0.5, 1.5, n))
                              for k in range(1, 6))
                 y = tuple(map(float, y))
                 guess = _quintic_guess(y, back)
                 f_new, n_new = _counting(field)
                 f_ref, n_ref = _counting(field)
-                got = integrators._solve(f_new, y, guess, dstep, tol, cfg.newton_max_iter)
+                fm = f_new(tuple(0.5 * (y[k] + guess[k]) for k in range(n)))
+                first = tuple(y[k] + dstep * fm[k] for k in range(n))
+                got = integrators._solve(f_new, y, first, dstep, tol, cfg.newton_max_iter)
                 ref = _reference_midpoint(f_ref, y, dstep, tol, cfg.newton_max_iter, guess)
                 assert np.array(got).tobytes() == np.array(ref).tobytes()
                 assert n_new[0] == n_ref[0]
@@ -638,13 +632,13 @@ def test_the_march_matches_a_reference_march_bit_for_bit():
 
 
 def test_a_lone_step_fails_on_a_non_finite_state():
-    # the first sweep's max() keeps its first argument against a NaN in a
-    # later component, so only the finiteness test the march also runs
-    # catches it
+    # a one-step march: the first sweep's max() keeps its first argument
+    # against a NaN in a later component, so only the march's finiteness
+    # test catches it
     for n in (2, 4):
         field = lambda y: (1.0, *[0.0] * (n - 2), math.nan)
         with pytest.raises(StepFailure, match=r"non-finite at step 1 \(tau=0.001\)"):
-            step_implicit_midpoint(field, (1.0,) + (0.0,) * (n - 1), 1e-3)
+            integrate(field, (1.0,) + (0.0,) * (n - 1), 1e-3, IntegratorConfig(step=1e-3))
 
 
 def test_a_nan_the_first_sweep_lets_through_fails_the_step():
@@ -655,8 +649,7 @@ def test_a_nan_the_first_sweep_lets_through_fails_the_step():
     for n in (2, 4):
         field = lambda y: (1.0, *[0.0] * (n - 2), y[0] ** 4 if y[0] < -0.85 else math.nan)
         with pytest.raises(StepFailure, match="state became non-finite at step 16") as err:
-            integrate(field, (-1.0,) + (0.0,) * (n - 1), 1.0, IntegratorConfig(step=1e-2),
-                      collisions=False)
+            integrate(field, (-1.0,) + (0.0,) * (n - 1), 1.0, IntegratorConfig(step=1e-2))
         part = err.value.trajectory
         assert len(part) == 16 and np.all(np.isfinite(part.states))
 
@@ -673,14 +666,14 @@ def test_midpoint_kernels_match_the_generic_solve_through_the_newton_fallback(mo
     # a step of 1.9 on a rotation contracts the sweeps by only 0.95
     rotation4 = lambda y: (y[2], y[3], -y[0], -y[1])
     cfg = IntegratorConfig(step=1.9, newton_tol=1e-13, newton_max_iter=50)
-    _assert_step_matches_reference(oscillator, np.array([1.0, 0.0]), 1.9, cfg)
-    _assert_step_matches_reference(rotation4, np.array([1.0, -0.5, 0.0, 0.25]), 1.9, cfg)
+    _assert_step_matches_reference(oscillator, (1.0, 0.0), cfg)
+    _assert_step_matches_reference(rotation4, (1.0, -0.5, 0.0, 0.25), cfg)
     assert entered[0] == 4  # kernel and reference, in each size
     # a budget too small for either path fails with the same residual
     cfg = IntegratorConfig(step=1.9, newton_max_iter=3)
     for field, y in ((oscillator, (1.0, 0.0)), (rotation4, (1.0, -0.5, 0.0, 0.25))):
         with pytest.raises(StepFailure) as got:
-            step_implicit_midpoint(field, np.array(y), 1.9, cfg)
+            integrate(field, y, 1.9, cfg)
         with pytest.raises(StepFailure) as ref:
             _reference_midpoint(field, y, 1.9, cfg.newton_tol, cfg.newton_max_iter)
         assert got.value.residual == ref.value.residual > 0.0
@@ -688,8 +681,6 @@ def test_midpoint_kernels_match_the_generic_solve_through_the_newton_fallback(mo
 
 def test_midpoint_takes_only_2d_and_4d_states():
     spin3, calls = _counting(lambda y: (y[1], -y[0], 0.0))
-    with pytest.raises(ParameterError):
-        step_implicit_midpoint(spin3, np.array([1.0, 0.0, 0.0]), 0.1)
     with pytest.raises(ParameterError):
         integrate(spin3, (1.0, 0.0, 0.0), 1.0, IntegratorConfig(step=0.1))
     assert calls[0] == 0  # refused before the first step
@@ -719,14 +710,16 @@ def test_steps_seeded_from_history_take_one_evaluation_on_quintic_iterates():
     # x' = 1, v' = x^4 from (-1, 0): x_n is linear in n and the midpoint
     # rule makes v_n a polynomial of degree 5 in n, which the quintic
     # extrapolation reproduces, so every step after the five Euler-guess
-    # steps passes the stopping test at its first sweep, its one evaluation
+    # steps passes the stopping test at its first sweep, its one evaluation.
+    # The marches over 2.0 and 4.0 each cross x = 0 once, at about step 100,
+    # and logging that collision costs two more evaluations: 195 steps plus 2
     field, calls = _counting(lambda y: (1.0, y[0] ** 4))
     counts = {}
     for span in (0.05, 2.0, 4.0):
         calls[0] = 0
-        integrate(field, (-1.0, 0.0), span, IntegratorConfig(step=1e-2), collisions=False)
+        integrate(field, (-1.0, 0.0), span, IntegratorConfig(step=1e-2))
         counts[span] = calls[0]
-    assert counts[2.0] - counts[0.05] == 195
+    assert counts[2.0] - counts[0.05] == 197
     assert counts[4.0] - counts[2.0] == 200
 
 
@@ -742,11 +735,11 @@ def test_extrapolated_march_stays_with_the_euler_guess_march():
          project_to_level([0.0, 0.0, 1.0, 0.0], h, params, ring)),
     )
     for field, y0 in starts:
-        traj = integrate(field, y0, 2.0, cfg, collisions=False)
-        y = np.array(y0, dtype=float)
+        traj = integrate(field, y0, 2.0, cfg)
+        y = tuple(map(float, y0))
         euler = [y]
         for _ in range(2000):
-            y = step_implicit_midpoint(field, y, 1e-3, cfg)
+            y = _reference_midpoint(field, y, 1e-3, cfg.newton_tol, cfg.newton_max_iter)
             euler.append(y)
         assert len(traj) == 2001
         assert np.max(np.abs(traj.states - np.array(euler))) < 1e-10
@@ -789,8 +782,7 @@ def test_newton_fallback_and_step_failure_are_reached_through_the_march(monkeypa
     # each lands on the Cayley rotation of the step before
     th = 1.9
     traj = integrate(oscillator, (1.0, 0.0), 8 * th,
-                     IntegratorConfig(step=th, newton_tol=1e-13, newton_max_iter=50),
-                     collisions=False)
+                     IntegratorConfig(step=th, newton_tol=1e-13, newton_max_iter=50))
     assert entered[0] == 8
     c, s = (1.0 - th * th / 4.0) / (1.0 + th * th / 4.0), th / (1.0 + th * th / 4.0)
     y = np.array([1.0, 0.0])
@@ -804,7 +796,7 @@ def test_newton_fallback_and_step_failure_are_reached_through_the_march(monkeypa
     stiffening = lambda y: (y[1] if y[1] < 5.0 else 50.0 * math.sin(100.0 * y[0]), 1.0)
     cfg = IntegratorConfig(step=1.0, newton_max_iter=2)
     with pytest.raises(StepFailure) as err:
-        integrate(stiffening, (1.0, 0.0), 8.0, cfg, collisions=False)
+        integrate(stiffening, (1.0, 0.0), 8.0, cfg)
     part = err.value.trajectory
     assert part is not None and len(part) == 6
     y, *back = (tuple(part.states[k]) for k in (5, 4, 3, 2, 1, 0))
