@@ -149,6 +149,10 @@ def _period_quadrature(h: float, m: float, r: float, nodes: int) -> float:
 
 # Longest fictitious time the flow method follows before giving up on a return.
 _PERIOD_TAU_CAP = 50.0 * 4.0**5
+# Most steps the flow method may need before it gives up without marching.
+# The half loop takes at least about 2/sqrt(|h|) in tau near h = 0, so at the
+# default step 2e-4 the budget admits |h| down to about 1e-6.
+_PERIOD_STEP_BUDGET = 10**7
 
 
 def _period_flow(h: float, m: float, r: float, step: float):
@@ -161,10 +165,16 @@ def _period_flow(h: float, m: float, r: float, step: float):
 
     On Gamma = 0, P1^2 = 2m + 8 Q1^2/sqrt(Q1^4 + a^2) + h Q1^2 < 2m + 8, and
     Q1 runs from 0 to 2 sqrt(qmax) and back, so tau_half is at least
-    4 sqrt(qmax) / sqrt(8 + 2m); when that lower bound is past the cap the
-    return is refused before any march.
+    4 sqrt(qmax) / sqrt(8 + 2m); when that lower bound is past the cap, or
+    needs more than _PERIOD_STEP_BUDGET steps, the return is refused before
+    any march.
     """
     tau_min = 4.0 * math.sqrt(turning_point(h, m, r)) / math.sqrt(8.0 + 2.0 * m)
+    if tau_min / step > _PERIOD_STEP_BUDGET:
+        raise AccuracyError(
+            f"no collision return found within the budget of {_PERIOD_STEP_BUDGET} steps "
+            f"of {step} at h={h}: the half loop needs at least {tau_min / step:.3g}"
+        )
     if tau_min <= _PERIOD_TAU_CAP:
         p = Problem.reduced(h, m, 4.0 * r)
         cfg = IntegratorConfig(method="implicit_midpoint", step=step)

@@ -35,6 +35,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from . import analysis, verify
 from .config import MassParams, RingConfig, ring_radius
 from .errors import SchemaError, StepFailure
@@ -131,7 +133,7 @@ def validate_run_config(cfg) -> dict:
             raise SchemaError(f"unknown integrator setting {key!r}; choose from {known}",
                               field=f"integrator.{key}")
     settings = dict(integ)  # a setting left out takes IntegratorConfig's default
-    for key in ("step", "newton_tol", "adaptive_tol"):
+    for key in ("step", "newton_tol"):
         if key in integ:
             settings[key] = float(_require_number(integ, key, f"integrator.{key}"))
     if "newton_max_iter" in integ:
@@ -193,7 +195,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         ring = RingConfig.for_count(int(cfg["N"]))
         # guard and stop_at_q left out take the oracle's defaults
         traj = integrate_physical_oracle(
-            state, span, icfg, params, ring,
+            state, span, params, ring,
             **{k: float(cfg[k]) for k in ("guard", "stop_at_q") if k in cfg},
         )
         write_physical_csv(traj, outputs["trajectory"])
@@ -227,7 +229,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         "collisions": len(traj.collision_events()),
         "events": [{"kind": ev.kind, "tau": ev.tau, "t": ev.t} for ev in traj.events],
         "final_invariant_error": abs(float(traj.invariant[-1]) - level),
-        "max_invariant_error": traj.metadata.get("invariant_max"),
+        "max_invariant_error": float(np.fmax.reduce(np.abs(traj.invariant - level))),
         "tau_end": float(traj.tau[-1]),
         "t_end": float(traj.t[-1]),
         "final_state": [float(v) for v in traj.states[-1]],

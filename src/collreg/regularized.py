@@ -1,6 +1,9 @@
 """Collision-regularizing chart, fictitious time, and the regular Hamiltonians.
 
-With mu = (1 - eps)/2 the chart rho maps (Q1, Q2, P1, P2) to
+With mu = (1 - eps)/2 the chart is rho = B^-1 o E, the symplectic module's
+two maps: the Euler map E = euler_forward, (Q1, P1) -> (Q1^2/2, P1/Q1), then
+the inverse of B = build_relative_map(mu), which sends (q1, q2) to the
+separation and the weighted centre.  Written out, rho maps (Q1, Q2, P1, P2) to
 
     q1 = Q2 + (mu/2) Q1^2          p1 = (1-mu) P2 + P1/Q1
     q2 = Q2 - ((1-mu)/2) Q1^2      p2 = mu P2 - P1/Q1
@@ -40,7 +43,9 @@ from typing import Callable
 import numpy as np
 
 from .config import MassParams, RingConfig
-from .errors import CollisionError, DomainError
+from .errors import DomainError
+from .symplectic import (build_relative_map, canonical_form, euler_forward, euler_inverse,
+                         euler_jacobian)
 
 __all__ = [
     "Problem",
@@ -60,62 +65,45 @@ __all__ = [
 
 
 def chart_to_physical(z, params: MassParams) -> np.ndarray:
-    """Map a regularized state to (q1, q2, p1, p2).
+    """Map a regularized state to (q1, q2, p1, p2): B^-1 after the Euler map.
 
     The momentum components carry P1/Q1 and are genuinely singular at Q1 = 0;
     use collision_positions for the (well-defined) positions there.
     """
-    Q1, _, P1, P2 = (float(v) for v in z)
-    if Q1 == 0.0:
-        raise CollisionError("momenta are undefined at the collision point Q1 = 0")
-    mu = params.mu
-    return np.array(
-        [
-            *collision_positions(z, params),
-            (1.0 - mu) * P2 + P1 / Q1,
-            mu * P2 - P1 / Q1,
-        ]
-    )
+    Q1, Q2, P1, P2 = (float(v) for v in z)
+    x, px = euler_forward(Q1, P1)
+    return _relative_inverse(params.mu) @ np.array([x, Q2, px, P2])
 
 
 def collision_positions(z, params: MassParams) -> tuple[float, float]:
-    """Positions-only part of the chart; at Q1 = 0 both bodies sit at Q2."""
+    """Positions-only part of the chart, B^-1's position block on the Euler
+    map's (Q1^2/2, Q2), defined at Q1 = 0, where both bodies sit at Q2."""
     Q1, Q2 = float(z[0]), float(z[1])
-    mu = params.mu
-    return Q2 + 0.5 * mu * Q1 * Q1, Q2 - 0.5 * (1.0 - mu) * Q1 * Q1
+    q1, q2 = _relative_inverse(params.mu)[:2, :2] @ (0.5 * Q1 * Q1, Q2)
+    return float(q1), float(q2)
 
 
 def chart_to_regularized(y, params: MassParams) -> np.ndarray:
-    """Inverse chart on q1 > q2, taking the positive branch Q1 = +sqrt(2(q1-q2))."""
-    q1, q2, p1, p2 = (float(v) for v in y)
-    if not q1 > q2:
-        raise DomainError(f"inverse chart requires q1 > q2, got q1={q1}, q2={q2}")
-    mu = params.mu
-    Q1 = math.sqrt(2.0 * (q1 - q2))
-    return np.array(
-        [
-            Q1,
-            (1.0 - mu) * q1 + mu * q2,
-            (mu * p1 - (1.0 - mu) * p2) * Q1,
-            p1 + p2,
-        ]
-    )
+    """Inverse chart on q1 > q2: B, then the Euler map's positive branch
+    Q1 = +sqrt(2(q1-q2))."""
+    x, X, px, P2 = build_relative_map(params.mu) @ np.asarray(y, dtype=float)
+    Q1, P1 = euler_inverse(x, px)
+    return np.array([Q1, X, P1, P2])
 
 
 def chart_jacobian(z, params: MassParams) -> np.ndarray:
     """Exact Jacobian of chart_to_physical, rows ordered (q1, q2, p1, p2)."""
     Q1, _, P1, _ = (float(v) for v in z)
-    if Q1 == 0.0:
-        raise CollisionError("chart Jacobian is singular at Q1 = 0")
-    mu = params.mu
-    return np.array(
-        [
-            [mu * Q1, 1.0, 0.0, 0.0],
-            [-(1.0 - mu) * Q1, 1.0, 0.0, 0.0],
-            [-P1 / (Q1 * Q1), 0.0, 1.0 / Q1, 1.0 - mu],
-            [P1 / (Q1 * Q1), 0.0, -1.0 / Q1, mu],
-        ]
-    )
+    euler = np.eye(4)
+    euler[np.ix_((0, 2), (0, 2))] = euler_jacobian(Q1, P1)
+    return _relative_inverse(params.mu) @ euler
+
+
+def _relative_inverse(mu: float) -> np.ndarray:
+    """B^-1 = -Omega B^T Omega for B = build_relative_map(mu): exact, since
+    Omega only moves entries and flips their signs."""
+    omega = canonical_form(4)
+    return -omega @ build_relative_map(mu).T @ omega
 
 
 def time_scale(z, params: MassParams) -> float:

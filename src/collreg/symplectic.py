@@ -84,7 +84,7 @@ def euler_forward(Q: float, P: float) -> tuple[float, float]:
 
 def euler_inverse(q: float, p: float) -> tuple[float, float]:
     """Positive branch of the inverse collision map: Q = +sqrt(2q), P = p*Q."""
-    if q <= 0.0:
+    if not q > 0.0:
         raise DomainError(f"euler_inverse needs q > 0, got q={q}")
     Q = math.sqrt(2.0 * q)
     return Q, p * Q

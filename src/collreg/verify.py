@@ -161,9 +161,8 @@ def check_energy_conservation():
     ring = RingConfig.for_count(2)
     q0 = 1.0
     p0 = analysis.momentum_profile(q0, 0.25, params.m, ring.radius)
-    cfg = integrators.IntegratorConfig(adaptive_tol=1e-12)
     traj = integrators.integrate_physical_oracle(
-        [q0, -q0, p0, -p0], 1e6, cfg, params, ring, stop_at_q=1e3)
+        [q0, -q0, p0, -p0], 1e6, params, ring, stop_at_q=1e3)
     return _record(traj.metadata["energy_drift"], 1e-9)
 
 

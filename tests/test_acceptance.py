@@ -188,8 +188,7 @@ def test_criterion_07_cross_chart_equivalence():
     h = -1.0
     z0 = project_to_level([2.2, 0.05, -1.0, 0.1], h, params, ring)
     y0 = chart_to_physical(z0, params)
-    oracle = integrate_physical_oracle(y0, 50.0, IntegratorConfig(adaptive_tol=1e-12),
-                                       params, ring)
+    oracle = integrate_physical_oracle(y0, 50.0, params, ring)
     t_abort = float(oracle.t[-1])
     aborted = any(e.detail == "proximity_abort" for e in oracle.events)
     dense = oracle.metadata["dense"]
@@ -229,18 +228,16 @@ def test_criterion_08_dynamics_proposition():
     # h = 0: parabolic escape, terminal speed below 0.05 and still decreasing
     ring2 = RingConfig.for_count(2)
     p0 = momentum_profile(1.0, 0.0, m, ring2.radius)
-    par = integrate_physical_oracle([1.0, -1.0, p0, -p0], 1e6,
-                                    IntegratorConfig(adaptive_tol=1e-12),
-                                    MassParams(m=m), ring2, stop_at_q=1e3)
+    par = integrate_physical_oracle([1.0, -1.0, p0, -p0], 1e6, MassParams(m=m), ring2,
+                                    stop_at_q=1e3)
     speeds = par.states[-6:, 2]
     ok_parabolic = speeds[-1] < 0.05 and all(np.diff(speeds) < 0.0)
 
     # h = 0.25: the momentum profile is a first integral along the run and the
     # terminal speed approaches sqrt(h)
     p0 = momentum_profile(1.0, 0.25, m, ring2.radius)
-    hyp = integrate_physical_oracle([1.0, -1.0, p0, -p0], 1e6,
-                                    IntegratorConfig(adaptive_tol=1e-12),
-                                    MassParams(m=m), ring2, stop_at_q=1e3)
+    hyp = integrate_physical_oracle([1.0, -1.0, p0, -p0], 1e6, MassParams(m=m), ring2,
+                                    stop_at_q=1e3)
     dev = max(abs(p - momentum_profile(q, 0.25, m, ring2.radius))
               for q, p in zip(hyp.states[:, 0], hyp.states[:, 2]))
     ok_hyperbolic = dev < 1e-9 and abs(hyp.states[-1][2] - 0.5) / 0.5 < 5e-3

@@ -168,6 +168,17 @@ def test_a_return_past_the_tau_cap_is_refused_before_the_march(monkeypatch):
         period_report(-1e-9, 1e-3, 3)
 
 
+def test_a_return_past_the_step_budget_is_refused_before_the_march(monkeypatch):
+    # at h = -1e-8 the half loop takes at least 20000 in tau: under the cap,
+    # but 1e8 steps of the default 2e-4
+    monkeypatch.setattr(analysis, "integrate", _no_march)
+    with pytest.raises(AccuracyError, match="budget of 10000000 steps"):
+        period(-1e-8, 1e-3, ring_radius(3), method="flow")
+    # at a step of 0.01 the h = -1e-9 return fits the budget and the cap refuses it
+    with pytest.raises(AccuracyError, match="within tau span"):
+        period(-1e-9, 1e-3, ring_radius(3), method="flow", step=0.01)
+
+
 @pytest.mark.parametrize("nodes", [0, -2])
 def test_fewer_than_one_quadrature_node_is_refused_before_the_march(monkeypatch, nodes):
     monkeypatch.setattr(analysis, "integrate", _no_march)

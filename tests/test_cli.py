@@ -136,6 +136,27 @@ def test_simulate_hyperbolic_terminal_speed(tmp_path, capsys):
     assert any(e["kind"] == "escape_threshold" for e in events)
 
 
+def test_simulate_physical_summary_reports_the_largest_energy_error(tmp_path, capsys):
+    # the oracle's invariant column is H, and the level is the config's h:
+    # this start lies 1.1956 off h = 0.25, which the summary must not hide
+    cfgp = tmp_path / "phys.json"
+    write_config(
+        cfgp,
+        problem="sitnikov", epsilon=0.2, h=0.25, stop_at_q=20.0, span=50.0,
+        initial={"chart": "physical", "state": [1.0, -1.0, 0.9, -0.9]},
+        outputs={"trajectory": str(tmp_path / "t.csv"),
+                 "events": str(tmp_path / "e.json"),
+                 "summary": str(tmp_path / "s.json")},
+    )
+    assert main(["simulate", str(cfgp)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "s.json").read_text())
+    energies = [float(row.split(",")[-1])
+                for row in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+    assert summary["max_invariant_error"] == max(abs(e - 0.25) for e in energies)
+    assert summary["max_invariant_error"] >= summary["final_invariant_error"] > 1.19
+
+
 def test_simulate_kepler1d(tmp_path, capsys):
     cfgp = tmp_path / "kep.json"
     cfg = {
@@ -343,7 +364,7 @@ def test_output_paths_must_be_nonempty_strings(tmp_path, capsys, key, value):
     assert not any((tmp_path / k).exists() for k in outs)
 
 
-@pytest.mark.parametrize("key", ["setp", "Step", "tolerance"])
+@pytest.mark.parametrize("key", ["setp", "Step", "tolerance", "adaptive_tol"])
 def test_unknown_integrator_keys_are_refused(tmp_path, capsys, key):
     # a misspelt setting would otherwise run silently at the default step
     cfgp = tmp_path / "run.json"
@@ -382,7 +403,7 @@ def test_period_refuses_zero_nodes_before_the_flow(monkeypatch, capsys):
     assert not captured.out
 
 
-@pytest.mark.parametrize("key", ["step", "newton_tol", "adaptive_tol"])
+@pytest.mark.parametrize("key", ["step", "newton_tol"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_integrator_config_refuses_a_non_finite_setting(key, value):
     with pytest.raises(ParameterError):
@@ -399,7 +420,7 @@ def test_a_nonpositive_guard_is_a_config_error(tmp_path, capsys, guard):
     assert "configuration error (field guard)" in capsys.readouterr().err
     assert not any(tmp_path.glob("run_*"))
     with pytest.raises(ParameterError):
-        integrate_physical_oracle([1.0, -1.0, 0.9, -0.9], 1.0, IntegratorConfig(),
+        integrate_physical_oracle([1.0, -1.0, 0.9, -0.9], 1.0,
                                   MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2),
                                   guard=guard)
 
@@ -425,11 +446,12 @@ def test_simulate_refuses_a_start_with_no_momentum_on_its_level(tmp_path, capsys
 
 @pytest.mark.parametrize("h, m", [("0", "1e-3"), ("0.5", "1e-3"), ("nan", "1e-3"),
                                   ("-1", "0"), ("-1", "-1e-3"), ("-inf", "1e-3"),
-                                  ("-1", "inf")])
+                                  ("-1", "inf"), ("-1e-8", "1e-3")])
 def test_period_refuses_inputs_without_a_periodic_orbit(monkeypatch, capsys, h, m):
     # a parabolic or hyperbolic orbit never returns, m = 0 starts at the rest
-    # point, and a non-finite h or m has no orbit: each is refused before the
-    # flow takes a step
+    # point, a non-finite h or m has no orbit, and at h = -1e-8 the return
+    # needs at least 1e8 steps of 2e-4: each is refused before the flow takes
+    # a step
     def no_work(*args, **kwargs):
         raise AssertionError("the period flow started")
 

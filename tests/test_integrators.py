@@ -431,8 +431,7 @@ def test_csv_formats_and_determinism(tmp_path):
     from collreg import integrate_physical_oracle
     from collreg.analysis import momentum_profile
     p0 = momentum_profile(1.0, 0.25, params.m, ring.radius)
-    tr = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, IntegratorConfig(),
-                                   params, ring)
+    tr = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, params, ring)
     pp = tmp_path / "phys.csv"
     write_physical_csv(tr, pp)
     assert pp.read_bytes().startswith(b"t,q1,q2,p1,p2,H\n")
@@ -451,7 +450,7 @@ def test_the_invariant_column_holds_one_value_per_sample():
 
     params, ring = MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2)
     p0 = momentum_profile(1.0, 0.25, params.m, ring.radius)
-    orb = integrate_physical_oracle([1.0, -1.0, p0, -p0], 2.0, IntegratorConfig(), params, ring)
+    orb = integrate_physical_oracle([1.0, -1.0, p0, -p0], 2.0, params, ring)
     assert orb.invariant.tolist() == [hamiltonian(s, params, ring) for s in orb.states]
     assert orb.metadata["energy_drift"] == abs(orb.invariant[-1] - orb.invariant[0])
 
@@ -914,8 +913,7 @@ def test_physical_csv_matches_the_row_by_row_reference(tmp_path):
 
     params, ring = MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2)
     p0 = momentum_profile(1.0, 0.25, params.m, ring.radius)
-    oracle = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, IntegratorConfig(),
-                                       params, ring)
+    oracle = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, params, ring)
     # 5000 rows of the oracle's dense solution: longer than one chunk of the writer
     t = np.linspace(0.0, 10.0, 5000)
     states = oracle.metadata["dense"](t).T

@@ -6,7 +6,6 @@ import pytest
 from collreg import (
     CollisionError,
     GeneralSymmetricConfig,
-    IntegratorConfig,
     MassParams,
     RingConfig,
     axis_field_general,
@@ -198,8 +197,7 @@ def test_oracle_energy_conservation_on_escape():
     params = MassParams(m=1e-3, epsilon=0.0)
     q0 = 1.0
     p0 = momentum_profile(q0, 0.25, params.m, ring.radius)
-    cfg = IntegratorConfig(adaptive_tol=1e-12)
-    traj = integrate_physical_oracle([q0, -q0, p0, -p0], 1e6, cfg, params, ring, stop_at_q=1e3)
+    traj = integrate_physical_oracle([q0, -q0, p0, -p0], 1e6, params, ring, stop_at_q=1e3)
     assert traj.metadata["energy_drift"] < 1e-9
     assert any(e.kind == "escape_threshold" for e in traj.events)
 
@@ -210,7 +208,7 @@ def test_oracle_proximity_abort_on_collision_orbit():
     q0 = 1.0
     p0 = -momentum_profile(q0, -1.0, params.m, ring.radius)  # falling inward
     traj = integrate_physical_oracle(
-        [q0, -q0, p0, -p0], 100.0, IntegratorConfig(), params, ring)
+        [q0, -q0, p0, -p0], 100.0, params, ring)
     aborts = [e for e in traj.events if e.detail == "proximity_abort"]
     assert len(aborts) == 1
     e = aborts[0]

@@ -20,6 +20,7 @@ from collreg import (
     project_to_level,
     reduced_field,
     regularized_field,
+    symplectic_defect,
     time_scale,
 )
 from collreg.physical import make_physical_rhs
@@ -94,8 +95,9 @@ def test_chart_roundtrip():
 
 def test_chart_inverse_rejects_ordering():
     params, _ = params_ring()
-    with pytest.raises(DomainError):
-        chart_to_regularized([0.0, 0.0, 0.0, 0.0], params)
+    for q1 in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            chart_to_regularized([q1, 0.0, 0.0, 0.0], params)
 
 
 def test_chart_jacobian_exact_vs_fd():
@@ -105,6 +107,18 @@ def test_chart_jacobian_exact_vs_fd():
     z = np.array([0.8, -0.3, 1.1, 0.6])
     jac_fd = fd_jacobian(lambda w: chart_to_physical(w, params), z)
     assert np.max(np.abs(jac_fd - chart_jacobian(z, params))) < 1e-8
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 0.9])
+def test_chart_jacobian_is_symplectic(eps):
+    # the exact Jacobian of rho = B^-1 o Euler; |Q1| >= 0.5 keeps the P1/Q1^2
+    # entry, and with it the defect's own rounding, of order one
+    params = MassParams(m=1e-3, epsilon=eps)
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        z = rng.uniform(-3.0, 3.0, 4)
+        z[0] = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 3.0)
+        assert symplectic_defect(chart_jacobian(z, params)) < 1e-14
 
 
 def test_time_scale_values():

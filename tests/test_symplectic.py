@@ -94,7 +94,7 @@ def test_euler_forward_collision_point():
 def test_euler_inverse_values():
     assert euler_inverse(8.0, 1.0) == (4.0, 4.0)
     assert euler_inverse(0.5, 0.0) == (1.0, 0.0)
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             euler_inverse(bad, 1.0)
 
