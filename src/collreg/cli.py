@@ -17,11 +17,13 @@ State layouts: reduced [Q1, P1]; sitnikov regularized [Q1, Q2, P1, P2];
 sitnikov physical [q1, q2, p1, p2]; kepler1d [u, v] with "mu_grav" replacing
 the ring parameters.  Regularized initial states are projected onto the
 energy level by solving for |P1| (sign preserved); states with no real
-momentum are refused.  Every number in a configuration must be finite (no
-NaN, no infinity) and not a boolean; the masses m and mu_grav and the
-physical chart's guard must be positive.  Numeric file output uses 17
-significant digits and LF line endings, so a fixed configuration yields
-byte-identical data files.
+momentum are refused.  "integrator" applies to regularized-chart runs
+only: a physical-chart run validates the block but integrates with the
+scipy oracle, which none of its settings reaches.  Every number in a
+configuration must be finite (no NaN, no infinity) and not a boolean; the
+masses m and mu_grav and the physical chart's guard must be positive.
+Numeric file output uses 17 significant digits and LF line endings, so a
+fixed configuration yields byte-identical data files.
 """
 
 from __future__ import annotations

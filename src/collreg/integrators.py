@@ -10,10 +10,16 @@ differences it carries from step to step, at no field evaluation, and the
 first sweep then nearly always converges; the first five steps of a march
 use the explicit-Euler guess.  integrate, the one way to take midpoint steps,
 runs one fused loop per state size, 2-D or 4-D, on local floats: predictor,
-first sweep, finiteness test, event test, clock and recording; later sweeps,
-the Newton fallback and event localization are shared helpers it calls only
-when needed, and the invariant and its level guard run in numpy on each
-block of recorded samples.
+first sweep, convergence and finiteness tests, event test, clock and
+recording; later sweeps, the Newton fallback and event localization are
+shared helpers it calls only when needed, and the invariant and its level
+guard run in numpy on each block of recorded samples.
+The first sweep's convergence test has two stages.  Every component's
+change within the bare tolerance tol accepts the step at once; only a step
+that fails that runs _solve's test against tol * (1 + max|y_k|), and the
+finiteness test.  That decides every step as the scaled test alone would:
+tol <= tol * (1 + max|y_k|) in floating point, and a finite change needs a
+finite new state.
 Collision events are bisected to adjacent floats, by the package's one
 bisection _bisect, on the step's cubic Hermite interpolant of Q1.  Physical
 time is accumulated alongside fictitious time by the midpoint rule for
@@ -406,7 +412,17 @@ def integrate(
 # and 1.01 with quintic extrapolation.  A sextic one saves under 1% there
 # and pays one more Euler start step on every short run.
 #
-# The first sweep, its max() rule and its NaN test are those of _solve.
+# The first sweep's stopping test comes in two stages.  The fast one,
+# -tol <= c_k - a_k <= tol for every component k as chained comparisons,
+# calls no builtin, and almost every step passes it by orders of magnitude,
+# since the predictor starts O(dstep^6) from the solution.  Only a step that
+# fails it takes the first sweep's test of _solve, with its max() rule and
+# NaN test, then _solve if needed, then the finiteness test.  The fast stage
+# accepts no step that the second would refuse: tol * (1 + max|y_k|) >= tol
+# holds in floating point, because rounding is monotone, and it needs a
+# finite change c_k - a_k in every component, which c_k = +-inf or NaN
+# cannot give, so the finiteness test would pass too.  So every accepted
+# state, sweep count and failure is that of the scaled test alone.
 # (a - a) is 0.0 for a finite float and NaN otherwise, so the sum of those
 # terms is the finiteness test of the new state.
 
@@ -426,17 +442,18 @@ def _march2(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_e
             f0, f1 = field((y0, y1))
             a0 = y0 + dstep * f0
             a1 = y1 + dstep * f1
-        bound = tol * (1.0 + max(abs(y0), abs(y1)))
         f0, f1 = field((0.5 * (y0 + a0), 0.5 * (y1 + a1)))
         c0 = y0 + dstep * f0
         c1 = y1 + dstep * f1
-        delta = max(abs(c0 - a0), abs(c1 - a1))
-        if not delta <= bound:
-            if delta != delta:
-                raise _midpoint_nan()
-            c0, c1 = _solve(field, (y0, y1), (c0, c1), dstep, tol, max_iter)
-        if (c0 - c0) + (c1 - c1) != 0.0:
-            raise _non_finite(i, dstep)
+        if not (-tol <= c0 - a0 <= tol and -tol <= c1 - a1 <= tol):
+            bound = tol * (1.0 + max(abs(y0), abs(y1)))
+            delta = max(abs(c0 - a0), abs(c1 - a1))
+            if not delta <= bound:
+                if delta != delta:
+                    raise _midpoint_nan()
+                c0, c1 = _solve(field, (y0, y1), (c0, c1), dstep, tol, max_iter)
+            if (c0 - c0) + (c1 - c1) != 0.0:
+                raise _non_finite(i, dstep)
         d40, d30, d20, d10, d00 = d30, d20, d10, d00, c0 - y0
         d41, d31, d21, d11, d01 = d31, d21, d11, d01, c1 - y1
 
@@ -482,7 +499,6 @@ def _march4(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_e
             a1 = y1 + dstep * f1
             a2 = y2 + dstep * f2
             a3 = y3 + dstep * f3
-        bound = tol * (1.0 + max(abs(y0), abs(y1), abs(y2), abs(y3)))
         f0, f1, f2, f3 = field(
             (0.5 * (y0 + a0), 0.5 * (y1 + a1), 0.5 * (y2 + a2), 0.5 * (y3 + a3))
         )
@@ -490,14 +506,17 @@ def _march4(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_e
         c1 = y1 + dstep * f1
         c2 = y2 + dstep * f2
         c3 = y3 + dstep * f3
-        delta = max(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2), abs(c3 - a3))
-        if not delta <= bound:
-            if delta != delta:
-                raise _midpoint_nan()
-            c0, c1, c2, c3 = _solve(field, (y0, y1, y2, y3), (c0, c1, c2, c3),
-                                    dstep, tol, max_iter)
-        if (c0 - c0) + (c1 - c1) + (c2 - c2) + (c3 - c3) != 0.0:
-            raise _non_finite(i, dstep)
+        if not (-tol <= c0 - a0 <= tol and -tol <= c1 - a1 <= tol
+                and -tol <= c2 - a2 <= tol and -tol <= c3 - a3 <= tol):
+            bound = tol * (1.0 + max(abs(y0), abs(y1), abs(y2), abs(y3)))
+            delta = max(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2), abs(c3 - a3))
+            if not delta <= bound:
+                if delta != delta:
+                    raise _midpoint_nan()
+                c0, c1, c2, c3 = _solve(field, (y0, y1, y2, y3), (c0, c1, c2, c3),
+                                        dstep, tol, max_iter)
+            if (c0 - c0) + (c1 - c1) + (c2 - c2) + (c3 - c3) != 0.0:
+                raise _non_finite(i, dstep)
         d40, d30, d20, d10, d00 = d30, d20, d10, d00, c0 - y0
         d41, d31, d21, d11, d01 = d31, d21, d11, d01, c1 - y1
         d42, d32, d22, d12, d02 = d32, d22, d12, d02, c2 - y2
@@ -559,7 +578,11 @@ def integrate_physical_oracle(
     """
     if not guard > 0.0:
         raise ParameterError(f"the proximity guard must be positive, got {guard}")
-    from scipy.integrate import solve_ivp
+    try:
+        from scipy.integrate import solve_ivp
+    except ImportError as exc:  # scipy is the optional oracle extra
+        raise RuntimeError("the physical-chart oracle needs scipy: "
+                           "pip install 'collreg[oracle]'") from exc
 
     tol = 1e-12
     y0 = _tuple_state(y0)

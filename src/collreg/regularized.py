@@ -70,7 +70,7 @@ def chart_to_physical(z, params: MassParams) -> np.ndarray:
     The momentum components carry P1/Q1 and are genuinely singular at Q1 = 0;
     use collision_positions for the (well-defined) positions there.
     """
-    Q1, Q2, P1, P2 = (float(v) for v in z)
+    Q1, Q2, P1, P2 = _finite_state(z, "chart_to_physical")
     x, px = euler_forward(Q1, P1)
     return _relative_inverse(params.mu) @ np.array([x, Q2, px, P2])
 
@@ -86,7 +86,8 @@ def collision_positions(z, params: MassParams) -> tuple[float, float]:
 def chart_to_regularized(y, params: MassParams) -> np.ndarray:
     """Inverse chart on q1 > q2: B, then the Euler map's positive branch
     Q1 = +sqrt(2(q1-q2))."""
-    x, X, px, P2 = build_relative_map(params.mu) @ np.asarray(y, dtype=float)
+    y = np.array(_finite_state(y, "chart_to_regularized"))
+    x, X, px, P2 = build_relative_map(params.mu) @ y
     Q1, P1 = euler_inverse(x, px)
     return np.array([Q1, X, P1, P2])
 
@@ -97,6 +98,16 @@ def chart_jacobian(z, params: MassParams) -> np.ndarray:
     euler = np.eye(4)
     euler[np.ix_((0, 2), (0, 2))] = euler_jacobian(Q1, P1)
     return _relative_inverse(params.mu) @ euler
+
+
+def _finite_state(state, name: str) -> tuple:
+    """state as a tuple of floats, or DomainError naming it if a component is
+    NaN or infinite: B's and B^-1's zero entries would turn an infinity into
+    NaN in the other components of the product."""
+    state = tuple(float(v) for v in state)
+    if not all(map(math.isfinite, state)):
+        raise DomainError(f"{name} needs a finite state, got {list(state)}")
+    return state
 
 
 def _relative_inverse(mu: float) -> np.ndarray:

@@ -602,6 +602,20 @@ def test_analysis_commands_run_without_scipy(tmp_path, argv):
     assert run.returncode == 0, run.stderr
 
 
+def test_oracle_commands_without_scipy_exit_2_naming_the_extra(tmp_path, capsys, monkeypatch):
+    # a None entry makes `from scipy.integrate import ...` raise ImportError
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    cfgp = tmp_path / "phys.json"
+    write_config(cfgp, problem="sitnikov", epsilon=0.2, h=0.25, stop_at_q=20.0, span=50.0,
+                 initial={"chart": "physical", "state": [1.0, -1.0, 0.9, -0.9]})
+    for argv in (["simulate", str(cfgp)], ["verify", "--filter", "energy_conservation"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "collreg[oracle]" in err
+    assert not any(tmp_path.glob("phys_*"))
+
+
 def test_period_command(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert main(["period", "--h", "-1", "--m", "1e-3", "--N", "3",

@@ -722,6 +722,44 @@ def test_steps_seeded_from_history_take_one_evaluation_on_quintic_iterates():
     assert counts[4.0] - counts[2.0] == 200
 
 
+def test_a_first_sweep_change_within_the_scaled_bound_ends_the_step():
+    # x' = 1, v' = x^4 from v = 1e4, so the quintic guess is exact but for
+    # rounding at ulp(1e4) ~ 1.8e-12: many first-sweep changes exceed the
+    # bare newton_tol 1e-13 yet lie within tol * (1 + max|y|) ~ 1e-9, and
+    # each such step must end at its first sweep all the same
+    cfg = IntegratorConfig(step=1e-2)
+    tol = cfg.newton_tol
+    for n in (2, 4):
+        field = lambda y: (1.0, *[0.0] * (n - 2), y[0] ** 4)
+        y0 = (-1.0,) + (0.0,) * (n - 2) + (1e4,)
+        clock = lambda Q1: 1.0 + Q1 * Q1
+        invariant = lambda y: 0.0 * y[0]
+        f_new, n_new = _counting(field)
+        traj = integrate(f_new, y0, 2.0, cfg, time_scale=clock, invariant=invariant)
+        taus, ts, states, invs, events = _reference_march(field, y0, 2.0, cfg, clock, invariant)
+        assert traj.tau.tobytes() == np.array(taus).tobytes()
+        assert traj.t.tobytes() == np.array(ts).tobytes()
+        assert traj.states.tobytes() == np.array(states).tobytes()
+        assert traj.invariant.tobytes() == np.array(invs).tobytes()
+        assert traj.events == events and len(events) == 1
+        # after the five Euler-guess steps (the march over 0.05), one
+        # evaluation a step for 195 steps, and two for the event
+        n_march = n_new[0]
+        n_new[0] = 0
+        integrate(f_new, y0, 0.05, cfg)
+        assert n_march - n_new[0] == 195 + 2
+        # the first sweeps the march took, from the reference states
+        window = 0
+        for i in range(6, len(states)):
+            y = states[i - 1]
+            guess = _quintic_guess(y, [states[i - j] for j in range(2, 7)])
+            fm = field(tuple(0.5 * (y[k] + guess[k]) for k in range(n)))
+            change = max(abs(y[k] + 1e-2 * fm[k] - guess[k]) for k in range(n))
+            assert change <= tol * (1.0 + max(map(abs, y)))
+            window += change > tol
+        assert window > 50
+
+
 def test_extrapolated_march_stays_with_the_euler_guess_march():
     # the predictor only changes where the solve starts: the march agrees
     # with one of single Euler-guess steps to the solver tolerance

@@ -100,6 +100,21 @@ def test_chart_inverse_rejects_ordering():
             chart_to_regularized([q1, 0.0, 0.0, 0.0], params)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("k", [1, 3])  # a position, a momentum
+def test_the_chart_maps_refuse_a_non_finite_state(bad, k):
+    # refused before the product with B, whose zero entries would otherwise
+    # spread the value over the other components with a RuntimeWarning
+    params, _ = params_ring(eps=0.3)
+    state = [1.0, 0.0, 0.5, 0.25]
+    state[k] = bad
+    for chart in (chart_to_physical, chart_to_regularized):
+        with pytest.raises(DomainError,
+                           match=rf"^{chart.__name__} needs a finite state, got \[1\.0, "):
+            chart(state, params)
+
+
 def test_chart_jacobian_exact_vs_fd():
     from collreg import fd_jacobian
 
