@@ -25,6 +25,16 @@ bisection _bisect, on the step's cubic Hermite interpolant of Q1.  Physical
 time is accumulated alongside fictitious time by the midpoint rule for
 dt/dtau, in two pieces on a step with an event, split at the event.
 
+Trajectory CSV files go through one writer, _CsvWriter.  A simulation opens
+it before the march and hands it each block of samples the level guard has
+passed (integrate's on_block): a helper process forked at opening formats
+blocks from the front while the march goes on, and when the march ends this
+process formats the back half of the blocks the helper has not claimed.  A
+file written after the fact (write_regularized_csv without a writer,
+write_physical_csv, the level set) hands the same writer all its blocks at
+once.  Where no helper may be forked, the writer formats each block as it
+comes, with the same bytes.
+
 A conventional adaptive Runge-Kutta pair (through scipy) integrates the
 physical chart as an equivalence oracle; it is valid only away from
 collisions and aborts at a configurable proximity guard, which is precisely
@@ -33,9 +43,13 @@ the failure mode the regularized chart removes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import shutil
+import struct
+import sys
 import tempfile
 import threading
 import warnings
@@ -56,6 +70,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_physical_oracle",
+    "open_regularized_csv",
     "write_regularized_csv",
     "write_physical_csv",
     "write_events_json",
@@ -301,6 +316,7 @@ def integrate(
     invariant: Optional[Callable] = None,
     record_every: int = 1,
     stop_after: Optional[int] = None,
+    on_block: Optional[Callable] = None,
 ) -> Trajectory:
     """March a state field over a tau interval of the given length.
 
@@ -316,7 +332,12 @@ def integrate(
     states as an (n, k) array, one row a component, and the invariant returns
     the k values (Problem.gamma takes both forms).  The values are the
     trajectory's invariant column and their largest magnitude is
-    metadata["invariant_max"].
+    metadata["invariant_max"].  on_block(tau, t, states, values), when given
+    (with an invariant), receives each block once the level guard has passed
+    it: the block's clocks, states (k, n) and invariant values, ending at
+    the sample a failed guard cuts the run at, so that its blocks add up to
+    the trajectory returned or raised.  It runs inside the march, which
+    waits for it.
 
     stop_after=k makes the k-th event terminal: the march ends at the step in
     which that event was localized, and the state after that step is recorded
@@ -339,6 +360,8 @@ def integrate(
         raise ParameterError(f"stop_after must be a positive count, got {stop_after}")
     if record_every < 1:
         raise ParameterError(f"record_every must be at least 1, got {record_every}")
+    if on_block is not None and invariant is None:
+        raise ParameterError("on_block takes the invariant's values, and no invariant was given")
     n = len(y)
     # the sizes of the regularized systems: 2 (reduced, kepler1d), 4 (sitnikov)
     if n not in (2, 4):
@@ -360,15 +383,20 @@ def integrate(
         lo = hi if invs is None else len(invs)
         if lo < hi:
             # a copy of the block: a view would pin the buffer against appends
-            cols = np.frombuffer(states[lo * n:hi * n]).reshape(hi - lo, n).T
-            values = np.broadcast_to(np.asarray(invariant(cols), dtype=float), (hi - lo,))
+            rows = np.frombuffer(states[lo * n:hi * n]).reshape(hi - lo, n)
+            values = np.broadcast_to(np.asarray(invariant(rows.T), dtype=float), (hi - lo,))
             # the running max over the block, NaN-blind as the scalar max()
             # of a march; blocks before it all stayed within the limit, and
             # sample 0 alone is never tested, as a march tests from its first step
             peak = np.fmax.accumulate(np.abs(values))
             over = np.flatnonzero(peak > INVARIANT_LIMIT)
             k = max(lo + int(over[0]), 1) if over.size else hi
-            invs.frombytes(values[:k + 1 - lo].tobytes())
+            kept = values[:k + 1 - lo]
+            invs.frombytes(kept.tobytes())
+            if on_block is not None:
+                end = lo + len(kept)
+                on_block(np.frombuffer(taus[lo:end]), np.frombuffer(ts[lo:end]),
+                         rows[:end - lo], kept)
             if k < hi:  # cut the run at sample k, as if the march had stopped there
                 del taus[k + 1:], ts[k + 1:], states[(k + 1) * n:]
                 events[:] = [e for e in events if e.index < k]
@@ -642,91 +670,242 @@ def integrate_physical_oracle(
     )
 
 
-_CSV_CHUNK = 4096  # rows formatted per write, so the writer's memory stays flat
+# The trajectory writer's pipe message: a block's offset and size in the raw
+# file and its row count; and the raw file's head: the blocks the helper has
+# claimed, and the block it must stop before.
+_MESSAGE = struct.Struct("qqq")
+_CLAIMS = struct.Struct("qq")
+
+
+class _CsvWriter:
+    """One CSV file: its header, then row_fmt % row for every row of the
+    blocks handed to write, in order.  A block is given as columns of equal
+    length, each of one or more values a row.  finish(rows) completes the
+    file once all rows, as many as it is told, have come.
+
+    With helper=True in a process that may fork (_can_fork), a helper is
+    forked at opening.  It claims blocks from the front as they arrive,
+    formats them and writes them into the file, while this process goes on:
+    write puts a block's floats into an unlinked temporary file and sends
+    only their place down a pipe, so it never waits on the helper.  finish
+    takes the back half of the blocks the helper has not claimed, formats
+    them into a second temporary file, waits for the helper and appends
+    them.  Without a helper, write formats each block into the file as it
+    comes.  The bytes are the same either way.  Closing a writer that was
+    not finished stops its helper, and the file keeps what was written.
+    """
+
+    def __init__(self, path, header, row_fmt, helper):
+        self._fh = open(path, "wb")
+        self._fmt = row_fmt
+        self._rows = 0
+        self._pid = self._raw = self._outbox = None  # _fork's, with a helper
+        try:
+            self._fh.write(header.encode())
+            if helper and _can_fork():
+                self._fork()
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _fork(self):
+        self._blocks = []  # (offset, size, rows) of each block in the raw file
+        self._pending = bytearray()  # messages the pipe had no room for yet
+        self._raw = tempfile.TemporaryFile()
+        self._raw.write(_CLAIMS.pack(0, 1 << 62))  # no stop until finish sets one
+        self._raw.flush()
+        inbox, self._outbox = os.pipe()
+        self._fh.flush()  # the helper inherits no buffered bytes
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns about forking beside native threads (numpy's
+                # BLAS pool); the helper only formats floats and writes its file
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the helper, which leaves by os._exit whatever happens
+                code = 1
+                try:
+                    os.close(self._outbox)
+                    with open(inbox, "rb") as messages:
+                        self._serve(messages)
+                    code = 0
+                finally:
+                    os._exit(code)
+        finally:
+            os.close(inbox)
+        self._pid = pid
+        os.set_blocking(self._outbox, False)
+
+    def _serve(self, messages):
+        """The helper's loop: claim the blocks in order as their messages
+        arrive, format each into the file, and stop at the first block that
+        finish keeps for the other process, or when the pipe closes."""
+        with open(self._fh.fileno(), "wb", closefd=False) as fh:
+            block = 0
+            while (msg := messages.read(_MESSAGE.size)) and self._claim(block):
+                fh.write(self._formatted(*_MESSAGE.unpack(msg)))
+                block += 1
+
+    @contextlib.contextmanager
+    def _claims(self):
+        """The raw file's head, read under a lock on the file that this
+        process and the helper take in turn (fcntl locks are per process)."""
+        import fcntl
+
+        fd = self._raw.fileno()
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            yield _CLAIMS.unpack(os.pread(fd, _CLAIMS.size, 0))
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+
+    def _claim(self, block) -> bool:
+        with self._claims() as (_, stop):
+            if block < stop:
+                os.pwrite(self._raw.fileno(), _CLAIMS.pack(block + 1, stop), 0)
+        return block < stop
+
+    def _formatted(self, offset, size, rows) -> bytes:
+        return _format(self._fmt, rows,
+                       np.frombuffer(os.pread(self._raw.fileno(), size, offset)).tolist())
+
+    def write(self, *columns):
+        block = np.column_stack(columns)
+        rows = len(block)
+        if self._pid is None:
+            self._fh.write(_format(self._fmt, rows, block.ravel().tolist()))
+        else:
+            offset = self._raw.tell()
+            self._raw.write(block)
+            self._raw.flush()
+            self._blocks.append((offset, block.nbytes, rows))
+            try:
+                self._send(_MESSAGE.pack(offset, block.nbytes, rows))
+            except BrokenPipeError:  # before finish the helper leaves only by failing
+                self._join()
+                raise
+        self._rows += rows
+
+    def _send(self, msg):
+        """msg and any messages still queued, as far as the pipe takes them
+        without waiting; finish makes the pipe wait for the rest."""
+        self._pending += msg
+        try:
+            while self._pending:
+                del self._pending[:os.write(self._outbox, self._pending)]
+        except BlockingIOError:
+            pass
+
+    def finish(self, rows):
+        if rows != self._rows:
+            raise ValueError(f"a CSV of {rows} rows was handed {self._rows}")
+        if self._pid is not None:
+            with self._claims() as (claimed, _):
+                stop = claimed + (len(self._blocks) - claimed) // 2
+                os.pwrite(self._raw.fileno(), _CLAIMS.pack(claimed, stop), 0)
+            os.set_blocking(self._outbox, True)
+            with contextlib.suppress(BrokenPipeError):  # a helper that reached stop has left
+                self._send(b"")
+            os.close(self._outbox)
+            self._outbox = None
+            with tempfile.TemporaryFile() as back:
+                for block in self._blocks[stop:]:
+                    back.write(self._formatted(*block))
+                self._join()
+                back.seek(0)
+                shutil.copyfileobj(back, self._fh)  # in pieces of shutil.COPY_BUFSIZE
+        self.close()
+
+    def _join(self):
+        pid, self._pid = self._pid, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            raise OSError(f"the CSV writer's helper process exited with code {code}; "
+                          f"{self._fh.name} is incomplete")
+
+    def close(self):
+        """Stop the helper if it still runs, and close the files."""
+        if self._pid is not None:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._outbox is not None:
+            os.close(self._outbox)
+            self._outbox = None
+        if self._raw is not None:
+            self._raw.close()
+        self._fh.close()
+
+
+def _format(row_fmt, rows, values) -> bytes:
+    """row_fmt % row for rows rows of values, a flat list of plain floats
+    row after row, by one % operation."""
+    return ((row_fmt * rows) % tuple(values)).encode()
+
+
+def _can_fork() -> bool:
+    """Whether a helper process may be forked: fork exists, no other Python
+    thread runs that could hold a lock the helper needs, and this process is
+    not a daemonic multiprocessing worker, which may have no children (a
+    process that never imported multiprocessing is none)."""
+    mp = sys.modules.get("multiprocessing")
+    return (hasattr(os, "fork") and threading.active_count() == 1
+            and not (mp is not None and mp.current_process().daemon))
 
 
 def _write_csv(path, header, row_fmt, columns) -> None:
     """Write header, then row_fmt % (row k of every column) for every sample
     k.  A column is an array of one or more values a sample; in a trajectory
     the last is the invariant, which may be missing (None) and is then
-    refused.  From two chunks of rows on, _write_csv_split writes them on two
-    processes, where a helper process can be forked."""
+    refused.  From two blocks of GUARD_BLOCK rows on, the rows are written
+    on two processes, where a helper process can be forked."""
     if columns[-1] is None:
         raise ParameterError("the trajectory carries no invariant column to write")
     rows = len(columns[0])
-    if rows >= 2 * _CSV_CHUNK and _can_fork():
-        _write_csv_split(path, header, row_fmt, columns, rows)
-        return
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        _format_rows(fh, row_fmt, columns, 0, rows)
+    with _CsvWriter(path, header, row_fmt, helper=rows >= 2 * GUARD_BLOCK) as csv:
+        for a in range(0, rows, GUARD_BLOCK):
+            csv.write(*(c[a:a + GUARD_BLOCK] for c in columns))
+        csv.finish(rows)
 
 
-def _can_fork() -> bool:
-    """Whether a helper process may be forked: fork exists, no other Python
-    thread runs that could hold a lock the helper needs, and this process is
-    not a daemon, which multiprocessing lets have no children.  multiprocessing
-    is imported here, the first time a CSV is long enough to need it."""
-    import multiprocessing
-
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and threading.active_count() == 1
-            and not multiprocessing.current_process().daemon)
+def _regularized_layout(dim):
+    # a reduced state (Q1, P1) is written with the zeros %.17g gives for 0.0
+    state_fmt = "%.17g,0,%.17g,0," if dim == 2 else "%.17g," * dim
+    return "tau,t,Q1,Q2,P1,P2,gamma\n", "%.17g,%.17g," + state_fmt + "%.17g\n"
 
 
-def _write_csv_split(path, header, row_fmt, columns, rows) -> None:
-    """_write_csv on two processes: a forked helper formats the rows from
-    the chunk boundary nearest the middle into an anonymous temporary file
-    while this process formats the rows before it into the target, then the
-    helper's file is appended in pieces.  The bytes are the one-process
-    writer's, and the helper's text never enters this process's memory."""
-    import multiprocessing
-
-    split = _CSV_CHUNK * round(rows / (2 * _CSV_CHUNK))
-    with tempfile.TemporaryFile() as back:
-        helper = multiprocessing.get_context("fork").Process(
-            target=_format_rows, args=(back, row_fmt, columns, split, rows))
-        with warnings.catch_warnings():
-            # Python 3.12 warns about forking beside native threads (numpy's
-            # BLAS pool); the helper only formats floats and writes its file
-            warnings.simplefilter("ignore", DeprecationWarning)
-            helper.start()  # before the target is open: the helper inherits no buffered bytes
-        try:
-            with open(path, "wb") as fh:
-                fh.write(header.encode())
-                _format_rows(fh, row_fmt, columns, 0, split)
-                helper.join()
-                if helper.exitcode != 0:
-                    raise OSError(f"the CSV writer's helper process exited with code "
-                                  f"{helper.exitcode}; {path} holds only its first {split} rows")
-                back.seek(0)
-                shutil.copyfileobj(back, fh)  # in pieces of shutil.COPY_BUFSIZE
-        finally:
-            helper.terminate()  # a no-op unless this process failed first
-            helper.join()
+def open_regularized_csv(path, dim, helper=True) -> _CsvWriter:
+    """The regularized CSV at path, opened for the samples of a run of
+    dim-D states: integrate(..., on_block=csv.write) feeds it each block of
+    samples as the level guard passes it, and write_regularized_csv(traj,
+    path, csv) finishes it.  Opening it, before the march, forks the helper
+    that formats those blocks while the march goes on, unless helper is
+    False: a caller whose other processes already keep every core busy
+    gains nothing from one."""
+    return _CsvWriter(path, *_regularized_layout(dim), helper)
 
 
-def _format_rows(fh, row_fmt, columns, lo, hi) -> None:
-    """Rows lo to hi into the binary file fh, formatted from plain floats
-    _CSV_CHUNK samples at a time, one % operation a chunk, and flushed."""
-    for a in range(lo, hi, _CSV_CHUNK):
-        part = slice(a, min(a + _CSV_CHUNK, hi))
-        block = np.column_stack([c[part] for c in columns])
-        fh.write(((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode())
-    fh.flush()
-
-
-def write_regularized_csv(traj: Trajectory, path) -> None:
+def write_regularized_csv(traj: Trajectory, path, csv=None) -> None:
     """CSV schema: tau,t,Q1,Q2,P1,P2,gamma (reduced runs carry Q2 = P2 = 0).
 
     17 significant digits, '.' decimal separator, LF line endings: identical
     configs must produce byte-identical files.  The gamma column is the
     trajectory's invariant; a trajectory without one raises ParameterError.
+    csv, when given, is the writer open_regularized_csv opened on path, and
+    has been handed every sample of traj; this finishes it.
     """
-    dim = traj.states.shape[1]
-    # a reduced state (Q1, P1) is written with the zeros %.17g gives for 0.0
-    state_fmt = "%.17g,0,%.17g,0," if dim == 2 else "%.17g," * dim
-    _write_csv(path, "tau,t,Q1,Q2,P1,P2,gamma\n", "%.17g,%.17g," + state_fmt + "%.17g\n",
+    if csv is not None:
+        csv.finish(len(traj))
+        return
+    _write_csv(path, *_regularized_layout(traj.states.shape[1]),
                (traj.tau, traj.t, traj.states, traj.invariant))
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from collreg import analysis, cli, integrators, verify
 from collreg.cli import build_parser, load_run_config, main
-from collreg.errors import ParameterError, SchemaError
+from collreg.errors import ParameterError, SchemaError, StepFailure
 from collreg.integrators import IntegratorConfig, integrate_physical_oracle
 from collreg.regularized import gamma_reduced, reduced_field
 from collreg.config import MassParams, RingConfig, ring_radius
@@ -292,6 +292,163 @@ def test_simulate_evaluates_gamma_once_per_sample(tmp_path, capsys, monkeypatch)
     assert summary["samples"] == 2001 and calls[0] == 2001
 
 
+def _patch_field(monkeypatch, field_of):
+    """Run every problem with field_of(its field) as its field."""
+    make = cli._problem
+    monkeypatch.setattr(cli, "_problem",
+                        lambda cfg: dataclasses.replace(make(cfg), field=field_of(make(cfg).field)))
+
+
+def test_simulate_fails_before_the_march_on_an_unwritable_trajectory_path(
+        tmp_path, capsys, monkeypatch):
+    calls = [0]
+
+    def counted(field):
+        def f(y):
+            calls[0] += 1
+            return field(y)
+        return f
+
+    _patch_field(monkeypatch, counted)
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, outputs={"trajectory": str(tmp_path / "missing" / "t.csv")})
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and err.startswith("error: ") and "missing" in err
+    assert calls[0] == 0
+    assert not list(tmp_path.glob("run_*"))
+
+
+def _config_file(directory, cfg, outputs) -> str:
+    path = directory / "run.json"
+    path.write_text(json.dumps({"schema": 1, **cfg, "outputs": outputs}))
+    return str(path)
+
+
+class _FieldBug(Exception):
+    pass
+
+
+def _failing_after(calls, make_failure):
+    def field_of(field):
+        count = [0]
+
+        def f(y):
+            count[0] += 1
+            if count[0] > calls:
+                return make_failure(y)
+            return field(y)
+        return f
+    return field_of
+
+
+def _raise_field_bug(y):
+    raise _FieldBug("the field broke")
+
+
+@pytest.mark.parametrize("failure", ["level_guard", "step_failure", "field_raises",
+                                     "helper_fails"])
+def test_a_failed_run_stops_its_csv_helper_and_keeps_its_trajectory(
+        tmp_path, capsys, monkeypatch, forks, failure):
+    # every failure lands past the second block of samples, when the helper
+    # has blocks of its own; the CSV of a StepFailure is that of its partial
+    # trajectory, written after the fact
+    cfg, _ = PINNED_RUNS["sitnikov"]
+    cfg = {**cfg, "integrator": {"step": 1e-3}, "span": 20.0}
+    if failure == "level_guard":  # the escape that trips the guard at sample 12100
+        cfg = {**cfg, "N": 3, "h": -1.0,
+               "initial": {"chart": "regularized", "state": [0.0, 0.1, 1.0, 0.0]},
+               "integrator": {"method": "implicit_midpoint", "step": 5e-4}}
+    elif failure == "step_failure":
+        _patch_field(monkeypatch, _failing_after(9000, lambda y: (math.nan,) * len(y)))
+    elif failure == "field_raises":
+        _patch_field(monkeypatch, _failing_after(9000, _raise_field_bug))
+    else:
+        parent, fmt = os.getpid(), integrators._format
+
+        def format_rows(*args):
+            if os.getpid() != parent:
+                raise OSError("no space left for the helper's rows")
+            return fmt(*args)
+
+        monkeypatch.setattr(integrators, "_format", format_rows)
+    outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
+    run = _config_file(tmp_path, cfg, outs)
+    if failure == "helper_fails":
+        assert main(["simulate", run]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "helper process exited with code 1" in err
+    else:
+        with pytest.raises(_FieldBug if failure == "field_raises" else StepFailure) as exc:
+            cli.run_simulation(load_run_config(run), outs)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # the helper is gone and reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "summary").exists()
+    if failure in ("level_guard", "step_failure"):
+        part = exc.value.trajectory
+        assert len(part) > 2 * integrators.GUARD_BLOCK
+        integrators.write_regularized_csv(part, tmp_path / "after.csv")
+        assert (tmp_path / "trajectory").read_bytes() == (tmp_path / "after.csv").read_bytes()
+        assert (tmp_path / "events").exists()
+
+
+def _simulate_in_a_daemon(argv):
+    import multiprocessing
+
+    assert multiprocessing.current_process().daemon and not integrators._can_fork()
+    sys.exit(main(argv))
+
+
+def test_a_run_that_cannot_fork_writes_the_same_bytes(tmp_path, capsys, monkeypatch, forks):
+    # one job of 10001 samples, run in this process, which forks the CSV
+    # writer's helper, then beside a second thread and in a daemonic process,
+    # where the writer formats each block itself, and as a sweep job; every
+    # run is named as the sweep names its job, so the output names agree
+    import multiprocessing
+    import threading
+
+    cfg, _ = PINNED_RUNS["sitnikov"]
+    cfg = {**cfg, "integrator": {"step": 1e-3}}
+
+    def config_in(where, **extra):
+        (tmp_path / where).mkdir()
+        path = tmp_path / where / ("s.json" if extra else "s_sweep000.json")
+        path.write_text(json.dumps({"schema": 1, **cfg, **extra}))
+        return str(path)
+
+    def outputs(where):
+        return tuple(b"\n".join(line for line in (tmp_path / where / name).read_bytes().split(b"\n")
+                                if b'"wall_time_s"' not in line)
+                     for name in ("s_sweep000_trajectory.csv", "s_sweep000_events.json",
+                                  "s_sweep000_summary.json"))
+
+    assert main(["simulate", config_in("alone")]) == 0
+    assert len(forks) == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not integrators._can_fork()
+        assert main(["simulate", config_in("thread")]) == 0
+    finally:
+        stop.set()
+        thread.join()
+    assert len(forks) == 1
+    proc = multiprocessing.get_context("fork").Process(
+        target=_simulate_in_a_daemon, args=(["simulate", config_in("daemon")],), daemon=True)
+    proc.start()
+    proc.join(120)
+    assert proc.exitcode == 0
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", config_in("sweep", sweep=[{}]), "--sweep"]) == 0
+    capsys.readouterr()
+    alone = outputs("alone")
+    assert alone[0].count(b"\n") == 1 + 10001
+    for where in ("thread", "daemon", "sweep"):
+        assert outputs(where) == alone, where
+
+
 @pytest.mark.parametrize("field, value", [
     ("span", math.inf), ("span", math.nan), ("span", True), ("span", -math.inf),
     ("h", math.nan), ("m", math.nan), ("epsilon", math.nan),
@@ -559,19 +716,16 @@ def test_levelset_command(tmp_path, capsys):
         assert (-Q1, P1) in as_set and (Q1, -P1) in as_set
 
 
-def test_a_long_levelset_csv_is_written_on_two_processes(tmp_path, capsys, monkeypatch):
-    # the level set goes through the trajectory writer, so from two chunks of
+def test_a_long_levelset_csv_is_written_on_two_processes(tmp_path, capsys, monkeypatch,
+                                                         forks):
+    # the level set goes through the trajectory writer, so from two blocks of
     # rows on it takes the two-process path, with the bytes of one process
     pts = np.random.default_rng(0).standard_normal((10000, 2))
     monkeypatch.setattr(analysis, "level_set_sample", lambda *args: pts)
-    splits = []
-    split = integrators._write_csv_split
-    monkeypatch.setattr(integrators, "_write_csv_split",
-                        lambda *args: splits.append(args[-1]) or split(*args))
     out = tmp_path / "ls.csv"
     assert main(["levelset", "--h", "-1", "--m", "1e-3", "--N", "3", "--output", str(out)]) == 0
     capsys.readouterr()
-    assert splits == [10000]
+    assert [w._rows for w in forks] == [10000]
     assert out.read_bytes() == ("Q1,P1\n" + "".join(
         "%.17g,%.17g\n" % (q, p) for q, p in pts)).encode()
 
@@ -716,8 +870,31 @@ def test_sweep_failed_job_leaves_the_others_running(tmp_path, capsys, monkeypatc
     assert not list(tmp_path.glob("sweep_sweep???.json"))
 
 
+def test_sweep_jobs_fork_csv_helpers_only_with_a_core_to_spare(tmp_path, capsys, monkeypatch):
+    # a helper formats about as fast as its job marches: on 4 cores, 2
+    # workers leave one core for each job's helper, 3 workers do not
+    cfgp = tmp_path / "sweep.json"
+    write_config(cfgp, span=3.0, sweep=[{}, {"h": -2.0}])
+    seen = tmp_path / "seen"
+    run = cli.run_simulation
+
+    def recording(cfg, outputs, csv_helper=True):
+        with open(seen, "a") as fh:  # the workers are processes of their own
+            fh.write(str(int(csv_helper)))
+        return run(cfg, outputs, csv_helper)
+
+    monkeypatch.setattr(cli, "run_simulation", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for threads, helpers in (("2", "11"), ("3", "00")):
+        monkeypatch.setenv("COLLREG_THREADS", threads)
+        assert main(["simulate", str(cfgp), "--sweep"]) == 0
+        assert seen.read_text() == helpers
+        seen.unlink()
+    capsys.readouterr()
+
+
 def test_sweep_job_that_cannot_write_leaves_the_others_running(tmp_path, capsys, monkeypatch):
-    # the middle job integrates, then fails to open its trajectory path, a directory
+    # the middle job fails to open its trajectory path, a directory, before it integrates
     cfgp = tmp_path / "sweep.json"
     cfgp.write_text(json.dumps({
         "schema": 1,

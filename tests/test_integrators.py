@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -864,12 +865,16 @@ def _reference_physical_csv(traj, params, ring) -> bytes:
     return "".join(lines).encode()
 
 
-def test_regularized_csv_matches_the_row_by_row_reference(tmp_path, monkeypatch):
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_regularized_csv_matches_the_row_by_row_reference(tmp_path, forks):
     path = tmp_path / "traj.csv"
-    splits = []  # row counts of the writes made on two processes
-    split = integrators._write_csv_split
-    monkeypatch.setattr(integrators, "_write_csv_split",
-                        lambda *args: splits.append(args[-1]) or split(*args))
     # 2-D: a reduced run through a collision
     ring = RingConfig.for_count(2)
     h, m, a = -1.0, 1e-3, 4.0 * ring.radius
@@ -885,15 +890,15 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path, monkeypatch)
     gam = p.gamma
     traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 6.0,
                      IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=gam)
-    assert len(traj) > integrators._CSV_CHUNK + 1
+    assert len(traj) > integrators.GUARD_BLOCK + 1
     write_regularized_csv(traj, path)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
-    # 4-D, two chunks and more: a forked helper writes the rows after 4096
+    # 4-D, two blocks and more: a forked helper writes the front blocks
     traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 10.0,
                      IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=gam)
     write_regularized_csv(traj, path)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
-    assert splits == [10001]
+    assert [w._rows for w in forks] == [10001]
     # the partial trajectory a failed run carries
     pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
     energy = lambda y: 0.5 * (y[0] * y[0] + y[1] * y[1]) - 0.5
@@ -903,35 +908,90 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path, monkeypatch)
     assert path.read_bytes() == _reference_regularized_csv(err.value.trajectory, energy)
 
 
-def test_a_failing_csv_helper_fails_the_write_and_leaves_no_process(tmp_path, monkeypatch):
-    import multiprocessing
-    import os
-
-    rows = 2 * integrators._CSV_CHUNK
+def test_a_failing_csv_helper_fails_the_write_and_leaves_no_process(tmp_path, monkeypatch,
+                                                                    forks):
+    rows = 2 * integrators.GUARD_BLOCK
     traj = Trajectory(tau=np.arange(rows, dtype=float), t=np.arange(rows, dtype=float),
                       states=np.ones((rows, 2)), invariant=np.zeros(rows))
     parent = os.getpid()
-    format_rows = integrators._format_rows
+    fmt = integrators._format
 
-    def failing_in_the_helper(*args):
-        if os.getpid() != parent:
-            raise OSError("no space left for the helper's rows")
-        format_rows(*args)
+    def failing_in(side):
+        def format_rows(*args):
+            if (os.getpid() == parent) == (side == "caller"):
+                raise OSError(f"no space left for the {side}'s rows")
+            return fmt(*args)
+        return format_rows
 
-    monkeypatch.setattr(integrators, "_format_rows", failing_in_the_helper)
+    monkeypatch.setattr(integrators, "_format", failing_in("helper"))
     with pytest.raises(OSError, match="helper process exited with code 1"):
         write_regularized_csv(traj, tmp_path / "t.csv")
-    assert multiprocessing.active_children() == []
-    # a failure on this side stops the helper too
-    monkeypatch.setattr(integrators, "_format_rows", format_rows)
+    assert len(forks) == 1 and _no_child_left()
+    # a failure on this side stops the helper too, before or after the fork
+    monkeypatch.setattr(integrators, "_format", failing_in("caller"))
+    with pytest.raises(OSError, match="the caller's rows"):
+        write_regularized_csv(traj, tmp_path / "t.csv")
+    assert len(forks) == 2 and _no_child_left()
+    monkeypatch.setattr(integrators, "_format", fmt)
     with pytest.raises(FileNotFoundError):
         write_regularized_csv(traj, tmp_path / "missing" / "t.csv")
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 and _no_child_left()
+
+
+@pytest.mark.parametrize("helper", [True, False])
+def test_a_csv_fed_by_the_march_matches_the_row_by_row_reference(tmp_path, monkeypatch,
+                                                                  forks, helper):
+    # integrate hands the writer each block as the level guard passes it;
+    # with a helper or without, the file is the one written after the march
+    if not helper:
+        monkeypatch.setattr(integrators, "_can_fork", lambda: False)
+    p = Problem.sitnikov(-2.5, MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2))
+    path = tmp_path / "traj.csv"
+    with integrators.open_regularized_csv(path, 4) as csv:
+        traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 10.0,
+                         IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=p.gamma,
+                         on_block=csv.write)
+        write_regularized_csv(traj, path, csv)
+    assert len(forks) == helper and _no_child_left()
+    assert path.read_bytes() == _reference_regularized_csv(traj, p.gamma)
+    # a writer handed other rows than the trajectory's refuses to finish
+    with pytest.raises(ValueError, match="10000 rows was handed 10001"):
+        with integrators.open_regularized_csv(path, 4) as csv:
+            for a in range(0, len(traj), 4096):
+                csv.write(*(c[a:a + 4096] for c in (traj.tau, traj.t, traj.states,
+                                                     traj.invariant)))
+            csv.finish(len(traj) - 1)
+    assert _no_child_left()
+    with pytest.raises(ParameterError, match="no invariant"):
+        integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 1.0, IntegratorConfig(),
+                  on_block=print)
+
+
+def test_the_csv_writer_never_waits_on_its_helper(tmp_path):
+    # with the helper stopped, 4000 one-row blocks send more messages than a
+    # pipe holds (64 KiB on Linux); write queues what the pipe refuses, and
+    # finish delivers it once the helper runs again
+    import signal
+
+    path = tmp_path / "rows.csv"
+    values = np.arange(4000, dtype=float) / 3.0
+    with integrators._CsvWriter(path, "x\n", "%.17g\n", helper=True) as csv:
+        assert csv._pid is not None
+        os.kill(csv._pid, signal.SIGSTOP)
+        try:
+            for v in values:
+                csv.write(np.array([v]))
+            assert len(csv._pending) > 0
+        finally:
+            os.kill(csv._pid, signal.SIGCONT)
+        csv.finish(len(values))
+    assert _no_child_left()
+    assert path.read_bytes() == ("x\n" + "".join("%.17g\n" % v for v in values)).encode()
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # the CSV writer imports it for its first long file, so a process's
-    # set-up does not pay for it
+    # a process's set-up does not pay for it: the CSV writer forks its helper
+    # with os.fork, and reads a daemon flag only where multiprocessing is loaded
     import os
     import subprocess
     import sys
