@@ -43,7 +43,6 @@ from . import analysis, verify
 from .config import MassParams, RingConfig, ring_radius
 from .errors import SchemaError, StepFailure
 from .integrators import (
-    GUARD_BLOCK,
     IntegratorConfig,
     _write_csv,
     integrate,
@@ -186,10 +185,8 @@ def _problem(cfg: dict) -> Problem:
     return Problem.sitnikov(h, params, RingConfig.for_count(N))
 
 
-def run_simulation(cfg: dict, outputs: dict, csv_helper: bool = True) -> dict:
-    """Execute one validated run configuration; returns the summary dict.
-    csv_helper=False writes a regularized run's CSV without a helper process
-    (see open_regularized_csv)."""
+def run_simulation(cfg: dict, outputs: dict) -> dict:
+    """Execute one validated run configuration; returns the summary dict."""
     icfg: IntegratorConfig = cfg["_integrator"]
     problem = cfg["problem"]
     span = float(cfg["span"])
@@ -216,10 +213,9 @@ def run_simulation(cfg: dict, outputs: dict, csv_helper: bool = True) -> dict:
         p = _problem(cfg)
         y0 = p.project(state)
         # the CSV is opened before the march, which hands it each block of
-        # samples as the level guard passes it; as for a file written after
-        # the fact, a helper pays for its fork from two blocks of samples on
-        helper = csv_helper and span >= 2 * GUARD_BLOCK * icfg.step
-        with open_regularized_csv(outputs["trajectory"], len(state), helper) as csv:
+        # samples as the level guard passes it
+        samples = span / icfg.step + 1.0
+        with open_regularized_csv(outputs["trajectory"], len(state), samples) as csv:
             try:
                 traj = integrate(p.field, y0, span, icfg, time_scale=p.clock,
                                  invariant=p.gamma, on_block=csv.write)
@@ -257,13 +253,13 @@ def _sweep_job(job):
     Returns (summary, None) or (None, message): a job that fails is recorded
     as failed and leaves the other jobs running.
     """
-    k, stem, base, override, csv_helper = job
+    k, stem, base, override = job
     try:
         if not isinstance(override, dict):
             raise SchemaError("sweep entries must be objects", field=f"sweep[{k}]")
         cfg = validate_run_config({**base, **override, "schema": 1})
         outputs = _default_outputs(cfg, f"{stem}_sweep{k:03d}.json")
-        return run_simulation(cfg, outputs, csv_helper), None
+        return run_simulation(cfg, outputs), None
     except (ValueError, RuntimeError, OSError) as exc:  # schema, domain, step and file failures
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -275,11 +271,8 @@ def _run_sweep(cfg: dict, config_path: str) -> int:
     stem = os.path.splitext(config_path)[0]
     base = {key: val for key, val in cfg.items()
             if key not in ("sweep", "_integrator", "outputs")}
-    cores = os.cpu_count() or 1
-    workers = int(os.environ.get("COLLREG_THREADS", "0")) or min(len(sweep), cores)
-    # a job's CSV helper formats about as fast as the job marches, so it
-    # gains only where it finds a core of its own
-    jobs = [(k, stem, base, override, 2 * workers <= cores) for k, override in enumerate(sweep)]
+    jobs = [(k, stem, base, override) for k, override in enumerate(sweep)]
+    workers = int(os.environ.get("COLLREG_THREADS", "0")) or min(len(jobs), os.cpu_count() or 1)
     # the stepping loops are pure Python, so real parallelism needs processes
     from concurrent.futures import ProcessPoolExecutor
 

@@ -48,6 +48,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import struct
 import sys
 import tempfile
@@ -70,7 +71,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_physical_oracle",
-    "open_regularized_csv",
     "write_regularized_csv",
     "write_physical_csv",
     "write_events_json",
@@ -683,26 +683,31 @@ class _CsvWriter:
     length, each of one or more values a row.  finish(rows) completes the
     file once all rows, as many as it is told, have come.
 
-    With helper=True in a process that may fork (_can_fork), a helper is
-    forked at opening.  It claims blocks from the front as they arrive,
-    formats them and writes them into the file, while this process goes on:
-    write puts a block's floats into an unlinked temporary file and sends
-    only their place down a pipe, so it never waits on the helper.  finish
+    rows is the number of rows expected.  From two blocks of GUARD_BLOCK
+    rows on, in a process that may fork (_can_fork), a helper is forked at
+    opening; fewer rows do not pay for its fork.  It claims blocks from the
+    front as they arrive, formats them and writes them into the file, while
+    this process goes on: write puts a block's floats into an unlinked
+    temporary file and sends only their place down a pipe, so it never
+    waits on the helper.  finish
     takes the back half of the blocks the helper has not claimed, formats
     them into a second temporary file, waits for the helper and appends
     them.  Without a helper, write formats each block into the file as it
     comes.  The bytes are the same either way.  Closing a writer that was
-    not finished stops its helper, and the file keeps what was written.
+    not finished stops its helper and removes its file, so that only a
+    finished CSV is left at path.
     """
 
-    def __init__(self, path, header, row_fmt, helper):
+    def __init__(self, path, header, row_fmt, rows):
         self._fh = open(path, "wb")
+        self.path = path
         self._fmt = row_fmt
         self._rows = 0
+        self._finished = False
         self._pid = self._raw = self._outbox = None  # _fork's, with a helper
         try:
             self._fh.write(header.encode())
-            if helper and _can_fork():
+            if rows >= 2 * GUARD_BLOCK and _can_fork():
                 self._fork()
         except BaseException:
             self.close()
@@ -820,6 +825,7 @@ class _CsvWriter:
                 self._join()
                 back.seek(0)
                 shutil.copyfileobj(back, self._fh)  # in pieces of shutil.COPY_BUFSIZE
+        self._finished = True
         self.close()
 
     def _join(self):
@@ -827,10 +833,11 @@ class _CsvWriter:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
             raise OSError(f"the CSV writer's helper process exited with code {code}; "
-                          f"{self._fh.name} is incomplete")
+                          f"{self.path} is not written")
 
     def close(self):
-        """Stop the helper if it still runs, and close the files."""
+        """Stop the helper if it still runs, and close the files; remove the
+        CSV of a writer that was not finished."""
         if self._pid is not None:
             import signal
 
@@ -842,6 +849,13 @@ class _CsvWriter:
             self._outbox = None
         if self._raw is not None:
             self._raw.close()
+        if not (self._finished or self._fh.closed):
+            # only the regular file this writer made, not a device or a file
+            # put at path since
+            made = os.fstat(self._fh.fileno())
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(made.st_mode) and os.path.samestat(made, os.stat(self.path)):
+                    os.unlink(self.path)
         self._fh.close()
 
 
@@ -865,12 +879,11 @@ def _write_csv(path, header, row_fmt, columns) -> None:
     """Write header, then row_fmt % (row k of every column) for every sample
     k.  A column is an array of one or more values a sample; in a trajectory
     the last is the invariant, which may be missing (None) and is then
-    refused.  From two blocks of GUARD_BLOCK rows on, the rows are written
-    on two processes, where a helper process can be forked."""
+    refused.  The writer is handed every block at once."""
     if columns[-1] is None:
         raise ParameterError("the trajectory carries no invariant column to write")
     rows = len(columns[0])
-    with _CsvWriter(path, header, row_fmt, helper=rows >= 2 * GUARD_BLOCK) as csv:
+    with _CsvWriter(path, header, row_fmt, rows) as csv:
         for a in range(0, rows, GUARD_BLOCK):
             csv.write(*(c[a:a + GUARD_BLOCK] for c in columns))
         csv.finish(rows)
@@ -882,15 +895,14 @@ def _regularized_layout(dim):
     return "tau,t,Q1,Q2,P1,P2,gamma\n", "%.17g,%.17g," + state_fmt + "%.17g\n"
 
 
-def open_regularized_csv(path, dim, helper=True) -> _CsvWriter:
-    """The regularized CSV at path, opened for the samples of a run of
-    dim-D states: integrate(..., on_block=csv.write) feeds it each block of
-    samples as the level guard passes it, and write_regularized_csv(traj,
-    path, csv) finishes it.  Opening it, before the march, forks the helper
-    that formats those blocks while the march goes on, unless helper is
-    False: a caller whose other processes already keep every core busy
-    gains nothing from one."""
-    return _CsvWriter(path, *_regularized_layout(dim), helper)
+def open_regularized_csv(path, dim, samples) -> _CsvWriter:
+    """The regularized CSV at path, opened for a run of dim-D states that is
+    to record about samples samples: integrate(..., on_block=csv.write)
+    feeds it each block of samples as the level guard passes it, and
+    write_regularized_csv(traj, path, csv) finishes it.  Opening it, before
+    the march, forks the helper that formats those blocks while the march
+    goes on, when samples are enough to pay for it (see _CsvWriter)."""
+    return _CsvWriter(path, *_regularized_layout(dim), samples)
 
 
 def write_regularized_csv(traj: Trajectory, path, csv=None) -> None:
@@ -900,9 +912,12 @@ def write_regularized_csv(traj: Trajectory, path, csv=None) -> None:
     configs must produce byte-identical files.  The gamma column is the
     trajectory's invariant; a trajectory without one raises ParameterError.
     csv, when given, is the writer open_regularized_csv opened on path, and
-    has been handed every sample of traj; this finishes it.
+    has been handed every sample of traj; this finishes it, and writes no
+    rows of its own.
     """
     if csv is not None:
+        if os.fspath(path) != os.fspath(csv.path):
+            raise ValueError(f"the CSV writer of {csv.path} was given to write {path}")
         csv.finish(len(traj))
         return
     _write_csv(path, *_regularized_layout(traj.states.shape[1]),

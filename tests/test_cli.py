@@ -352,7 +352,7 @@ def test_a_failed_run_stops_its_csv_helper_and_keeps_its_trajectory(
         tmp_path, capsys, monkeypatch, forks, failure):
     # every failure lands past the second block of samples, when the helper
     # has blocks of its own; the CSV of a StepFailure is that of its partial
-    # trajectory, written after the fact
+    # trajectory, written after the fact, and any other failure leaves none
     cfg, _ = PINNED_RUNS["sitnikov"]
     cfg = {**cfg, "integrator": {"step": 1e-3}, "span": 20.0}
     if failure == "level_guard":  # the escape that trips the guard at sample 12100
@@ -391,6 +391,8 @@ def test_a_failed_run_stops_its_csv_helper_and_keeps_its_trajectory(
         integrators.write_regularized_csv(part, tmp_path / "after.csv")
         assert (tmp_path / "trajectory").read_bytes() == (tmp_path / "after.csv").read_bytes()
         assert (tmp_path / "events").exists()
+    else:
+        assert not (tmp_path / "trajectory").exists() and not (tmp_path / "events").exists()
 
 
 def _simulate_in_a_daemon(argv):
@@ -868,29 +870,6 @@ def test_sweep_failed_job_leaves_the_others_running(tmp_path, capsys, monkeypatc
     assert not list(tmp_path.glob("sweep_sweep001_*"))
     # the merged configs are validated in memory, not through temp files
     assert not list(tmp_path.glob("sweep_sweep???.json"))
-
-
-def test_sweep_jobs_fork_csv_helpers_only_with_a_core_to_spare(tmp_path, capsys, monkeypatch):
-    # a helper formats about as fast as its job marches: on 4 cores, 2
-    # workers leave one core for each job's helper, 3 workers do not
-    cfgp = tmp_path / "sweep.json"
-    write_config(cfgp, span=3.0, sweep=[{}, {"h": -2.0}])
-    seen = tmp_path / "seen"
-    run = cli.run_simulation
-
-    def recording(cfg, outputs, csv_helper=True):
-        with open(seen, "a") as fh:  # the workers are processes of their own
-            fh.write(str(int(csv_helper)))
-        return run(cfg, outputs, csv_helper)
-
-    monkeypatch.setattr(cli, "run_simulation", recording)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for threads, helpers in (("2", "11"), ("3", "00")):
-        monkeypatch.setenv("COLLREG_THREADS", threads)
-        assert main(["simulate", str(cfgp), "--sweep"]) == 0
-        assert seen.read_text() == helpers
-        seen.unlink()
-    capsys.readouterr()
 
 
 def test_sweep_job_that_cannot_write_leaves_the_others_running(tmp_path, capsys, monkeypatch):

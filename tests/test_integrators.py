@@ -923,15 +923,17 @@ def test_a_failing_csv_helper_fails_the_write_and_leaves_no_process(tmp_path, mo
             return fmt(*args)
         return format_rows
 
+    # a failed write leaves no file, not even the one it replaced
+    (tmp_path / "t.csv").write_text("an earlier run's rows\n")
     monkeypatch.setattr(integrators, "_format", failing_in("helper"))
     with pytest.raises(OSError, match="helper process exited with code 1"):
         write_regularized_csv(traj, tmp_path / "t.csv")
-    assert len(forks) == 1 and _no_child_left()
+    assert len(forks) == 1 and _no_child_left() and not (tmp_path / "t.csv").exists()
     # a failure on this side stops the helper too, before or after the fork
     monkeypatch.setattr(integrators, "_format", failing_in("caller"))
     with pytest.raises(OSError, match="the caller's rows"):
         write_regularized_csv(traj, tmp_path / "t.csv")
-    assert len(forks) == 2 and _no_child_left()
+    assert len(forks) == 2 and _no_child_left() and not (tmp_path / "t.csv").exists()
     monkeypatch.setattr(integrators, "_format", fmt)
     with pytest.raises(FileNotFoundError):
         write_regularized_csv(traj, tmp_path / "missing" / "t.csv")
@@ -947,35 +949,50 @@ def test_a_csv_fed_by_the_march_matches_the_row_by_row_reference(tmp_path, monke
         monkeypatch.setattr(integrators, "_can_fork", lambda: False)
     p = Problem.sitnikov(-2.5, MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2))
     path = tmp_path / "traj.csv"
-    with integrators.open_regularized_csv(path, 4) as csv:
+    with integrators.open_regularized_csv(path, 4, 10001) as csv:
         traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 10.0,
                          IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=p.gamma,
                          on_block=csv.write)
         write_regularized_csv(traj, path, csv)
     assert len(forks) == helper and _no_child_left()
     assert path.read_bytes() == _reference_regularized_csv(traj, p.gamma)
-    # a writer handed other rows than the trajectory's refuses to finish
+    # a writer handed other rows than the trajectory's refuses to finish, and
+    # one given another path than its own refuses to write it; neither leaves
+    # a file
+    blocks = [[c[a:a + 4096] for c in (traj.tau, traj.t, traj.states, traj.invariant)]
+              for a in range(0, len(traj), 4096)]
     with pytest.raises(ValueError, match="10000 rows was handed 10001"):
-        with integrators.open_regularized_csv(path, 4) as csv:
-            for a in range(0, len(traj), 4096):
-                csv.write(*(c[a:a + 4096] for c in (traj.tau, traj.t, traj.states,
-                                                     traj.invariant)))
+        with integrators.open_regularized_csv(path, 4, len(traj)) as csv:
+            for block in blocks:
+                csv.write(*block)
             csv.finish(len(traj) - 1)
-    assert _no_child_left()
+    with pytest.raises(ValueError, match="was given to write"):
+        with integrators.open_regularized_csv(path, 4, len(traj)) as csv:
+            for block in blocks:
+                csv.write(*block)
+            write_regularized_csv(traj, tmp_path / "other.csv", csv)
+    assert _no_child_left() and not path.exists() and not (tmp_path / "other.csv").exists()
+    # an unfinished writer removes only the file it made: not one put at its
+    # path since
+    with integrators.open_regularized_csv(path, 4, len(traj)) as csv:
+        csv.write(*blocks[0])
+        (tmp_path / "moved.csv").write_text("another file\n")
+        os.replace(tmp_path / "moved.csv", path)
+    assert _no_child_left() and path.read_text() == "another file\n"
     with pytest.raises(ParameterError, match="no invariant"):
         integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 1.0, IntegratorConfig(),
                   on_block=print)
 
 
 def test_the_csv_writer_never_waits_on_its_helper(tmp_path):
-    # with the helper stopped, 4000 one-row blocks send more messages than a
+    # with the helper stopped, 8192 one-row blocks send more messages than a
     # pipe holds (64 KiB on Linux); write queues what the pipe refuses, and
     # finish delivers it once the helper runs again
     import signal
 
     path = tmp_path / "rows.csv"
-    values = np.arange(4000, dtype=float) / 3.0
-    with integrators._CsvWriter(path, "x\n", "%.17g\n", helper=True) as csv:
+    values = np.arange(2 * integrators.GUARD_BLOCK, dtype=float) / 3.0
+    with integrators._CsvWriter(path, "x\n", "%.17g\n", len(values)) as csv:
         assert csv._pid is not None
         os.kill(csv._pid, signal.SIGSTOP)
         try:
