@@ -135,11 +135,12 @@ class RingConfig:
         return 1.0 / self.N
 
 
-def primary_positions_3d(ring: RingConfig, phase: float = 0.0) -> np.ndarray:
-    """(N, 3) vertex positions at a given rotation phase; all at height z = 0."""
-    ang = 2.0 * math.pi * np.arange(ring.N) / ring.N + phase
-    return np.column_stack(
-        [ring.radius * np.cos(ang), ring.radius * np.sin(ang), np.zeros(ring.N)]
+def primary_positions_3d(ring: RingConfig, phase=0.0) -> np.ndarray:
+    """(N, 3) vertex positions at a given rotation phase; all at height z = 0.
+    An array of phases gives an array of them, of shape phase.shape + (N, 3)."""
+    ang = 2.0 * math.pi * np.arange(ring.N) / ring.N + np.expand_dims(phase, -1)
+    return np.stack(
+        [ring.radius * np.cos(ang), ring.radius * np.sin(ang), np.zeros_like(ang)], axis=-1
     )
 
 

@@ -123,17 +123,23 @@ def axis_field_general(
     )
 
 
-def infinitesimal_accel_3d(z: float, ring: RingConfig, phase: float = 0.0) -> np.ndarray:
+def infinitesimal_accel_3d(z, ring: RingConfig, phase=0.0) -> np.ndarray:
     """Full 3-D Newtonian acceleration on a test particle at (0, 0, z) from the
     N ring primaries at the given rotation phase.
 
     The horizontal components cancel by the N-fold symmetry; the axial one is
-    -z/(z^2 + r^2)^(3/2).
+    -z/(z^2 + r^2)^(3/2).  z and phase may be arrays: they broadcast against
+    each other, and the result has their shape plus a last axis of the 3
+    components ((3,) for two floats), bit for bit the values of one call per
+    pair, since the powers are taken as d^2 * sqrt(d^2), correctly rounded
+    on arrays and floats alike.
     """
     pos = primary_positions_3d(ring, phase)
-    x = np.array([0.0, 0.0, z])
-    acc = np.zeros(3)
+    # the separation x - pos[k] of every vertex k, one array a component
+    dv = (0.0 - pos[..., 0], 0.0 - pos[..., 1], np.expand_dims(z, -1) - pos[..., 2])
+    d2 = dv[0] * dv[0] + dv[1] * dv[1] + dv[2] * dv[2]
+    d3 = d2 * np.sqrt(d2)
+    acc = (0.0, 0.0, 0.0)
     for k in range(ring.N):
-        dv = x - pos[k]
-        acc -= ring.primary_mass * dv / np.dot(dv, dv) ** 1.5
-    return acc
+        acc = tuple(a - ring.primary_mass * c[..., k] / d3[..., k] for a, c in zip(acc, dv))
+    return np.stack(np.broadcast_arrays(*acc), axis=-1)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -110,11 +111,17 @@ def _finite_state(state, name: str) -> tuple:
     return state
 
 
+_OMEGA = canonical_form(4)
+
+
+@lru_cache(maxsize=16)
 def _relative_inverse(mu: float) -> np.ndarray:
     """B^-1 = -Omega B^T Omega for B = build_relative_map(mu): exact, since
-    Omega only moves entries and flips their signs."""
-    omega = canonical_form(4)
-    return -omega @ build_relative_map(mu).T @ omega
+    Omega only moves entries and flips their signs.  Cached per mu, since
+    every chart call needs it, and read-only, since every caller shares it."""
+    inv = -_OMEGA @ build_relative_map(mu).T @ _OMEGA
+    inv.flags.writeable = False
+    return inv
 
 
 def time_scale(z, params: MassParams) -> float:

@@ -260,6 +260,22 @@ def test_kepler1d_other_level():
     assert abs(rep["omega_sq_measured"] - 2.5) < 2.5e-6
 
 
+@pytest.mark.parametrize("h, mu", [(-0.5, 1.0), (-1.25, 2.0)])
+def test_kepler1d_fft_length_has_only_small_prime_factors(h, mu):
+    # numpy's FFT takes a length with a prime factor above 7 through its slow
+    # path; the run takes no more steps than a step of 5e-4 would
+    rep = kepler1d_validation(h, mu)
+    span = 8 * 2.0 * math.pi / math.sqrt(-2.0 * h)
+    rest = rep["samples"]
+    for prime in (2, 3, 5, 7):
+        while rest % prime == 0:
+            rest //= prime
+    assert rest == 1
+    assert rep["samples"] <= round(span / 5e-4) + 1
+    if h == -0.5:
+        assert rep["samples"] == 100352 == 2**11 * 7**2
+
+
 def test_fft_window_is_scipys_blackman_harris():
     # built in numpy so that the kepler1d report needs no scipy.signal
     windows = pytest.importorskip("scipy.signal.windows")

@@ -324,20 +324,30 @@ def test_leaving_the_invariant_level_fails():
     integrate(oscillator, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
 
 
-@pytest.mark.parametrize("k", [0, 1, 4095, 4096, 4097, 8191])
-def test_the_level_guard_cuts_at_the_first_sample_over_the_limit(k):
-    # x' = 1 from 0 at dtau = 1 makes x the sample index, and the invariant
-    # leaves its level at sample k, on either side of a block boundary of the
-    # guard; sample 0 alone is never tested, so k = 0 trips at sample 1
-    invariant = lambda c: np.where(c[0] >= k, 0.5, 0.0)
+# the sample k the guard trips at, the state size n and record_every; the
+# 2-D cases that record every sample are named by k alone
+@pytest.mark.parametrize("k, n, record_every", [
+    pytest.param(k, n, r, id=str(k) if (n, r) == (2, 1) else f"{k}-{n}d-every{r}")
+    for n, r in ((2, 1), (2, 3), (4, 1), (4, 3)) for k in (0, 1, 4095, 4096, 4097, 8191)])
+def test_the_level_guard_cuts_at_the_first_sample_over_the_limit(k, n, record_every):
+    # x' = 1 from 0 at dtau = 1 makes x the step index, and so record_every
+    # times the sample index; the invariant leaves its level at sample k, on
+    # either side of a block boundary of the guard; sample 0 alone is never
+    # tested, so k = 0 trips at sample 1.  Both widths of the march's sample
+    # rows are cut
+    r = record_every
+    invariant = lambda c: np.where(c[0] >= k * r, 0.5, 0.0)
     with pytest.raises(StepFailure) as err:
-        integrate(lambda y: (1.0, 0.0), (0.0, 0.0), k + 5000.0, IntegratorConfig(step=1.0),
-                  invariant=invariant)
+        integrate(lambda y: (1.0,) + (0.0,) * (n - 1), (0.0,) * n, (k + 5000.0) * r,
+                  IntegratorConfig(step=1.0), invariant=invariant, record_every=r)
     cut = max(k, 1)
-    assert str(err.value) == (f"|invariant| reached 5.000e-01 at tau={float(cut)}, past the "
-                              f"limit {INVARIANT_LIMIT:g}: the run has left its level")
+    assert str(err.value) == (f"|invariant| reached 5.000e-01 at tau={float(cut * r)}, past "
+                              f"the limit {INVARIANT_LIMIT:g}: the run has left its level")
     part = err.value.trajectory
-    assert len(part) == cut + 1 and part.states[:, 0].tolist() == list(range(cut + 1))
+    steps = [float(j * r) for j in range(cut + 1)]
+    assert len(part) == cut + 1 and part.states.shape == (cut + 1, n)
+    assert part.tau.tolist() == part.t.tolist() == part.states[:, 0].tolist() == steps
+    assert not part.states[:, 1:].any()
     assert part.invariant.tolist() == [0.5 if x >= k else 0.0 for x in range(cut + 1)]
     assert part.metadata["invariant_max"] == 0.5
 

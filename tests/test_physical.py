@@ -17,6 +17,7 @@ from collreg import (
     potential,
 )
 from collreg.analysis import momentum_profile
+from collreg.config import primary_positions_3d
 
 
 def test_potential_symmetric_massless_limit():
@@ -183,6 +184,40 @@ def test_accel_3d_transverse_cancellation():
                 a = infinitesimal_accel_3d(z, ring, phase)
                 assert abs(a[0]) < 1e-13 and abs(a[1]) < 1e-13
                 assert abs(a[2] + z / (z * z + ring.radius**2) ** 1.5) < 1e-13
+
+
+def _accel_reference(z, ring, phase):
+    """The acceleration summed vertex by vertex, one 3-vector at a time."""
+    acc = np.zeros(3)
+    for pos in primary_positions_3d(ring, phase):
+        dv = np.array([0.0, 0.0, z]) - pos
+        acc -= ring.primary_mass * dv / np.dot(dv, dv) ** 1.5
+    return acc
+
+
+def test_accel_3d_on_arrays_equals_one_call_per_sample():
+    rng = np.random.default_rng(43)
+    for N in (2, 3, 7):
+        ring = RingConfig.for_count(N)
+        z = rng.uniform(-5.0, 5.0, 6)
+        phase = rng.uniform(0.0, 2.0 * math.pi, (6, 4))
+        got = infinitesimal_accel_3d(z[:, None], ring, phase)
+        assert got.shape == (6, 4, 3)
+        for i in range(6):
+            for j in range(4):
+                one = infinitesimal_accel_3d(float(z[i]), ring, float(phase[i, j]))
+                assert one.shape == (3,)
+                assert got[i, j].tobytes() == one.tobytes()
+                # the same sum in another rounding (np.dot and pow, not
+                # products and sqrt); the horizontal components cancel to a
+                # few ulp of the O(1) vertex terms
+                ref = _accel_reference(float(z[i]), ring, float(phase[i, j]))
+                assert np.allclose(one, ref, rtol=1e-14, atol=1e-15)
+        # one phase for every height, and one height for every phase
+        assert infinitesimal_accel_3d(z, ring, 0.5).tobytes() == \
+            infinitesimal_accel_3d(z, ring, np.full(6, 0.5)).tobytes()
+        assert infinitesimal_accel_3d(1.5, ring, phase).tobytes() == \
+            infinitesimal_accel_3d(np.full((6, 4), 1.5), ring, phase).tobytes()
 
 
 def test_accel_3d_zero_at_center():

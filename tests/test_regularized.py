@@ -115,6 +115,22 @@ def test_the_chart_maps_refuse_a_non_finite_state(bad, k):
             chart(state, params)
 
 
+def test_the_cached_relative_inverse_is_read_only():
+    from collreg import build_relative_map, regularized
+
+    params, _ = params_ring(eps=0.3)
+    inv = regularized._relative_inverse(params.mu)
+    assert inv is regularized._relative_inverse(params.mu)
+    assert np.array_equal(inv @ build_relative_map(params.mu), np.eye(4))
+    with pytest.raises(ValueError, match="read-only"):
+        inv[0, 0] = 2.0
+    # the chart maps hand back arrays of their own, not the cached matrix
+    z = [0.8, -0.3, 1.1, 0.6]
+    for out in (chart_to_physical(z, params), chart_jacobian(z, params)):
+        out[0] = 7.0
+    assert np.array_equal(inv @ build_relative_map(params.mu), np.eye(4))
+
+
 def test_chart_jacobian_exact_vs_fd():
     from collreg import fd_jacobian
 
