@@ -36,8 +36,9 @@ def test_turning_point_matches_mpmath(N, m):
 
 @pytest.mark.parametrize("N, h", [(3, -1.0), (3, -2.0), (5, -0.3), (2, -0.5), (5, -1.5)])
 def test_quadrature_period_matches_mpmath(N, h):
-    # one ulp in the turning point moves the quadrature by ~1e-11 relative,
-    # so that is the floor a double-precision root leaves
+    # the integrand factors p^2 = (qmax - q) S(q) exactly, so an ulp of the
+    # turning point moves the period by O(1e-16) relative, and rounding in the
+    # node sum sets the floor
     m, r = 1e-3, ring_radius(N)
     with mp.workdps(30):
         f = _radicand(h, m, r)
@@ -46,4 +47,4 @@ def test_quadrature_period_matches_mpmath(N, h):
         cuts = [0, mp.mpf(m) * r / 4, 10 * mp.mpf(m) * r, qmax / 2, qmax]
         ref = 2 * mp.quad(lambda q: 1 / mp.sqrt(f(q)), cuts)
     tq = period(h, m, r, method="quadrature")
-    assert abs(tq - ref) <= 3e-11 * ref, (tq, ref)
+    assert abs(tq - ref) <= 2e-15 * ref, (tq, ref)
