@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from . import analysis, verify
+from . import analysis
 from .config import MassParams, RingConfig, ring_radius
 from .errors import SchemaError, StepFailure
 from .integrators import (
@@ -303,6 +303,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # the invariant suite, loaded only by the command that runs it
+
     report = verify.run_checks(args.filter)
     if args.output:
         write_json(report, args.output)

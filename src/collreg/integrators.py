@@ -11,7 +11,8 @@ first sweep then nearly always converges; the first five steps of a march
 use the explicit-Euler guess.  integrate, the one way to take midpoint steps,
 runs one fused loop per state size, 2-D or 4-D, on local floats: predictor,
 first sweep, convergence and finiteness tests, event test, clock and
-recording, one packed row (tau, t, state) a sample; later sweeps, the
+recording, one packed row (tau, t, state) a sample.  Both loops are
+unrolled from one template, _MARCH, and compiled at import; later sweeps, the
 Newton fallback and event localization are shared helpers it calls only
 when needed, and the invariant and its level guard run in numpy on each
 block of recorded samples.
@@ -46,8 +47,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import linecache
 import math
 import os
+import re
 import shutil
 import stat
 import struct
@@ -90,11 +93,6 @@ INVARIANT_LIMIT = 1e-3
 # The Sitnikov Gamma on a block of 4096 columns costs ~0.03 us a sample, one
 # call on a state ~0.8 us (2-core Xeon VM, Python 3.11, numpy 2.4).
 GUARD_BLOCK = 4096
-
-# A recorded sample of a march on n-D states: one row (tau, t, *state) of
-# native doubles in the sample table.
-_ROWS = {n: struct.Struct(f"{2 + n}d") for n in (2, 4)}
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -361,8 +359,8 @@ def integrate(
     one in the same block.
     """
     y = _tuple_state(y0)
-    if span < 0.0:
-        raise ParameterError(f"span must be nonnegative, got {span}")
+    if not 0.0 <= span < math.inf:
+        raise ParameterError(f"span must be nonnegative and finite, got {span}")
     if stop_after is not None and stop_after < 1:
         raise ParameterError(f"stop_after must be a positive count, got {stop_after}")
     if record_every < 1:
@@ -371,8 +369,9 @@ def integrate(
         raise ParameterError("on_block takes the invariant's values, and no invariant was given")
     n = len(y)
     # the sizes of the regularized systems: 2 (reduced, kepler1d), 4 (sitnikov)
-    if n not in (2, 4):
-        raise ParameterError(f"the implicit midpoint method takes 2-D or 4-D states, got {n}-D")
+    if n not in _MARCHES:
+        sizes = " or ".join(f"{k}-D" for k in _MARCHES)
+        raise ParameterError(f"the implicit midpoint method takes {sizes} states, got {n}-D")
     n_steps = max(int(round(span / cfg.step)), 1) if span > 0.0 else 0
     dstep = span / n_steps if n_steps else 0.0
 
@@ -412,10 +411,9 @@ def integrate(
                 raise _off_level(float(peak[k - lo]), float(block[k - lo, 0]))
         return (hi + GUARD_BLOCK) * width
 
-    march = _march2 if n == 2 else _march4
     try:
         try:
-            march(field, y, dstep, n_steps, cfg.newton_tol, cfg.newton_max_iter,
+            _MARCHES[n](field, y, dstep, n_steps, cfg.newton_tol, cfg.newton_max_iter,
                   time_scale, stop_after, record_every, table, events, settle)
         except StepFailure:
             settle()  # an off-level sample before the failure fails the run first
@@ -427,11 +425,11 @@ def integrate(
     return _bundle(table, n, invs, events)
 
 
-# The two marches below are the hot loop of integrate, one per state size,
-# on local floats only: a step calls nothing but the field and the clock
-# unless it needs a second sweep (_solve) or holds an event (_event), and a
-# recorded sample calls settle only when it completes a block.  Both do the
-# same operations in the same order.
+# The march is the hot loop of integrate: one function per state size, on
+# local floats only, each unrolled from the one template _MARCH below.  A
+# step calls nothing but the field and the clock unless it needs a second
+# sweep (_solve) or holds an event (_event), and a recorded sample calls
+# settle only when it completes a block.
 #
 # The predictor is the quintic extrapolation
 # 6 y - 15 y1 + 20 y2 - 15 y3 + 6 y4 - y5 through the last six accepted
@@ -461,41 +459,44 @@ def integrate(
 # state, sweep count and failure is that of the scaled test alone.
 # (a - a) is 0.0 for a finite float and NaN otherwise, so the sum of those
 # terms is the finiteness test of the new state.
-
-def _march2(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_every,
-            table, events, settle):
-    y0, y1 = y
-    d00 = d10 = d20 = d30 = d40 = 0.0
-    d01 = d11 = d21 = d31 = d41 = 0.0
+#
+# _build_march writes the template out for each size in _ROWS and compiles
+# it once at import, as collections.namedtuple and dataclasses build their
+# code.  In the template {n} is the state size, and a field
+# {sep:form} is form once per component, joined by ", " (comma), " and "
+# (and) or " + " (plus).  $ stands for the component: a line that still
+# holds a $ after the fields are filled is written once per component.  The
+# template has no comment, brace or $ of its own.
+_MARCH = """\
+def _march{n}(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_every,
+              table, events, settle):
+    {comma:y$} = y
+    d0$ = d1$ = d2$ = d3$ = d4$ = 0.0
     t = 0.0
-    pack, width = _ROWS[2].pack, _ROWS[2].size
+    pack, width = _ROWS[{n}].pack, _ROWS[{n}].size
     due = GUARD_BLOCK * width
     stopped = False
     for i in range(1, n_steps + 1):
         if i > 5:
-            a0 = y0 + (5.0 * (d00 - d30) - 10.0 * (d10 - d20) + d40)
-            a1 = y1 + (5.0 * (d01 - d31) - 10.0 * (d11 - d21) + d41)
+            a$ = y$ + (5.0 * (d0$ - d3$) - 10.0 * (d1$ - d2$) + d4$)
         else:
-            f0, f1 = field((y0, y1))
-            a0 = y0 + dstep * f0
-            a1 = y1 + dstep * f1
-        f0, f1 = field((0.5 * (y0 + a0), 0.5 * (y1 + a1)))
-        c0 = y0 + dstep * f0
-        c1 = y1 + dstep * f1
-        if not (-tol <= c0 - a0 <= tol and -tol <= c1 - a1 <= tol):
-            bound = tol * (1.0 + max(abs(y0), abs(y1)))
-            delta = max(abs(c0 - a0), abs(c1 - a1))
+            {comma:f$} = field(({comma:y$}))
+            a$ = y$ + dstep * f$
+        {comma:f$} = field(({comma:0.5 * (y$ + a$)}))
+        c$ = y$ + dstep * f$
+        if not ({and:-tol <= c$ - a$ <= tol}):
+            bound = tol * (1.0 + max({comma:abs(y$)}))
+            delta = max({comma:abs(c$ - a$)})
             if not delta <= bound:
                 if delta != delta:
                     raise _midpoint_nan()
-                c0, c1 = _solve(field, (y0, y1), (c0, c1), dstep, tol, max_iter)
-            if (c0 - c0) + (c1 - c1) != 0.0:
+                {comma:c$} = _solve(field, ({comma:y$}), ({comma:c$}), dstep, tol, max_iter)
+            if {plus:(c$ - c$)} != 0.0:
                 raise _non_finite(i, dstep)
-        d40, d30, d20, d10, d00 = d30, d20, d10, d00, c0 - y0
-        d41, d31, d21, d11, d01 = d31, d21, d11, d01, c1 - y1
+        d4$, d3$, d2$, d1$, d0$ = d3$, d2$, d1$, d0$, c$ - y$
 
         if y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0):
-            event, t = _event(field, (y0, y1), (c0, c1), dstep, i, t, clock,
+            event, t = _event(field, ({comma:y$}), ({comma:c$}), dstep, i, t, clock,
                               len(table) // width - 1)
             events.append(event)
             stopped = len(events) == stop_after
@@ -503,79 +504,42 @@ def _march2(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_e
             t = i * dstep
         else:
             t += dstep * clock(0.5 * (y0 + c0))
-        y0, y1 = c0, c1
+        {comma:y$} = {comma:c$}
 
         if stopped or i % record_every == 0 or i == n_steps:
-            table += pack(i * dstep, t, y0, y1)
+            table += pack(i * dstep, t, {comma:y$})
             if len(table) == due:
                 due = settle()
             if stopped:
                 break
+"""
 
 
-def _march4(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_every,
-            table, events, settle):
-    y0, y1, y2, y3 = y
-    d00 = d10 = d20 = d30 = d40 = 0.0
-    d01 = d11 = d21 = d31 = d41 = 0.0
-    d02 = d12 = d22 = d32 = d42 = 0.0
-    d03 = d13 = d23 = d33 = d43 = 0.0
-    t = 0.0
-    pack, width = _ROWS[4].pack, _ROWS[4].size
-    due = GUARD_BLOCK * width
-    stopped = False
-    for i in range(1, n_steps + 1):
-        if i > 5:
-            a0 = y0 + (5.0 * (d00 - d30) - 10.0 * (d10 - d20) + d40)
-            a1 = y1 + (5.0 * (d01 - d31) - 10.0 * (d11 - d21) + d41)
-            a2 = y2 + (5.0 * (d02 - d32) - 10.0 * (d12 - d22) + d42)
-            a3 = y3 + (5.0 * (d03 - d33) - 10.0 * (d13 - d23) + d43)
-        else:
-            f0, f1, f2, f3 = field((y0, y1, y2, y3))
-            a0 = y0 + dstep * f0
-            a1 = y1 + dstep * f1
-            a2 = y2 + dstep * f2
-            a3 = y3 + dstep * f3
-        f0, f1, f2, f3 = field(
-            (0.5 * (y0 + a0), 0.5 * (y1 + a1), 0.5 * (y2 + a2), 0.5 * (y3 + a3))
-        )
-        c0 = y0 + dstep * f0
-        c1 = y1 + dstep * f1
-        c2 = y2 + dstep * f2
-        c3 = y3 + dstep * f3
-        if not (-tol <= c0 - a0 <= tol and -tol <= c1 - a1 <= tol
-                and -tol <= c2 - a2 <= tol and -tol <= c3 - a3 <= tol):
-            bound = tol * (1.0 + max(abs(y0), abs(y1), abs(y2), abs(y3)))
-            delta = max(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2), abs(c3 - a3))
-            if not delta <= bound:
-                if delta != delta:
-                    raise _midpoint_nan()
-                c0, c1, c2, c3 = _solve(field, (y0, y1, y2, y3), (c0, c1, c2, c3),
-                                        dstep, tol, max_iter)
-            if (c0 - c0) + (c1 - c1) + (c2 - c2) + (c3 - c3) != 0.0:
-                raise _non_finite(i, dstep)
-        d40, d30, d20, d10, d00 = d30, d20, d10, d00, c0 - y0
-        d41, d31, d21, d11, d01 = d31, d21, d11, d01, c1 - y1
-        d42, d32, d22, d12, d02 = d32, d22, d12, d02, c2 - y2
-        d43, d33, d23, d13, d03 = d33, d23, d13, d03, c3 - y3
+def _build_march(n: int):
+    """The template written out for n-D states and compiled in this module's
+    own globals, not a copy, so that the march looks up _solve, _event and
+    the rest where a patch of this module puts them; under the file name
+    <march{n}>, with its source in linecache for tracebacks and debuggers."""
+    joins = {"comma": ", ", "and": " and ", "plus": " + "}
 
-        if y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0):
-            event, t = _event(field, (y0, y1, y2, y3), (c0, c1, c2, c3), dstep, i, t, clock,
-                              len(table) // width - 1)
-            events.append(event)
-            stopped = len(events) == stop_after
-        elif clock is None:
-            t = i * dstep
-        else:
-            t += dstep * clock(0.5 * (y0 + c0))
-        y0, y1, y2, y3 = c0, c1, c2, c3
+    def join(m):
+        return joins[m[1]].join(m[2].replace("$", str(k)) for k in range(n))
 
-        if stopped or i % record_every == 0 or i == n_steps:
-            table += pack(i * dstep, t, y0, y1, y2, y3)
-            if len(table) == due:
-                due = settle()
-            if stopped:
-                break
+    lines = []
+    for line in _MARCH.replace("{n}", str(n)).splitlines(keepends=True):
+        line = re.sub(r"\{(\w+):([^}]*)\}", join, line)
+        lines += [line.replace("$", str(k)) for k in range(n)] if "$" in line else [line]
+    filename = f"<march{n}>"
+    linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
+    namespace = {}
+    exec(compile("".join(lines), filename, "exec"), globals(), namespace)
+    return namespace[f"_march{n}"]
+
+
+# A recorded sample of a march on n-D states: one row (tau, t, *state) of
+# native doubles in the sample table.
+_ROWS = {n: struct.Struct(f"{2 + n}d") for n in (2, 4)}
+_MARCHES = {n: _build_march(n) for n in _ROWS}
 
 
 def _bundle(table, n, invs, events) -> Trajectory:

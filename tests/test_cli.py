@@ -758,6 +758,15 @@ def test_analysis_commands_run_without_scipy(tmp_path, argv):
     assert run.returncode == 0, run.stderr
 
 
+def test_importing_the_cli_leaves_the_invariant_suite_unloaded():
+    # simulate and period do not pay for verify's checks; only its command loads them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = "import sys, collreg.cli; sys.exit('collreg.verify' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 def test_oracle_commands_without_scipy_exit_2_naming_the_extra(tmp_path, capsys, monkeypatch):
     # a None entry makes `from scipy.integrate import ...` raise ImportError
     monkeypatch.setitem(sys.modules, "scipy.integrate", None)

@@ -96,9 +96,12 @@ def test_zero_span_single_sample():
 
 
 def test_span_validation():
-    rhs = Problem.reduced(-1.0, 1e-3, 2.0).field
-    with pytest.raises(ParameterError):
-        integrate(rhs, (0.5, 0.1), -1.0, IntegratorConfig(step=1e-3))
+    p = Problem.reduced(-1.0, 1e-3, 2.0)
+    for span in (-1.0, math.nan, math.inf, -math.inf):
+        field, calls = _counting(p.field)
+        with pytest.raises(ParameterError, match="span must be nonnegative and finite"):
+            integrate(field, (0.0, 0.05), span, IntegratorConfig(), invariant=p.gamma)
+        assert calls[0] == 0  # refused before the first step
 
 
 def test_reduced_conservation_run_and_collision_momentum():
@@ -690,10 +693,45 @@ def test_midpoint_kernels_match_the_generic_solve_through_the_newton_fallback(mo
 
 
 def test_midpoint_takes_only_2d_and_4d_states():
-    spin3, calls = _counting(lambda y: (y[1], -y[0], 0.0))
-    with pytest.raises(ParameterError):
-        integrate(spin3, (1.0, 0.0, 0.0), 1.0, IntegratorConfig(step=0.1))
-    assert calls[0] == 0  # refused before the first step
+    for n in (1, 3, 5):
+        field, calls = _counting(lambda y: tuple(0.0 for _ in y))
+        with pytest.raises(ParameterError, match=f"takes 2-D or 4-D states, got {n}-D"):
+            integrate(field, (1.0,) * n, 1.0, IntegratorConfig(step=0.1))
+        assert calls[0] == 0  # refused before the first step
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_the_march_is_generated_from_the_template(n):
+    import inspect
+    import re
+
+    march = integrators._MARCHES[n]
+    code = march.__code__
+    assert code.co_filename == f"<march{n}>"
+    source = inspect.getsource(march)
+    fast = re.search(r"if not \((.*)\):", source)[1]
+    assert fast == " and ".join(f"-tol <= c{k} - a{k} <= tol" for k in range(n))
+    # every global and attribute the hot loop looks up; a template edit that
+    # adds one shows here
+    assert set(code.co_names) == {
+        "range", "max", "abs", "len", "_ROWS", "pack", "size", "GUARD_BLOCK", "append",
+        "_solve", "_event", "_midpoint_nan", "_non_finite",
+    }
+
+
+def test_a_traceback_through_the_march_shows_the_template_line():
+    import traceback
+
+    def failing(y):
+        raise ZeroDivisionError("in the field")
+
+    with pytest.raises(ZeroDivisionError) as info:
+        integrate(failing, (1.0, 0.0, 0.5, 0.0), 1.0, IntegratorConfig(step=0.1))
+    frames = [f for f in traceback.extract_tb(info.value.__traceback__)
+              if f.filename == "<march4>"]
+    assert len(frames) == 1
+    assert frames[0].name == "_march4"
+    assert frames[0].line == "f0, f1, f2, f3 = field((y0, y1, y2, y3))"
 
 
 def test_field_evaluation_counts_are_pinned():
