@@ -68,13 +68,31 @@ def escape_speed(h: float) -> float:
     return math.sqrt(h)
 
 
-def momentum_radicand(q: float, h: float, m: float, r: float) -> float:
-    """p^2 along the symmetric orbit of energy h at separation coordinate q > 0."""
-    return h + 2.0 / math.sqrt(q * q + r * r) + m / (2.0 * q)
+def momentum_radicand(q, h: float, m: float, r: float):
+    """p^2 along the symmetric orbit of energy h at separation coordinate q > 0.
+
+    q may be an array of separations, giving the array of their radicands,
+    bit for bit the floats a call with each would give (np.sqrt is correctly
+    rounded, as math.sqrt is); any other q is taken as a float.
+    """
+    sqrt = np.sqrt if isinstance(q, np.ndarray) else math.sqrt
+    return h + 2.0 / sqrt(q * q + r * r) + m / (2.0 * q)
 
 
-def momentum_profile(q: float, h: float, m: float, r: float) -> float:
-    """Positive branch of the first integral: p(q) = sqrt(h + 2/sqrt(q^2+r^2) + m/(2q))."""
+def momentum_profile(q, h: float, m: float, r: float):
+    """Positive branch of the first integral: p(q) = sqrt(h + 2/sqrt(q^2+r^2) + m/(2q)).
+
+    q may be an array: the result is then the array of p at each q, bit for
+    bit, and the first q that has no p raises the DomainError a call with
+    that q alone raises.
+    """
+    if isinstance(q, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):  # tested just below
+            rad = momentum_radicand(q, h, m, r)
+        bad = ~(q > 0.0) | (rad < 0.0)
+        if np.any(bad):
+            momentum_profile(q.flat[np.argmax(bad)], h, m, r)  # raises
+        return np.sqrt(rad)
     if not q > 0.0:
         raise DomainError(f"profile needs q > 0, got {q}")
     rad = momentum_radicand(q, h, m, r)

@@ -680,7 +680,7 @@ class _CsvWriter:
         self._pid = self._raw = self._outbox = None  # _fork's, with a helper
         try:
             self._fh.write(header.encode())
-            if rows >= 2 * GUARD_BLOCK and _can_fork():
+            if rows >= 2 * GUARD_BLOCK:
                 self._fork()
         except BaseException:
             self.close()
@@ -701,30 +701,24 @@ class _CsvWriter:
         inbox, self._outbox = os.pipe()
         self._fh.flush()  # the helper inherits no buffered bytes
         try:
-            with warnings.catch_warnings():
-                # Python 3.12 warns about forking beside native threads (numpy's
-                # BLAS pool); the helper only formats floats and writes its file
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:  # the helper, which leaves by os._exit whatever happens
-                code = 1
-                try:
-                    os.close(self._outbox)
-                    with open(inbox, "rb") as messages:
-                        self._serve(messages)
-                    code = 0
-                finally:
-                    os._exit(code)
+            self._pid = _fork_helper(lambda: self._serve(inbox))
         finally:
             os.close(inbox)
-        self._pid = pid
-        os.set_blocking(self._outbox, False)
+        if self._pid is None:  # no helper may be forked: write formats every block
+            os.close(self._outbox)
+            self._raw.close()
+            self._outbox = self._raw = None
+        else:
+            os.set_blocking(self._outbox, False)
 
-    def _serve(self, messages):
+    def _serve(self, inbox):
         """The helper's loop: claim the blocks in order as their messages
-        arrive, format each into the file, and stop at the first block that
-        finish keeps for the other process, or when the pipe closes."""
-        with open(self._fh.fileno(), "wb", closefd=False) as fh:
+        arrive on the pipe's read end inbox, format each into the file, and
+        stop at the first block that finish keeps for the other process, or
+        when the pipe closes."""
+        os.close(self._outbox)
+        with open(inbox, "rb") as messages, \
+                open(self._fh.fileno(), "wb", closefd=False) as fh:
             block = 0
             while (msg := messages.read(_MESSAGE.size)) and self._claim(block):
                 fh.write(self._formatted(*_MESSAGE.unpack(msg)))
@@ -846,6 +840,30 @@ def _can_fork() -> bool:
     mp = sys.modules.get("multiprocessing")
     return (hasattr(os, "fork") and threading.active_count() == 1
             and not (mp is not None and mp.current_process().daemon))
+
+
+def _fork_helper(serve) -> Optional[int]:
+    """Fork a helper process that calls serve() and leaves by os._exit, with
+    code 0 if serve returned and 1 if it raised; returns the helper's pid, or
+    None, forking nothing, where _can_fork() refuses.  The caller reaps it.
+
+    The helper runs no atexit handler and flushes no stdio buffer it
+    inherited, so it writes only what serve writes."""
+    if not _can_fork():
+        return None
+    with warnings.catch_warnings():
+        # Python 3.12 warns about forking beside native threads (numpy's BLAS
+        # pool); a helper touches no lock of theirs
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            serve()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
 
 
 def _write_csv(path, header, row_fmt, columns) -> None:

@@ -11,13 +11,26 @@ A check measures the largest of its errors over its samples and passes when
 that is below its tolerance; a NaN error fails it, and so does drawing no
 sample at all (see _record, where every check's errors are reduced).
 
+The checks that march (MARCHING: they call integrators.integrate or the
+physical oracle) take most of the suite's time, and the others are array
+work.  run_checks forks one helper process for the others, where
+integrators._can_fork() allows, and runs the marching ones itself meanwhile;
+the helper sends each record back as a line of JSON over a pipe.  Whatever
+the helper does not deliver (a check that raised, the rest after it died)
+runs in the calling process, so the report, and any exception, is that of
+running every check here in order.  Marches stay in the calling process so
+that a count of field evaluations taken there covers them all.
+
 Checks are sized to finish in a few seconds each; the pytest acceptance
 suite runs the same oracles at full scale.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import signal
 
 import numpy as np
 
@@ -443,12 +456,11 @@ def check_first_integral():
     cfg = integrators.IntegratorConfig(step=2e-5, newton_tol=1e-15)
     traj = integrators.integrate(p.field, p.project((1.0, 1.0)), 1.0, cfg,
                                  record_every=10)
-    errs = []
-    for Q1, P1 in traj.states:
-        if Q1 <= 0.3 or P1 <= 0.05:
-            continue
-        errs.append(abs(P1 / Q1 - analysis.momentum_profile(0.25 * Q1 * Q1, h, m, ring.radius)))
-    return _record(errs, 1e-9)
+    Q1, P1 = traj.states.T
+    kept = ~((Q1 <= 0.3) | (P1 <= 0.05))  # NaN samples kept, to fail the profile
+    Q1, P1 = Q1[kept], P1[kept]
+    return _record(np.abs(P1 / Q1 - analysis.momentum_profile(0.25 * Q1 * Q1, h, m, ring.radius)),
+                   1e-9)
 
 
 def check_classify():
@@ -518,12 +530,101 @@ CHECKS = [
 ]
 
 
+# the checks that march, through integrators.integrate or the physical
+# oracle; run_checks keeps them in the calling process
+MARCHING = frozenset({
+    "physical.energy_conservation",
+    "integrators.step_symplectic",
+    "integrators.reversibility",
+    "integrators.gamma_conservation",
+    "integrators.monotone_clocks",
+    "analysis.period_agreement",
+    "analysis.first_integral",
+    "analysis.kepler1d",
+})
+
+
+class _Helper:
+    """checks, a list of (name, check), run in a helper process forked where
+    integrators._can_fork() allows, beside this one.  The helper writes one
+    line of JSON [name, record] down a pipe as each check returns, and
+    nothing else anywhere; it stops at a check that raises.  JSON carries
+    every float exactly (repr, with NaN and Infinity).
+
+    forked tells whether there is a helper.  records() reads the pipe to its
+    end, reaps the helper and returns the records it delivered, by name:
+    none without a helper, and none of a check that raised or that it did
+    not reach.  Leaving the with-block before that kills and reaps the
+    helper."""
+
+    def __init__(self, checks):
+        inbox, outbox = os.pipe()
+        self._inbox = open(inbox, "rb")
+        try:
+            self._pid = integrators._fork_helper(lambda: self._serve(checks, outbox))
+        except BaseException:
+            self._inbox.close()
+            raise
+        finally:
+            os.close(outbox)  # so that the helper's leaving ends the pipe
+        self.forked = self._pid is not None
+
+    @staticmethod
+    def _serve(checks, outbox):
+        with open(outbox, "wb") as out:
+            for name, fn in checks:
+                out.write(json.dumps([name, fn()]).encode() + b"\n")
+                out.flush()
+
+    def records(self) -> dict:
+        if self._pid is None:
+            return {}
+        lines = self._inbox.read().split(b"\n")[:-1]  # a cut-off last line is not a record
+        os.waitpid(self._pid, 0)
+        self._pid = None
+        return dict(json.loads(line) for line in lines)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        self._inbox.close()
+
+
 def run_checks(name_filter: str | None = None) -> dict:
-    """Run the (optionally filtered) suite; returns the JSON-ready report."""
-    results = [{"name": name, **fn()} for name, fn in CHECKS
-               if name_filter is None or name_filter in name]
-    if not results:
+    """Run the (optionally filtered) suite; returns the JSON-ready report.
+
+    The checks that do not march run in a helper process (_Helper) while
+    this process runs the ones that do.  A check the helper did not deliver
+    runs here, in the order of CHECKS, as does every check where no helper
+    is forked; a check that raised in the helper raises here in turn.  The
+    report is the same either way.
+    """
+    selected = [(name, fn) for name, fn in CHECKS if name_filter is None or name_filter in name]
+    if not selected:
         raise ParameterError(f"the filter {name_filter!r} selects no check")
+    marching = [(name, fn) for name, fn in selected if name in MARCHING]
+    aside = [(name, fn) for name, fn in selected if name not in MARCHING]
+    records = {}  # name -> record, or the exception its check raised
+    if marching and aside:
+        with _Helper(aside) as helper:
+            for name, fn in marching if helper.forked else ():
+                try:
+                    records[name] = fn()
+                except Exception as exc:  # raised below, after any check before it
+                    records[name] = exc
+                    break
+            records.update(helper.records())
+    results = []
+    for name, fn in selected:
+        rec = records[name] if name in records else fn()
+        if isinstance(rec, Exception):
+            raise rec
+        results.append({"name": name, **rec})
     return {
         "schema": 1,
         "all_passed": all(r["passed"] for r in results),

@@ -9,9 +9,10 @@ from collreg import integrators
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or unreaped.
 
-    The trajectory writer forks its helper with os.fork, which neither
-    ResourceWarning nor multiprocessing.active_children() sees; a process left
-    running is a failed benchmark run.
+    The trajectory writer and `collreg verify` fork their helpers with
+    os.fork, which neither ResourceWarning nor
+    multiprocessing.active_children() sees; a process left running is a
+    failed benchmark run.
     """
     yield
     if not hasattr(os, "WNOHANG"):
@@ -30,6 +31,11 @@ def forks(monkeypatch) -> list:
     """The CSV writers that fork a helper, in the order they are opened."""
     forked = []
     fork = integrators._CsvWriter._fork
-    monkeypatch.setattr(integrators._CsvWriter, "_fork",
-                        lambda self: forked.append(self) or fork(self))
+
+    def fork_and_count(self):
+        fork(self)
+        if self._pid is not None:  # _can_fork() allowed it
+            forked.append(self)
+
+    monkeypatch.setattr(integrators._CsvWriter, "_fork", fork_and_count)
     return forked

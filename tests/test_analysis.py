@@ -68,6 +68,25 @@ def test_momentum_profile_errors():
         momentum_profile(qmax * 1.5, -1.0, 1e-3, r)
 
 
+def test_momentum_profile_on_arrays_is_the_profile_of_each_float():
+    r = ring_radius(3)
+    qmax = turning_point(-1.0, 1e-3, r)
+    q = np.concatenate([np.geomspace(1e-9, 1e-3, 500), np.linspace(1e-3, qmax, 2001)[:-1]])
+    for fn in (momentum_radicand, momentum_profile):
+        one = [fn(x, -1.0, 1e-3, r) for x in q.tolist()]
+        assert all(type(v) is float for v in one)  # floats in, floats out
+        assert fn(q, -1.0, 1e-3, r).tobytes() == np.array(one).tobytes()
+        assert fn(q.reshape(50, -1), -1.0, 1e-3, r).tobytes() == np.array(one).tobytes()
+    # the first q without a p raises the error a call with it alone raises
+    for bad in ([0.5, qmax * 1.5, -1.0], [0.5, -1.0, qmax * 1.5], [0.5, math.nan, -1.0]):
+        with pytest.raises(DomainError) as alone:
+            for x in bad:
+                momentum_profile(np.float64(x), -1.0, 1e-3, r)
+        with pytest.raises(DomainError) as at_once:
+            momentum_profile(np.array(bad), -1.0, 1e-3, r)
+        assert str(at_once.value) == str(alone.value)
+
+
 def test_turning_point_massless_closed_form():
     r = ring_radius(2)
     for h in (-1.0, -0.7, -2.5):

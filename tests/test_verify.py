@@ -2,13 +2,18 @@
 that draws no sample, and one whose draws are all refused must each fail,
 never pass with a measured value of 0."""
 
+import json
 import math
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
 
-from collreg import physical, regularized, verify
-from collreg.errors import DomainError
+from collreg import integrators, physical, regularized, verify
+from collreg.cli import main
+from collreg.errors import DomainError, ParameterError
 
 
 class _Runaway(BaseException):
@@ -105,3 +110,150 @@ def test_record_reduces_errors():
     rec = verify._record([], 1.0, passed=True, detail="why")
     assert rec == {"passed": False, "measured": math.inf, "tolerance": 1.0,
                    "detail": "no samples; why"}
+
+
+# -- the helper process that runs the checks that do not march ---------------
+
+@pytest.fixture(scope="module")
+def serial_report():
+    """The full report with every check run in this process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrators, "_can_fork", lambda: False)
+        return verify.run_checks()
+
+
+@pytest.fixture
+def helpers(monkeypatch) -> list:
+    """The pids of the helper processes forked, in order."""
+    pids = []
+    fork = integrators._fork_helper
+    monkeypatch.setattr(integrators, "_fork_helper",
+                        lambda serve: pids.append(fork(serve)) or pids[-1])
+    return pids
+
+
+def _replace_checks(monkeypatch, **replacements):
+    """verify.CHECKS with the named checks replaced by make(original)."""
+    monkeypatch.setattr(verify, "CHECKS", [
+        (name, replacements[name](fn) if name in replacements else fn)
+        for name, fn in verify.CHECKS])
+
+
+def _dumped(report) -> str:
+    return json.dumps(report, indent=1)
+
+
+def test_the_report_is_the_same_with_and_without_the_helper(helpers, serial_report):
+    report = verify.run_checks()
+    assert len(helpers) == 1 and helpers[0] is not None
+    assert _dumped(report) == _dumped(serial_report)
+    assert report["all_passed"] and len(report["checks"]) == len(verify.CHECKS)
+    # a filter that selects checks of one side only forks nothing
+    for name_filter in ("config.", "integrators."):
+        assert verify.run_checks(name_filter)["checks"] == [
+            c for c in serial_report["checks"] if name_filter in c["name"]]
+    assert len(helpers) == 1
+
+
+def test_only_the_parent_side_checks_march(monkeypatch):
+    # perfbench counts field evaluations in the benchmarked process only, so
+    # a march in the helper would go uncounted
+    marches = []
+    modules = [m for n, m in sys.modules.items() if n == "collreg" or n.startswith("collreg.")]
+    for name in ("integrate", "integrate_physical_oracle"):
+        original = getattr(integrators, name)
+
+        def counted(*args, _original=original, **kwargs):
+            marches.append(1)
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    for name, fn in verify.CHECKS:
+        del marches[:]
+        fn()
+        assert bool(marches) == (name in verify.MARCHING), name
+    assert verify.MARCHING <= {name for name, _ in verify.CHECKS}
+
+
+def test_a_helper_side_check_that_raises_fails_the_command_as_before(
+        monkeypatch, capsys, helpers):
+    # a marching check further down the list raises too, and earlier in time
+    parent = os.getpid()
+    calls = []  # the calls made in this process
+
+    def raising(message):
+        def make(_):
+            def check():
+                if os.getpid() == parent:
+                    calls.append(message)
+                raise ParameterError(message)
+            return check
+        return make
+
+    _replace_checks(monkeypatch, **{"regularized.zero_set": raising("the zero set broke"),
+                                    "analysis.kepler1d": raising("kepler1d broke")})
+    assert main(["verify"]) == 2
+    assert len(helpers) == 1 and helpers[0] is not None
+    assert calls == ["kepler1d broke", "the zero set broke"]
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the zero set broke\n"
+    monkeypatch.setattr(integrators, "_can_fork", lambda: False)
+    assert main(["verify"]) == 2
+    assert len(helpers) == 2 and helpers[1] is None and calls[2:] == ["the zero set broke"]
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_helper_killed_partway_still_yields_the_whole_report(monkeypatch, helpers,
+                                                               serial_report):
+    parent = os.getpid()
+    here = []  # the helper-side checks run in this process
+
+    def counted(name):
+        def make(fn):
+            def check():
+                if os.getpid() == parent:
+                    here.append(name)
+                elif name == "regularized.collision_regularity":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return fn()
+            return check
+        return make
+
+    aside = [name for name, _ in verify.CHECKS if name not in verify.MARCHING]
+    _replace_checks(monkeypatch, **{name: counted(name) for name in aside})
+    report = verify.run_checks()
+    assert len(helpers) == 1 and helpers[0] is not None
+    assert _dumped(report) == _dumped(serial_report)
+    # the parent ran the killed check and those the helper never reached
+    assert here == aside[aside.index("regularized.collision_regularity"):]
+
+
+def test_an_interrupt_here_kills_and_reaps_the_helper(monkeypatch, helpers):
+    # the helper would sleep for a minute; the interrupt ends the run at once
+    import time
+
+    parent = os.getpid()
+
+    def stalled(fn):
+        def check():
+            if os.getpid() != parent:
+                time.sleep(60)
+            return fn()
+        return check
+
+    def interrupted(_):
+        def check():
+            raise _Runaway("interrupted")
+        return check
+
+    _replace_checks(monkeypatch, **{"symplectic.relative_map": stalled,
+                                    "physical.energy_conservation": interrupted})
+    t0 = time.monotonic()
+    with pytest.raises(_Runaway):
+        verify.run_checks()
+    assert time.monotonic() - t0 < 30 and len(helpers) == 1 and helpers[0] is not None
+    with pytest.raises(ProcessLookupError):  # killed and reaped: the pid is gone
+        os.kill(helpers[0], 0)
