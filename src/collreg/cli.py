@@ -165,11 +165,20 @@ def load_run_config(path: str) -> dict:
 
 
 def _default_outputs(cfg: dict, config_path: str) -> dict:
+    """A run's trajectory, events and summary paths: those its outputs name,
+    and the others beside config_path.  Two that resolve to one file raise
+    SchemaError, as the later output would replace the earlier."""
     stem = os.path.splitext(config_path)[0]
     out = dict(cfg.get("outputs", {}))
     out.setdefault("trajectory", stem + "_trajectory.csv")
     out.setdefault("events", stem + "_events.json")
     out.setdefault("summary", stem + "_summary.json")
+    files = {}
+    for key in ("trajectory", "events", "summary"):
+        other = files.setdefault(os.path.realpath(out[key]), key)
+        if other != key:
+            raise SchemaError(f"outputs {other!r} and {key!r} name one file, {out[key]}",
+                              field="outputs")
     return out
 
 

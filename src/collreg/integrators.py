@@ -29,13 +29,15 @@ dt/dtau, in two pieces on a step with an event, split at the event.
 
 Trajectory CSV files go through one writer, _CsvWriter.  A simulation opens
 it before the march and hands it each block of samples the level guard has
-passed (integrate's on_block): a helper process forked at opening formats
-blocks from the front while the march goes on, and when the march ends this
-process formats the back half of the blocks the helper has not claimed.  A
-file written after the fact (write_regularized_csv without a writer,
-write_physical_csv, the level set) hands the same writer all its blocks at
-once.  Where no helper may be forked, the writer formats each block as it
-comes, with the same bytes.
+passed (integrate's on_block), which the writer keeps as raw floats: a
+helper process forked at opening formats blocks from the front while the
+march goes on, and when the march ends this process formats the back half
+of the blocks the helper has not claimed.  A file written after the fact
+(write_regularized_csv without a writer, write_physical_csv, the level set)
+hands the same writer all its blocks at once.  Where no helper may be
+forked, this process formats every block when the writer is finished, with
+the same bytes.  Every helper process of the package, the writer's and
+`collreg verify`'s, is a _Helper.
 
 A conventional adaptive Runge-Kutta pair (through scipy) integrates the
 physical chart as an equivalence oracle; it is valid only away from
@@ -361,6 +363,8 @@ def integrate(
     y = _tuple_state(y0)
     if not 0.0 <= span < math.inf:
         raise ParameterError(f"span must be nonnegative and finite, got {span}")
+    if not span / cfg.step < math.inf:
+        raise ParameterError(f"a span of {span} takes too many steps of {cfg.step} to count")
     if stop_after is not None and stop_after < 1:
         raise ParameterError(f"stop_after must be a positive count, got {stop_after}")
     if record_every < 1:
@@ -656,19 +660,16 @@ class _CsvWriter:
     length, each of one or more values a row.  finish(rows) completes the
     file once all rows, as many as it is told, have come.
 
-    rows is the number of rows expected.  From two blocks of GUARD_BLOCK
-    rows on, in a process that may fork (_can_fork), a helper is forked at
-    opening; fewer rows do not pay for its fork.  It claims blocks from the
-    front as they arrive, formats them and writes them into the file, while
-    this process goes on: write puts a block's floats into an unlinked
-    temporary file and sends only their place down a pipe, so it never
-    waits on the helper.  finish
-    takes the back half of the blocks the helper has not claimed, formats
-    them into a second temporary file, waits for the helper and appends
-    them.  Without a helper, write formats each block into the file as it
-    comes.  The bytes are the same either way.  Closing a writer that was
-    not finished stops its helper and removes its file, so that only a
-    finished CSV is left at path.
+    write formats nothing: it keeps a block's floats in an unlinked
+    temporary file, the raw file.  rows is the number of rows expected; from
+    two blocks of GUARD_BLOCK rows on, a helper (_Helper) is forked at
+    opening where one may be.  It claims blocks from the front as write
+    sends their place down a pipe, and formats them into the file while
+    this process goes on; write never waits on it.  finish formats the back
+    half of the blocks the helper has not claimed and appends them once the
+    helper is done; without a helper, it formats every block.  The bytes are
+    the same either way.  Closing a writer that was not finished stops its
+    helper and removes its file, so that only a finished CSV is left at path.
     """
 
     def __init__(self, path, header, row_fmt, rows):
@@ -677,9 +678,12 @@ class _CsvWriter:
         self._fmt = row_fmt
         self._rows = 0
         self._finished = False
-        self._pid = self._raw = self._outbox = None  # _fork's, with a helper
+        self._blocks = []  # (offset, size, rows) of each block in the raw file
+        self._raw = self._helper = self._outbox = None  # set below
         try:
             self._fh.write(header.encode())
+            self._raw = tempfile.TemporaryFile()
+            self._raw.write(_CLAIMS.pack(0, 1 << 62))  # no stop until finish sets one
             if rows >= 2 * GUARD_BLOCK:
                 self._fork()
         except BaseException:
@@ -693,22 +697,19 @@ class _CsvWriter:
         self.close()
 
     def _fork(self):
-        self._blocks = []  # (offset, size, rows) of each block in the raw file
         self._pending = bytearray()  # messages the pipe had no room for yet
-        self._raw = tempfile.TemporaryFile()
-        self._raw.write(_CLAIMS.pack(0, 1 << 62))  # no stop until finish sets one
-        self._raw.flush()
         inbox, self._outbox = os.pipe()
+        self._raw.flush()
         self._fh.flush()  # the helper inherits no buffered bytes
         try:
-            self._pid = _fork_helper(lambda: self._serve(inbox))
+            helper = _Helper(lambda: self._serve(inbox))
         finally:
             os.close(inbox)
-        if self._pid is None:  # no helper may be forked: write formats every block
+        if helper.pid is None:  # no helper may be forked: finish formats every block
             os.close(self._outbox)
-            self._raw.close()
-            self._outbox = self._raw = None
+            self._outbox = None
         else:
+            self._helper = helper
             os.set_blocking(self._outbox, False)
 
     def _serve(self, inbox):
@@ -748,21 +749,18 @@ class _CsvWriter:
                        np.frombuffer(os.pread(self._raw.fileno(), size, offset)).tolist())
 
     def write(self, *columns):
-        block = np.column_stack(columns)
-        rows = len(block)
-        if self._pid is None:
-            self._fh.write(_format(self._fmt, rows, block.ravel().tolist()))
-        else:
-            offset = self._raw.tell()
-            self._raw.write(block)
-            self._raw.flush()
-            self._blocks.append((offset, block.nbytes, rows))
+        values = np.column_stack(columns)
+        block = (self._raw.tell(), values.nbytes, len(values))
+        self._raw.write(values)
+        self._raw.flush()
+        self._blocks.append(block)
+        self._rows += len(values)
+        if self._helper is not None:
             try:
-                self._send(_MESSAGE.pack(offset, block.nbytes, rows))
+                self._send(_MESSAGE.pack(*block))
             except BrokenPipeError:  # before finish the helper leaves only by failing
                 self._join()
                 raise
-        self._rows += rows
 
     def _send(self, msg):
         """msg and any messages still queued, as far as the pipe takes them
@@ -777,7 +775,10 @@ class _CsvWriter:
     def finish(self, rows):
         if rows != self._rows:
             raise ValueError(f"a CSV of {rows} rows was handed {self._rows}")
-        if self._pid is not None:
+        if self._helper is None:
+            for block in self._blocks:
+                self._fh.write(self._formatted(*block))
+        else:
             with self._claims() as (claimed, _):
                 stop = claimed + (len(self._blocks) - claimed) // 2
                 os.pwrite(self._raw.fileno(), _CLAIMS.pack(claimed, stop), 0)
@@ -796,8 +797,7 @@ class _CsvWriter:
         self.close()
 
     def _join(self):
-        pid, self._pid = self._pid, None
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        code = self._helper.join()
         if code:
             raise OSError(f"the CSV writer's helper process exited with code {code}; "
                           f"{self.path} is not written")
@@ -805,12 +805,8 @@ class _CsvWriter:
     def close(self):
         """Stop the helper if it still runs, and close the files; remove the
         CSV of a writer that was not finished."""
-        if self._pid is not None:
-            import signal
-
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
+        if self._helper is not None:
+            self._helper.close()
         if self._outbox is not None:
             os.close(self._outbox)
             self._outbox = None
@@ -842,28 +838,47 @@ def _can_fork() -> bool:
             and not (mp is not None and mp.current_process().daemon))
 
 
-def _fork_helper(serve) -> Optional[int]:
-    """Fork a helper process that calls serve() and leaves by os._exit, with
-    code 0 if serve returned and 1 if it raised; returns the helper's pid, or
-    None, forking nothing, where _can_fork() refuses.  The caller reaps it.
+class _Helper:
+    """A process forked to call serve() beside this one where _can_fork()
+    allows; elsewhere pid is None and nothing is forked.  The package forks,
+    kills and reaps processes only here.  The helper leaves by os._exit,
+    with code 0 if serve returned and 1 if it raised, so it runs no atexit
+    handler and flushes no inherited stdio buffer.  join() reaps it and
+    returns its exit code; close(), or leaving a with-block, kills and reaps
+    it if it has not been joined."""
 
-    The helper runs no atexit handler and flushes no stdio buffer it
-    inherited, so it writes only what serve writes."""
-    if not _can_fork():
-        return None
-    with warnings.catch_warnings():
-        # Python 3.12 warns about forking beside native threads (numpy's BLAS
-        # pool); a helper touches no lock of theirs
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            serve()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+    def __init__(self, serve):
+        self.pid = None
+        if _can_fork():
+            with warnings.catch_warnings():
+                # Python 3.12 warns about forking beside native threads (numpy's
+                # BLAS pool); a helper touches no lock of theirs
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                serve()
+                code = 0
+            finally:
+                os._exit(code)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def join(self) -> int:
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def close(self):
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            self.join()
 
 
 def _write_csv(path, header, row_fmt, columns) -> None:

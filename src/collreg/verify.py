@@ -13,13 +13,15 @@ sample at all (see _record, where every check's errors are reduced).
 
 The checks that march (MARCHING: they call integrators.integrate or the
 physical oracle) take most of the suite's time, and the others are array
-work.  run_checks forks one helper process for the others, where
-integrators._can_fork() allows, and runs the marching ones itself meanwhile;
-the helper sends each record back as a line of JSON over a pipe.  Whatever
-the helper does not deliver (a check that raised, the rest after it died)
-runs in the calling process, so the report, and any exception, is that of
-running every check here in order.  Marches stay in the calling process so
-that a count of field evaluations taken there covers them all.
+work.  run_checks runs the others in one helper process, an
+integrators._Helper (the package's one way to fork, shared with the CSV
+writer), where integrators._can_fork() allows, and runs the marching ones
+itself meanwhile; the helper (_serve) sends each record back as a line of
+JSON over a pipe.  Whatever the helper does not deliver (a check that
+raised, the rest after it died) runs in the calling process, so the report,
+and any exception, is that of running every check here in order.  Marches
+stay in the calling process so that a count of field evaluations taken
+there covers them all.
 
 Checks are sized to finish in a few seconds each; the pytest acceptance
 suite runs the same oracles at full scale.
@@ -30,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import signal
 
 import numpy as np
 
@@ -544,65 +545,25 @@ MARCHING = frozenset({
 })
 
 
-class _Helper:
-    """checks, a list of (name, check), run in a helper process forked where
-    integrators._can_fork() allows, beside this one.  The helper writes one
-    line of JSON [name, record] down a pipe as each check returns, and
-    nothing else anywhere; it stops at a check that raises.  JSON carries
-    every float exactly (repr, with NaN and Infinity).
-
-    forked tells whether there is a helper.  records() reads the pipe to its
-    end, reaps the helper and returns the records it delivered, by name:
-    none without a helper, and none of a check that raised or that it did
-    not reach.  Leaving the with-block before that kills and reaps the
-    helper."""
-
-    def __init__(self, checks):
-        inbox, outbox = os.pipe()
-        self._inbox = open(inbox, "rb")
-        try:
-            self._pid = integrators._fork_helper(lambda: self._serve(checks, outbox))
-        except BaseException:
-            self._inbox.close()
-            raise
-        finally:
-            os.close(outbox)  # so that the helper's leaving ends the pipe
-        self.forked = self._pid is not None
-
-    @staticmethod
-    def _serve(checks, outbox):
-        with open(outbox, "wb") as out:
-            for name, fn in checks:
-                out.write(json.dumps([name, fn()]).encode() + b"\n")
-                out.flush()
-
-    def records(self) -> dict:
-        if self._pid is None:
-            return {}
-        lines = self._inbox.read().split(b"\n")[:-1]  # a cut-off last line is not a record
-        os.waitpid(self._pid, 0)
-        self._pid = None
-        return dict(json.loads(line) for line in lines)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        self._inbox.close()
+def _serve(checks, outbox):
+    """The helper's loop: run checks, a list of (name, check), and write one
+    line of JSON [name, record] to the pipe's write end outbox as each check
+    returns, and nothing else anywhere; stop at a check that raises.  JSON
+    carries every float exactly (repr, with NaN and Infinity)."""
+    with open(outbox, "wb") as out:
+        for name, fn in checks:
+            out.write(json.dumps([name, fn()]).encode() + b"\n")
+            out.flush()
 
 
 def run_checks(name_filter: str | None = None) -> dict:
     """Run the (optionally filtered) suite; returns the JSON-ready report.
 
-    The checks that do not march run in a helper process (_Helper) while
-    this process runs the ones that do.  A check the helper did not deliver
-    runs here, in the order of CHECKS, as does every check where no helper
-    is forked; a check that raised in the helper raises here in turn.  The
-    report is the same either way.
+    The checks that do not march run in a helper process (_serve, forked
+    by integrators._Helper) while this process runs the ones that do.  A
+    check the helper did not deliver runs here, in the order of CHECKS, as
+    does every check where no helper is forked; a check that raised in the
+    helper raises here in turn.  The report is the same either way.
     """
     selected = [(name, fn) for name, fn in CHECKS if name_filter is None or name_filter in name]
     if not selected:
@@ -611,14 +572,24 @@ def run_checks(name_filter: str | None = None) -> dict:
     aside = [(name, fn) for name, fn in selected if name not in MARCHING]
     records = {}  # name -> record, or the exception its check raised
     if marching and aside:
-        with _Helper(aside) as helper:
-            for name, fn in marching if helper.forked else ():
-                try:
-                    records[name] = fn()
-                except Exception as exc:  # raised below, after any check before it
-                    records[name] = exc
-                    break
-            records.update(helper.records())
+        inbox, outbox = os.pipe()
+        with open(inbox, "rb") as replies:
+            try:
+                helper = integrators._Helper(lambda: _serve(aside, outbox))
+            finally:
+                os.close(outbox)  # so that the helper's leaving ends the pipe
+            with helper:
+                if helper.pid is not None:
+                    for name, fn in marching:
+                        try:
+                            records[name] = fn()
+                        except Exception as exc:  # raised below, after any check before it
+                            records[name] = exc
+                            break
+                    # a cut-off last line is not a record
+                    lines = replies.read().split(b"\n")[:-1]
+                    helper.join()
+                    records.update(json.loads(line) for line in lines)
     results = []
     for name, fn in selected:
         rec = records[name] if name in records else fn()

@@ -9,8 +9,8 @@ from collreg import integrators
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or unreaped.
 
-    The trajectory writer and `collreg verify` fork their helpers with
-    os.fork, which neither ResourceWarning nor
+    The trajectory writer and `collreg verify` fork their helpers
+    (integrators._Helper) with os.fork, which neither ResourceWarning nor
     multiprocessing.active_children() sees; a process left running is a
     failed benchmark run.
     """
@@ -34,7 +34,7 @@ def forks(monkeypatch) -> list:
 
     def fork_and_count(self):
         fork(self)
-        if self._pid is not None:  # _can_fork() allowed it
+        if self._helper is not None:  # _can_fork() allowed it
             forked.append(self)
 
     monkeypatch.setattr(integrators._CsvWriter, "_fork", fork_and_count)

@@ -901,3 +901,52 @@ def test_sweep_job_that_cannot_write_leaves_the_others_running(tmp_path, capsys,
     for k in (0, 2):
         assert (tmp_path / f"sweep_sweep{k:03d}_summary.json").exists()
     assert not (tmp_path / "sweep_sweep001_summary.json").exists()
+
+
+def test_simulate_refuses_a_span_of_more_steps_than_a_float_counts(tmp_path, capsys, forks):
+    # span / step overflows to inf: the run is refused before the march, and
+    # the CSV writer's helper, forked at opening, is stopped and reaped
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, span=1e308)
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and err.startswith("error: ")
+    assert "too many steps" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_job_of_too_many_steps_leaves_the_other_running(tmp_path, capsys, monkeypatch):
+    cfgp = tmp_path / "sweep.json"
+    write_config(cfgp, span=3.0, sweep=[{"span": 1e308}, {}])
+    monkeypatch.setenv("COLLREG_THREADS", "2")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 failed: ParameterError" in err and "too many steps" in err
+    assert "Traceback" not in err and "sweep job 001 done" in out
+    assert not list(tmp_path.glob("sweep_sweep000_*"))
+    assert (tmp_path / "sweep_sweep001_summary.json").exists()
+
+
+@pytest.mark.parametrize("same", [("trajectory", "events"), ("events", "summary"),
+                                  ("trajectory", "summary")])
+def test_outputs_that_name_one_file_are_refused(tmp_path, capsys, monkeypatch, same):
+    # one spelled relatively and one absolutely: the events JSON would
+    # otherwise replace the trajectory CSV, or the summary the events
+    monkeypatch.chdir(tmp_path)
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, outputs={same[0]: "out", same[1]: str(tmp_path / "." / "out")})
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "(field outputs)" in err
+    assert f"'{same[0]}' and '{same[1]}'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    # a sweep job that names one file fails alone
+    write_config(cfgp, span=1.0, sweep=[{"outputs": {same[0]: "out", same[1]: "./out"}}, {}])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 failed: SchemaError" in err and "sweep job 001 done" in out
+    assert not (tmp_path / "out").exists() and not list(tmp_path.glob("run_sweep000_*"))

@@ -104,6 +104,15 @@ def test_span_validation():
         assert calls[0] == 0  # refused before the first step
 
 
+def test_a_span_of_more_steps_than_a_float_counts_is_refused():
+    # 1e308 / 1e-3 overflows to inf, which no step count can round to
+    p = Problem.reduced(-1.0, 1e-3, 2.0)
+    field, calls = _counting(p.field)
+    with pytest.raises(ParameterError, match="too many steps"):
+        integrate(field, (0.0, 0.05), 1e308, IntegratorConfig(step=1e-3), invariant=p.gamma)
+    assert calls[0] == 0
+
+
 def test_reduced_conservation_run_and_collision_momentum():
     # h=-1, m=1e-3, N=2: start at the collision state and watch the invariant
     # at every collision passage; the bounded in-between oscillation is the
@@ -1041,14 +1050,14 @@ def test_the_csv_writer_never_waits_on_its_helper(tmp_path):
     path = tmp_path / "rows.csv"
     values = np.arange(2 * integrators.GUARD_BLOCK, dtype=float) / 3.0
     with integrators._CsvWriter(path, "x\n", "%.17g\n", len(values)) as csv:
-        assert csv._pid is not None
-        os.kill(csv._pid, signal.SIGSTOP)
+        assert csv._helper is not None
+        os.kill(csv._helper.pid, signal.SIGSTOP)
         try:
             for v in values:
                 csv.write(np.array([v]))
             assert len(csv._pending) > 0
         finally:
-            os.kill(csv._pid, signal.SIGCONT)
+            os.kill(csv._helper.pid, signal.SIGCONT)
         csv.finish(len(values))
     assert _no_child_left()
     assert path.read_bytes() == ("x\n" + "".join("%.17g\n" % v for v in values)).encode()
@@ -1085,3 +1094,82 @@ def test_physical_csv_matches_the_row_by_row_reference(tmp_path):
     path = tmp_path / "phys.csv"
     write_physical_csv(traj, path)
     assert path.read_bytes() == _reference_physical_csv(traj, params, ring)
+
+
+# -- the helper process, the one way the package forks -----------------------
+
+def _raise_in_helper():
+    raise RuntimeError("the helper's serve broke")
+
+
+def test_a_helper_exits_0_when_serve_returns_and_1_when_it_raises():
+    assert integrators._Helper(lambda: None).join() == 0
+    assert integrators._Helper(_raise_in_helper).join() == 1
+    assert _no_child_left()
+
+
+def test_a_helper_forks_nothing_where_it_may_not(monkeypatch):
+    served = []
+    monkeypatch.setattr(integrators, "_can_fork", lambda: False)
+    with integrators._Helper(lambda: served.append(os.getpid())) as helper:
+        assert helper.pid is None
+    assert served == [] and _no_child_left()
+
+
+def test_closing_a_helper_kills_and_reaps_it():
+    import time
+
+    helper = integrators._Helper(lambda: time.sleep(60))
+    pid = helper.pid
+    assert pid is not None
+    t0 = time.monotonic()
+    helper.close()
+    assert time.monotonic() - t0 < 10 and helper.pid is None
+    with pytest.raises(ProcessLookupError):  # killed and reaped: the pid is gone
+        os.kill(pid, 0)
+
+
+def test_a_helper_flushes_no_stdio_buffer_it_inherited():
+    # stdout is a buffered pipe, so "once" is still in the buffer at the
+    # fork; a helper that left by sys.exit would flush it a second time
+    import subprocess
+    import sys
+
+    import collreg
+
+    src = os.path.dirname(os.path.dirname(collreg.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = ("import sys; from collreg import integrators; sys.stdout.write('once'); "
+            "helper = integrators._Helper(lambda: None); "
+            "sys.exit(3 if helper.pid is None else helper.join())")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout) == (0, b"once")
+
+
+def test_only_the_helper_forks_kills_or_reaps_processes():
+    # every helper process goes through integrators._Helper, which leaves by
+    # os._exit and is killed and reaped on the way out
+    import ast
+    import pathlib
+
+    calls = {"fork", "kill", "waitpid"}
+    outside, inside = [], set()
+    for path in sorted(pathlib.Path(integrators.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        helper = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "_Helper"
+                  and path.name == "integrators.py" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                outside += [f"{path.name}:{node.lineno} from os import {a.name}"
+                            for a in node.names if a.name in calls]
+            elif (isinstance(node, ast.Attribute) and node.attr in calls
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                if id(node) in helper:
+                    inside.add(node.attr)
+                else:
+                    outside.append(f"{path.name}:{node.lineno} os.{node.attr}")
+    assert outside == [] and inside == calls

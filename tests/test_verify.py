@@ -126,9 +126,13 @@ def serial_report():
 def helpers(monkeypatch) -> list:
     """The pids of the helper processes forked, in order."""
     pids = []
-    fork = integrators._fork_helper
-    monkeypatch.setattr(integrators, "_fork_helper",
-                        lambda serve: pids.append(fork(serve)) or pids[-1])
+    init = integrators._Helper.__init__
+
+    def init_and_count(self, serve):
+        init(self, serve)
+        pids.append(self.pid)  # None where _can_fork() refused
+
+    monkeypatch.setattr(integrators._Helper, "__init__", init_and_count)
     return pids
 
 
