@@ -342,7 +342,7 @@ def cmd_levelset(args) -> int:
         args.h, args.m, a,
         (-args.qmax, args.qmax), (-args.pmax, args.pmax), args.resolution,
     )
-    _write_csv(args.output, "Q1,P1\n", "%.17g,%.17g\n", (pts,))
+    _write_csv(args.output, "Q1,P1\n", (pts,))
     print(f"{len(pts)} points -> {args.output}")
     return 0
 

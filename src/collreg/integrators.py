@@ -30,14 +30,17 @@ dt/dtau, in two pieces on a step with an event, split at the event.
 Trajectory CSV files go through one writer, _CsvWriter.  A simulation opens
 it before the march and hands it each block of samples the level guard has
 passed (integrate's on_block), which the writer keeps as raw floats: a
-helper process forked at opening formats blocks from the front while the
-march goes on, and when the march ends this process formats the back half
-of the blocks the helper has not claimed.  A file written after the fact
-(write_regularized_csv without a writer, write_physical_csv, the level set)
-hands the same writer all its blocks at once.  Where no helper may be
+helper process forked at the first block formats blocks from the front while
+the march goes on, and when the march ends this process formats the back
+half of the blocks the helper has not claimed.  A file written after the
+fact (write_regularized_csv without a writer, write_physical_csv, the level
+set) hands the same writer all its blocks at once.  Where no helper may be
 forked, this process formats every block when the writer is finished, with
 the same bytes.  Every helper process of the package, the writer's and
-`collreg verify`'s, is a _Helper.
+`collreg verify`'s, is a _Helper.  Every field of every CSV is '%.17g' % v,
+formatted in numpy (floatfmt) at about a third of the cost of %, so the
+helper formats each block of the 1e5-step benchmark run as the march hands
+it over.
 
 A conventional adaptive Runge-Kutta pair (through scipy) integrates the
 physical chart as an equivalence oracle; it is valid only away from
@@ -655,27 +658,31 @@ _CLAIMS = struct.Struct("qq")
 
 
 class _CsvWriter:
-    """One CSV file: its header, then row_fmt % row for every row of the
-    blocks handed to write, in order.  A block is given as columns of equal
-    length, each of one or more values a row.  finish(rows) completes the
-    file once all rows, as many as it is told, have come.
+    """One CSV file: its header, then every row of the blocks handed to
+    write, in order, each float as '%.17g' % v (_format).  A block is given
+    as columns of equal length, each of one or more values a row; zeros are
+    the places, counted in those values, before which a field 0 is put in
+    every row.  finish(rows) completes the file once all rows, as many as it
+    is told, have come.
 
     write formats nothing: it keeps a block's floats in an unlinked
     temporary file, the raw file.  rows is the number of rows expected; from
-    two blocks of GUARD_BLOCK rows on, a helper (_Helper) is forked at
-    opening where one may be.  It claims blocks from the front as write
-    sends their place down a pipe, and formats them into the file while
-    this process goes on; write never waits on it.  finish formats the back
-    half of the blocks the helper has not claimed and appends them once the
-    helper is done; without a helper, it formats every block.  The bytes are
-    the same either way.  Closing a writer that was not finished stops its
+    two blocks of GUARD_BLOCK rows on, a helper (_Helper) is forked at the
+    first write where one may be, so that a run refused before its first
+    block forks none.  It claims blocks from the front as write sends their
+    place down a pipe, and formats them into the file while this process
+    goes on; write never waits on it.  finish formats the back half of the
+    blocks the helper has not claimed and appends them once the helper is
+    done; without a helper, it formats every block.  The bytes are the same
+    either way.  Closing a writer that was not finished stops its
     helper and removes its file, so that only a finished CSV is left at path.
     """
 
-    def __init__(self, path, header, row_fmt, rows):
+    def __init__(self, path, header, rows, zeros=()):
         self._fh = open(path, "wb")
         self.path = path
-        self._fmt = row_fmt
+        self._zeros = zeros
+        self._fork_at_write = rows >= 2 * GUARD_BLOCK
         self._rows = 0
         self._finished = False
         self._blocks = []  # (offset, size, rows) of each block in the raw file
@@ -684,8 +691,6 @@ class _CsvWriter:
             self._fh.write(header.encode())
             self._raw = tempfile.TemporaryFile()
             self._raw.write(_CLAIMS.pack(0, 1 << 62))  # no stop until finish sets one
-            if rows >= 2 * GUARD_BLOCK:
-                self._fork()
         except BaseException:
             self.close()
             raise
@@ -697,6 +702,12 @@ class _CsvWriter:
         self.close()
 
     def _fork(self):
+        # the formatter is loaded here, at the first block, while this process
+        # is small: the helper inherits it, and finish has it without
+        # compiling it beside all of a run's samples (there, peak RSS read
+        # 44.8 MB against 43.1 on the 1e5-step benchmark run)
+        from . import floatfmt  # noqa: F401
+
         self._pending = bytearray()  # messages the pipe had no room for yet
         inbox, self._outbox = os.pipe()
         self._raw.flush()
@@ -722,7 +733,7 @@ class _CsvWriter:
                 open(self._fh.fileno(), "wb", closefd=False) as fh:
             block = 0
             while (msg := messages.read(_MESSAGE.size)) and self._claim(block):
-                fh.write(self._formatted(*_MESSAGE.unpack(msg)))
+                fh.writelines(self._formatted(*_MESSAGE.unpack(msg)))
                 block += 1
 
     @contextlib.contextmanager
@@ -744,17 +755,21 @@ class _CsvWriter:
                 os.pwrite(self._raw.fileno(), _CLAIMS.pack(block + 1, stop), 0)
         return block < stop
 
-    def _formatted(self, offset, size, rows) -> bytes:
-        return _format(self._fmt, rows,
-                       np.frombuffer(os.pread(self._raw.fileno(), size, offset)).tolist())
+    def _formatted(self, offset, size, rows):
+        return _format(np.frombuffer(os.pread(self._raw.fileno(), size, offset)).reshape(rows, -1))
 
     def write(self, *columns):
         values = np.column_stack(columns)
+        if self._zeros:
+            values = np.insert(values, self._zeros, 0.0, axis=1)
         block = (self._raw.tell(), values.nbytes, len(values))
         self._raw.write(values)
         self._raw.flush()
         self._blocks.append(block)
         self._rows += len(values)
+        if self._fork_at_write:
+            self._fork_at_write = False
+            self._fork()
         if self._helper is not None:
             try:
                 self._send(_MESSAGE.pack(*block))
@@ -777,7 +792,7 @@ class _CsvWriter:
             raise ValueError(f"a CSV of {rows} rows was handed {self._rows}")
         if self._helper is None:
             for block in self._blocks:
-                self._fh.write(self._formatted(*block))
+                self._fh.writelines(self._formatted(*block))
         else:
             with self._claims() as (claimed, _):
                 stop = claimed + (len(self._blocks) - claimed) // 2
@@ -789,7 +804,7 @@ class _CsvWriter:
             self._outbox = None
             with tempfile.TemporaryFile() as back:
                 for block in self._blocks[stop:]:
-                    back.write(self._formatted(*block))
+                    back.writelines(self._formatted(*block))
                 self._join()
                 back.seek(0)
                 shutil.copyfileobj(back, self._fh)  # in pieces of shutil.COPY_BUFSIZE
@@ -822,10 +837,13 @@ class _CsvWriter:
         self._fh.close()
 
 
-def _format(row_fmt, rows, values) -> bytes:
-    """row_fmt % row for rows rows of values, a flat list of plain floats
-    row after row, by one % operation."""
-    return ((row_fmt * rows) % tuple(values)).encode()
+def _format(values):
+    """The rows of values, an (n, m) float array, as CSV text in pieces
+    (floatfmt.format_rows).  Its module is imported at the first call, so a
+    run that writes no CSV does not compile it."""
+    from .floatfmt import format_rows
+
+    return format_rows(values)
 
 
 def _can_fork() -> bool:
@@ -881,34 +899,36 @@ class _Helper:
             self.join()
 
 
-def _write_csv(path, header, row_fmt, columns) -> None:
-    """Write header, then row_fmt % (row k of every column) for every sample
-    k.  A column is an array of one or more values a sample; in a trajectory
-    the last is the invariant, which may be missing (None) and is then
-    refused.  The writer is handed every block at once."""
+def _write_csv(path, header, columns, zeros=()) -> None:
+    """Write header, then row k of every column, with the 0 fields of zeros
+    (see _CsvWriter), for every sample k.  A column is an array of one or
+    more values a sample; in a trajectory the last is the invariant, which
+    may be missing (None) and is then refused.  The writer is handed every
+    block at once."""
     if columns[-1] is None:
         raise ParameterError("the trajectory carries no invariant column to write")
     rows = len(columns[0])
-    with _CsvWriter(path, header, row_fmt, rows) as csv:
+    with _CsvWriter(path, header, rows, zeros) as csv:
         for a in range(0, rows, GUARD_BLOCK):
             csv.write(*(c[a:a + GUARD_BLOCK] for c in columns))
         csv.finish(rows)
 
 
 def _regularized_layout(dim):
-    # a reduced state (Q1, P1) is written with the zeros %.17g gives for 0.0
-    state_fmt = "%.17g,0,%.17g,0," if dim == 2 else "%.17g," * dim
-    return "tau,t,Q1,Q2,P1,P2,gamma\n", "%.17g,%.17g," + state_fmt + "%.17g\n"
+    # a reduced state (Q1, P1) is written as (Q1, 0, P1, 0): a 0 field
+    # before P1 and one before gamma, in a row (tau, t, Q1, P1, gamma)
+    return "tau,t,Q1,Q2,P1,P2,gamma\n", (3, 4) if dim == 2 else ()
 
 
 def open_regularized_csv(path, dim, samples) -> _CsvWriter:
     """The regularized CSV at path, opened for a run of dim-D states that is
     to record about samples samples: integrate(..., on_block=csv.write)
     feeds it each block of samples as the level guard passes it, and
-    write_regularized_csv(traj, path, csv) finishes it.  Opening it, before
-    the march, forks the helper that formats those blocks while the march
-    goes on, when samples are enough to pay for it (see _CsvWriter)."""
-    return _CsvWriter(path, *_regularized_layout(dim), samples)
+    write_regularized_csv(traj, path, csv) finishes it.  The first block
+    forks the helper that formats the blocks while the march goes on, when
+    samples are enough to pay for it (see _CsvWriter)."""
+    header, zeros = _regularized_layout(dim)
+    return _CsvWriter(path, header, samples, zeros)
 
 
 def write_regularized_csv(traj: Trajectory, path, csv=None) -> None:
@@ -926,16 +946,14 @@ def write_regularized_csv(traj: Trajectory, path, csv=None) -> None:
             raise ValueError(f"the CSV writer of {csv.path} was given to write {path}")
         csv.finish(len(traj))
         return
-    _write_csv(path, *_regularized_layout(traj.states.shape[1]),
-               (traj.tau, traj.t, traj.states, traj.invariant))
+    header, zeros = _regularized_layout(traj.states.shape[1])
+    _write_csv(path, header, (traj.tau, traj.t, traj.states, traj.invariant), zeros)
 
 
 def write_physical_csv(traj: Trajectory, path) -> None:
     """CSV schema: t,q1,q2,p1,p2,H, with H the trajectory's invariant
     column; a trajectory without one raises ParameterError."""
-    dim = traj.states.shape[1]
-    _write_csv(path, "t,q1,q2,p1,p2,H\n", "%.17g," * (1 + dim) + "%.17g\n",
-               (traj.t, traj.states, traj.invariant))
+    _write_csv(path, "t,q1,q2,p1,p2,H\n", (traj.t, traj.states, traj.invariant))
 
 
 def write_events_json(traj: Trajectory, path) -> None:

@@ -905,7 +905,7 @@ def test_sweep_job_that_cannot_write_leaves_the_others_running(tmp_path, capsys,
 
 def test_simulate_refuses_a_span_of_more_steps_than_a_float_counts(tmp_path, capsys, forks):
     # span / step overflows to inf: the run is refused before the march, and
-    # the CSV writer's helper, forked at opening, is stopped and reaped
+    # the CSV writer, which forks its helper at its first block, forks none
     cfgp = tmp_path / "run.json"
     write_config(cfgp, span=1e308)
     assert main(["simulate", str(cfgp)]) == 2
@@ -913,7 +913,7 @@ def test_simulate_refuses_a_span_of_more_steps_than_a_float_counts(tmp_path, cap
     assert not out and err.count("\n") == 1 and err.startswith("error: ")
     assert "too many steps" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
-    assert len(forks) == 1
+    assert len(forks) == 0
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

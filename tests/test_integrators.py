@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collreg import (
     Event,
@@ -1049,11 +1051,12 @@ def test_the_csv_writer_never_waits_on_its_helper(tmp_path):
 
     path = tmp_path / "rows.csv"
     values = np.arange(2 * integrators.GUARD_BLOCK, dtype=float) / 3.0
-    with integrators._CsvWriter(path, "x\n", "%.17g\n", len(values)) as csv:
-        assert csv._helper is not None
+    with integrators._CsvWriter(path, "x\n", len(values)) as csv:
+        assert csv._helper is None  # forked at the first write
+        csv.write(values[:1])
         os.kill(csv._helper.pid, signal.SIGSTOP)
         try:
-            for v in values:
+            for v in values[1:]:
                 csv.write(np.array([v]))
             assert len(csv._pending) > 0
         finally:
@@ -1063,10 +1066,9 @@ def test_the_csv_writer_never_waits_on_its_helper(tmp_path):
     assert path.read_bytes() == ("x\n" + "".join("%.17g\n" % v for v in values)).encode()
 
 
-def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # a process's set-up does not pay for it: the CSV writer forks its helper
-    # with os.fork, and reads a daemon flag only where multiprocessing is loaded
-    import os
+def _run_after_importing_the_cli(check) -> int:
+    """The exit code of a fresh interpreter that imports collreg.cli, then
+    exits with the truth of the expression check."""
     import subprocess
     import sys
 
@@ -1075,8 +1077,81 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     src = os.path.dirname(os.path.dirname(collreg.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    code = "import sys, collreg.cli; sys.exit('multiprocessing' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = f"import sys, collreg.cli; sys.exit({check})"
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # a process's set-up does not pay for it: the CSV writer forks its helper
+    # with os.fork, and reads a daemon flag only where multiprocessing is loaded
+    assert _run_after_importing_the_cli("'multiprocessing' in sys.modules") == 0
+
+
+def test_importing_the_cli_builds_no_format_tables():
+    # the CSV formatter's module, and its tables, are loaded at the first
+    # block formatted; the tables take neither fractions nor decimal
+    assert _run_after_importing_the_cli(
+        "'collreg.floatfmt' in sys.modules or 'fractions' in sys.modules"
+        " or 'decimal' in sys.modules") == 0
+    assert _run_after_importing_the_cli(
+        "b''.join(collreg.integrators._format([[0.5]])) != b'0.5\\n'"
+        " or 'fractions' in sys.modules or 'decimal' in sys.modules") == 0
+
+
+# -- _format against '%.17g' % v, the bytes of every CSV of the package --
+
+def _percent_rows(values) -> bytes:
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in values.tolist()).encode()
+
+
+def _format_edges() -> np.ndarray:
+    inf = math.inf
+    powers = [float(f"1e{p}") for p in range(-40, 41)]
+    switch = [1e-5, 1e-4, 1e16, 1e17]  # where %g changes notation
+    near = [x for v in powers + switch
+            for x in (np.nextafter(np.nextafter(v, 0.0), 0.0), np.nextafter(v, 0.0), v,
+                      np.nextafter(v, inf), np.nextafter(np.nextafter(v, inf), inf))]
+    integers = ([float(2 ** j + d) for j in range(64) for d in (-1, 0, 1)]
+                + np.random.default_rng(7).integers(0, 2 ** 63, 1000).astype(float).tolist())
+    # m / 2^j with m odd has j decimals after the point: with 18 - j digits
+    # before it, or with j - 18 zeros after it, v's 18th and last
+    # significant digit is 5, a tie of %.17g
+    rng = np.random.default_rng(8)
+    ties = []
+    for j in range(3, 24):
+        lo, hi = (10 ** (17 - j) * 2 ** j, 10 ** (18 - j) * 2 ** j) if j <= 17 else (
+            2 ** j // 10 ** (j - 17), 2 ** j // 10 ** (j - 18))
+        ties += [(int(m) | 1) / 2 ** j for m in rng.integers(lo, hi, 50)]
+    for v in ties:
+        digits = ("%.30e" % v).split("e")[0].replace(".", "")
+        assert digits[17] == "5" and set(digits[18:]) == {"0"}, v
+    edges = [0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, inf, math.nan,
+             *near, *integers, *ties]
+    return np.array(edges + [-v for v in edges])
+
+
+def test_format_matches_percent_on_edges():
+    values = _format_edges()
+    assert b"".join(integrators._format(values[:, None])) == _percent_rows(values[:, None])
+
+
+def test_format_matches_percent_on_random_bit_patterns():
+    # every 64-bit pattern is a float: NaNs, infinities and subnormals come
+    # with the rest, in rows of 7 fields as the regularized CSV's
+    bits = np.random.default_rng(5).integers(0, 2 ** 64, 2 ** 18, dtype=np.uint64)
+    bits[:4] = [0x7FF0000000000000, 0xFFF0000000000000, 0xFFF8000000000001, 1]
+    values = bits.view(float)[:7 * (len(bits) // 7)].reshape(-1, 7)
+    assert np.isnan(values).any() and np.isinf(values).any()
+    assert ((np.abs(values) < 2.2250738585072014e-308) & (values != 0.0)).any()
+    assert b"".join(integrators._format(values)) == _percent_rows(values)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_format_matches_percent_on_any_floats(floats, cols):
+    values = np.array(floats + [0.0] * (-len(floats) % cols)).reshape(-1, cols)
+    assert b"".join(integrators._format(values)) == _percent_rows(values)
 
 
 def test_physical_csv_matches_the_row_by_row_reference(tmp_path):
