@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analysis
 from .config import MassParams, RingConfig, ring_radius
-from .errors import SchemaError, StepFailure
+from .errors import ParameterError, SchemaError, StepFailure
 from .integrators import (
     IntegratorConfig,
     _write_csv,
@@ -281,7 +281,10 @@ def _run_sweep(cfg: dict, config_path: str) -> int:
     base = {key: val for key, val in cfg.items()
             if key not in ("sweep", "_integrator", "outputs")}
     jobs = [(k, stem, base, override) for k, override in enumerate(sweep)]
-    workers = int(os.environ.get("COLLREG_THREADS", "0")) or min(len(jobs), os.cpu_count() or 1)
+    threads = os.environ.get("COLLREG_THREADS", "0")
+    if not re.fullmatch("[0-9]+", threads):
+        raise ParameterError(f"COLLREG_THREADS must be a nonnegative integer, got {threads!r}")
+    workers = int(threads) or min(len(jobs), os.cpu_count() or 1)
     # the stepping loops are pure Python, so real parallelism needs processes
     from concurrent.futures import ProcessPoolExecutor
 

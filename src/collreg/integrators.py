@@ -30,17 +30,16 @@ dt/dtau, in two pieces on a step with an event, split at the event.
 Trajectory CSV files go through one writer, _CsvWriter.  A simulation opens
 it before the march and hands it each block of samples the level guard has
 passed (integrate's on_block), which the writer keeps as raw floats: a
-helper process forked at the first block formats blocks from the front while
-the march goes on, and when the march ends this process formats the back
-half of the blocks the helper has not claimed.  A file written after the
-fact (write_regularized_csv without a writer, write_physical_csv, the level
-set) hands the same writer all its blocks at once.  Where no helper may be
-forked, this process formats every block when the writer is finished, with
-the same bytes.  Every helper process of the package, the writer's and
-`collreg verify`'s, is a _Helper.  Every field of every CSV is '%.17g' % v,
-formatted in numpy (floatfmt) at about a third of the cost of %, so the
-helper formats each block of the 1e5-step benchmark run as the march hands
-it over.
+helper process forked at the first block formats every block as it comes
+while the march goes on, and when the march ends this process only waits
+for the helper to format the last one.  A file written after the fact
+(write_regularized_csv without a writer, write_physical_csv, the level set)
+hands the same writer all its blocks at once, and this process formats
+them, as it does wherever no helper may be forked, with the same bytes.
+Every helper process of the package, the writer's and `collreg verify`'s,
+is a _Helper.  Every field of every CSV is '%.17g' % v, formatted in numpy
+(floatfmt) at about a third of the cost of %, so the helper formats each
+block of the 1e5-step benchmark run as the march hands it over.
 
 A conventional adaptive Runge-Kutta pair (through scipy) integrates the
 physical chart as an equivalence oracle; it is valid only away from
@@ -56,7 +55,6 @@ import linecache
 import math
 import os
 import re
-import shutil
 import stat
 import struct
 import sys
@@ -651,10 +649,8 @@ def integrate_physical_oracle(
 
 
 # The trajectory writer's pipe message: a block's offset and size in the raw
-# file and its row count; and the raw file's head: the blocks the helper has
-# claimed, and the block it must stop before.
+# file and its row count.
 _MESSAGE = struct.Struct("qqq")
-_CLAIMS = struct.Struct("qq")
 
 
 class _CsvWriter:
@@ -666,16 +662,16 @@ class _CsvWriter:
     is told, have come.
 
     write formats nothing: it keeps a block's floats in an unlinked
-    temporary file, the raw file.  rows is the number of rows expected; from
-    two blocks of GUARD_BLOCK rows on, a helper (_Helper) is forked at the
-    first write where one may be, so that a run refused before its first
-    block forks none.  It claims blocks from the front as write sends their
-    place down a pipe, and formats them into the file while this process
-    goes on; write never waits on it.  finish formats the back half of the
-    blocks the helper has not claimed and appends them once the helper is
-    done; without a helper, it formats every block.  The bytes are the same
-    either way.  Closing a writer that was not finished stops its
-    helper and removes its file, so that only a finished CSV is left at path.
+    temporary file, the raw file.  rows is the number of rows a march is to
+    hand over while it runs; from two blocks of GUARD_BLOCK rows on, a
+    helper (_Helper) is forked at the first write where one may be, so that
+    a run refused before its first block forks none.  The helper formats
+    every block into the file as write sends its place down a pipe, while
+    this process goes on; write never waits on it, and finish waits for it
+    to format the last block.  Without a helper, finish formats every block.
+    The bytes are the same either way.  Closing a writer that was not
+    finished stops its helper and removes its file, so that only a finished
+    CSV is left at path.
     """
 
     def __init__(self, path, header, rows, zeros=()):
@@ -690,7 +686,6 @@ class _CsvWriter:
         try:
             self._fh.write(header.encode())
             self._raw = tempfile.TemporaryFile()
-            self._raw.write(_CLAIMS.pack(0, 1 << 62))  # no stop until finish sets one
         except BaseException:
             self.close()
             raise
@@ -702,15 +697,8 @@ class _CsvWriter:
         self.close()
 
     def _fork(self):
-        # the formatter is loaded here, at the first block, while this process
-        # is small: the helper inherits it, and finish has it without
-        # compiling it beside all of a run's samples (there, peak RSS read
-        # 44.8 MB against 43.1 on the 1e5-step benchmark run)
-        from . import floatfmt  # noqa: F401
-
         self._pending = bytearray()  # messages the pipe had no room for yet
         inbox, self._outbox = os.pipe()
-        self._raw.flush()
         self._fh.flush()  # the helper inherits no buffered bytes
         try:
             helper = _Helper(lambda: self._serve(inbox))
@@ -724,36 +712,13 @@ class _CsvWriter:
             os.set_blocking(self._outbox, False)
 
     def _serve(self, inbox):
-        """The helper's loop: claim the blocks in order as their messages
-        arrive on the pipe's read end inbox, format each into the file, and
-        stop at the first block that finish keeps for the other process, or
-        when the pipe closes."""
+        """The helper's loop: format each block into the file as its message
+        arrives on the pipe's read end inbox, until the pipe closes."""
         os.close(self._outbox)
         with open(inbox, "rb") as messages, \
                 open(self._fh.fileno(), "wb", closefd=False) as fh:
-            block = 0
-            while (msg := messages.read(_MESSAGE.size)) and self._claim(block):
+            while msg := messages.read(_MESSAGE.size):
                 fh.writelines(self._formatted(*_MESSAGE.unpack(msg)))
-                block += 1
-
-    @contextlib.contextmanager
-    def _claims(self):
-        """The raw file's head, read under a lock on the file that this
-        process and the helper take in turn (fcntl locks are per process)."""
-        import fcntl
-
-        fd = self._raw.fileno()
-        fcntl.lockf(fd, fcntl.LOCK_EX)
-        try:
-            yield _CLAIMS.unpack(os.pread(fd, _CLAIMS.size, 0))
-        finally:
-            fcntl.lockf(fd, fcntl.LOCK_UN)
-
-    def _claim(self, block) -> bool:
-        with self._claims() as (_, stop):
-            if block < stop:
-                os.pwrite(self._raw.fileno(), _CLAIMS.pack(block + 1, stop), 0)
-        return block < stop
 
     def _formatted(self, offset, size, rows):
         return _format(np.frombuffer(os.pread(self._raw.fileno(), size, offset)).reshape(rows, -1))
@@ -771,11 +736,7 @@ class _CsvWriter:
             self._fork_at_write = False
             self._fork()
         if self._helper is not None:
-            try:
-                self._send(_MESSAGE.pack(*block))
-            except BrokenPipeError:  # before finish the helper leaves only by failing
-                self._join()
-                raise
+            self._send(_MESSAGE.pack(*block))
 
     def _send(self, msg):
         """msg and any messages still queued, as far as the pipe takes them
@@ -786,6 +747,9 @@ class _CsvWriter:
                 del self._pending[:os.write(self._outbox, self._pending)]
         except BlockingIOError:
             pass
+        except BrokenPipeError:  # the helper leaves before its pipe closes only by failing
+            self._join()
+            raise
 
     def finish(self, rows):
         if rows != self._rows:
@@ -794,20 +758,11 @@ class _CsvWriter:
             for block in self._blocks:
                 self._fh.writelines(self._formatted(*block))
         else:
-            with self._claims() as (claimed, _):
-                stop = claimed + (len(self._blocks) - claimed) // 2
-                os.pwrite(self._raw.fileno(), _CLAIMS.pack(claimed, stop), 0)
             os.set_blocking(self._outbox, True)
-            with contextlib.suppress(BrokenPipeError):  # a helper that reached stop has left
-                self._send(b"")
+            self._send(b"")
             os.close(self._outbox)
             self._outbox = None
-            with tempfile.TemporaryFile() as back:
-                for block in self._blocks[stop:]:
-                    back.writelines(self._formatted(*block))
-                self._join()
-                back.seek(0)
-                shutil.copyfileobj(back, self._fh)  # in pieces of shutil.COPY_BUFSIZE
+            self._join()
         self._finished = True
         self.close()
 
@@ -904,11 +859,12 @@ def _write_csv(path, header, columns, zeros=()) -> None:
     (see _CsvWriter), for every sample k.  A column is an array of one or
     more values a sample; in a trajectory the last is the invariant, which
     may be missing (None) and is then refused.  The writer is handed every
-    block at once."""
+    block at once, with no march to overlap, and is told of no rows to come:
+    it forks no helper and formats every block in this process."""
     if columns[-1] is None:
         raise ParameterError("the trajectory carries no invariant column to write")
     rows = len(columns[0])
-    with _CsvWriter(path, header, rows, zeros) as csv:
+    with _CsvWriter(path, header, 0, zeros) as csv:
         for a in range(0, rows, GUARD_BLOCK):
             csv.write(*(c[a:a + GUARD_BLOCK] for c in columns))
         csv.finish(rows)
@@ -925,8 +881,9 @@ def open_regularized_csv(path, dim, samples) -> _CsvWriter:
     to record about samples samples: integrate(..., on_block=csv.write)
     feeds it each block of samples as the level guard passes it, and
     write_regularized_csv(traj, path, csv) finishes it.  The first block
-    forks the helper that formats the blocks while the march goes on, when
-    samples are enough to pay for it (see _CsvWriter)."""
+    forks the helper that formats every block while the march goes on, when
+    samples are enough to pay for it (see _CsvWriter); finishing then waits
+    only for the helper's last block."""
     header, zeros = _regularized_layout(dim)
     return _CsvWriter(path, header, samples, zeros)
 

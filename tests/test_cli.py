@@ -718,16 +718,16 @@ def test_levelset_command(tmp_path, capsys):
         assert (-Q1, P1) in as_set and (Q1, -P1) in as_set
 
 
-def test_a_long_levelset_csv_is_written_on_two_processes(tmp_path, capsys, monkeypatch,
-                                                         forks):
-    # the level set goes through the trajectory writer, so from two blocks of
-    # rows on it takes the two-process path, with the bytes of one process
+def test_a_long_levelset_csv_is_written_in_one_process(tmp_path, capsys, monkeypatch,
+                                                       forks):
+    # the level set goes through the trajectory writer with every block in
+    # hand, so it forks no helper however many rows it has
     pts = np.random.default_rng(0).standard_normal((10000, 2))
     monkeypatch.setattr(analysis, "level_set_sample", lambda *args: pts)
     out = tmp_path / "ls.csv"
     assert main(["levelset", "--h", "-1", "--m", "1e-3", "--N", "3", "--output", str(out)]) == 0
     capsys.readouterr()
-    assert [w._rows for w in forks] == [10000]
+    assert forks == []
     assert out.read_bytes() == ("Q1,P1\n" + "".join(
         "%.17g,%.17g\n" % (q, p) for q, p in pts)).encode()
 
@@ -853,6 +853,19 @@ def test_sweep_runs(tmp_path, capsys):
     capsys.readouterr()
     for k in range(3):
         assert (tmp_path / f"sweep_sweep{k:03d}_summary.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["-1", "abc", ""])
+def test_sweep_refuses_a_thread_count_that_is_not_a_count(tmp_path, capsys, monkeypatch,
+                                                          threads):
+    cfgp = tmp_path / "sweep.json"
+    write_config(cfgp, span=1.0, sweep=[{}])
+    monkeypatch.setenv("COLLREG_THREADS", threads)
+    assert main(["simulate", str(cfgp), "--sweep"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == (f"error: COLLREG_THREADS must be a nonnegative integer, "
+                               f"got {threads!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
 
 def test_sweep_failed_job_leaves_the_others_running(tmp_path, capsys, monkeypatch):

@@ -952,12 +952,13 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path, forks):
     assert len(traj) > integrators.GUARD_BLOCK + 1
     write_regularized_csv(traj, path)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
-    # 4-D, two blocks and more: a forked helper writes the front blocks
+    # 4-D, two blocks and more, written after the fact: with no march to
+    # overlap, this process formats every block and forks no helper
     traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 10.0,
                      IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=gam)
     write_regularized_csv(traj, path)
     assert path.read_bytes() == _reference_regularized_csv(traj, gam)
-    assert [w._rows for w in forks] == [10001]
+    assert forks == []
     # the partial trajectory a failed run carries
     pumped = lambda y: (y[1], -y[0] + 0.1 * y[1])
     energy = lambda y: 0.5 * (y[0] * y[0] + y[1] * y[1]) - 0.5
@@ -965,6 +966,16 @@ def test_regularized_csv_matches_the_row_by_row_reference(tmp_path, forks):
         integrate(pumped, (1.0, 0.0), 1.0, IntegratorConfig(step=1e-3), invariant=energy)
     write_regularized_csv(err.value.trajectory, path)
     assert path.read_bytes() == _reference_regularized_csv(err.value.trajectory, energy)
+
+
+def _write_blocks(traj, path):
+    """Hand traj to a writer opened on path for a run, block by block as a
+    march would, and finish it."""
+    with integrators.open_regularized_csv(path, traj.states.shape[1], len(traj)) as csv:
+        for a in range(0, len(traj), integrators.GUARD_BLOCK):
+            csv.write(*(c[a:a + integrators.GUARD_BLOCK]
+                        for c in (traj.tau, traj.t, traj.states, traj.invariant)))
+        write_regularized_csv(traj, path, csv)
 
 
 def test_a_failing_csv_helper_fails_the_write_and_leaves_no_process(tmp_path, monkeypatch,
@@ -975,28 +986,62 @@ def test_a_failing_csv_helper_fails_the_write_and_leaves_no_process(tmp_path, mo
     parent = os.getpid()
     fmt = integrators._format
 
-    def failing_in(side):
-        def format_rows(*args):
-            if (os.getpid() == parent) == (side == "caller"):
-                raise OSError(f"no space left for the {side}'s rows")
-            return fmt(*args)
-        return format_rows
+    def format_rows(*args):
+        if os.getpid() != parent:
+            raise OSError("no space left for the helper's rows")
+        return fmt(*args)
 
     # a failed write leaves no file, not even the one it replaced
     (tmp_path / "t.csv").write_text("an earlier run's rows\n")
-    monkeypatch.setattr(integrators, "_format", failing_in("helper"))
+    monkeypatch.setattr(integrators, "_format", format_rows)
     with pytest.raises(OSError, match="helper process exited with code 1"):
-        write_regularized_csv(traj, tmp_path / "t.csv")
+        _write_blocks(traj, tmp_path / "t.csv")
     assert len(forks) == 1 and _no_child_left() and not (tmp_path / "t.csv").exists()
-    # a failure on this side stops the helper too, before or after the fork
-    monkeypatch.setattr(integrators, "_format", failing_in("caller"))
-    with pytest.raises(OSError, match="the caller's rows"):
-        write_regularized_csv(traj, tmp_path / "t.csv")
-    assert len(forks) == 2 and _no_child_left() and not (tmp_path / "t.csv").exists()
+    # a failure on this side, with the helper at work, stops the helper too
     monkeypatch.setattr(integrators, "_format", fmt)
+    written = integrators._CsvWriter.write
+
+    def write_once(csv, *columns):
+        if csv._rows:
+            raise OSError("no space left for the caller's rows")
+        written(csv, *columns)
+
+    monkeypatch.setattr(integrators._CsvWriter, "write", write_once)
+    with pytest.raises(OSError, match="the caller's rows"):
+        _write_blocks(traj, tmp_path / "t.csv")
+    assert len(forks) == 2 and _no_child_left() and not (tmp_path / "t.csv").exists()
+    monkeypatch.setattr(integrators._CsvWriter, "write", written)
     with pytest.raises(FileNotFoundError):
-        write_regularized_csv(traj, tmp_path / "missing" / "t.csv")
+        _write_blocks(traj, tmp_path / "missing" / "t.csv")
     assert len(forks) == 2 and _no_child_left()
+
+
+def test_with_a_helper_the_run_formats_no_block(tmp_path, monkeypatch, forks):
+    # the helper formats every block the march hands over, the last one too;
+    # the run's process only waits for it.  The helper dwells on its first
+    # block, so the march ends with blocks it has not reached
+    import time
+
+    parent, fmt = os.getpid(), integrators._format
+    dwell = [0.5]  # seconds, on the first block only
+
+    def format_rows(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the run's process formatted a block")
+        if dwell:
+            time.sleep(dwell.pop())
+        return fmt(*args)
+
+    monkeypatch.setattr(integrators, "_format", format_rows)
+    p = Problem.sitnikov(-2.5, MassParams(m=1e-3, epsilon=0.3), RingConfig.for_count(2))
+    path = tmp_path / "traj.csv"
+    with integrators.open_regularized_csv(path, 4, 10001) as csv:
+        traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 10.0,
+                         IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=p.gamma,
+                         on_block=csv.write)
+        write_regularized_csv(traj, path, csv)
+    assert len(forks) == 1 and _no_child_left()
+    assert path.read_bytes() == _reference_regularized_csv(traj, p.gamma)
 
 
 @pytest.mark.parametrize("helper", [True, False])
@@ -1046,22 +1091,32 @@ def test_a_csv_fed_by_the_march_matches_the_row_by_row_reference(tmp_path, monke
 def test_the_csv_writer_never_waits_on_its_helper(tmp_path):
     # with the helper stopped, 8192 one-row blocks send more messages than a
     # pipe holds (64 KiB on Linux); write queues what the pipe refuses, and
-    # finish delivers it once the helper runs again
+    # finish delivers it once the helper runs again.  A write that waited
+    # would wait for good, so an alarm fails the test after 30 s
     import signal
+
+    def waited(*_):
+        raise TimeoutError("the CSV writer waited on its stopped helper")
 
     path = tmp_path / "rows.csv"
     values = np.arange(2 * integrators.GUARD_BLOCK, dtype=float) / 3.0
-    with integrators._CsvWriter(path, "x\n", len(values)) as csv:
-        assert csv._helper is None  # forked at the first write
-        csv.write(values[:1])
-        os.kill(csv._helper.pid, signal.SIGSTOP)
-        try:
-            for v in values[1:]:
-                csv.write(np.array([v]))
-            assert len(csv._pending) > 0
-        finally:
-            os.kill(csv._helper.pid, signal.SIGCONT)
-        csv.finish(len(values))
+    alarm = signal.signal(signal.SIGALRM, waited)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        with integrators._CsvWriter(path, "x\n", len(values)) as csv:
+            assert csv._helper is None  # forked at the first write
+            csv.write(values[:1])
+            os.kill(csv._helper.pid, signal.SIGSTOP)
+            try:
+                for v in values[1:]:
+                    csv.write(np.array([v]))
+                assert len(csv._pending) > 0
+            finally:
+                os.kill(csv._helper.pid, signal.SIGCONT)
+            csv.finish(len(values))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, alarm)
     assert _no_child_left()
     assert path.read_bytes() == ("x\n" + "".join("%.17g\n" % v for v in values)).encode()
 
