@@ -22,7 +22,6 @@ from .analysis import (
     turning_point,
 )
 from .config import (
-    GeneralSymmetricConfig,
     MassParams,
     RingConfig,
     bp_radius,
@@ -46,7 +45,6 @@ from .integrators import (
     integrate_physical_oracle,
 )
 from .physical import (
-    axis_field_general,
     hamiltonian,
     infinitesimal_accel_3d,
     physical_field,

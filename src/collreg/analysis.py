@@ -223,7 +223,7 @@ def period(h: float, m: float, r: float, method: str = "quadrature",
     flow: fictitious-time integration of the regularized system from collision
     to collision, reading the physical period off the dual clock.
     """
-    _check_period_inputs(h, m, nodes, flow=method == "flow")
+    _check_period_inputs(h, m, nodes, step if method == "flow" else None)
     if method == "quadrature":
         return _period_quadrature(h, m, r, nodes)
     if method == "flow":
@@ -231,26 +231,29 @@ def period(h: float, m: float, r: float, method: str = "quadrature",
     raise ParameterError(f"unknown period method {method!r}")
 
 
-def _check_period_inputs(h: float, m: float, nodes: int, flow: bool) -> None:
+def _check_period_inputs(h: float, m: float, nodes: int, flow_step: float | None) -> None:
     """Refuse fewer than one quadrature node, a non-finite h or m, an energy
-    with no periodic orbit, and for the flow method a mass with no collision
-    to start from; a parabolic or hyperbolic orbit, or the rest point at
-    m = 0, would never return."""
+    with no periodic orbit, and for the flow method (flow_step not None) a
+    mass with no collision to start from or a step that is not positive and
+    finite; a parabolic or hyperbolic orbit, or the rest point at m = 0,
+    would never return."""
     if not nodes >= 1:
         raise ParameterError(f"nodes must be a positive integer, got {nodes}")
     if not (math.isfinite(h) and math.isfinite(m)):
         raise DomainError(f"the period needs a finite h and m, got h={h}, m={m}")
     if not h < 0.0:
         raise DomainError(f"periodic orbits require h < 0, got h={h}")
-    if flow and not m > 0.0:
+    if flow_step is not None and not m > 0.0:
         raise DomainError(f"the flow method starts at a collision and needs m > 0, got m={m}")
+    if flow_step is not None and not 0.0 < flow_step < math.inf:
+        raise ParameterError(f"step must be positive and finite, got {flow_step}")
 
 
 def period_report(h: float, m: float, N: int, nodes: int = 128, step: float = 2e-4) -> dict:
     """Both period computations plus the fictitious-time period of the full
     closed orbit (two collision passages in the double cover).  Refuses
     h >= 0, m <= 0 and nodes < 1 before any work, as period does."""
-    _check_period_inputs(h, m, nodes, flow=True)
+    _check_period_inputs(h, m, nodes, step)
     r = ring_radius(N)
     T_flow, tau_half = _period_flow(h, m, r, step)
     return {
@@ -293,6 +296,10 @@ def level_set_sample(h: float, m: float, a: float, q1_range: tuple, p1_range: tu
     if not all(map(math.isfinite, (*q1_range, *p1_range))):
         raise DomainError(f"the level set needs a finite grid window, got Q1 range "
                           f"{q1_range} and P1 range {p1_range}")
+    for name, (lo, hi) in (("Q1", q1_range), ("P1", p1_range)):
+        if lo == hi:
+            raise DomainError(f"the level set needs a {name} range with two distinct ends, "
+                              f"got {name} range {(lo, hi)}")
     gam = Problem.reduced(h, m, a).gamma
     q_grid = _mirror_linspace(q1_range[0], q1_range[1], resolution)
     p_grid = _mirror_linspace(p1_range[0], p1_range[1], resolution)

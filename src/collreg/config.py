@@ -9,8 +9,7 @@ rectilinear axis dynamics depending on the ring only through its radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .errors import ParameterError
 __all__ = [
     "MassParams",
     "RingConfig",
-    "GeneralSymmetricConfig",
     "rescale_masses",
     "ring_radius",
     "bp_radius",
@@ -143,47 +141,3 @@ def primary_positions_3d(ring: RingConfig, phase=0.0) -> np.ndarray:
         [ring.radius * np.cos(ang), ring.radius * np.sin(ang), np.zeros_like(ang)], axis=-1
     )
 
-
-@dataclass(frozen=True)
-class GeneralSymmetricConfig:
-    """N = r*s primaries arranged in s subsystems, each an orbit of a cyclic
-    rotation of order r about the vertical axis.
-
-    representative_positions(t) returns the (s, 3) positions of one
-    representative body per subsystem; the remaining bodies are its images
-    under the rotation, so the axis dynamics needs only the representatives.
-    """
-
-    r_order: int
-    s_count: int
-    subsystem_masses: tuple
-    representative_positions: Callable[[float], np.ndarray] = field(compare=False)
-
-    def __post_init__(self):
-        if self.r_order <= 1:
-            raise ParameterError(f"cyclic order must exceed 1, got {self.r_order}")
-        if self.s_count < 1:
-            raise ParameterError(f"need at least one subsystem, got {self.s_count}")
-        if len(self.subsystem_masses) != self.s_count:
-            raise ParameterError(
-                f"expected {self.s_count} subsystem masses, got {len(self.subsystem_masses)}"
-            )
-
-    @property
-    def N(self) -> int:
-        return self.r_order * self.s_count
-
-    @classmethod
-    def from_ring(cls, ring: RingConfig) -> "GeneralSymmetricConfig":
-        """The ring as a single subsystem of order N, turning at the unit
-        angular velocity of its radius from phase 0 at t = 0."""
-
-        def rep(t: float) -> np.ndarray:
-            return np.array([[ring.radius * math.cos(t), ring.radius * math.sin(t), 0.0]])
-
-        return cls(
-            r_order=ring.N,
-            s_count=1,
-            subsystem_masses=(ring.primary_mass,),
-            representative_positions=rep,
-        )

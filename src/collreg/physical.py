@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .config import GeneralSymmetricConfig, MassParams, RingConfig, primary_positions_3d
+from .config import MassParams, RingConfig, primary_positions_3d
 from .errors import CollisionError
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "hamiltonian",
     "physical_field",
     "make_physical_rhs",
-    "axis_field_general",
     "infinitesimal_accel_3d",
 ]
 
@@ -82,45 +81,6 @@ def make_physical_rhs(params: MassParams, ring: RingConfig):
         )
 
     return rhs
-
-
-def axis_field_general(
-    y, params: MassParams, general: GeneralSymmetricConfig, t: float = 0.0
-) -> np.ndarray:
-    """Field for two secondaries on the symmetry axis of an arbitrary
-    rotation-symmetric primary solution, in the rescaled-mass normalization.
-
-    State layout (z1, z2, pz1, pz2) with z1 != z2.  Each subsystem contributes
-    r_order * mass_k * (z - z_k) / |x - q_k(t)|^3 where q_k(t) is the
-    representative position and the distance is the full 3-D one; on the axis
-    all r_order images of a representative are equidistant from the secondary.
-    """
-    z1, z2, p1, p2 = (float(v) for v in y)
-    if z1 == z2:
-        raise CollisionError(f"secondaries collide at z1 = z2 = {z1}")
-    e, m = params.epsilon, params.m
-    a, b = 1.0 + e, 1.0 - e
-    reps = np.asarray(general.representative_positions(t), dtype=float)
-    ring1 = 0.0
-    ring2 = 0.0
-    for k in range(general.s_count):
-        xk, yk, zk = reps[k]
-        horiz = xk * xk + yk * yk
-        w = general.r_order * general.subsystem_masses[k]
-        d1 = (horiz + (z1 - zk) ** 2) ** 1.5
-        d2 = (horiz + (z2 - zk) ** 2) ** 1.5
-        ring1 += w * (z1 - zk) / d1
-        ring2 += w * (z2 - zk) / d2
-    mutual = m * a * b / (z1 - z2) ** 2
-    sgn = 1.0 if z1 > z2 else -1.0
-    return np.array(
-        [
-            p1 / a,
-            p2 / b,
-            -a * ring1 - sgn * mutual,
-            -b * ring2 + sgn * mutual,
-        ]
-    )
 
 
 def infinitesimal_accel_3d(z, ring: RingConfig, phase=0.0) -> np.ndarray:

@@ -162,19 +162,27 @@ def check_field_gradient():
 
 
 def check_general_equivalence():
+    # physical_field against a sum made apart from it: pull(z), the axial
+    # component of the N primaries' pull summed body by body in 3-D at a
+    # random ring phase a state, and the mutual terms written out
     rng = np.random.default_rng(SEED + 7)
+    params = MassParams(m=1e-3, epsilon=0.3)
+    a, b = params.alpha, params.beta
     errs = []
     for N in (2, 3, 5, 8):
         ring = RingConfig.for_count(N)
-        gen = config.GeneralSymmetricConfig.from_ring(ring)
-        params = MassParams(m=1e-3, epsilon=0.3)
+        ys, phase = [], []
         for _ in range(25):
             q2 = rng.uniform(-2.0, 1.0)
             q1 = q2 + rng.uniform(0.3, 3.0)
-            y = np.array([q1, q2, rng.uniform(-2, 2), rng.uniform(-2, 2)])
-            d = physical.axis_field_general(y, params, gen, t=rng.uniform(0, 10)) \
-                - physical.physical_field(y, params, ring)
-            errs.append(np.abs(d))
+            ys.append((q1, q2, rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            phase.append(rng.uniform(0, 10))
+        ys = np.array(ys)
+        pull = physical.infinitesimal_accel_3d(ys[:, :2], ring, np.array(phase)[:, None])[..., 2]
+        for (q1, q2, p1, p2), (pull1, pull2) in zip(ys.tolist(), pull.tolist()):
+            mutual = params.m * a * b / (q1 - q2) ** 2
+            want = (p1 / a, p2 / b, a * pull1 - mutual, b * pull2 + mutual)
+            errs.append(np.abs(physical.physical_field((q1, q2, p1, p2), params, ring) - want))
     return _record(errs, 1e-13)
 
 

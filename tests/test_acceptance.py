@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from collreg import (
-    GeneralSymmetricConfig,
     IntegratorConfig,
     MassParams,
     RingConfig,

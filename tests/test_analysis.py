@@ -241,6 +241,16 @@ def test_level_set_empty_is_not_an_error():
     assert pts.shape == (0, 2)
 
 
+@pytest.mark.parametrize("q1_range, p1_range, name", [
+    ((0.0, 0.0), (-3.0, 3.0), "Q1"), ((-0.0, 0.0), (-3.0, 3.0), "Q1"),
+    ((1.0, 1.0), (-3.0, 3.0), "Q1"), ((-4.0, 4.0), (2.0, 2.0), "P1"),
+])
+def test_level_set_refuses_a_range_with_equal_ends(q1_range, p1_range, name):
+    a = 4.0 * ring_radius(3)
+    with pytest.raises(DomainError, match=f"needs a {name} range with two distinct ends"):
+        level_set_sample(-1.0, 1e-3, a, q1_range, p1_range, 21)
+
+
 def test_first_integral_along_regularized_flow():
     ring = RingConfig.for_count(3)
     m, h = 1e-3, -1.0

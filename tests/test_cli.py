@@ -551,6 +551,24 @@ def test_period_refuses_a_non_finite_step(capsys, setting):
     assert captured.err.count("\n") == 1 and not captured.out
 
 
+@pytest.mark.parametrize("step", ["0", "-0.0", "-1e-3"])
+def test_period_refuses_a_step_that_is_not_positive_before_the_flow(monkeypatch, capsys,
+                                                                   step):
+    # a zero step used to end in a ZeroDivisionError from the step budget
+    def no_work(*args, **kwargs):
+        raise AssertionError("the period flow started")
+
+    monkeypatch.setattr(analysis, "integrate", no_work)
+    message = f"step must be positive and finite, got {float(step)}"
+    with pytest.raises(ParameterError, match=message):
+        analysis.period(-1.0, 1e-3, ring_radius(3), method="flow", step=float(step))
+    with pytest.raises(ParameterError, match=message):
+        analysis.period_report(-1.0, 1e-3, 3, step=float(step))
+    assert main(["period", "--h", "-1", "--m", "1e-3", "--N", "3", f"--step={step}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
+
+
 def test_period_refuses_zero_nodes_before_the_flow(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the period flow started")
@@ -689,6 +707,18 @@ def test_levelset_refuses_a_non_finite_window(tmp_path, capsys, flag, value):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "grid window" in captured.err
+    assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--qmax", "Q1"), ("--pmax", "P1")])
+def test_levelset_refuses_a_window_of_zero_width(tmp_path, capsys, flag, name):
+    # (-0.0, 0.0) used to give 402 rows of 4 distinct points
+    out = tmp_path / "ls.csv"
+    argv = ["levelset", "--h", "-1", "--m", "1e-3", "--N", "3", flag, "0", "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: the level set needs a {name} range with two distinct "
+                            f"ends, got {name} range (-0.0, 0.0)\n")
     assert not captured.out and not out.exists()
 
 

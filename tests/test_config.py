@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from collreg import (
-    GeneralSymmetricConfig,
     MassParams,
     ParameterError,
     RingConfig,
@@ -110,33 +109,3 @@ def test_primary_positions_geometry():
             as_sorted = np.sort(pos.round(12), axis=0)
             rot_sorted = np.sort(rot.round(12), axis=0)
             assert np.allclose(as_sorted, rot_sorted, atol=1e-10)
-
-
-def test_general_config_validation():
-    ring = RingConfig.for_count(6)
-    with pytest.raises(ParameterError):
-        GeneralSymmetricConfig(1, 1, (0.5,), lambda t: np.zeros((1, 3)))
-    with pytest.raises(ParameterError):
-        GeneralSymmetricConfig(3, 2, (0.5,), lambda t: np.zeros((2, 3)))
-    gen = GeneralSymmetricConfig.from_ring(ring)
-    assert gen.N == 6 and gen.s_count == 1 and gen.subsystem_masses == (1.0 / 6.0,)
-
-
-def test_general_config_rotation_symmetry():
-    # rotating the representative by 2 pi / r about the z axis leaves the
-    # generated configuration invariant at sampled times
-    ring = RingConfig.for_count(5)
-    gen = GeneralSymmetricConfig.from_ring(ring)
-    ang = 2.0 * math.pi / gen.r_order
-    rot = np.array([
-        [math.cos(ang), -math.sin(ang), 0.0],
-        [math.sin(ang), math.cos(ang), 0.0],
-        [0.0, 0.0, 1.0],
-    ])
-    for t in (0.0, 1.3, 11.8):
-        rep = gen.representative_positions(t)[0]
-        images = {tuple(np.round(np.linalg.matrix_power(rot, j) @ rep, 10)) for j in range(5)}
-        shifted = {
-            tuple(np.round(np.linalg.matrix_power(rot, j) @ (rot @ rep), 10)) for j in range(5)
-        }
-        assert images == shifted

@@ -5,10 +5,8 @@ import pytest
 
 from collreg import (
     CollisionError,
-    GeneralSymmetricConfig,
     MassParams,
     RingConfig,
-    axis_field_general,
     canonical_form,
     hamiltonian,
     infinitesimal_accel_3d,
@@ -126,45 +124,6 @@ def test_field_is_symplectic_gradient():
                        - hamiltonian(y - e, params, ring)) / (2 * s)
         worst = max(worst, float(np.max(np.abs(omega @ grad - physical_field(y, params, ring)))))
     assert worst < 1e-7
-
-
-def test_axis_field_matches_ring_specialization():
-    rng = np.random.default_rng(37)
-    for N in (2, 3, 4, 8):
-        ring = RingConfig.for_count(N)
-        gen = GeneralSymmetricConfig.from_ring(ring)
-        params = MassParams(m=1e-3, epsilon=0.25)
-        for _ in range(25):
-            q2 = rng.uniform(-2.0, 1.0)
-            q1 = q2 + rng.uniform(0.2, 3.0)
-            y = np.array([q1, q2, rng.uniform(-2, 2), rng.uniform(-2, 2)])
-            diff = axis_field_general(y, params, gen, t=rng.uniform(0, 20)) \
-                - physical_field(y, params, ring)
-            assert np.max(np.abs(diff)) < 1e-13
-
-
-def test_axis_field_action_reaction():
-    # isolate the mutual terms with a massless ring: they must be exactly
-    # equal and opposite on the two bodies
-    ring = RingConfig.for_count(3)
-    gen = GeneralSymmetricConfig(
-        r_order=3, s_count=1, subsystem_masses=(0.0,),
-        representative_positions=GeneralSymmetricConfig.from_ring(ring).representative_positions,
-    )
-    params = MassParams(m=1e-3, epsilon=0.4)
-    for y in ([0.6, -0.4, 0.1, 0.2], [-0.3, 0.8, 0.0, -1.0]):
-        f = axis_field_general(y, params, gen)
-        assert f[2] == -f[3] and f[2] != 0.0
-        attractive = -1.0 if y[0] > y[1] else 1.0
-        assert math.copysign(1.0, f[2]) == attractive
-
-
-def test_axis_field_collision_error():
-    ring = RingConfig.for_count(3)
-    gen = GeneralSymmetricConfig.from_ring(ring)
-    params = MassParams(m=1e-3, epsilon=0.0)
-    with pytest.raises(CollisionError):
-        axis_field_general([0.5, 0.5, 0.0, 0.0], params, gen)
 
 
 def test_accel_3d_closed_form():

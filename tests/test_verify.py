@@ -36,6 +36,7 @@ def _refusing(limit=10**4, exc=DomainError):
 
 @pytest.mark.parametrize("module, name, check", [
     (physical, "infinitesimal_accel_3d", verify.check_axis_invariance),
+    (physical, "infinitesimal_accel_3d", verify.check_general_equivalence),
     (regularized, "gamma", verify.check_collision_momentum),
     (regularized, "gamma", verify.check_defining_identity),
     (regularized, "gamma", verify.check_collision_regularity),
@@ -49,6 +50,25 @@ def test_nan_error_fails_the_check(monkeypatch, module, name, check):
     rec = check()
     assert rec["passed"] is False
     assert math.isnan(rec["measured"])
+
+
+def test_general_equivalence_sees_a_ring_pull_off_by_1e_10(monkeypatch):
+    # the field is checked against the N-body sum, not against itself: a ring
+    # pull scaled by 1 + 1e-10, mutual terms untouched, fails the check
+    orig = physical.physical_field
+
+    def skewed(y, params, ring):
+        f = orig(y, params, ring)
+        mutual = params.m * params.alpha * params.beta / (y[0] - y[1]) ** 2
+        f[2] = (f[2] + mutual) * (1.0 + 1e-10) - mutual
+        f[3] = (f[3] - mutual) * (1.0 + 1e-10) + mutual
+        return f
+
+    assert verify.check_general_equivalence()["passed"] is True
+    monkeypatch.setattr(physical, "physical_field", skewed)
+    rec = verify.check_general_equivalence()
+    assert rec["passed"] is False
+    assert 1e-13 < rec["measured"] < 1e-9
 
 
 def test_check_with_no_samples_fails(monkeypatch):
