@@ -214,7 +214,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         # H's level; the oracle's first sample is the start itself
         level = float(cfg["h"]) if "h" in cfg else float(traj.invariant[0])
         extras = {
-            "terminal_speed": float(traj.states[-1][2]),
+            "terminal_speed": float(traj.states[-1][2]) / params.alpha,  # dq1/dt
             "energy_drift": traj.metadata["energy_drift"],
             "initial_energy_mismatch": abs(float(traj.invariant[0]) - level),
         }

@@ -90,12 +90,9 @@ def ring_radius(N: int) -> float:
     """
     if N < 2:
         raise ParameterError(f"need at least two primaries, got N={N}")
-    if N % 2 == 1:
-        terms = [1.0 / math.sin(math.pi * g / N) for g in range(1, N // 2 + 1)]
-        cube = sum(terms) / (2.0 * N)
-    else:
-        terms = [1.0 / math.sin(math.pi * g / N) for g in range(1, N // 2)]
-        cube = (0.5 + sum(terms)) / (2.0 * N)
+    # summed from a generator, not a list: N = 3e7 would hold 1.5e7 floats
+    terms = (1.0 / math.sin(math.pi * g / N) for g in range(1, (N + 1) // 2))
+    cube = ((0.0 if N % 2 else 0.5) + sum(terms)) / (2.0 * N)
     return cube ** (1.0 / 3.0)
 
 

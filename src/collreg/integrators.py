@@ -29,10 +29,10 @@ dt/dtau, in two pieces on a step with an event, split at the event.
 
 Trajectory CSV files go through one writer, _CsvWriter.  A simulation opens
 it before the march and hands it each block of samples the level guard has
-passed (integrate's on_block), which the writer keeps as raw floats: a
-helper process forked at the first block formats every block as it comes
+passed (integrate's on_block): a helper process forked at the first block
+is sent every block's floats down a pipe and formats them as they come
 while the march goes on, and when the march ends this process only waits
-for the helper to format the last one.  A file written after the fact
+for the helper to format the last ones.  A file written after the fact
 (write_regularized_csv without a writer, write_physical_csv, the level set)
 hands the same writer all its blocks at once, and this process formats
 them, as it does wherever no helper may be forked, with the same bytes.
@@ -58,7 +58,6 @@ import re
 import stat
 import struct
 import sys
-import tempfile
 import threading
 import warnings
 from array import array
@@ -648,11 +647,6 @@ def integrate_physical_oracle(
     )
 
 
-# The trajectory writer's pipe message: a block's offset and size in the raw
-# file and its row count.
-_MESSAGE = struct.Struct("qqq")
-
-
 class _CsvWriter:
     """One CSV file: its header, then every row of the blocks handed to
     write, in order, each float as '%.17g' % v (_format).  A block is given
@@ -661,17 +655,17 @@ class _CsvWriter:
     every row.  finish(rows) completes the file once all rows, as many as it
     is told, have come.
 
-    write formats nothing: it keeps a block's floats in an unlinked
-    temporary file, the raw file.  rows is the number of rows a march is to
-    hand over while it runs; from two blocks of GUARD_BLOCK rows on, a
-    helper (_Helper) is forked at the first write where one may be, so that
-    a run refused before its first block forks none.  The helper formats
-    every block into the file as write sends its place down a pipe, while
-    this process goes on; write never waits on it, and finish waits for it
-    to format the last block.  Without a helper, finish formats every block.
-    The bytes are the same either way.  Closing a writer that was not
-    finished stops its helper and removes its file, so that only a finished
-    CSV is left at path.
+    rows is the number of rows a march is to hand over while it runs; from
+    two blocks of GUARD_BLOCK rows on, a helper (_Helper) is forked at the
+    first write where one may be, so that a run refused before its first
+    block forks none.  write then sends each block's floats down a pipe of
+    1 MiB where the system allows it, about four blocks of the regularized
+    CSV, and the helper formats them into the file while this process goes
+    on; write waits only on a helper that far behind, and finish waits for
+    it to format the last rows.  Without a helper, write formats each block
+    itself.  The bytes are the same either way.  Closing a writer that was
+    not finished stops its helper and removes its file, so that only a
+    finished CSV is left at path.
     """
 
     def __init__(self, path, header, rows, zeros=()):
@@ -679,13 +673,11 @@ class _CsvWriter:
         self.path = path
         self._zeros = zeros
         self._fork_at_write = rows >= 2 * GUARD_BLOCK
-        self._rows = 0
+        self._rows = self._width = 0
         self._finished = False
-        self._blocks = []  # (offset, size, rows) of each block in the raw file
-        self._raw = self._helper = self._outbox = None  # set below
+        self._helper = self._outbox = None
         try:
             self._fh.write(header.encode())
-            self._raw = tempfile.TemporaryFile()
         except BaseException:
             self.close()
             raise
@@ -697,56 +689,46 @@ class _CsvWriter:
         self.close()
 
     def _fork(self):
-        self._pending = bytearray()  # messages the pipe had no room for yet
         inbox, self._outbox = os.pipe()
         self._fh.flush()  # the helper inherits no buffered bytes
         try:
             helper = _Helper(lambda: self._serve(inbox))
         finally:
             os.close(inbox)
-        if helper.pid is None:  # no helper may be forked: finish formats every block
+        if helper.pid is None:  # no helper may be forked: write formats every block
             os.close(self._outbox)
             self._outbox = None
-        else:
-            self._helper = helper
-            os.set_blocking(self._outbox, False)
+            return
+        self._helper = helper
+        with contextlib.suppress(AttributeError, OSError):
+            import fcntl  # present wherever os.fork is; F_SETPIPE_SZ is Linux's
+
+            fcntl.fcntl(self._outbox, fcntl.F_SETPIPE_SZ, 1 << 20)
 
     def _serve(self, inbox):
-        """The helper's loop: format each block into the file as its message
-        arrives on the pipe's read end inbox, until the pipe closes."""
+        """The helper's loop: format the rows that come down the pipe's read
+        end inbox into the file, GUARD_BLOCK at a time, until it closes."""
         os.close(self._outbox)
-        with open(inbox, "rb") as messages, \
-                open(self._fh.fileno(), "wb", closefd=False) as fh:
-            while msg := messages.read(_MESSAGE.size):
-                fh.writelines(self._formatted(*_MESSAGE.unpack(msg)))
-
-    def _formatted(self, offset, size, rows):
-        return _format(np.frombuffer(os.pread(self._raw.fileno(), size, offset)).reshape(rows, -1))
+        with open(inbox, "rb") as floats, open(self._fh.fileno(), "wb", closefd=False) as fh:
+            while block := floats.read(GUARD_BLOCK * self._width * 8):
+                fh.writelines(_format(np.frombuffer(block).reshape(-1, self._width)))
 
     def write(self, *columns):
         values = np.column_stack(columns)
         if self._zeros:
             values = np.insert(values, self._zeros, 0.0, axis=1)
-        block = (self._raw.tell(), values.nbytes, len(values))
-        self._raw.write(values)
-        self._raw.flush()
-        self._blocks.append(block)
         self._rows += len(values)
         if self._fork_at_write:
             self._fork_at_write = False
+            self._width = values.shape[1]
             self._fork()
-        if self._helper is not None:
-            self._send(_MESSAGE.pack(*block))
-
-    def _send(self, msg):
-        """msg and any messages still queued, as far as the pipe takes them
-        without waiting; finish makes the pipe wait for the rest."""
-        self._pending += msg
+        if self._helper is None:
+            self._fh.writelines(_format(values))
+            return
+        unsent = memoryview(values).cast("B")
         try:
-            while self._pending:
-                del self._pending[:os.write(self._outbox, self._pending)]
-        except BlockingIOError:
-            pass
+            while unsent:  # a signal may cut a write short
+                unsent = unsent[os.write(self._outbox, unsent):]
         except BrokenPipeError:  # the helper leaves before its pipe closes only by failing
             self._join()
             raise
@@ -754,12 +736,7 @@ class _CsvWriter:
     def finish(self, rows):
         if rows != self._rows:
             raise ValueError(f"a CSV of {rows} rows was handed {self._rows}")
-        if self._helper is None:
-            for block in self._blocks:
-                self._fh.writelines(self._formatted(*block))
-        else:
-            os.set_blocking(self._outbox, True)
-            self._send(b"")
+        if self._helper is not None:
             os.close(self._outbox)
             self._outbox = None
             self._join()
@@ -780,8 +757,6 @@ class _CsvWriter:
         if self._outbox is not None:
             os.close(self._outbox)
             self._outbox = None
-        if self._raw is not None:
-            self._raw.close()
         if not (self._finished or self._fh.closed):
             # only the regular file this writer made, not a device or a file
             # put at path since

@@ -136,6 +136,27 @@ def test_simulate_hyperbolic_terminal_speed(tmp_path, capsys):
     assert any(e["kind"] == "escape_threshold" for e in events)
 
 
+def test_simulate_terminal_speed_is_dq1_dt_at_unequal_masses(tmp_path, capsys):
+    # at epsilon = 0.3 the first secondary's velocity is p1 / (1 + epsilon);
+    # both secondaries escape from this start, at its own level
+    outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
+    cfgp = tmp_path / "esc.json"
+    cfgp.write_text(json.dumps({
+        "schema": 1, "problem": "sitnikov", "N": 2, "m": 1e-3, "epsilon": 0.3,
+        "initial": {"chart": "physical", "state": [1.0, -1.0, 2.0, -1.5]},
+        "span": 1e6, "stop_at_q": 1e3, "outputs": outs}))
+    assert main(["simulate", str(cfgp)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary").read_text())
+    assert [e["kind"] for e in summary["events"]] == ["escape_threshold"]
+    assert summary["terminal_speed"] == summary["final_state"][2] / 1.3
+    # the first secondary keeps its own energy p1^2/2.6 - 1.3/sqrt(q1^2 + r^2)
+    # but for the mutual term (m = 1e-3), so at q1 = 1e3 its speed is
+    energy = 2.0 ** 2 / 2.6 - 1.3 / math.sqrt(1.0 + 0.25)
+    speed = math.sqrt(2.0 * (energy + 1.3 / math.sqrt(1e6 + 0.25)) / 1.3)
+    assert abs(summary["terminal_speed"] - speed) / speed < 2e-3
+
+
 def test_simulate_physical_summary_reports_the_largest_energy_error(tmp_path, capsys):
     # the oracle's invariant column is H, and the level is the config's h:
     # this start lies 1.1956 off h = 0.25, which the summary must not hide

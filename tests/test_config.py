@@ -76,6 +76,20 @@ def test_ring_radius_parity_relation():
         assert abs(2.0 * N * r**3 - target) < 1e-12
 
 
+def test_ring_radius_holds_no_list_of_its_terms():
+    # the N/2 terms are summed as they come: a list of them would peak at
+    # about 16 MB for N = 10**6
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ring_radius(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_ring_radius_rejects_small_n():
     with pytest.raises(ParameterError):
         ring_radius(1)

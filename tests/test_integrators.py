@@ -1088,18 +1088,47 @@ def test_a_csv_fed_by_the_march_matches_the_row_by_row_reference(tmp_path, monke
                   on_block=print)
 
 
-def test_the_csv_writer_never_waits_on_its_helper(tmp_path):
-    # with the helper stopped, 8192 one-row blocks send more messages than a
-    # pipe holds (64 KiB on Linux); write queues what the pipe refuses, and
-    # finish delivers it once the helper runs again.  A write that waited
-    # would wait for good, so an alarm fails the test after 30 s
+@pytest.mark.parametrize("problem", ["reduced", "kepler1d"])
+def test_a_2d_csv_streamed_through_the_helper_matches_the_row_by_row_reference(
+        tmp_path, monkeypatch, forks, problem):
+    # 20001 samples of a 2-D state, enough for a helper: it is sent rows of
+    # (tau, t, Q1, 0, P1, 0, gamma), with the zero columns the writer puts in,
+    # and writes the bytes that the run's own process writes without it
+    if problem == "reduced":
+        p, y0 = Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius), (0.5, -1.0)
+    else:
+        p, y0 = Problem.kepler1d(-0.5, 1.0), (0.0, 1.0)
+    written = []
+    for helper in (True, False):
+        if not helper:
+            monkeypatch.setattr(integrators, "_can_fork", lambda: False)
+        path = tmp_path / f"{helper}.csv"
+        with integrators.open_regularized_csv(path, 2, 20001) as csv:
+            traj = integrate(p.field, p.project(y0), 20.0, IntegratorConfig(step=1e-3),
+                             time_scale=p.clock, invariant=p.gamma, on_block=csv.write)
+            write_regularized_csv(traj, path, csv)
+        assert len(traj) == 20001 and len(forks) == 1 and _no_child_left()
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == _reference_regularized_csv(traj, p.gamma)
+
+
+def test_the_csv_writer_does_not_wait_on_a_helper_within_its_pipe(tmp_path):
+    # with the helper stopped, 3 * GUARD_BLOCK one-row blocks send 96 KiB:
+    # more than a pipe holds by default (64 KiB on Linux), less than the
+    # 1 MiB the writer gives its pipe, so no write waits; finish delivers
+    # the rows once the helper runs again.  A write that waited would wait
+    # for good, so an alarm fails the test after 30 s
+    import fcntl
     import signal
+
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the writer cannot resize its pipe here")
 
     def waited(*_):
         raise TimeoutError("the CSV writer waited on its stopped helper")
 
     path = tmp_path / "rows.csv"
-    values = np.arange(2 * integrators.GUARD_BLOCK, dtype=float) / 3.0
+    values = np.arange(3 * integrators.GUARD_BLOCK, dtype=float) / 3.0
     alarm = signal.signal(signal.SIGALRM, waited)
     signal.setitimer(signal.ITIMER_REAL, 30.0)
     try:
@@ -1110,7 +1139,6 @@ def test_the_csv_writer_never_waits_on_its_helper(tmp_path):
             try:
                 for v in values[1:]:
                     csv.write(np.array([v]))
-                assert len(csv._pending) > 0
             finally:
                 os.kill(csv._helper.pid, signal.SIGCONT)
             csv.finish(len(values))
