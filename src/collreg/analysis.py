@@ -352,7 +352,7 @@ def kepler1d_validation(h: float, mu_grav: float) -> dict:
     v0 = 2.0 * math.sqrt(mu_grav)
     n_steps = _smooth_count(round(span / 5e-4) + 1) - 1
     cfg = IntegratorConfig(method="implicit_midpoint", step=span / n_steps)
-    traj = integrate(p.field, (0.0, v0), span, cfg, time_scale=p.clock)
+    traj = integrate(p.field, (0.0, v0), span, cfg)
 
     us = traj.states[:, 0]
     residual = np.max(np.abs(p.gamma(traj.states.T)))

@@ -139,8 +139,6 @@ def validate_run_config(cfg) -> dict:
     for key in ("step", "newton_tol"):
         if key in integ:
             settings[key] = float(_require_number(integ, key, f"integrator.{key}"))
-    if "newton_max_iter" in integ:
-        _require(integ, "newton_max_iter", int, "integrator.newton_max_iter")
     try:
         cfg["_integrator"] = IntegratorConfig(**settings)
     except Exception as exc:
@@ -213,11 +211,13 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         write_physical_csv(traj, outputs["trajectory"])
         # H's level; the oracle's first sample is the start itself
         level = float(cfg["h"]) if "h" in cfg else float(traj.invariant[0])
-        extras = {
-            "terminal_speed": float(traj.states[-1][2]) / params.alpha,  # dq1/dt
-            "energy_drift": traj.metadata["energy_drift"],
-            "initial_energy_mismatch": abs(float(traj.invariant[0]) - level),
-        }
+        extras = {}
+        escaped = [e.detail for e in traj.events if e.kind == "escape_threshold"]
+        if escaped:  # dq/dt of the secondary that reached stop_at_q
+            k, mass = (3, params.beta) if escaped[0] == "body 2" else (2, params.alpha)
+            extras["terminal_speed"] = float(traj.states[-1][k]) / mass
+        extras["energy_drift"] = traj.metadata["energy_drift"]
+        extras["initial_energy_mismatch"] = abs(float(traj.invariant[0]) - level)
     else:
         p = _problem(cfg)
         y0 = p.project(state)

@@ -96,12 +96,15 @@ INVARIANT_LIMIT = 1e-3
 # call on a state ~0.8 us (2-core Xeon VM, Python 3.11, numpy 2.4).
 GUARD_BLOCK = 4096
 
+# The midpoint solve's budget: sweeps after a march's own, then Newton iterations.
+SWEEPS = 9
+NEWTON_ITERATIONS = 40
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "implicit_midpoint"
     step: float = 1e-3
     newton_tol: float = 1e-13
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -110,8 +113,6 @@ class IntegratorConfig:
             raise ParameterError(f"step must be positive and finite, got {self.step}")
         if not 0.0 < self.newton_tol < math.inf:
             raise ParameterError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if not self.newton_max_iter >= 1:
-            raise ParameterError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -161,20 +162,21 @@ def _tuple_state(y) -> tuple:
     return tuple(float(v) for v in np.asarray(y, dtype=float).ravel())
 
 
-def _solve(field, y, a, dstep, tol, max_iter):
-    """Sweeps 1, 2, ... of the midpoint solve for the step from y, starting
-    from a, the iterate of the march's own first sweep (sweep 0).
+def _solve(field, y, a, dstep, tol):
+    """Sweeps 1 to SWEEPS of the midpoint solve for the step from y, starting
+    from a, the iterate of the march's own first sweep (sweep 0), then the
+    damped Newton solve from the last sweep's iterate.
 
     Each sweep is a <- y + dstep * field((y + a)/2), until the largest
-    component change is within tol * (1 + max|y_k|); the damped Newton solve
-    takes over after the tenth sweep.  max() over the components keeps its
-    first argument against a NaN, so the NaN test sees one only in the first
-    component; integrate's finiteness test catches the others.
+    component change is within tol * (1 + max|y_k|).  max() over the
+    components keeps its first argument against a NaN, so the NaN test sees
+    one only in the first component; integrate's finiteness test catches the
+    others.
     """
     n = range(len(y))
     scale = 1.0 + max([abs(v) for v in y])
     bound = tol * scale
-    for it in range(1, max_iter):
+    for _ in range(SWEEPS):
         f = field(tuple([0.5 * (y[k] + a[k]) for k in n]))
         c = tuple([y[k] + dstep * f[k] for k in n])
         delta = max([abs(c[k] - a[k]) for k in n])
@@ -183,31 +185,29 @@ def _solve(field, y, a, dstep, tol, max_iter):
             raise _midpoint_nan()
         if delta <= bound:
             return a
-        if it >= 9:
-            return _midpoint_newton(field, y, a, dstep, tol, max_iter - it - 1, scale)
-    raise _midpoint_stalled(field, y, a, dstep, max_iter)
+    return _midpoint_newton(field, y, a, dstep, tol, scale)
 
 
 def _midpoint_nan() -> StepFailure:
     return StepFailure("non-finite value in the midpoint iteration", residual=float("nan"))
 
 
-def _midpoint_stalled(field, y, yn, dstep, max_iter) -> StepFailure:
-    res = _np_residual(field, np.array(y), np.array(yn), dstep)
-    return StepFailure(
-        f"implicit midpoint failed to converge within {max_iter} iterations",
-        residual=float(np.max(np.abs(res))),
-    )
-
-
-def _midpoint_newton(field, y, yn, dstep, tol, budget, scale):
-    """Damped Newton fallback for steps too large for fixed-point contraction."""
+def _midpoint_newton(field, y, yn, dstep, tol, scale):
+    """Damped Newton fallback for steps too large for fixed-point contraction:
+    at most NEWTON_ITERATIONS iterations from yn until the residual is within
+    tol * scale, each step halved up to 30 times until the residual drops.  A
+    singular system, a damping underflow or an exhausted budget raises
+    StepFailure with the residual of the last accepted iterate."""
     n = len(y)
     yv = np.array(y)
     x = np.array(yn)
-    res = _np_residual(field, yv, x, dstep)
+
+    def residual(x):
+        return x - yv - dstep * np.array(field(tuple(0.5 * (yv + x))))
+
+    res = residual(x)
     rnorm = float(np.max(np.abs(res)))
-    for _ in range(max(budget, 1)):
+    for _ in range(NEWTON_ITERATIONS):
         mid = 0.5 * (yv + x)
         jac = fd_jacobian(lambda w: field(tuple(w)), mid, step=1e-7)
         try:
@@ -217,7 +217,7 @@ def _midpoint_newton(field, y, yn, dstep, tol, budget, scale):
         damping = 1.0
         for _ in range(30):
             x_try = x + damping * dx
-            res_try = _np_residual(field, yv, x_try, dstep)
+            res_try = residual(x_try)
             rt = float(np.max(np.abs(res_try)))
             if rt < rnorm or rt <= tol * scale:
                 x, res, rnorm = x_try, res_try, rt
@@ -231,11 +231,6 @@ def _midpoint_newton(field, y, yn, dstep, tol, budget, scale):
         "implicit midpoint Newton fallback exhausted its iteration budget",
         residual=rnorm,
     )
-
-
-def _np_residual(field, y, x, dstep):
-    f = np.array(field(tuple(0.5 * (y + x))))
-    return x - y - dstep * f
 
 
 def _hermite_eval(s, y0, y1, d0, d1):
@@ -417,8 +412,8 @@ def integrate(
 
     try:
         try:
-            _MARCHES[n](field, y, dstep, n_steps, cfg.newton_tol, cfg.newton_max_iter,
-                  time_scale, stop_after, record_every, table, events, settle)
+            _MARCHES[n](field, y, dstep, n_steps, cfg.newton_tol, time_scale, stop_after,
+                        record_every, table, events, settle)
         except StepFailure:
             settle()  # an off-level sample before the failure fails the run first
             raise
@@ -472,8 +467,8 @@ def integrate(
 # holds a $ after the fields are filled is written once per component.  The
 # template has no comment, brace or $ of its own.
 _MARCH = """\
-def _march{n}(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record_every,
-              table, events, settle):
+def _march{n}(field, y, dstep, n_steps, tol, clock, stop_after, record_every, table,
+              events, settle):
     {comma:y$} = y
     d0$ = d1$ = d2$ = d3$ = d4$ = 0.0
     t = 0.0
@@ -494,7 +489,7 @@ def _march{n}(field, y, dstep, n_steps, tol, max_iter, clock, stop_after, record
             if not delta <= bound:
                 if delta != delta:
                     raise _midpoint_nan()
-                {comma:c$} = _solve(field, ({comma:y$}), ({comma:c$}), dstep, tol, max_iter)
+                {comma:c$} = _solve(field, ({comma:y$}), ({comma:c$}), dstep, tol)
             if {plus:(c$ - c$)} != 0.0:
                 raise _non_finite(i, dstep)
         d4$, d3$, d2$, d1$, d0$ = d3$, d2$, d1$, d0$, c$ - y$
@@ -577,9 +572,11 @@ def integrate_physical_oracle(
     Terminates with a proximity event when the separation q1 - q2 drops to the
     guard distance, which must be positive (the chart is singular at q1 = q2;
     near-collision work belongs to the regularized chart).  Optionally
-    terminates with an escape event when q1 reaches stop_at_q.  Both clocks
-    coincide in this chart.  The invariant column is H at each sample.  DOP853
-    runs at the relative tolerance 1e-12 and an absolute one of 1e-2 times that.
+    terminates with an escape event when either secondary reaches stop_at_q
+    from the ring plane, q1 >= stop_at_q or q2 <= -stop_at_q; the event's
+    detail is "body 2" when q2 crossed.  Both clocks coincide in this chart.
+    The invariant column is H at each sample.  DOP853 runs at the relative
+    tolerance 1e-12 and an absolute one of 1e-2 times that.
     """
     if not guard > 0.0:
         raise ParameterError(f"the proximity guard must be positive, got {guard}")
@@ -609,7 +606,7 @@ def integrate_physical_oracle(
 
     if stop_at_q is not None:
         def escape(_, yv):
-            return yv[0] - stop_at_q
+            return max(yv[0], -yv[1]) - stop_at_q
 
         escape.terminal = True
         escape.direction = 1.0
@@ -630,12 +627,14 @@ def integrate_physical_oracle(
     states = sol.y.T
     events = []
     # t_events holds the proximity times, then the escape times when asked for
-    for found, kind, detail in zip(sol.t_events, ("collision", "escape_threshold"),
-                                   ("proximity_abort", None)):
+    for found, kind in zip(sol.t_events, ("collision", "escape_threshold")):
         if len(found):
             te = float(found[0])
+            state = tuple(sol.sol(te))
+            detail = "proximity_abort" if kind == "collision" else (
+                "body 2" if -state[1] > state[0] else None)
             events.append(Event(index=len(sol.t) - 1, kind=kind, tau=te, t=te,
-                                state=tuple(sol.sol(te)), detail=detail))
+                                state=state, detail=detail))
     energy = np.array([hamiltonian(s, params, ring) for s in states])
     return Trajectory(
         tau=sol.t,

@@ -424,7 +424,7 @@ def check_gamma_conservation():
     p = regularized.Problem.reduced(-1.0, m, 4.0 * RingConfig.for_count(2).radius)
     cfg = integrators.IntegratorConfig(step=1e-3, newton_tol=1e-14)
     traj = integrators.integrate(p.field, (0.0, math.sqrt(2.0 * m)), 40.0, cfg,
-                                 time_scale=p.clock, invariant=p.gamma)
+                                 invariant=p.gamma)
     evs = traj.collision_events()
     if len(evs) < 3:
         return _record(math.inf, 1e-8, detail="too few collision passages")

@@ -136,25 +136,66 @@ def test_simulate_hyperbolic_terminal_speed(tmp_path, capsys):
     assert any(e["kind"] == "escape_threshold" for e in events)
 
 
-def test_simulate_terminal_speed_is_dq1_dt_at_unequal_masses(tmp_path, capsys):
-    # at epsilon = 0.3 the first secondary's velocity is p1 / (1 + epsilon);
-    # both secondaries escape from this start, at its own level
+def _escape_run(tmp_path, state):
+    """A physical run at epsilon = 0.3 from state, at its own level, to
+    stop_at_q 1e3; returns its summary and events."""
     outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
     cfgp = tmp_path / "esc.json"
     cfgp.write_text(json.dumps({
         "schema": 1, "problem": "sitnikov", "N": 2, "m": 1e-3, "epsilon": 0.3,
-        "initial": {"chart": "physical", "state": [1.0, -1.0, 2.0, -1.5]},
+        "initial": {"chart": "physical", "state": state},
         "span": 1e6, "stop_at_q": 1e3, "outputs": outs}))
     assert main(["simulate", str(cfgp)]) == 0
+    return (json.loads((tmp_path / "summary").read_text()),
+            json.loads((tmp_path / "events").read_text()))
+
+
+def test_simulate_terminal_speed_is_dq1_dt_at_unequal_masses(tmp_path, capsys):
+    # at epsilon = 0.3 the first secondary's velocity is p1 / (1 + epsilon);
+    # it escapes from this start while the second stays near q2 = -1.8
+    summary, events = _escape_run(tmp_path, [1.0, -1.0, 2.0, -0.8])
     capsys.readouterr()
-    summary = json.loads((tmp_path / "summary").read_text())
     assert [e["kind"] for e in summary["events"]] == ["escape_threshold"]
+    assert "detail" not in events[0] and abs(events[0]["state"][0] - 1e3) < 1e-9
     assert summary["terminal_speed"] == summary["final_state"][2] / 1.3
     # the first secondary keeps its own energy p1^2/2.6 - 1.3/sqrt(q1^2 + r^2)
     # but for the mutual term (m = 1e-3), so at q1 = 1e3 its speed is
     energy = 2.0 ** 2 / 2.6 - 1.3 / math.sqrt(1.0 + 0.25)
     speed = math.sqrt(2.0 * (energy + 1.3 / math.sqrt(1e6 + 0.25)) / 1.3)
     assert abs(summary["terminal_speed"] - speed) / speed < 2e-3
+
+
+@pytest.mark.parametrize("p1, p2, t_end", [
+    # the second secondary reaches q2 = -1e3 at t ~ 595, the first would at t ~ 1301
+    (2.0, -1.5, 595.41),
+    # the epsilon = 0 escape's momentum: at epsilon = 0.3 the first secondary's
+    # own energy is negative, so only the second escapes
+    (1.4280596563168613, -1.4280596563168613, 646.88),
+])
+def test_simulate_terminal_speed_is_dq2_dt_when_the_second_secondary_escapes(
+        tmp_path, capsys, p1, p2, t_end):
+    summary, events = _escape_run(tmp_path, [1.0, -1.0, p1, p2])
+    capsys.readouterr()
+    assert [(e["kind"], e.get("detail")) for e in events] == [("escape_threshold", "body 2")]
+    assert abs(events[0]["state"][1] + 1e3) < 1e-9
+    assert abs(summary["t_end"] - t_end) < 0.01
+    # the second secondary's velocity is p2 / (1 - epsilon), and it keeps its
+    # own energy p2^2/1.4 - 0.7/sqrt(q2^2 + r^2) but for the mutual term
+    assert summary["terminal_speed"] == summary["final_state"][3] / 0.7
+    energy = p2 ** 2 / 1.4 - 0.7 / math.sqrt(1.0 + 0.25)
+    speed = -math.sqrt(2.0 * (energy + 0.7 / math.sqrt(1e6 + 0.25)) / 0.7)
+    assert abs(summary["terminal_speed"] - speed) / -speed < 2e-3
+
+
+def test_simulate_reports_no_terminal_speed_without_an_escape(tmp_path, capsys):
+    # from this start the run ends at the proximity guard, not at stop_at_q,
+    # so it has no terminal speed to report
+    summary, events = _escape_run(tmp_path, [1.0, -1.0, 1.0, -0.8])
+    capsys.readouterr()
+    assert [(e["kind"], e.get("detail")) for e in events] == [("collision", "proximity_abort")]
+    assert abs(summary["t_end"] - 17.13) < 0.01
+    assert "terminal_speed" not in summary
+    assert {"energy_drift", "initial_energy_mismatch"} <= summary.keys()
 
 
 def test_simulate_physical_summary_reports_the_largest_energy_error(tmp_path, capsys):
@@ -519,15 +560,17 @@ def test_non_positive_masses_are_refused(tmp_path, capsys, problem, field, value
     assert not (tmp_path / "run_trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("value, field", [
-    (0, "integrator"), (-3, "integrator"), (2.5, "integrator.newton_max_iter"),
-])
-def test_bad_newton_max_iter_is_a_config_error(tmp_path, capsys, value, field):
+@pytest.mark.parametrize("value", [0, -3, 2.5, 50])
+def test_bad_newton_max_iter_is_a_config_error(tmp_path, capsys, value):
+    # the solve's iteration budget is no setting, so the key is refused as
+    # any unknown one, even at the value the budget has
     cfgp = tmp_path / "run.json"
     write_config(cfgp, integrator={"method": "implicit_midpoint", "step": 1e-3,
                                    "newton_max_iter": value})
     assert main(["simulate", str(cfgp)]) == 2
-    assert f"configuration error (field {field})" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error (field integrator.newton_max_iter)" in err
+    assert "unknown integrator setting 'newton_max_iter'" in err
     assert not (tmp_path / "run_trajectory.csv").exists()
 
 

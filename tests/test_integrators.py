@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -61,17 +62,22 @@ def test_midpoint_second_order_richardson():
 
 
 def test_midpoint_step_failure_carries_residual():
-    cfg = IntegratorConfig(step=10.0, newton_tol=1e-16, newton_max_iter=2)
+    # the sweeps do not contract and the Newton fallback cannot lower the
+    # residual of its first iterate either, whatever its damping
+    cfg = IntegratorConfig(step=10.0, newton_tol=1e-16)
     stiff = lambda y: (math.sin(100.0 * y[0]) * 50.0, -50.0 * y[0])
-    with pytest.raises(StepFailure) as err:
+    with pytest.raises(StepFailure, match="midpoint Newton damping underflow") as err:
         integrate(stiff, (1.0, 0.0), 10.0, cfg)
     assert math.isfinite(err.value.residual) and err.value.residual > 0.0
+    with pytest.raises(StepFailure) as ref:
+        _reference_midpoint(stiff, (1.0, 0.0), 10.0, cfg.newton_tol)
+    assert err.value.residual == ref.value.residual
 
 
 def test_midpoint_newton_fallback_handles_moderately_large_steps():
     # a step too large for the fixed-point contraction still converges via
     # the damped Newton path
-    cfg = IntegratorConfig(step=1.9, newton_tol=1e-13, newton_max_iter=50)
+    cfg = IntegratorConfig(step=1.9, newton_tol=1e-13)
     y = integrate(oscillator, (1.0, 0.0), 1.9, cfg).states[-1]
     # implicit midpoint of the rotation field is the Cayley rotation map
     th = 1.9
@@ -496,18 +502,23 @@ def test_invalid_method_rejected():
         IntegratorConfig(step=0.0)
 
 
-def test_newton_max_iter_below_one_is_refused():
-    for value in (0, -3):
-        with pytest.raises(ParameterError):
-            IntegratorConfig(newton_max_iter=value)
+def test_the_midpoint_solve_budget_is_no_setting():
+    # 9 sweeps after a march's own, then at most 40 Newton iterations
+    assert [f.name for f in dataclasses.fields(IntegratorConfig)] == [
+        "method", "step", "newton_tol"]
+    assert (integrators.SWEEPS, integrators.NEWTON_ITERATIONS) == (9, 40)
+    with pytest.raises(TypeError):
+        IntegratorConfig(newton_max_iter=50)
 
 
 # -- the midpoint solve and march against generic references --
 
-def _reference_midpoint(field, y, dstep, tol, max_iter, guess=None):
+def _reference_midpoint(field, y, dstep, tol, guess=None):
     """Generic tuple-comprehension midpoint solve, any state size: the same
     sweeps, stopping test and Newton hand-off as the kernels, started from
-    guess, or from the explicit-Euler predictor when guess is None."""
+    guess, or from the explicit-Euler predictor when guess is None.  The
+    first sweep and the 9 after it, then the Newton fallback with its own 40
+    iterations."""
     n = len(y)
     if guess is None:
         f0 = field(y)
@@ -515,7 +526,7 @@ def _reference_midpoint(field, y, dstep, tol, max_iter, guess=None):
     else:
         yn = guess
     scale = 1.0 + max(abs(v) for v in y)
-    for it in range(max_iter):
+    for _ in range(10):
         fm = field(tuple(0.5 * (y[k] + yn[k]) for k in range(n)))
         cand = tuple(y[k] + dstep * fm[k] for k in range(n))
         delta = max(abs(cand[k] - yn[k]) for k in range(n))
@@ -524,13 +535,7 @@ def _reference_midpoint(field, y, dstep, tol, max_iter, guess=None):
             raise StepFailure("non-finite value", residual=float("nan"))
         if delta <= tol * scale:
             return yn
-        if it >= 9:
-            return integrators._midpoint_newton(
-                field, y, yn, dstep, tol, max_iter - it - 1, scale
-            )
-    fm = field(tuple(0.5 * (y[k] + yn[k]) for k in range(n)))
-    raise StepFailure("no convergence",
-                      residual=max(abs(yn[k] - y[k] - dstep * fm[k]) for k in range(n)))
+    return integrators._midpoint_newton(field, y, yn, dstep, tol, scale)
 
 
 def _counting(field):
@@ -559,7 +564,7 @@ def _assert_step_matches_reference(field, y, cfg):
     f_ref, n_ref = _counting(field)
     y = tuple(map(float, y))
     got = integrate(f_new, y, cfg.step, cfg).states[-1]
-    ref = np.array(_reference_midpoint(f_ref, y, cfg.step, cfg.newton_tol, cfg.newton_max_iter))
+    ref = np.array(_reference_midpoint(f_ref, y, cfg.step, cfg.newton_tol))
     assert got.tobytes() == ref.tobytes()
     assert n_new[0] == n_ref[0]
 
@@ -578,7 +583,7 @@ def _reference_march(field, y, span, cfg, clock, invariant, record_every=1, stop
     for i in range(1, n_steps + 1):
         y_prev = march[-1]
         guess = _quintic_guess(y_prev, march[-2:-7:-1]) if i > 5 else None
-        y = _reference_midpoint(field, y_prev, dstep, cfg.newton_tol, cfg.newton_max_iter, guess)
+        y = _reference_midpoint(field, y_prev, dstep, cfg.newton_tol, guess)
         march.append(y)
         if y_prev[0] * y[0] < 0.0 or (y[0] == 0.0 and y_prev[0] != 0.0):
             f_prev, f_next = field(y_prev), field(y)
@@ -623,8 +628,8 @@ def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
                 f_ref, n_ref = _counting(field)
                 fm = f_new(tuple(0.5 * (y[k] + guess[k]) for k in range(n)))
                 first = tuple(y[k] + dstep * fm[k] for k in range(n))
-                got = integrators._solve(f_new, y, first, dstep, tol, cfg.newton_max_iter)
-                ref = _reference_midpoint(f_ref, y, dstep, tol, cfg.newton_max_iter, guess)
+                got = integrators._solve(f_new, y, first, dstep, tol)
+                ref = _reference_midpoint(f_ref, y, dstep, tol, guess)
                 assert np.array(got).tobytes() == np.array(ref).tobytes()
                 assert n_new[0] == n_ref[0]
 
@@ -689,18 +694,22 @@ def test_midpoint_kernels_match_the_generic_solve_through_the_newton_fallback(mo
     monkeypatch.setattr(integrators, "_midpoint_newton", watched)
     # a step of 1.9 on a rotation contracts the sweeps by only 0.95
     rotation4 = lambda y: (y[2], y[3], -y[0], -y[1])
-    cfg = IntegratorConfig(step=1.9, newton_tol=1e-13, newton_max_iter=50)
+    cfg = IntegratorConfig(step=1.9, newton_tol=1e-13)
     _assert_step_matches_reference(oscillator, (1.0, 0.0), cfg)
     _assert_step_matches_reference(rotation4, (1.0, -0.5, 0.0, 0.25), cfg)
     assert entered[0] == 4  # kernel and reference, in each size
-    # a budget too small for either path fails with the same residual
-    cfg = IntegratorConfig(step=1.9, newton_max_iter=3)
-    for field, y in ((oscillator, (1.0, 0.0)), (rotation4, (1.0, -0.5, 0.0, 0.25))):
-        with pytest.raises(StepFailure) as got:
+    # a stiff component that Newton cannot settle either: both paths hand
+    # over, and fail with the same residual
+    stiff2 = lambda y: (50.0 * math.sin(100.0 * y[0]), -50.0 * y[0])
+    stiff4 = lambda y: (50.0 * math.sin(100.0 * y[0]), y[3], -50.0 * y[0], -y[1])
+    cfg = IntegratorConfig(step=1.9)
+    for field, y in ((stiff2, (1.0, 0.0)), (stiff4, (1.0, -0.5, 0.0, 0.25))):
+        with pytest.raises(StepFailure, match="midpoint Newton damping underflow") as got:
             integrate(field, y, 1.9, cfg)
         with pytest.raises(StepFailure) as ref:
-            _reference_midpoint(field, y, 1.9, cfg.newton_tol, cfg.newton_max_iter)
+            _reference_midpoint(field, y, 1.9, cfg.newton_tol)
         assert got.value.residual == ref.value.residual > 0.0
+    assert entered[0] == 8
 
 
 def test_midpoint_takes_only_2d_and_4d_states():
@@ -836,7 +845,7 @@ def test_extrapolated_march_stays_with_the_euler_guess_march():
         y = tuple(map(float, y0))
         euler = [y]
         for _ in range(2000):
-            y = _reference_midpoint(field, y, 1e-3, cfg.newton_tol, cfg.newton_max_iter)
+            y = _reference_midpoint(field, y, 1e-3, cfg.newton_tol)
             euler.append(y)
         assert len(traj) == 2001
         assert np.max(np.abs(traj.states - np.array(euler))) < 1e-10
@@ -879,7 +888,7 @@ def test_newton_fallback_and_step_failure_are_reached_through_the_march(monkeypa
     # each lands on the Cayley rotation of the step before
     th = 1.9
     traj = integrate(oscillator, (1.0, 0.0), 8 * th,
-                     IntegratorConfig(step=th, newton_tol=1e-13, newton_max_iter=50))
+                     IntegratorConfig(step=th, newton_tol=1e-13))
     assert entered[0] == 8
     c, s = (1.0 - th * th / 4.0) / (1.0 + th * th / 4.0), th / (1.0 + th * th / 4.0)
     y = np.array([1.0, 0.0])
@@ -888,18 +897,18 @@ def test_newton_fallback_and_step_failure_are_reached_through_the_march(monkeypa
         y = np.array([c * y[0] + s * y[1], -s * y[0] + c * y[1]])
     # x' = s below s = 5 and stiff above it, with s the clock component: the
     # five Euler-guess steps converge in two sweeps, the sixth, the first
-    # seeded from history, stalls and fails with the residual of its last
-    # iterate
+    # seeded from history, hands over to Newton, which cannot lower its
+    # residual, and fails with the residual of its last accepted iterate
     stiffening = lambda y: (y[1] if y[1] < 5.0 else 50.0 * math.sin(100.0 * y[0]), 1.0)
-    cfg = IntegratorConfig(step=1.0, newton_max_iter=2)
-    with pytest.raises(StepFailure) as err:
+    cfg = IntegratorConfig(step=1.0)
+    with pytest.raises(StepFailure, match="midpoint Newton damping underflow") as err:
         integrate(stiffening, (1.0, 0.0), 8.0, cfg)
     part = err.value.trajectory
     assert part is not None and len(part) == 6
     y, *back = (tuple(part.states[k]) for k in (5, 4, 3, 2, 1, 0))
     guess = _quintic_guess(y, back)
     with pytest.raises(StepFailure) as ref:
-        _reference_midpoint(stiffening, y, 1.0, cfg.newton_tol, cfg.newton_max_iter, guess)
+        _reference_midpoint(stiffening, y, 1.0, cfg.newton_tol, guess)
     assert err.value.residual == ref.value.residual > 0.0
 
 
