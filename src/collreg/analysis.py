@@ -35,26 +35,32 @@ __all__ = [
 ]
 
 
+# Half width of the band around h = 0 that classify labels Parabolic.
+PARABOLIC_BAND = 1e-12
+# Gauss-Legendre nodes of the period quadrature, checked against twice as many.
+NODES = 128
+# Step in tau of the period's flow method.
+FLOW_STEP = 2e-4
+
+
 @dataclass(frozen=True)
 class OrbitClass:
     kind: str  # "Periodic" | "Parabolic" | "Hyperbolic"
     h: float
 
 
-def classify(h: float, tol: float = 1e-12) -> OrbitClass:
+def classify(h: float) -> OrbitClass:
     """Sign of the energy decides the fate of the symmetric problem:
     bounded collision-bounce motion, parabolic escape, or hyperbolic escape.
 
-    The tolerance band around h = 0 exists because exact parabolicity is
-    measure zero; it only relabels that boundary.
+    The band |h| <= PARABOLIC_BAND is labeled Parabolic because exact
+    parabolicity is measure zero; it only relabels that boundary.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ParameterError(f"tolerance must be nonnegative and finite, got {tol}")
     if math.isnan(h):
         raise DomainError("the energy h is NaN; no orbit class")
-    if h < -tol:
+    if h < -PARABOLIC_BAND:
         kind = "Periodic"
-    elif h > tol:
+    elif h > PARABOLIC_BAND:
         kind = "Hyperbolic"
     else:
         kind = "Parabolic"
@@ -133,16 +139,16 @@ def _gauss_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _period_quadrature(h: float, m: float, r: float, nodes: int) -> float:
+def _period_quadrature(h: float, m: float, r: float) -> float:
     """T = 2 * integral_0^qmax dq / p(q) after q = qmax sin^2(theta).
 
     The substitution clusters Gauss-Legendre nodes quadratically at both ends,
     which tames the 1/sqrt(q) start (for m > 0), the sqrt(qmax - q) top, and
     the O(sqrt(m)) boundary layer where the mutual term hands over to the ring
-    term.  Raises AccuracyError when doubling the nodes moves the answer.
+    term.  Raises AccuracyError when 2 * NODES nodes move the answer of NODES.
     """
     qmax = turning_point(h, m, r)
-    x, w = _gauss_nodes(nodes)
+    x, w = _gauss_nodes(NODES)
 
     # p^2 = (qmax - q) S(q) with h eliminated through p(qmax) = 0, so that
     # the factor vanishing at the top is exact instead of a difference of
@@ -163,11 +169,11 @@ def _period_quadrature(h: float, m: float, r: float, nodes: int) -> float:
         return math.pi * math.sqrt(qmax) * acc
 
     value = total(x, w)
-    x2, w2 = _gauss_nodes(2 * nodes)
+    x2, w2 = _gauss_nodes(2 * NODES)
     check = total(x2, w2)
     if abs(check - value) > 1e-8 * max(1.0, abs(value)):
         raise AccuracyError(
-            f"period quadrature not converged at {nodes} nodes "
+            f"period quadrature not converged at {NODES} nodes "
             f"(refinement moved it by {abs(check - value):.3e})"
         )
     return check
@@ -177,7 +183,7 @@ def _period_quadrature(h: float, m: float, r: float, nodes: int) -> float:
 _PERIOD_TAU_CAP = 50.0 * 4.0**5
 # Most steps the flow method may need before it gives up without marching.
 # The half loop takes at least about 2/sqrt(|h|) in tau near h = 0, so at the
-# default step 2e-4 the budget admits |h| down to about 1e-6.
+# default step FLOW_STEP the budget admits |h| down to about 1e-6.
 _PERIOD_STEP_BUDGET = 10**7
 
 
@@ -216,29 +222,26 @@ def _period_flow(h: float, m: float, r: float, step: float):
 
 
 def period(h: float, m: float, r: float, method: str = "quadrature",
-           nodes: int = 128, step: float = 2e-4) -> float:
+           step: float = FLOW_STEP) -> float:
     """Physical-time period of the symmetric collision orbit at energy h < 0.
 
     quadrature: 2 * integral of dq/p with the endpoint-taming substitution.
     flow: fictitious-time integration of the regularized system from collision
     to collision, reading the physical period off the dual clock.
     """
-    _check_period_inputs(h, m, nodes, step if method == "flow" else None)
+    _check_period_inputs(h, m, step if method == "flow" else None)
     if method == "quadrature":
-        return _period_quadrature(h, m, r, nodes)
+        return _period_quadrature(h, m, r)
     if method == "flow":
         return _period_flow(h, m, r, step)[0]
     raise ParameterError(f"unknown period method {method!r}")
 
 
-def _check_period_inputs(h: float, m: float, nodes: int, flow_step: float | None) -> None:
-    """Refuse fewer than one quadrature node, a non-finite h or m, an energy
-    with no periodic orbit, and for the flow method (flow_step not None) a
-    mass with no collision to start from or a step that is not positive and
-    finite; a parabolic or hyperbolic orbit, or the rest point at m = 0,
-    would never return."""
-    if not nodes >= 1:
-        raise ParameterError(f"nodes must be a positive integer, got {nodes}")
+def _check_period_inputs(h: float, m: float, flow_step: float | None) -> None:
+    """Refuse a non-finite h or m, an energy with no periodic orbit, and for
+    the flow method (flow_step not None) a mass with no collision to start
+    from or a step that is not positive and finite; a parabolic or hyperbolic
+    orbit, or the rest point at m = 0, would never return."""
     if not (math.isfinite(h) and math.isfinite(m)):
         raise DomainError(f"the period needs a finite h and m, got h={h}, m={m}")
     if not h < 0.0:
@@ -249,18 +252,18 @@ def _check_period_inputs(h: float, m: float, nodes: int, flow_step: float | None
         raise ParameterError(f"step must be positive and finite, got {flow_step}")
 
 
-def period_report(h: float, m: float, N: int, nodes: int = 128, step: float = 2e-4) -> dict:
+def period_report(h: float, m: float, N: int, step: float = FLOW_STEP) -> dict:
     """Both period computations plus the fictitious-time period of the full
     closed orbit (two collision passages in the double cover).  Refuses
-    h >= 0, m <= 0 and nodes < 1 before any work, as period does."""
-    _check_period_inputs(h, m, nodes, step)
+    h >= 0 and m <= 0 before any work, as period does."""
+    _check_period_inputs(h, m, step)
     r = ring_radius(N)
     T_flow, tau_half = _period_flow(h, m, r, step)
     return {
         "h": h,
         "m": m,
         "N": N,
-        "T_quadrature": _period_quadrature(h, m, r, nodes),
+        "T_quadrature": _period_quadrature(h, m, r),
         "T_flow": T_flow,
         "tau_period": 2.0 * tau_half,
     }

@@ -21,7 +21,8 @@ momentum are refused.  "integrator" applies to regularized-chart runs
 only: a physical-chart run validates the block but integrates with the
 scipy oracle, which none of its settings reaches.  Every number in a
 configuration must be finite (no NaN, no infinity) and not a boolean; the
-masses m and mu_grav and the physical chart's guard must be positive.
+masses m and mu_grav must be positive.  A top-level key outside RUN_KEYS,
+like an integrator setting that IntegratorConfig does not take, is refused.
 Numeric file output uses 17 significant digits and LF line endings, so a
 fixed configuration yields byte-identical data files.
 """
@@ -56,6 +57,8 @@ from .integrators import (
 from .regularized import Problem
 
 PROBLEMS = ("sitnikov", "reduced", "kepler1d")
+RUN_KEYS = ("schema", "problem", "N", "m", "epsilon", "h", "mu_grav", "initial",
+            "integrator", "span", "outputs", "stop_at_q", "sweep")
 
 
 def _require(cfg: dict, field: str, types, name: str | None = None) -> object:
@@ -90,6 +93,9 @@ def validate_run_config(cfg) -> dict:
         raise SchemaError("config must be a JSON object")
     if cfg.get("schema") != 1:
         raise SchemaError(f"unsupported schema {cfg.get('schema')!r}", field="schema")
+    for key in cfg:
+        if key not in RUN_KEYS:
+            raise SchemaError(f"unknown run setting {key!r}; choose from {RUN_KEYS}", field=key)
     problem = _require(cfg, "problem", str)
     if problem not in PROBLEMS:
         raise SchemaError(f"unknown problem {problem!r}", field="problem")
@@ -118,10 +124,10 @@ def validate_run_config(cfg) -> dict:
     else:
         _require(cfg, "N", int)
         numbers = ["m", "epsilon"] + (["h"] if chart == "regularized" or "h" in cfg else [])
-    numbers += [name for name in ("guard", "stop_at_q") if name in cfg]
+    numbers += ["stop_at_q"] if "stop_at_q" in cfg else []
     for name in numbers:
         _require_number(cfg, name)
-    for name in ("m", "mu_grav", "guard"):
+    for name in ("m", "mu_grav"):
         if name in numbers and not cfg[name] > 0:
             raise SchemaError(f"field {name!r} must be positive, got {cfg[name]!r}", field=name)
     if problem == "reduced" and cfg["epsilon"] != 0:
@@ -203,11 +209,8 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
     if problem == "sitnikov" and cfg["initial"]["chart"] == "physical":
         params = MassParams(m=float(cfg["m"]), epsilon=float(cfg["epsilon"]))
         ring = RingConfig.for_count(int(cfg["N"]))
-        # guard and stop_at_q left out take the oracle's defaults
-        traj = integrate_physical_oracle(
-            state, span, params, ring,
-            **{k: float(cfg[k]) for k in ("guard", "stop_at_q") if k in cfg},
-        )
+        stop_at_q = float(cfg["stop_at_q"]) if "stop_at_q" in cfg else None
+        traj = integrate_physical_oracle(state, span, params, ring, stop_at_q=stop_at_q)
         write_physical_csv(traj, outputs["trajectory"])
         # H's level; the oracle's first sample is the start itself
         level = float(cfg["h"]) if "h" in cfg else float(traj.invariant[0])
@@ -334,7 +337,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    oc = analysis.classify(args.h, args.tol)
+    oc = analysis.classify(args.h)
     print(oc.kind)
     return 0
 
@@ -351,8 +354,7 @@ def cmd_levelset(args) -> int:
 
 
 def cmd_period(args) -> int:
-    report = analysis.period_report(args.h, args.m, args.N,
-                                    nodes=args.nodes, step=args.step)
+    report = analysis.period_report(args.h, args.m, args.N, step=args.step)
     if args.output:
         write_json(report, args.output)
     print(json.dumps(report, indent=1))
@@ -393,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="orbit class from the energy")
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="half width of the band labeled Parabolic (default 1e-12)")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("levelset", help="sample the reduced level curve into a CSV")
@@ -411,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--nodes", type=int, default=128)
-    p.add_argument("--step", type=float, default=2e-4)
+    p.add_argument("--step", type=float, default=analysis.FLOW_STEP)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_period)
 

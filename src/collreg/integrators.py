@@ -43,8 +43,8 @@ block of the 1e5-step benchmark run as the march hands it over.
 
 A conventional adaptive Runge-Kutta pair (through scipy) integrates the
 physical chart as an equivalence oracle; it is valid only away from
-collisions and aborts at a configurable proximity guard, which is precisely
-the failure mode the regularized chart removes.
+collisions and aborts at the proximity guard PROXIMITY_GUARD, which is
+precisely the failure mode the regularized chart removes.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ GUARD_BLOCK = 4096
 # The midpoint solve's budget: sweeps after a march's own, then Newton iterations.
 SWEEPS = 9
 NEWTON_ITERATIONS = 40
+
+# Separation q1 - q2 at which integrate_physical_oracle stops short of a collision.
+PROXIMITY_GUARD = 1e-4
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -162,20 +165,18 @@ def _tuple_state(y) -> tuple:
     return tuple(float(v) for v in np.asarray(y, dtype=float).ravel())
 
 
-def _solve(field, y, a, dstep, tol):
+def _solve(field, y, a, dstep, bound):
     """Sweeps 1 to SWEEPS of the midpoint solve for the step from y, starting
     from a, the iterate of the march's own first sweep (sweep 0), then the
     damped Newton solve from the last sweep's iterate.
 
     Each sweep is a <- y + dstep * field((y + a)/2), until the largest
-    component change is within tol * (1 + max|y_k|).  max() over the
-    components keeps its first argument against a NaN, so the NaN test sees
-    one only in the first component; integrate's finiteness test catches the
-    others.
+    component change is within bound, the march's tol * (1 + max|y_k|).
+    max() over the components keeps its first argument against a NaN, so the
+    NaN test sees one only in the first component; integrate's finiteness
+    test catches the others.
     """
     n = range(len(y))
-    scale = 1.0 + max([abs(v) for v in y])
-    bound = tol * scale
     for _ in range(SWEEPS):
         f = field(tuple([0.5 * (y[k] + a[k]) for k in n]))
         c = tuple([y[k] + dstep * f[k] for k in n])
@@ -185,17 +186,17 @@ def _solve(field, y, a, dstep, tol):
             raise _midpoint_nan()
         if delta <= bound:
             return a
-    return _midpoint_newton(field, y, a, dstep, tol, scale)
+    return _midpoint_newton(field, y, a, dstep, bound)
 
 
 def _midpoint_nan() -> StepFailure:
     return StepFailure("non-finite value in the midpoint iteration", residual=float("nan"))
 
 
-def _midpoint_newton(field, y, yn, dstep, tol, scale):
+def _midpoint_newton(field, y, yn, dstep, bound):
     """Damped Newton fallback for steps too large for fixed-point contraction:
     at most NEWTON_ITERATIONS iterations from yn until the residual is within
-    tol * scale, each step halved up to 30 times until the residual drops.  A
+    bound, each step halved up to 30 times until the residual drops.  A
     singular system, a damping underflow or an exhausted budget raises
     StepFailure with the residual of the last accepted iterate."""
     n = len(y)
@@ -219,13 +220,13 @@ def _midpoint_newton(field, y, yn, dstep, tol, scale):
             x_try = x + damping * dx
             res_try = residual(x_try)
             rt = float(np.max(np.abs(res_try)))
-            if rt < rnorm or rt <= tol * scale:
+            if rt < rnorm or rt <= bound:
                 x, res, rnorm = x_try, res_try, rt
                 break
             damping *= 0.5
         else:
             raise StepFailure("midpoint Newton damping underflow", residual=rnorm)
-        if rnorm <= tol * scale:
+        if rnorm <= bound:
             return tuple(x)
     raise StepFailure(
         "implicit midpoint Newton fallback exhausted its iteration budget",
@@ -489,7 +490,7 @@ def _march{n}(field, y, dstep, n_steps, tol, clock, stop_after, record_every, ta
             if not delta <= bound:
                 if delta != delta:
                     raise _midpoint_nan()
-                {comma:c$} = _solve(field, ({comma:y$}), ({comma:c$}), dstep, tol)
+                {comma:c$} = _solve(field, ({comma:y$}), ({comma:c$}), dstep, bound)
             if {plus:(c$ - c$)} != 0.0:
                 raise _non_finite(i, dstep)
         d4$, d3$, d2$, d1$, d0$ = d3$, d2$, d1$, d0$, c$ - y$
@@ -564,22 +565,20 @@ def integrate_physical_oracle(
     params: MassParams,
     ring: RingConfig,
     *,
-    guard: float = 1e-4,
     stop_at_q: Optional[float] = None,
 ) -> Trajectory:
     """Reference adaptive integration in the physical chart.
 
-    Terminates with a proximity event when the separation q1 - q2 drops to the
-    guard distance, which must be positive (the chart is singular at q1 = q2;
-    near-collision work belongs to the regularized chart).  Optionally
-    terminates with an escape event when either secondary reaches stop_at_q
-    from the ring plane, q1 >= stop_at_q or q2 <= -stop_at_q; the event's
-    detail is "body 2" when q2 crossed.  Both clocks coincide in this chart.
+    Terminates with a proximity event when the separation q1 - q2 drops to
+    PROXIMITY_GUARD (the chart is singular at q1 = q2; near-collision work
+    belongs to the regularized chart).  Optionally terminates with an escape
+    event when either secondary reaches stop_at_q from the ring plane,
+    q1 >= stop_at_q or q2 <= -stop_at_q; the event's detail is "body 2" when
+    q2 crossed.  A start already there, max(q1, -q2) >= stop_at_q, would never
+    cross and is refused.  Both clocks coincide in this chart.
     The invariant column is H at each sample.  DOP853 runs at the relative
     tolerance 1e-12 and an absolute one of 1e-2 times that.
     """
-    if not guard > 0.0:
-        raise ParameterError(f"the proximity guard must be positive, got {guard}")
     try:
         from scipy.integrate import solve_ivp
     except ImportError as exc:  # scipy is the optional oracle extra
@@ -588,17 +587,20 @@ def integrate_physical_oracle(
 
     tol = 1e-12
     y0 = _tuple_state(y0)
-    if not y0[0] - y0[1] > guard:
+    if not y0[0] - y0[1] > PROXIMITY_GUARD:
         raise CollisionError(
-            f"initial separation {y0[0] - y0[1]} is already inside the guard {guard}"
+            f"initial separation {y0[0] - y0[1]} is already inside the guard {PROXIMITY_GUARD}"
         )
+    if stop_at_q is not None and not max(y0[0], -y0[1]) < stop_at_q:
+        raise ParameterError(f"the start already lies at stop_at_q={stop_at_q} or beyond: "
+                             f"max(q1, -q2) = {max(y0[0], -y0[1])}")
     rhs_fast = make_physical_rhs(params, ring)
 
     def rhs(_, yv):
         return rhs_fast(tuple(yv))
 
     def proximity(_, yv):
-        return (yv[0] - yv[1]) - guard
+        return (yv[0] - yv[1]) - PROXIMITY_GUARD
 
     proximity.terminal = True
     proximity.direction = -1.0

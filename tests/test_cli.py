@@ -519,6 +519,7 @@ def test_a_run_that_cannot_fork_writes_the_same_bytes(tmp_path, capsys, monkeypa
     ("initial.state", [math.nan, 0.1, 1.0, 0.0]), ("initial.state", [0.0, 0.1, True, 0.0]),
     ("integrator.step", math.nan), ("integrator.step", True),
     ("integrator.newton_tol", math.inf), ("mu_grav", math.nan),
+    # guard is no setting (the proximity guard is a constant): refused as an unknown key
     ("guard", math.nan), ("stop_at_q", "far"),
 ])
 def test_non_finite_config_numbers_are_refused(tmp_path, capsys, field, value):
@@ -633,17 +634,6 @@ def test_period_refuses_a_step_that_is_not_positive_before_the_flow(monkeypatch,
     assert captured.err == f"error: {message}\n" and not captured.out
 
 
-def test_period_refuses_zero_nodes_before_the_flow(monkeypatch, capsys):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the period flow started")
-
-    monkeypatch.setattr(analysis, "integrate", no_work)
-    assert main(["period", "--h", "-1", "--m", "1e-3", "--N", "3", "--nodes", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: nodes must be a positive integer")
-    assert not captured.out
-
-
 @pytest.mark.parametrize("key", ["step", "newton_tol"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_integrator_config_refuses_a_non_finite_setting(key, value):
@@ -651,19 +641,49 @@ def test_integrator_config_refuses_a_non_finite_setting(key, value):
         IntegratorConfig(**{key: value})
 
 
-@pytest.mark.parametrize("guard", [-1e-4, 0])
-def test_a_nonpositive_guard_is_a_config_error(tmp_path, capsys, guard):
-    # the proximity event at q1 - q2 = guard cannot fire before the collision
+@pytest.mark.parametrize("key", ["spn", "stop_at_Q", "guard"])
+def test_an_unknown_top_level_key_is_refused(tmp_path, capsys, monkeypatch, key):
+    # a misspelt key, or guard (the proximity guard is a constant), would
+    # otherwise be ignored: a misspelt stop_at_q lets a physical run march
+    # its whole span
     cfgp = tmp_path / "run.json"
-    write_config(cfgp, problem="sitnikov", epsilon=0.2, h=0.25, guard=guard, span=50.0,
-                 initial={"chart": "physical", "state": [1.0, -1.0, 0.9, -0.9]})
+    write_config(cfgp, problem="sitnikov", epsilon=0.3, span=2.0, **{key: 3},
+                 initial={"chart": "physical", "state": [1.0, -1.0, 1.4, -1.4]})
     assert main(["simulate", str(cfgp)]) == 2
-    assert "configuration error (field guard)" in capsys.readouterr().err
+    assert f"configuration error (field {key}): unknown run setting" in capsys.readouterr().err
     assert not any(tmp_path.glob("run_*"))
-    with pytest.raises(ParameterError):
-        integrate_physical_oracle([1.0, -1.0, 0.9, -0.9], 1.0,
-                                  MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2),
-                                  guard=guard)
+    # in a sweep, on the merged entry: only that job fails
+    write_config(cfgp, span=1.0, sweep=[{}, {key: 3}])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out
+    assert f"sweep job 001 failed: SchemaError: unknown run setting {key!r}" in err
+    assert not list(tmp_path.glob("run_sweep001_*"))
+
+
+@pytest.mark.parametrize("stop_at_q", [-5.0, 0.0, 0.5, 1.0])
+def test_a_start_at_or_beyond_stop_at_q_is_refused_before_the_run(tmp_path, capsys,
+                                                                  monkeypatch, stop_at_q):
+    # the escape event fires only on a crossing, so from max(q1, -q2) = 1 >=
+    # stop_at_q the run would march its whole span of 1e6
+    import scipy.integrate
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the oracle integrated")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", no_run)
+    start = [1.0, -1.0, 1.4280596563168613, -1.4280596563168613]
+    with pytest.raises(ParameterError, match="already lies at stop_at_q"):
+        integrate_physical_oracle(start, 1e6, MassParams(m=1e-3, epsilon=0.3),
+                                  RingConfig.for_count(2), stop_at_q=stop_at_q)
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, problem="sitnikov", epsilon=0.3, span=1e6, stop_at_q=stop_at_q,
+                 initial={"chart": "physical", "state": start})
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"error: the start already lies at stop_at_q={stop_at_q}")
+    assert not any(tmp_path.glob("run_*"))
 
 
 def test_simulate_refuses_a_method_other_than_the_midpoint(tmp_path, capsys):
@@ -742,8 +762,8 @@ def test_schema_rejects_bad_state_length(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--h", "nan"],
-    ["classify", "--h", "-0.5", "--tol", "nan"],
-    ["classify", "--h", "-1", "--tol", "inf"],
+    ["period", "--h", "nan", "--m", "1e-3", "--N", "3"],
+    ["period", "--h", "-1", "--m", "inf", "--N", "3"],
     ["levelset", "--h", "nan", "--m", "1e-3", "--N", "3"],
     ["levelset", "--h", "-1", "--m", "nan", "--N", "3"],
     ["levelset", "--h", "inf", "--m", "1e-3", "--N", "3"],

@@ -535,7 +535,7 @@ def _reference_midpoint(field, y, dstep, tol, guess=None):
             raise StepFailure("non-finite value", residual=float("nan"))
         if delta <= tol * scale:
             return yn
-    return integrators._midpoint_newton(field, y, yn, dstep, tol, scale)
+    return integrators._midpoint_newton(field, y, yn, dstep, tol * scale)
 
 
 def _counting(field):
@@ -628,7 +628,8 @@ def test_midpoint_kernels_match_the_generic_solve_bit_for_bit():
                 f_ref, n_ref = _counting(field)
                 fm = f_new(tuple(0.5 * (y[k] + guess[k]) for k in range(n)))
                 first = tuple(y[k] + dstep * fm[k] for k in range(n))
-                got = integrators._solve(f_new, y, first, dstep, tol)
+                bound = tol * (1.0 + max(abs(v) for v in y))
+                got = integrators._solve(f_new, y, first, dstep, bound)
                 ref = _reference_midpoint(f_ref, y, dstep, tol, guess)
                 assert np.array(got).tobytes() == np.array(ref).tobytes()
                 assert n_new[0] == n_ref[0]

@@ -207,3 +207,6 @@ def test_oracle_proximity_abort_on_collision_orbit():
     assert len(aborts) == 1
     e = aborts[0]
     assert abs((e.state[0] - e.state[1]) - 1e-4) < 1e-10
+    # a start already inside the guard is refused before the oracle starts
+    with pytest.raises(CollisionError, match="already inside the guard 0.0001"):
+        integrate_physical_oracle([5e-5, -4e-5, p0, -p0], 1.0, params, ring)
