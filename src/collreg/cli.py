@@ -19,9 +19,10 @@ the ring parameters.  Regularized initial states are projected onto the
 energy level by solving for |P1| (sign preserved); states with no real
 momentum are refused.  "integrator" applies to regularized-chart runs
 only: a physical-chart run validates the block but integrates with the
-scipy oracle, which none of its settings reaches.  Every number in a
-configuration must be finite (no NaN, no infinity) and not a boolean; the
-masses m and mu_grav must be positive.  A top-level key outside RUN_KEYS,
+Gragg-Bulirsch-Stoer oracle, which none of its settings reaches.  Only
+that oracle reads "stop_at_q", so any other run refuses it.  Every number
+in a configuration must be finite (no NaN, no infinity) and not a boolean;
+the masses m and mu_grav must be positive.  A top-level key outside RUN_KEYS,
 like an integrator setting that IntegratorConfig does not take, is refused.
 Numeric file output uses 17 significant digits and LF line endings, so a
 fixed configuration yields byte-identical data files.
@@ -119,6 +120,8 @@ def validate_run_config(cfg) -> dict:
             f"initial.state must be {want} finite numbers for problem {problem!r}",
             field="initial.state",
         )
+    if "stop_at_q" in cfg and chart != "physical":
+        raise SchemaError("stop_at_q ends only a physical-chart run", field="stop_at_q")
     if problem == "kepler1d":
         numbers = ["mu_grav", "h"]
     else:

@@ -41,10 +41,14 @@ is a _Helper.  Every field of every CSV is '%.17g' % v, formatted in numpy
 (floatfmt) at about a third of the cost of %, so the helper formats each
 block of the 1e5-step benchmark run as the march hands it over.
 
-A conventional adaptive Runge-Kutta pair (through scipy) integrates the
-physical chart as an equivalence oracle; it is valid only away from
-collisions and aborts at the proximity guard PROXIMITY_GUARD, which is
-precisely the failure mode the regularized chart removes.
+Adaptive Gragg-Bulirsch-Stoer extrapolation (Hairer, Norsett & Wanner,
+Solving ODEs I, II.9; Deuflhard, Numer. Math. 41, 1983), written here on
+plain floats, integrates the physical chart as an equivalence oracle, a
+different method family in a different chart from the march it checks.  It
+is valid only away from collisions and aborts at the proximity guard
+PROXIMITY_GUARD, which is precisely the failure mode the regularized chart
+removes; its terminal events are located by the Illinois method on the
+length of the step in which they fire.
 """
 
 from __future__ import annotations
@@ -102,6 +106,15 @@ NEWTON_ITERATIONS = 40
 
 # Separation q1 - q2 at which integrate_physical_oracle stops short of a collision.
 PROXIMITY_GUARD = 1e-4
+
+# integrate_physical_oracle's extrapolation: the modified midpoint rule's
+# substep counts (Deuflhard's even sequence), the power of the step in the
+# error estimate that sizes the next step, and the tolerances that estimate
+# is held to.
+GBS_SEQUENCE = (2, 4, 6, 8, 10, 12, 14, 16)
+GBS_ORDER = 2 * len(GBS_SEQUENCE) - 1
+ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-14
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -559,6 +572,60 @@ def _bundle(table, n, invs, events) -> Trajectory:
     )
 
 
+def _gbs_step(rhs, y, f0, step):
+    """One Gragg-Bulirsch-Stoer step of length step from y, where f0 = rhs(y).
+    Gragg's modified midpoint rule crosses the step in each substep count n of
+    GBS_SEQUENCE, sharing f0; its error expands in even powers of step / n, so
+    a Richardson tableau in (step / n)^2 extrapolates the results to n -> oo.
+    Both run on the increment z - y, which rounds at its own small size and
+    not at y's, and y is added once at the end.  Returns the new state and
+    the difference of the tableau's last two entries, the error estimate of
+    the lower order one."""
+    row = []
+    for j, n in enumerate(GBS_SEQUENCE):
+        h = step / n
+        h2 = 2.0 * h
+        d0, d1 = (0.0,) * len(y), tuple(h * b for b in f0)
+        for _ in range(n - 1):
+            f = rhs(tuple(a + b for a, b in zip(y, d1)))
+            d0, d1 = d1, tuple(a + h2 * b for a, b in zip(d0, f))
+        new = [d1]
+        for k in range(j):
+            c = (n / GBS_SEQUENCE[j - k - 1]) ** 2 - 1.0
+            new.append(tuple(a + (a - b) / c for a, b in zip(new[k], row[k])))
+        row = new
+    return (tuple(a + b for a, b in zip(y, row[-1])),
+            tuple(a - b for a, b in zip(row[-1], row[-2])))
+
+
+def _illinois(trial, g, glo, hi, y_hi, t):
+    """The step length s in (0, hi] at which a terminal event function g first
+    reaches 0 along trial(s), the state one step of length s from the step's
+    start, given glo = g(trial(0)) < 0 <= g(y_hi) with y_hi = trial(hi).  The
+    bracket is narrowed by the Illinois method, regula falsi that halves the
+    value kept at an end the last two trials left in place, until its width
+    is 4 ulps of the clock t + hi.  Returns the end where g >= 0 and its state,
+    so the event state lies on the far side of the event."""
+    lo, ghi, kept = 0.0, g(y_hi), 0
+    while hi - lo > 4.0 * sys.float_info.epsilon * (t + hi):
+        s = lo + (hi - lo) * (glo / (glo - ghi))
+        if not lo < s < hi:
+            break
+        ys = trial(s)
+        gs = g(ys)
+        if gs >= 0.0:
+            hi, ghi, y_hi = s, gs, ys
+            if kept == 1:
+                glo *= 0.5
+            kept = 1
+        else:
+            lo, glo = s, gs
+            if kept == -1:
+                ghi *= 0.5
+            kept = -1
+    return hi, y_hi
+
+
 def integrate_physical_oracle(
     y0,
     t_span: float,
@@ -576,75 +643,86 @@ def integrate_physical_oracle(
     q1 >= stop_at_q or q2 <= -stop_at_q; the event's detail is "body 2" when
     q2 crossed.  A start already there, max(q1, -q2) >= stop_at_q, would never
     cross and is refused.  Both clocks coincide in this chart.
-    The invariant column is H at each sample.  DOP853 runs at the relative
-    tolerance 1e-12 and an absolute one of 1e-2 times that.
+    The invariant column is H at each sample, one sample a step.  Each step is
+    one Gragg-Bulirsch-Stoer extrapolation (_gbs_step), accepted when its
+    error estimate is within ORACLE_RTOL of the state plus ORACLE_ATOL in the
+    root mean square; a step in which an event fires is cut back to the event
+    by _illinois, one extrapolation from the step's start a trial.
     """
-    try:
-        from scipy.integrate import solve_ivp
-    except ImportError as exc:  # scipy is the optional oracle extra
-        raise RuntimeError("the physical-chart oracle needs scipy: "
-                           "pip install 'collreg[oracle]'") from exc
-
-    tol = 1e-12
-    y0 = _tuple_state(y0)
-    if not y0[0] - y0[1] > PROXIMITY_GUARD:
+    y = _tuple_state(y0)
+    if not 0.0 <= t_span < math.inf:
+        raise ParameterError(f"span must be nonnegative and finite, got {t_span}")
+    if not y[0] - y[1] > PROXIMITY_GUARD:
         raise CollisionError(
-            f"initial separation {y0[0] - y0[1]} is already inside the guard {PROXIMITY_GUARD}"
+            f"initial separation {y[0] - y[1]} is already inside the guard {PROXIMITY_GUARD}"
         )
-    if stop_at_q is not None and not max(y0[0], -y0[1]) < stop_at_q:
+    if stop_at_q is not None and not max(y[0], -y[1]) < stop_at_q:
         raise ParameterError(f"the start already lies at stop_at_q={stop_at_q} or beyond: "
-                             f"max(q1, -q2) = {max(y0[0], -y0[1])}")
-    rhs_fast = make_physical_rhs(params, ring)
-
-    def rhs(_, yv):
-        return rhs_fast(tuple(yv))
-
-    def proximity(_, yv):
-        return (yv[0] - yv[1]) - PROXIMITY_GUARD
-
-    proximity.terminal = True
-    proximity.direction = -1.0
-    ev_fns = [proximity]
-
+                             f"max(q1, -q2) = {max(y[0], -y[1])}")
+    # each terminal event as a function below 0 until it fires
+    watch = [("collision", lambda v: PROXIMITY_GUARD - (v[0] - v[1]))]
     if stop_at_q is not None:
-        def escape(_, yv):
-            return max(yv[0], -yv[1]) - stop_at_q
+        watch.append(("escape_threshold", lambda v: max(v[0], -v[1]) - stop_at_q))
 
-        escape.terminal = True
-        escape.direction = 1.0
-        ev_fns.append(escape)
+    def norm(d, v, w):
+        """Root mean square of d, each component over the tolerance at v and w."""
+        return math.sqrt(sum((c / (ORACLE_ATOL + ORACLE_RTOL * max(abs(a), abs(b)))) ** 2
+                             for a, b, c in zip(v, w, d)) / len(d))
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_span),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        events=ev_fns,
-        dense_output=True,
-    )
-    if sol.status == -1:
-        raise StepFailure(f"physical oracle failed: {sol.message}")
-    states = sol.y.T
+    def factor(err):
+        """The factor on the step that the error estimate err asks for, with
+        the safety factors of Hairer and Wanner's ODEX."""
+        return 0.94 * (0.65 / err) ** (1.0 / GBS_ORDER)
+
+    rhs = make_physical_rhs(params, ring)
+    f = rhs(y)
+    t, times, states, hit = 0.0, [0.0], [y], None
+    # the first step is the start's time scale, |y| / |f| in that norm; cap is
+    # the most a step may grow on the one before, 1 after a rejected step
+    step, cap = norm(y, y, y) / norm(f, y, y), 4.0
+    while t < t_span:
+        last = step >= t_span - t
+        if last:
+            step = t_span - t
+        y1, diff = _gbs_step(rhs, y, f, step)
+        err = norm(diff, y, y1)
+        if not err <= 1.0:  # NaN too, from a stage gone non-finite
+            step *= 0.02 if math.isnan(err) else max(0.02, factor(err))
+            cap = 1.0
+            if t + step == t:
+                raise StepFailure(f"physical oracle failed: its step fell below "
+                                  f"the spacing of floats at t={t}")
+            continue
+        for kind, g in watch:
+            if g(y1) >= 0.0:
+                s, ye = _illinois(lambda s: _gbs_step(rhs, y, f, s)[0], g, g(y), step, y1, t)
+                if hit is None or s < hit[0]:
+                    hit = (s, ye, kind)
+        if hit is not None:
+            step, y1, kind = hit
+        t = t_span if last and hit is None else t + step
+        times.append(t)
+        states.append(y1)
+        if last or hit is not None:
+            break
+        y, f = y1, rhs(y1)
+        step *= min(cap, factor(err)) if err > 0.0 else cap
+        cap = 4.0
     events = []
-    # t_events holds the proximity times, then the escape times when asked for
-    for found, kind in zip(sol.t_events, ("collision", "escape_threshold")):
-        if len(found):
-            te = float(found[0])
-            state = tuple(sol.sol(te))
-            detail = "proximity_abort" if kind == "collision" else (
-                "body 2" if -state[1] > state[0] else None)
-            events.append(Event(index=len(sol.t) - 1, kind=kind, tau=te, t=te,
-                                state=state, detail=detail))
+    if hit is not None:
+        detail = "proximity_abort" if kind == "collision" else (
+            "body 2" if -y1[1] > y1[0] else None)
+        events.append(Event(index=len(times) - 1, kind=kind, tau=t, t=t, state=y1,
+                            detail=detail))
     energy = np.array([hamiltonian(s, params, ring) for s in states])
+    times = np.array(times)
     return Trajectory(
-        tau=sol.t,
-        t=sol.t,
-        states=states,
+        tau=times,
+        t=times,
+        states=np.array(states),
         invariant=energy,
         events=events,
-        metadata={"dense": sol.sol, "energy_drift": float(abs(energy[-1] - energy[0]))},
+        metadata={"energy_drift": float(abs(energy[-1] - energy[0]))},
     )
 
 

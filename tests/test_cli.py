@@ -662,17 +662,46 @@ def test_an_unknown_top_level_key_is_refused(tmp_path, capsys, monkeypatch, key)
     assert not list(tmp_path.glob("run_sweep001_*"))
 
 
+@pytest.mark.parametrize("problem, h, state", [
+    ("sitnikov", -2.5, [0.0, 0.0, 1.0, 0.0]), ("reduced", -1.0, [0.5, -1.0]),
+    ("kepler1d", 0.5, [2.0, 1.0]),
+])
+def test_stop_at_q_is_refused_outside_a_physical_run(tmp_path, capsys, monkeypatch,
+                                                     problem, h, state):
+    # only the physical chart's oracle reads stop_at_q: a regularized run
+    # carrying it would march its whole span as if it were absent
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, problem=problem, epsilon=0.3 if problem == "sitnikov" else 0.0, h=h,
+                 span=20.0, initial={"chart": "regularized", "state": state}, stop_at_q=0.5,
+                 **({"mu_grav": 1.0} if problem == "kepler1d" else {}))
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "configuration error (field stop_at_q)" in err
+    assert not any(tmp_path.glob("run_*"))
+    # in a sweep, on the merged entry: only that job fails
+    cfg = json.loads(cfgp.read_text())
+    del cfg["stop_at_q"]
+    cfgp.write_text(json.dumps({**cfg, "span": 1.0, "sweep": [{}, {"stop_at_q": 0.5}]}))
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out
+    assert "sweep job 001 failed: SchemaError: stop_at_q ends only a physical-chart run" in err
+    assert not list(tmp_path.glob("run_sweep001_*"))
+
+
 @pytest.mark.parametrize("stop_at_q", [-5.0, 0.0, 0.5, 1.0])
 def test_a_start_at_or_beyond_stop_at_q_is_refused_before_the_run(tmp_path, capsys,
                                                                   monkeypatch, stop_at_q):
     # the escape event fires only on a crossing, so from max(q1, -q2) = 1 >=
     # stop_at_q the run would march its whole span of 1e6
-    import scipy.integrate
+    def no_field(params, ring):
+        def evaluated(y):
+            raise AssertionError("the oracle evaluated its field")
 
-    def no_run(*args, **kwargs):
-        raise AssertionError("the oracle integrated")
+        return evaluated
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", no_run)
+    monkeypatch.setattr(integrators, "make_physical_rhs", no_field)
     start = [1.0, -1.0, 1.4280596563168613, -1.4280596563168613]
     with pytest.raises(ParameterError, match="already lies at stop_at_q"):
         integrate_physical_oracle(start, 1e6, MassParams(m=1e-3, epsilon=0.3),
@@ -860,8 +889,8 @@ def test_levelset_csv_is_pinned(tmp_path, capsys):
     ["classify", "--h", "-1"],
 ], ids=lambda argv: argv[0])
 def test_analysis_commands_run_without_scipy(tmp_path, argv):
-    # scipy is only the physical-chart oracle; with it blocked, importing any
-    # part of it raises ImportError
+    # the package needs no scipy; with it blocked, importing any part of it
+    # raises ImportError
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
@@ -881,18 +910,30 @@ def test_importing_the_cli_leaves_the_invariant_suite_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
-def test_oracle_commands_without_scipy_exit_2_naming_the_extra(tmp_path, capsys, monkeypatch):
-    # a None entry makes `from scipy.integrate import ...` raise ImportError
-    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "installed"])
+def test_oracle_commands_run_without_scipy(tmp_path, blocked):
+    # the physical-chart oracle is the package's own: with scipy blocked (a
+    # None entry makes any import of it raise ImportError) verify's oracle
+    # check and a physical simulate succeed, and with scipy installed neither
+    # imports it
     cfgp = tmp_path / "phys.json"
     write_config(cfgp, problem="sitnikov", epsilon=0.2, h=0.25, stop_at_q=20.0, span=50.0,
                  initial={"chart": "physical", "state": [1.0, -1.0, 0.9, -0.9]})
-    for argv in (["simulate", str(cfgp)], ["verify", "--filter", "energy_conservation"]):
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("\n") == 1 and "collreg[oracle]" in err
-    assert not any(tmp_path.glob("phys_*"))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import json, sys\n"
+            + ("sys.modules['scipy'] = None\n" if blocked else "")
+            + "from collreg.cli import main\n"
+            "codes = [main(['verify', '--filter', 'energy_conservation']),\n"
+            "         main(['simulate', sys.argv[1]])]\n"
+            "print(json.dumps([codes, [k for k in sys.modules if k.split('.')[0] == 'scipy']]))\n")
+    run = subprocess.run([sys.executable, "-c", code, str(cfgp)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert '"all_passed": true' in run.stdout
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0], ["scipy"] if blocked else []]
+    assert "proximity_abort" in (tmp_path / "phys_events.json").read_text()
 
 
 def test_period_command(tmp_path, capsys):

@@ -26,7 +26,7 @@ from collreg.integrators import (
     write_physical_csv,
     write_regularized_csv,
 )
-from collreg.physical import hamiltonian
+from collreg.physical import hamiltonian, make_physical_rhs
 from collreg.regularized import (
     Problem,
     gamma_reduced,
@@ -1247,16 +1247,27 @@ def test_format_matches_percent_on_any_floats(floats, cols):
     assert b"".join(integrators._format(values)) == _percent_rows(values)
 
 
+def test_the_oracle_step_is_extrapolated_in_h_squared():
+    # one Gragg-Bulirsch-Stoer step on y' = y: halving the step from 4 to 2
+    # divides its error by about 2^14; a tableau extrapolating in h instead
+    # of h^2 divides it by about 2^7
+    errs = [abs(integrators._gbs_step(lambda y: y, (1.0,), (1.0,), step)[0][0] - math.exp(step))
+            for step in (4.0, 2.0)]
+    assert errs[0] > 2 ** 12 * errs[1]
+
+
 def test_physical_csv_matches_the_row_by_row_reference(tmp_path):
-    from collreg import integrate_physical_oracle
+    from scipy.integrate import solve_ivp
+
     from collreg.analysis import momentum_profile
 
     params, ring = MassParams(m=1e-3, epsilon=0.2), RingConfig.for_count(2)
     p0 = momentum_profile(1.0, 0.25, params.m, ring.radius)
-    oracle = integrate_physical_oracle([1.0, -1.0, p0, -p0], 10.0, params, ring)
-    # 5000 rows of the oracle's dense solution: longer than one chunk of the writer
+    rhs = make_physical_rhs(params, ring)
+    # 5000 rows of a physical orbit: longer than one chunk of the writer
     t = np.linspace(0.0, 10.0, 5000)
-    states = oracle.metadata["dense"](t).T
+    states = solve_ivp(lambda _, y: rhs(tuple(y)), (0.0, 10.0), [1.0, -1.0, p0, -p0],
+                       method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t).y.T
     traj = Trajectory(tau=t, t=t, states=states,
                       invariant=np.array([hamiltonian(s, params, ring) for s in states]))
     path = tmp_path / "phys.csv"

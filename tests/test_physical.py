@@ -16,6 +16,8 @@ from collreg import (
 )
 from collreg.analysis import momentum_profile
 from collreg.config import primary_positions_3d
+from collreg.errors import ParameterError, StepFailure
+from collreg.physical import make_physical_rhs
 
 
 def test_potential_symmetric_massless_limit():
@@ -194,6 +196,82 @@ def test_oracle_energy_conservation_on_escape():
     traj = integrate_physical_oracle([q0, -q0, p0, -p0], 1e6, params, ring, stop_at_q=1e3)
     assert traj.metadata["energy_drift"] < 1e-9
     assert any(e.kind == "escape_threshold" for e in traj.events)
+
+
+def _dop853(y0, t_span, params, ring, stop_at_q=None):
+    """The physical oracle's run by scipy's DOP853 at the oracle's
+    tolerances, its events by scipy's root finder on the dense output:
+    (t_end, final state, [(kind, detail)])."""
+    from scipy.integrate import solve_ivp
+
+    rhs = make_physical_rhs(params, ring)
+
+    def proximity(_, y):
+        return (y[0] - y[1]) - 1e-4
+
+    def escape(_, y):
+        return max(y[0], -y[1]) - stop_at_q
+
+    proximity.terminal = escape.terminal = True
+    proximity.direction, escape.direction = -1.0, 1.0
+    sol = solve_ivp(lambda _, y: rhs(tuple(y)), (0.0, t_span), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-14,
+                    events=[proximity] + ([escape] if stop_at_q is not None else []))
+    assert sol.status == 1
+    y = sol.y[:, -1]
+    kind = "collision" if len(sol.t_events[0]) else "escape_threshold"
+    detail = "proximity_abort" if kind == "collision" else (
+        "body 2" if -y[1] > y[0] else None)
+    return sol.t[-1], y, [(kind, detail)]
+
+
+@pytest.mark.parametrize("N, epsilon, h, start, stop_at_q", [
+    # collreg verify's escape: both secondaries reach |q| = 1e3 at t ~ 1958
+    (2, 0.0, 0.25, None, 1e3),
+    # two collision orbits, each ending at the proximity guard at t ~ 1.8
+    (3, 0.0, None, [1.0, -1.0, 0.1, -0.1], None),
+    (3, 0.3, None, [1.0, -1.0, 0.1, -0.1], None),
+], ids=["escape", "collision-eps0", "collision-eps0.3"])
+def test_oracle_agrees_with_dop853(N, epsilon, h, start, stop_at_q):
+    # the Gragg-Bulirsch-Stoer oracle and scipy's Runge-Kutta pair, at the
+    # same tolerances, end their runs at the same event, time and state
+    params, ring = MassParams(m=1e-3, epsilon=epsilon), RingConfig.for_count(N)
+    if start is None:
+        p0 = momentum_profile(1.0, h, params.m, ring.radius)
+        start = [1.0, -1.0, p0, -p0]
+    traj = integrate_physical_oracle(start, 1e6, params, ring, stop_at_q=stop_at_q)
+    t_end, y_end, events = _dop853(start, 1e6, params, ring, stop_at_q)
+    assert [(e.kind, e.detail) for e in traj.events] == events
+    assert traj.events[0].state == tuple(traj.states[-1]) and traj.events[0].t == traj.t[-1]
+    assert abs(traj.t[-1] - t_end) <= 1e-10 * t_end
+    assert np.max(np.abs(traj.states[-1] - y_end)) <= 1e-10
+    if stop_at_q is not None:
+        assert traj.metadata["energy_drift"] < 1e-9
+
+
+def test_oracle_fails_where_its_field_goes_non_finite(monkeypatch):
+    # a field that is NaN from q1 = 5 on fails every step that reaches it:
+    # the step shrinks to the spacing of floats, and the run is a StepFailure
+    from collreg import integrators, physical
+
+    def make(params, ring):
+        rhs = physical.make_physical_rhs(params, ring)
+        return lambda y: rhs(y) if y[0] < 5.0 else (math.nan,) * 4
+
+    monkeypatch.setattr(integrators, "make_physical_rhs", make)
+    with pytest.raises(StepFailure, match="its step fell below the spacing of floats"):
+        integrate_physical_oracle([1.0, -1.0, 1.5, -1.5], 100.0, MassParams(m=1e-3),
+                                  RingConfig.for_count(2))
+
+
+def test_oracle_refuses_a_negative_or_infinite_span():
+    params, ring = MassParams(m=1e-3, epsilon=0.0), RingConfig.for_count(2)
+    for span in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="span must be nonnegative and finite"):
+            integrate_physical_oracle([1.0, -1.0, 0.5, -0.5], span, params, ring)
+    # a span of 0 is the start alone
+    traj = integrate_physical_oracle([1.0, -1.0, 0.5, -0.5], 0.0, params, ring)
+    assert traj.t.tolist() == [0.0] and traj.states.tolist() == [[1.0, -1.0, 0.5, -0.5]]
 
 
 def test_oracle_proximity_abort_on_collision_orbit():
