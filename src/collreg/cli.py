@@ -1,31 +1,20 @@
 """Command-line surface: verification, simulation, classification, level sets,
 and period computation, with reproducible file outputs.
 
-Run configurations are JSON documents (schema 1):
-
-    {
-      "schema": 1,
-      "problem": "reduced" | "sitnikov" | "kepler1d",
-      "N": 2, "m": 1e-3, "epsilon": 0.0, "h": -1.0,
-      "initial": {"chart": "regularized" | "physical", "state": [...]},
-      "integrator": {"method": "implicit_midpoint", "step": 1e-3},
-      "span": 100.0,
-      "outputs": {"trajectory": "...", "events": "...", "summary": "..."}
-    }
-
-State layouts: reduced [Q1, P1]; sitnikov regularized [Q1, Q2, P1, P2];
-sitnikov physical [q1, q2, p1, p2]; kepler1d [u, v] with "mu_grav" replacing
-the ring parameters.  Regularized initial states are projected onto the
+Run configurations are JSON documents (schema 1; README shows one).  RUNS
+has a row for each (problem, chart): the length of its state, the numbers
+it reads besides COMMON_KEYS, and how its regularized Problem is built.
+Any other top-level key is refused, as is an output not in OUTPUTS or an
+integrator setting that IntegratorConfig does not take.  States: reduced
+[Q1, P1]; sitnikov [Q1, Q2, P1, P2], or [q1, q2, p1, p2] in the physical
+chart; kepler1d [u, v].  Regularized initial states are projected onto the
 energy level by solving for |P1| (sign preserved); states with no real
-momentum are refused.  "integrator" applies to regularized-chart runs
-only: a physical-chart run validates the block but integrates with the
-Gragg-Bulirsch-Stoer oracle, which none of its settings reaches.  Only
-that oracle reads "stop_at_q", so any other run refuses it.  Every number
-in a configuration must be finite (no NaN, no infinity) and not a boolean;
-the masses m and mu_grav must be positive.  A top-level key outside RUN_KEYS,
-like an integrator setting that IntegratorConfig does not take, is refused.
-Numeric file output uses 17 significant digits and LF line endings, so a
-fixed configuration yields byte-identical data files.
+momentum are refused.  A physical-chart run integrates H with the
+Gragg-Bulirsch-Stoer oracle, which alone reads "stop_at_q" and reads no
+"integrator" setting.  Every number must be finite (no NaN, no infinity,
+no int beyond float range) and not a boolean.  Numeric file output uses
+17 significant digits and LF line endings, so a fixed configuration yields
+byte-identical data files.
 """
 
 from __future__ import annotations
@@ -38,6 +27,7 @@ import os
 import re
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,9 +47,10 @@ from .integrators import (
 )
 from .regularized import Problem
 
-PROBLEMS = ("sitnikov", "reduced", "kepler1d")
-RUN_KEYS = ("schema", "problem", "N", "m", "epsilon", "h", "mu_grav", "initial",
-            "integrator", "span", "outputs", "stop_at_q", "sweep")
+# The keys every run takes; each row of RUNS names the others its run reads.
+COMMON_KEYS = ("schema", "problem", "initial", "integrator", "span", "outputs", "sweep")
+OUTPUTS = ("trajectory", "events", "summary")
+RUN_FAILURES = (ValueError, RuntimeError, OSError, OverflowError)  # a run's own failures
 
 
 def _require(cfg: dict, field: str, types, name: str | None = None) -> object:
@@ -73,10 +64,13 @@ def _require(cfg: dict, field: str, types, name: str | None = None) -> object:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number: json.load also accepts NaN and +-Infinity, and
-    a boolean is an int to Python."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite JSON number: json.load also accepts NaN and +-Infinity, a
+    boolean is an int to Python, and an int may lie beyond float range."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def _require_number(cfg: dict, field: str, name: str | None = None) -> float:
@@ -87,6 +81,42 @@ def _require_number(cfg: dict, field: str, name: str | None = None) -> float:
     return value
 
 
+def _ring(cfg: dict) -> tuple[MassParams, RingConfig]:
+    return MassParams(float(cfg["m"]), float(cfg["epsilon"])), RingConfig.for_count(cfg["N"])
+
+
+# what a number that a run reads must be: its test, and the words for it
+NUMBER = (_is_number, "a finite number")
+COUNT = (lambda v: isinstance(v, int) and _is_number(v), "an integer")
+POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+SYMMETRIC = (lambda v: _is_number(v) and v == 0, "0 in the symmetric (reduced) problem")
+RING = {"N": COUNT, "m": POSITIVE, "epsilon": NUMBER, "h": NUMBER}
+
+
+class Run(NamedTuple):
+    size: int  # the length of initial.state
+    reads: dict  # each number the run reads: key -> what it must be
+    build: Callable[[dict], Problem] | None  # the regularized system; None: the oracle's H
+    optional: tuple = ()  # the keys of reads that may be left out
+
+
+# Every run, keyed by (problem, chart).  A physical-chart run accepts and
+# validates an "integrator" block that the oracle does not read, so that one
+# sweep may mix the charts.
+RUNS = {
+    ("sitnikov", "regularized"):
+        Run(4, RING, lambda c: Problem.sitnikov(float(c["h"]), *_ring(c))),
+    ("sitnikov", "physical"):
+        Run(4, {**RING, "stop_at_q": NUMBER}, None, optional=("h", "stop_at_q")),
+    ("reduced", "regularized"):
+        Run(2, {**RING, "epsilon": SYMMETRIC}, lambda c: Problem.reduced(
+            float(c["h"]), float(c["m"]), 4.0 * ring_radius(c["N"]))),
+    ("kepler1d", "regularized"):
+        Run(2, {"mu_grav": POSITIVE, "h": NUMBER},
+            lambda c: Problem.kepler1d(float(c["h"]), float(c["mu_grav"]))),
+}
+
+
 def validate_run_config(cfg) -> dict:
     """Check a parsed document against schema 1; returns it with its
     IntegratorConfig attached under "_integrator"."""
@@ -94,48 +124,25 @@ def validate_run_config(cfg) -> dict:
         raise SchemaError("config must be a JSON object")
     if cfg.get("schema") != 1:
         raise SchemaError(f"unsupported schema {cfg.get('schema')!r}", field="schema")
-    for key in cfg:
-        if key not in RUN_KEYS:
-            raise SchemaError(f"unknown run setting {key!r}; choose from {RUN_KEYS}", field=key)
     problem = _require(cfg, "problem", str)
-    if problem not in PROBLEMS:
+    if problem not in {p for p, _ in RUNS}:
         raise SchemaError(f"unknown problem {problem!r}", field="problem")
-    _require_number(cfg, "span")
     initial = _require(cfg, "initial", dict)
     chart = _require(initial, "chart", str)
-    if chart not in ("physical", "regularized"):
-        raise SchemaError(f"unknown chart {chart!r}", field="initial.chart")
+    run = RUNS.get((problem, chart))
+    if run is None:
+        raise SchemaError(f"problem {problem!r} has no {chart!r} chart", field="initial.chart")
     state = _require(initial, "state", list)
-    if problem == "sitnikov":
-        want = 4
-    else:
-        want = 2
-        if chart != "regularized":
-            raise SchemaError(
-                f"problem {problem!r} is integrated in the regularized chart",
-                field="initial.chart",
-            )
-    if len(state) != want or not all(map(_is_number, state)):
-        raise SchemaError(
-            f"initial.state must be {want} finite numbers for problem {problem!r}",
-            field="initial.state",
-        )
-    if "stop_at_q" in cfg and chart != "physical":
-        raise SchemaError("stop_at_q ends only a physical-chart run", field="stop_at_q")
-    if problem == "kepler1d":
-        numbers = ["mu_grav", "h"]
-    else:
-        _require(cfg, "N", int)
-        numbers = ["m", "epsilon"] + (["h"] if chart == "regularized" or "h" in cfg else [])
-    numbers += ["stop_at_q"] if "stop_at_q" in cfg else []
-    for name in numbers:
-        _require_number(cfg, name)
-    for name in ("m", "mu_grav"):
-        if name in numbers and not cfg[name] > 0:
-            raise SchemaError(f"field {name!r} must be positive, got {cfg[name]!r}", field=name)
-    if problem == "reduced" and cfg["epsilon"] != 0:
-        raise SchemaError("the reduced problem is the symmetric one; epsilon must be 0",
-                          field="epsilon")
+    if len(state) != run.size or not all(map(_is_number, state)):
+        raise SchemaError(f"initial.state must be {run.size} finite numbers for problem "
+                          f"{problem!r}", field="initial.state")
+    for key in cfg:
+        if key not in COMMON_KEYS and key not in run.reads:
+            raise SchemaError(f"unknown run setting {key!r} for a {chart} {problem} run; "
+                              f"choose from {COMMON_KEYS + tuple(run.reads)}", field=key)
+    for key, (test, what) in {"span": NUMBER, **run.reads}.items():
+        if (key in cfg or key not in run.optional) and not test(_require(cfg, key, (int, float))):
+            raise SchemaError(f"field {key!r} must be {what}, got {cfg[key]!r}", field=key)
     integ = cfg.get("integrator", {})
     if not isinstance(integ, dict):
         raise SchemaError("integrator must be an object", field="integrator")
@@ -156,6 +163,9 @@ def validate_run_config(cfg) -> dict:
     if not isinstance(outputs, dict):
         raise SchemaError("outputs must be an object", field="outputs")
     for key, path in outputs.items():
+        if key not in OUTPUTS:
+            raise SchemaError(f"unknown output {key!r}; choose from {OUTPUTS}",
+                              field=f"outputs.{key}")
         if not (isinstance(path, str) and path):
             raise SchemaError(f"output {key!r} must be a nonempty path", field=f"outputs.{key}")
     return cfg
@@ -176,12 +186,10 @@ def _default_outputs(cfg: dict, config_path: str) -> dict:
     and the others beside config_path.  Two that resolve to one file raise
     SchemaError, as the later output would replace the earlier."""
     stem = os.path.splitext(config_path)[0]
-    out = dict(cfg.get("outputs", {}))
-    out.setdefault("trajectory", stem + "_trajectory.csv")
-    out.setdefault("events", stem + "_events.json")
-    out.setdefault("summary", stem + "_summary.json")
+    out = {key: f"{stem}_{key}.{'csv' if key == 'trajectory' else 'json'}" for key in OUTPUTS}
+    out.update(cfg.get("outputs", {}))
     files = {}
-    for key in ("trajectory", "events", "summary"):
+    for key in OUTPUTS:
         other = files.setdefault(os.path.realpath(out[key]), key)
         if other != key:
             raise SchemaError(f"outputs {other!r} and {key!r} name one file, {out[key]}",
@@ -191,14 +199,7 @@ def _default_outputs(cfg: dict, config_path: str) -> dict:
 
 def _problem(cfg: dict) -> Problem:
     """The regularized system of a validated run configuration."""
-    h = float(cfg["h"])
-    if cfg["problem"] == "kepler1d":
-        return Problem.kepler1d(h, float(cfg["mu_grav"]))
-    N, m = int(cfg["N"]), float(cfg["m"])
-    if cfg["problem"] == "reduced":
-        return Problem.reduced(h, m, 4.0 * ring_radius(N))
-    params = MassParams(m=m, epsilon=float(cfg["epsilon"]))
-    return Problem.sitnikov(h, params, RingConfig.for_count(N))
+    return RUNS[cfg["problem"], cfg["initial"]["chart"]].build(cfg)
 
 
 def run_simulation(cfg: dict, outputs: dict) -> dict:
@@ -209,9 +210,8 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
     state = [float(v) for v in cfg["initial"]["state"]]
     t0 = time.perf_counter()
 
-    if problem == "sitnikov" and cfg["initial"]["chart"] == "physical":
-        params = MassParams(m=float(cfg["m"]), epsilon=float(cfg["epsilon"]))
-        ring = RingConfig.for_count(int(cfg["N"]))
+    if RUNS[problem, cfg["initial"]["chart"]].build is None:  # the physical chart
+        params, ring = _ring(cfg)
         stop_at_q = float(cfg["stop_at_q"]) if "stop_at_q" in cfg else None
         traj = integrate_physical_oracle(state, span, params, ring, stop_at_q=stop_at_q)
         write_physical_csv(traj, outputs["trajectory"])
@@ -275,7 +275,7 @@ def _sweep_job(job):
         cfg = validate_run_config({**base, **override, "schema": 1})
         outputs = _default_outputs(cfg, f"{stem}_sweep{k:03d}.json")
         return run_simulation(cfg, outputs), None
-    except (ValueError, RuntimeError, OSError) as exc:  # schema, domain, step and file failures
+    except RUN_FAILURES as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
         where = f" (field {exc.field})" if exc.field else ""
         print(f"configuration error{where}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except RUN_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

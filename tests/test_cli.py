@@ -20,6 +20,8 @@ from collreg.config import MassParams, RingConfig, ring_radius
 
 
 def write_config(path, **overrides):
+    """A reduced run, with overrides; a kepler1d one has mu_grav 1 in place of
+    the ring's N, m and epsilon, which it does not read."""
     cfg = {
         "schema": 1,
         "problem": "reduced",
@@ -31,6 +33,8 @@ def write_config(path, **overrides):
         "integrator": {"method": "implicit_midpoint", "step": 1e-3},
         "span": 20.0,
     }
+    if overrides.get("problem") == "kepler1d":
+        cfg = {k: v for k, v in cfg.items() if k not in ("N", "m", "epsilon")} | {"mu_grav": 1.0}
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return cfg
@@ -521,6 +525,10 @@ def test_a_run_that_cannot_fork_writes_the_same_bytes(tmp_path, capsys, monkeypa
     ("integrator.newton_tol", math.inf), ("mu_grav", math.nan),
     # guard is no setting (the proximity guard is a constant): refused as an unknown key
     ("guard", math.nan), ("stop_at_q", "far"),
+    # an int beyond float range, which math.isfinite cannot take
+    pytest.param("span", 10**400, id="span-10**400"),
+    pytest.param("N", 10**400, id="N-10**400"),
+    pytest.param("initial.state", [10**400, 0.1, 1.0, 0.0], id="initial.state-10**400"),
 ])
 def test_non_finite_config_numbers_are_refused(tmp_path, capsys, field, value):
     # json.load accepts NaN and +-Infinity, and true is an int to Python: each
@@ -552,10 +560,9 @@ def test_non_positive_masses_are_refused(tmp_path, capsys, problem, field, value
     starts = {"reduced": [0.5, -1.0], "sitnikov": [0.5, 0.1, -1.0, 0.0], "kepler1d": [2.0, 1.0]}
     cfgp = tmp_path / "run.json"
     write_config(cfgp, problem=problem, h=-1.0 if problem == "reduced" else 0.5,
-                 epsilon=0.3 if problem == "sitnikov" else 0.0,
                  initial={"chart": "regularized", "state": starts[problem]},
                  integrator={"method": "implicit_midpoint", "step": 5e-3}, span=2.0,
-                 **{"mu_grav": 1.0, field: value})
+                 **({"epsilon": 0.3} if problem == "sitnikov" else {}), **{field: value})
     assert main(["simulate", str(cfgp)]) == 2
     assert f"configuration error (field {field})" in capsys.readouterr().err
     assert not (tmp_path / "run_trajectory.csv").exists()
@@ -578,6 +585,8 @@ def test_bad_newton_max_iter_is_a_config_error(tmp_path, capsys, value):
 @pytest.mark.parametrize("key, value", [
     ("trajectory", 1), ("events", None), ("summary", ["a"]), ("trajectory", ""),
     ("events", {"path": "e.json"}),
+    # a misspelt output would leave the trajectory at its default path
+    ("trajectroy", "wanted.csv"),
 ])
 def test_output_paths_must_be_nonempty_strings(tmp_path, capsys, key, value):
     outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
@@ -586,6 +595,10 @@ def test_output_paths_must_be_nonempty_strings(tmp_path, capsys, key, value):
     assert main(["simulate", str(cfgp)]) == 2
     assert f"configuration error (field outputs.{key})" in capsys.readouterr().err
     assert not any((tmp_path / k).exists() for k in outs)
+    write_config(cfgp, outputs={key: value})
+    assert main(["simulate", str(cfgp)]) == 2
+    assert f"configuration error (field outputs.{key})" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 @pytest.mark.parametrize("key", ["setp", "Step", "tolerance", "adaptive_tol"])
@@ -671,9 +684,9 @@ def test_stop_at_q_is_refused_outside_a_physical_run(tmp_path, capsys, monkeypat
     # only the physical chart's oracle reads stop_at_q: a regularized run
     # carrying it would march its whole span as if it were absent
     cfgp = tmp_path / "run.json"
-    write_config(cfgp, problem=problem, epsilon=0.3 if problem == "sitnikov" else 0.0, h=h,
-                 span=20.0, initial={"chart": "regularized", "state": state}, stop_at_q=0.5,
-                 **({"mu_grav": 1.0} if problem == "kepler1d" else {}))
+    write_config(cfgp, problem=problem, h=h, span=20.0, stop_at_q=0.5,
+                 initial={"chart": "regularized", "state": state},
+                 **({"epsilon": 0.3} if problem == "sitnikov" else {}))
     assert main(["simulate", str(cfgp)]) == 2
     out, err = capsys.readouterr()
     assert not out and "configuration error (field stop_at_q)" in err
@@ -686,7 +699,38 @@ def test_stop_at_q_is_refused_outside_a_physical_run(tmp_path, capsys, monkeypat
     assert main(["simulate", str(cfgp), "--sweep"]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out
-    assert "sweep job 001 failed: SchemaError: stop_at_q ends only a physical-chart run" in err
+    assert ("sweep job 001 failed: SchemaError: unknown run setting 'stop_at_q' for a "
+            f"regularized {problem} run") in err
+    assert not list(tmp_path.glob("run_sweep001_*"))
+
+
+@pytest.mark.parametrize("problem, unread", [
+    ("kepler1d", {"N": "three", "m": -5, "epsilon": "x"}), ("kepler1d", {"epsilon": 0.0}),
+    ("sitnikov", {"mu_grav": "bad"}), ("reduced", {"mu_grav": 1.0}),
+])
+def test_a_number_its_run_does_not_read_is_refused(tmp_path, capsys, monkeypatch,
+                                                   problem, unread):
+    # a key that names a setting of another run would be ignored, whatever
+    # its value: the run names the first such key
+    runs = {"reduced": {}, "sitnikov": {"problem": "sitnikov", "epsilon": 0.3, "h": -2.5,
+                                        "initial": {"chart": "regularized",
+                                                    "state": [0.0, 0.0, 1.0, 0.0]}},
+            "kepler1d": {"problem": "kepler1d", "h": 0.5,
+                         "initial": {"chart": "regularized", "state": [2.0, 1.0]}}}
+    key = next(iter(unread))
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, **runs[problem], span=1.0, **unread)
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"configuration error (field {key}): unknown run setting")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    # in a sweep, on the merged entry: only that job fails
+    write_config(cfgp, **runs[problem], span=1.0, sweep=[{}, unread])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out
+    assert f"sweep job 001 failed: SchemaError: unknown run setting {key!r}" in err
     assert not list(tmp_path.glob("run_sweep001_*"))
 
 
@@ -728,8 +772,7 @@ def test_simulate_refuses_a_method_other_than_the_midpoint(tmp_path, capsys):
 def test_simulate_refuses_a_start_with_no_momentum_on_its_level(tmp_path, capsys,
                                                                  problem, state):
     cfgp = tmp_path / "run.json"
-    write_config(cfgp, problem=problem, initial={"chart": "regularized", "state": state},
-                 mu_grav=1.0, h=-0.5)
+    write_config(cfgp, problem=problem, initial={"chart": "regularized", "state": state}, h=-0.5)
     assert main(["simulate", str(cfgp)]) == 2
     assert "no real momentum" in capsys.readouterr().err
 
@@ -802,6 +845,9 @@ def test_schema_rejects_bad_state_length(tmp_path):
     ["classify", "--h", "-NaN"],
     ["levelset", "--h", "-1", "--m", "-inf", "--N", "3"],
     ["levelset", "--h", "-Infinity", "--m", "1e-3", "--N", "3"],
+    # an N beyond float range overflows the ring radius
+    ["period", "--h", "-1", "--m", "1e-3", "--N", "1" + "0" * 400],
+    ["levelset", "--h", "-1", "--m", "1e-3", "--N", "1" + "0" * 400],
 ])
 def test_non_finite_energies_and_masses_are_refused(tmp_path, capsys, argv):
     if argv[0] == "levelset":
@@ -1096,6 +1142,21 @@ def test_sweep_job_of_too_many_steps_leaves_the_other_running(tmp_path, capsys, 
     assert "Traceback" not in err and "sweep job 001 done" in out
     assert not list(tmp_path.glob("sweep_sweep000_*"))
     assert (tmp_path / "sweep_sweep001_summary.json").exists()
+
+
+def test_sweep_job_with_an_int_beyond_float_range_leaves_the_others_running(
+        tmp_path, capsys, monkeypatch):
+    # the span of job 001 has 401 digits: a configuration error of that job,
+    # where it used to end the sweep in an OverflowError before job 002
+    cfgp = tmp_path / "sweep.json"
+    write_config(cfgp, span=1.0, sweep=[{}, {"span": 10**400}, {"h": -2.0}])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out and "sweep job 002 done" in out
+    assert "sweep job 001 failed: SchemaError: field 'span' must be a finite number" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("sweep_sweep001_*"))
 
 
 @pytest.mark.parametrize("same", [("trajectory", "events"), ("events", "summary"),
