@@ -3,9 +3,11 @@ and period computation, with reproducible file outputs.
 
 Run configurations are JSON documents (schema 1; README shows one).  RUNS
 has a row for each (problem, chart): the length of its state, the numbers
-it reads besides COMMON_KEYS, and how its regularized Problem is built.
-Any other top-level key is refused, as is an output not in OUTPUTS or an
-integrator setting that IntegratorConfig does not take.  States: reduced
+it reads besides COMMON, and how its regularized Problem is built.  One
+check, _check, takes each block (the top level, initial, integrator and
+outputs) against its table and refuses, naming the dotted field, a key the
+table does not list, a required field left out, and a value its test
+rejects.  States: reduced
 [Q1, P1]; sitnikov [Q1, Q2, P1, P2], or [q1, q2, p1, p2] in the physical
 chart; kepler1d [u, v].  Regularized initial states are projected onto the
 energy level by solving for |P1| (sign preserved); states with no real
@@ -20,7 +22,6 @@ byte-identical data files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from . import analysis
 from .config import MassParams, RingConfig, ring_radius
 from .errors import ParameterError, SchemaError, StepFailure
 from .integrators import (
+    METHODS,
     IntegratorConfig,
     _write_csv,
     integrate,
@@ -47,20 +49,7 @@ from .integrators import (
 )
 from .regularized import Problem
 
-# The keys every run takes; each row of RUNS names the others its run reads.
-COMMON_KEYS = ("schema", "problem", "initial", "integrator", "span", "outputs", "sweep")
-OUTPUTS = ("trajectory", "events", "summary")
 RUN_FAILURES = (ValueError, RuntimeError, OSError, OverflowError)  # a run's own failures
-
-
-def _require(cfg: dict, field: str, types, name: str | None = None) -> object:
-    name = name or field
-    if field not in cfg:
-        raise SchemaError(f"missing required field {name!r}", field=name)
-    value = cfg[field]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise SchemaError(f"field {name!r} has the wrong type: {value!r}", field=name)
-    return value
 
 
 def _is_number(value) -> bool:
@@ -73,24 +62,55 @@ def _is_number(value) -> bool:
         return False
 
 
-def _require_number(cfg: dict, field: str, name: str | None = None) -> float:
-    name = name or field
-    value = _require(cfg, field, (int, float), name)
-    if not _is_number(value):
-        raise SchemaError(f"field {name!r} must be a finite number, got {value!r}", field=name)
-    return value
-
-
 def _ring(cfg: dict) -> tuple[MassParams, RingConfig]:
     return MassParams(float(cfg["m"]), float(cfg["epsilon"])), RingConfig.for_count(cfg["N"])
 
 
-# what a number that a run reads must be: its test, and the words for it
+# what a field must be: its test, and the words for it
+ANY = (lambda v: True, "anything")
+TEXT = (lambda v: isinstance(v, str), "a string")
+OBJECT = (lambda v: isinstance(v, dict), "an object")
+PATH = (lambda v: isinstance(v, str) and v != "", "a nonempty path")
 NUMBER = (_is_number, "a finite number")
 COUNT = (lambda v: isinstance(v, int) and _is_number(v), "an integer")
 POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
 SYMMETRIC = (lambda v: _is_number(v) and v == 0, "0 in the symmetric (reduced) problem")
 RING = {"N": COUNT, "m": POSITIVE, "epsilon": NUMBER, "h": NUMBER}
+
+# The keys every run takes (schema is checked first, sweep by --sweep); each
+# row of RUNS names the others its run reads.
+COMMON = {"schema": ANY, "problem": TEXT, "initial": OBJECT, "integrator": OBJECT,
+          "span": NUMBER, "outputs": OBJECT, "sweep": ANY}
+# A setting left out takes IntegratorConfig's default.  IntegratorConfig
+# checks them too, as MassParams checks RING's m.
+INTEGRATOR = {"method": (lambda v: v in METHODS, f"one of {METHODS}"),
+              "step": POSITIVE, "newton_tol": POSITIVE}
+OUTPUTS = dict.fromkeys(("trajectory", "events", "summary"), PATH)
+
+
+def _field(block: dict, key: str, kind: tuple, where: str = ""):
+    """block[key], refused if it is missing or fails kind's test; where is
+    the dotted prefix of the block's fields."""
+    test, what = kind
+    if key not in block:
+        raise SchemaError(f"missing required field {where + key!r}", field=where + key)
+    if not test(block[key]):
+        raise SchemaError(f"field {where + key!r} must be {what}, got {block[key]!r}",
+                          field=where + key)
+    return block[key]
+
+
+def _check(block: dict, fields: dict, where: str, unknown: str, optional=()) -> None:
+    """Refuse a key of block that fields does not list (unknown % key names
+    it), a field left out that optional does not list, and a value that
+    fails its test, each naming the dotted field."""
+    for key in block:
+        if key not in fields:
+            raise SchemaError(f"unknown {unknown % key}; choose from {tuple(fields)}",
+                              field=where + key)
+    for key, kind in fields.items():
+        if key in block or key not in optional:
+            _field(block, key, kind, where)
 
 
 class Run(NamedTuple):
@@ -124,50 +144,24 @@ def validate_run_config(cfg) -> dict:
         raise SchemaError("config must be a JSON object")
     if cfg.get("schema") != 1:
         raise SchemaError(f"unsupported schema {cfg.get('schema')!r}", field="schema")
-    problem = _require(cfg, "problem", str)
+    problem = _field(cfg, "problem", TEXT)
     if problem not in {p for p, _ in RUNS}:
         raise SchemaError(f"unknown problem {problem!r}", field="problem")
-    initial = _require(cfg, "initial", dict)
-    chart = _require(initial, "chart", str)
+    chart = _field(_field(cfg, "initial", OBJECT), "chart", TEXT, "initial.")
     run = RUNS.get((problem, chart))
     if run is None:
         raise SchemaError(f"problem {problem!r} has no {chart!r} chart", field="initial.chart")
-    state = _require(initial, "state", list)
-    if len(state) != run.size or not all(map(_is_number, state)):
-        raise SchemaError(f"initial.state must be {run.size} finite numbers for problem "
-                          f"{problem!r}", field="initial.state")
-    for key in cfg:
-        if key not in COMMON_KEYS and key not in run.reads:
-            raise SchemaError(f"unknown run setting {key!r} for a {chart} {problem} run; "
-                              f"choose from {COMMON_KEYS + tuple(run.reads)}", field=key)
-    for key, (test, what) in {"span": NUMBER, **run.reads}.items():
-        if (key in cfg or key not in run.optional) and not test(_require(cfg, key, (int, float))):
-            raise SchemaError(f"field {key!r} must be {what}, got {cfg[key]!r}", field=key)
+    _check(cfg, {**COMMON, **run.reads}, "", f"run setting %r for a {chart} {problem} run",
+           ("integrator", "outputs", "sweep") + run.optional)
+    state = (lambda s: isinstance(s, list) and len(s) == run.size and all(map(_is_number, s)),
+             f"{run.size} finite numbers for problem {problem!r}")
+    _check(cfg["initial"], {"chart": TEXT, "state": state}, "initial.", "initial setting %r")
     integ = cfg.get("integrator", {})
-    if not isinstance(integ, dict):
-        raise SchemaError("integrator must be an object", field="integrator")
-    known = tuple(f.name for f in dataclasses.fields(IntegratorConfig))
-    for key in integ:
-        if key not in known:
-            raise SchemaError(f"unknown integrator setting {key!r}; choose from {known}",
-                              field=f"integrator.{key}")
-    settings = dict(integ)  # a setting left out takes IntegratorConfig's default
-    for key in ("step", "newton_tol"):
-        if key in integ:
-            settings[key] = float(_require_number(integ, key, f"integrator.{key}"))
-    try:
-        cfg["_integrator"] = IntegratorConfig(**settings)
-    except Exception as exc:
-        raise SchemaError(f"bad integrator settings: {exc}", field="integrator") from exc
-    outputs = cfg.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise SchemaError("outputs must be an object", field="outputs")
-    for key, path in outputs.items():
-        if key not in OUTPUTS:
-            raise SchemaError(f"unknown output {key!r}; choose from {OUTPUTS}",
-                              field=f"outputs.{key}")
-        if not (isinstance(path, str) and path):
-            raise SchemaError(f"output {key!r} must be a nonempty path", field=f"outputs.{key}")
+    _check(integ, INTEGRATOR, "integrator.", "integrator setting %r", INTEGRATOR)
+    _check(cfg.get("outputs", {}), OUTPUTS, "outputs.", "output %r", OUTPUTS)
+    # step and newton_tol are floats, as IntegratorConfig's defaults are
+    cfg["_integrator"] = IntegratorConfig(
+        **{k: v if k == "method" else float(v) for k, v in integ.items()})
     return cfg
 
 

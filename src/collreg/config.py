@@ -24,6 +24,11 @@ __all__ = [
     "primary_positions_3d",
 ]
 
+# The most primaries ring_radius takes: it sums N/2 terms in Python, 0.7 to
+# 1.2 s at this N (2-vCPU Xeon VM, Python 3.11), so N = 1e12 would run for
+# hours before any other work.
+MAX_PRIMARIES = 10**7
+
 
 @dataclass(frozen=True)
 class MassParams:
@@ -90,7 +95,10 @@ def ring_radius(N: int) -> float:
     """
     if N < 2:
         raise ParameterError(f"need at least two primaries, got N={N}")
-    # summed from a generator, not a list: N = 3e7 would hold 1.5e7 floats
+    if N > MAX_PRIMARIES:  # its digits are not printed: N may have hundreds
+        raise ParameterError(f"need at most {MAX_PRIMARIES} primaries, got an N of "
+                             f"{len(str(N))} digits")
+    # summed from a generator, not a list: N = 1e7 would hold 5e6 floats
     terms = (1.0 / math.sin(math.pi * g / N) for g in range(1, (N + 1) // 2))
     cube = ((0.0 if N % 2 else 0.5) + sum(terms)) / (2.0 * N)
     return cube ** (1.0 / 3.0)

@@ -763,7 +763,51 @@ def test_simulate_refuses_a_method_other_than_the_midpoint(tmp_path, capsys):
     cfgp = tmp_path / "run.json"
     write_config(cfgp, integrator={"method": "rk4", "step": 1e-3})
     assert main(["simulate", str(cfgp)]) == 2
-    assert "configuration error (field integrator)" in capsys.readouterr().err
+    assert "configuration error (field integrator.method)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["spn", "initial.stat", "integrator.setp",
+                                   "outputs.trajectroy"])
+def test_an_unknown_key_in_any_block_is_refused(tmp_path, capsys, monkeypatch, field):
+    # each block of a run config is checked against its own table: a misspelt
+    # key is refused as <block>.<key>, alone and in one sweep entry, where
+    # only that job fails
+    block, _, key = field.rpartition(".")
+    cfgp = tmp_path / "run.json"
+    cfg = write_config(cfgp, span=1.0)
+    wanted = str(tmp_path / "wanted.csv")
+    bad = {block: {**cfg.get(block, {}), key: wanted}} if block else {key: wanted}
+    write_config(cfgp, span=1.0, **bad)
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"configuration error (field {field}): unknown ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    write_config(cfgp, span=1.0, sweep=[{}, bad])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out and "sweep job 001 done" not in out
+    assert "sweep job 001 failed: SchemaError: unknown " in err
+    assert not list(tmp_path.glob("run_sweep001_*")) and not (tmp_path / "wanted.csv").exists()
+
+
+@pytest.mark.parametrize("initial, message", [
+    ({"state": [0.5, -1.0]}, "missing required field 'initial.chart'"),
+    ({"chart": 3, "state": [0.5, -1.0]}, "field 'initial.chart' must be a string, got 3"),
+    ({"chart": "polar", "state": [0.5, -1.0]}, "problem 'reduced' has no 'polar' chart"),
+    ({"chart": "regularized"}, "missing required field 'initial.state'"),
+    ({"chart": "regularized", "state": "x"}, "field 'initial.state' must be 2 finite numbers"),
+])
+def test_a_missing_or_mistyped_chart_or_state_names_its_field(tmp_path, capsys, initial,
+                                                              message):
+    field = "initial.chart" if "chart" in message else "initial.state"
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, initial=initial)
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"configuration error (field {field}): {message}")
+    assert not any(tmp_path.glob("run_*"))
 
 
 @pytest.mark.parametrize("problem, state", [
@@ -850,12 +894,34 @@ def test_schema_rejects_bad_state_length(tmp_path):
     ["levelset", "--h", "-1", "--m", "1e-3", "--N", "1" + "0" * 400],
 ])
 def test_non_finite_energies_and_masses_are_refused(tmp_path, capsys, argv):
+    huge = len(argv[-1]) > 400  # an N of 401 digits: the error names N, not its digits
     if argv[0] == "levelset":
         argv = argv + ["--output", str(tmp_path / "ls.csv")]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
     assert not (tmp_path / "ls.csv").exists()
+    if huge:
+        assert captured.err == "error: need at most 10000000 primaries, got an N of 401 digits\n"
+
+
+@pytest.mark.parametrize("command", ["period", "levelset", "simulate"])
+def test_a_ring_of_more_primaries_than_the_cap_is_refused_at_once(tmp_path, capsys, command):
+    # the ring radius sums N/2 terms, so N = 10**12 would run for hours; a
+    # valid integer past config.MAX_PRIMARIES is refused before any work
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, problem="sitnikov", N=10**12, epsilon=0.3, h=-2.5,
+                 initial={"chart": "regularized", "state": [0.0, 0.0, 1.0, 0.0]})
+    ring = ["--h", "-1", "--m", "1e-3", "--N", str(10**12)]
+    argv = {"period": ["period", *ring],
+            "levelset": ["levelset", *ring, "--output", str(tmp_path / "ls.csv")],
+            "simulate": ["simulate", str(cfgp)]}[command]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at most 10000000 primaries, got an N of 13 digits\n"
+    assert not captured.out and sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 @pytest.mark.parametrize("flag", ["--qmax", "--pmax"])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ def test_ring_radius_holds_no_list_of_its_terms():
 def test_ring_radius_rejects_small_n():
     with pytest.raises(ParameterError):
         ring_radius(1)
+
+
+@pytest.mark.parametrize("N", [10**7 + 1, 10**400], ids=["10**7+1", "10**400"])
+def test_ring_radius_refuses_more_primaries_than_it_can_sum_at_once(N):
+    # the sum has N/2 terms, about a second's worth just past the cap, and
+    # 10**400 overflows a float; the message names N without its digits
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=f"at most 10000000 primaries, got an N of "
+                                              f"{len(str(N))} digits"):
+        ring_radius(N)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_bp_radius_values():
