@@ -88,6 +88,18 @@ INTEGRATOR = {"method": (lambda v: v in METHODS, f"one of {METHODS}"),
 OUTPUTS = dict.fromkeys(("trajectory", "events", "summary"), PATH)
 
 
+def _shown(value) -> str:
+    """A refused value as its error shows it: its repr up to 40 characters,
+    else an int by its digits, as the N cap does, and anything else by the
+    length of its repr, so that the error stays one short line."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    if isinstance(value, int):
+        return f"an integer of {len(str(abs(value)))} digits"
+    return f"a {type(value).__name__} of {len(text)} characters"
+
+
 def _field(block: dict, key: str, kind: tuple, where: str = ""):
     """block[key], refused if it is missing or fails kind's test; where is
     the dotted prefix of the block's fields."""
@@ -95,7 +107,7 @@ def _field(block: dict, key: str, kind: tuple, where: str = ""):
     if key not in block:
         raise SchemaError(f"missing required field {where + key!r}", field=where + key)
     if not test(block[key]):
-        raise SchemaError(f"field {where + key!r} must be {what}, got {block[key]!r}",
+        raise SchemaError(f"field {where + key!r} must be {what}, got {_shown(block[key])}",
                           field=where + key)
     return block[key]
 
@@ -218,11 +230,13 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
             extras["terminal_speed"] = float(traj.states[-1][k]) / mass
         extras["energy_drift"] = traj.metadata["energy_drift"]
         extras["initial_energy_mismatch"] = abs(float(traj.invariant[0]) - level)
+        max_error = float(np.fmax.reduce(np.abs(traj.invariant - level)))
     else:
         p = _problem(cfg)
         y0 = p.project(state)
         # the CSV is opened before the march, which hands it each block of
-        # samples as the level guard passes it
+        # samples as the level guard passes it and then drops them: traj
+        # holds the last block, and max |Gamma| over every sample
         samples = span / icfg.step + 1.0
         with open_regularized_csv(outputs["trajectory"], len(state), samples) as csv:
             try:
@@ -235,6 +249,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
                 raise
             write_regularized_csv(traj, outputs["trajectory"], csv)
         level, extras = 0.0, {}  # Gamma's level
+        max_error = traj.metadata["invariant_max"]
 
     write_events_json(traj, outputs["events"])
     wall = time.perf_counter() - t0
@@ -245,7 +260,7 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
         "collisions": len(traj.collision_events()),
         "events": [{"kind": ev.kind, "tau": ev.tau, "t": ev.t} for ev in traj.events],
         "final_invariant_error": abs(float(traj.invariant[-1]) - level),
-        "max_invariant_error": float(np.fmax.reduce(np.abs(traj.invariant - level))),
+        "max_invariant_error": max_error,
         "tau_end": float(traj.tau[-1]),
         "t_end": float(traj.t[-1]),
         "final_state": [float(v) for v in traj.states[-1]],

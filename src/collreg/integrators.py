@@ -32,10 +32,12 @@ it before the march and hands it each block of samples the level guard has
 passed (integrate's on_block): a helper process forked at the first block
 is sent every block's floats down a pipe and formats them as they come
 while the march goes on, and when the march ends this process only waits
-for the helper to format the last ones.  A file written after the fact
-(write_regularized_csv without a writer, write_physical_csv, the level set)
-hands the same writer all its blocks at once, and this process formats
-them, as it does wherever no helper may be forked, with the same bytes.
+for the helper to format the last ones.  The march drops each block a block
+after handing it over, so a simulation's memory does not grow with its
+span.  A file written after the fact (write_regularized_csv without a
+writer, write_physical_csv, the level set) hands the same writer all its
+blocks at once, and this process formats them, as it does wherever no
+helper may be forked, with the same bytes.
 Every helper process of the package, the writer's and `collreg verify`'s,
 is a _Helper.  Every field of every CSV is '%.17g' % v, formatted in numpy
 (floatfmt) at about a third of the cost of %, so the helper formats each
@@ -65,7 +67,7 @@ import sys
 import threading
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -158,6 +160,11 @@ class Trajectory:
     invariant at each sample (Gamma from integrate, H from the oracle) or None.
     From integrate, tau, t and states are column views of one table of
     sample rows, not contiguous arrays of their own.
+
+    offset is the run's index of the first sample held: a run that streamed
+    its blocks (integrate's on_block) holds only its last block, and len()
+    is every sample the run recorded, offset + len(tau).  Event indices
+    count from the run's first sample.
     """
 
     tau: np.ndarray
@@ -166,9 +173,10 @@ class Trajectory:
     invariant: Optional[np.ndarray] = None
     events: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    offset: int = 0
 
     def __len__(self):
-        return len(self.tau)
+        return self.offset + len(self.tau)
 
     def collision_events(self):
         return [e for e in self.events if e.kind == "collision"]
@@ -352,8 +360,11 @@ def integrate(
     (with an invariant), receives each block once the level guard has passed
     it: the block's clocks, states (k, n) and invariant values, ending at
     the sample a failed guard cuts the run at, so that its blocks add up to
-    the trajectory returned or raised.  It runs inside the march, which
-    waits for it.
+    the run's samples.  It runs inside the march, which waits for it.  The
+    samples it has been handed are dropped a block later, so a streamed
+    march holds at most two blocks whatever its span, and the trajectory
+    returned or raised holds the last block (see Trajectory.offset), with
+    len() every sample recorded and metadata["invariant_max"] over them all.
 
     stop_after=k makes the k-th event terminal: the march ends at the step in
     which that event was localized, and the state after that step is recorded
@@ -395,11 +406,21 @@ def integrate(
     table = bytearray(_ROWS[n].pack(0.0, 0.0, *y))
     invs = None if invariant is None else array("d")
     events: list[Event] = []
+    # the run's index of the table's first row, the position in events of
+    # the first whose index the march counted from that row, and the
+    # NaN-blind max |invariant| so far
+    offset, fresh, inv_max = 0, 0, math.nan
 
     def settle():
         """The invariant on the samples recorded since the last call, and the
         level guard on them; returns the table's size in bytes at which the
-        next call is due."""
+        next call is due.  With on_block, the rows before the block it hands
+        over leave the table and the invariant column."""
+        nonlocal offset, fresh, inv_max
+        if offset:  # the march counts event indices from the table's first row
+            events[fresh:] = [replace(e, index=offset + e.index)
+                              for e in events[fresh:]]
+        fresh = len(events)
         hi = len(table) // width
         lo = hi if invs is None else len(invs)
         if lo < hi:
@@ -414,13 +435,18 @@ def integrate(
             over = np.flatnonzero(peak > INVARIANT_LIMIT)
             k = max(lo + int(over[0]), 1) if over.size else hi
             kept = values[:k + 1 - lo]
-            invs.frombytes(kept.tobytes())
+            inv_max = float(np.fmax(inv_max, peak[len(kept) - 1]))
             if on_block is not None:
                 rows = block[:len(kept)]
                 on_block(rows[:, 0], rows[:, 1], rows[:, 2:], kept)
+                # the block before this one leaves, and the table's rows,
+                # k and hi among them, count from this block's first
+                del table[:lo * width], invs[:lo]
+                offset, k, hi, lo = offset + lo, k - lo, hi - lo, 0
+            invs.frombytes(kept.tobytes())
             if k < hi:  # cut the run at sample k, as if the march had stopped there
                 del table[(k + 1) * width:]
-                events[:] = [e for e in events if e.index < k]
+                events[:] = [e for e in events if e.index < offset + k]
                 raise _off_level(float(peak[k - lo]), float(block[k - lo, 0]))
         return (hi + GUARD_BLOCK) * width
 
@@ -433,9 +459,9 @@ def integrate(
             raise
         settle()
     except StepFailure as exc:
-        exc.trajectory = _bundle(table, n, invs, events)
+        exc.trajectory = _bundle(table, n, invs, events, offset, inv_max)
         raise
-    return _bundle(table, n, invs, events)
+    return _bundle(table, n, invs, events, offset, inv_max)
 
 
 # The march is the hot loop of integrate: one function per state size, on
@@ -555,20 +581,19 @@ _ROWS = {n: struct.Struct(f"{2 + n}d") for n in (2, 4)}
 _MARCHES = {n: _build_march(n) for n in _ROWS}
 
 
-def _bundle(table, n, invs, events) -> Trajectory:
+def _bundle(table, n, invs, events, offset, inv_max) -> Trajectory:
     """Wrap the sample table as arrays, uncopied: tau, t and states are views
     of its columns.  integrate bundles only when the march has returned or
     raised, so nothing appends after."""
     rows = np.frombuffer(table).reshape(-1, 2 + n)
-    inv = None if invs is None else np.frombuffer(invs)
     return Trajectory(
         tau=rows[:, 0],
         t=rows[:, 1],
         states=rows[:, 2:],
-        invariant=inv,
+        invariant=None if invs is None else np.frombuffer(invs),
         events=events,
-        # NaN-blind, as the guard is
-        metadata={} if inv is None else {"invariant_max": float(np.fmax.reduce(np.abs(inv)))},
+        metadata={} if invs is None else {"invariant_max": inv_max},
+        offset=offset,
     )
 
 
@@ -950,13 +975,17 @@ def write_regularized_csv(traj: Trajectory, path, csv=None) -> None:
     trajectory's invariant; a trajectory without one raises ParameterError.
     csv, when given, is the writer open_regularized_csv opened on path, and
     has been handed every sample of traj; this finishes it, and writes no
-    rows of its own.
+    rows of its own.  Without it, a trajectory that holds fewer samples than
+    it recorded (a streamed run's) raises ParameterError.
     """
     if csv is not None:
         if os.fspath(path) != os.fspath(csv.path):
             raise ValueError(f"the CSV writer of {csv.path} was given to write {path}")
         csv.finish(len(traj))
         return
+    if traj.offset:
+        raise ParameterError(f"the trajectory holds {len(traj.tau)} of the {len(traj)} "
+                             f"samples it recorded; its CSV was written as it ran")
     header, zeros = _regularized_layout(traj.states.shape[1])
     _write_csv(path, header, (traj.tau, traj.t, traj.states, traj.invariant), zeros)
 

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from collreg import analysis, cli, integrators, verify
+from collreg import analysis, cli, config, integrators, verify
 from collreg.cli import build_parser, load_run_config, main
 from collreg.errors import ParameterError, SchemaError, StepFailure
 from collreg.integrators import IntegratorConfig, integrate_physical_oracle
@@ -454,7 +454,16 @@ def test_a_failed_run_stops_its_csv_helper_and_keeps_its_trajectory(
     if failure in ("level_guard", "step_failure"):
         part = exc.value.trajectory
         assert len(part) > 2 * integrators.GUARD_BLOCK
-        integrators.write_regularized_csv(part, tmp_path / "after.csv")
+        # the run streamed its samples and kept its last block; the same
+        # march without on_block keeps them all
+        cfg = load_run_config(run)
+        p = cli._problem(cfg)
+        with pytest.raises(StepFailure) as whole:
+            integrators.integrate(p.field, p.project(cfg["initial"]["state"]), cfg["span"],
+                                  cfg["_integrator"], time_scale=p.clock, invariant=p.gamma)
+        assert str(whole.value) == str(exc.value)
+        assert len(whole.value.trajectory) == len(part)
+        integrators.write_regularized_csv(whole.value.trajectory, tmp_path / "after.csv")
         assert (tmp_path / "trajectory").read_bytes() == (tmp_path / "after.csv").read_bytes()
         assert (tmp_path / "events").exists()
     else:
@@ -546,7 +555,13 @@ def test_non_finite_config_numbers_are_refused(tmp_path, capsys, field, value):
     cfgp = tmp_path / "run.json"
     cfgp.write_text(json.dumps(cfg))
     assert main(["simulate", str(cfgp)]) == 2
-    assert f"configuration error (field {field})" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"configuration error (field {field})" in err
+    # one short line whatever the value refused: an int of 401 digits, as
+    # CI's big.json span, is shown by its count of digits
+    assert err.count("\n") == 1 and (" must be " not in err or len(err) < 200)
+    if value == 10**400:
+        assert err.endswith(", got an integer of 401 digits\n")
     assert not (tmp_path / "trajectory").exists()
 
 
@@ -906,9 +921,16 @@ def test_non_finite_energies_and_masses_are_refused(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["period", "levelset", "simulate"])
-def test_a_ring_of_more_primaries_than_the_cap_is_refused_at_once(tmp_path, capsys, command):
+def test_a_ring_of_more_primaries_than_the_cap_is_refused_at_once(tmp_path, capsys,
+                                                                  monkeypatch, command):
     # the ring radius sums N/2 terms, so N = 10**12 would run for hours; a
-    # valid integer past config.MAX_PRIMARIES is refused before any work
+    # valid integer past config.MAX_PRIMARIES is refused before any work.
+    # Each term calls sin, which raises here, so a refusal that came too
+    # late fails the test at its first term rather than hanging it
+    def summed(x):
+        raise AssertionError("the ring radius summed a term of an N past the cap")
+
+    monkeypatch.setattr(config.math, "sin", summed)
     cfgp = tmp_path / "run.json"
     write_config(cfgp, problem="sitnikov", N=10**12, epsilon=0.3, h=-2.5,
                  initial={"chart": "regularized", "state": [0.0, 0.0, 1.0, 0.0]})

@@ -391,6 +391,98 @@ def test_the_level_guard_outranks_a_later_failure_in_its_block(x0, kept):
         integrate(field, (x0, 0.0), 1.0, IntegratorConfig(step=1e-3))
 
 
+def _clocked_oscillator(y):
+    """An oscillator in (y0, y2), with y1 = tau, a clock that an invariant or
+    a failing field can read."""
+    return (y[2], 1.0, -y[0], 0.0)
+
+
+# the midpoint rule turns the oscillator by 2 atan(dtau / 2) a step: from this
+# phase y0 changes sign between samples 4095 and 4096, the last step of the
+# first block, and then every ~3142 samples
+_PHASE = 0.5 * math.pi - 4095.5 * 2.0 * math.atan(0.5e-3)
+_ON_CLOCK = (math.cos(_PHASE), 0.0, -math.sin(_PHASE), 0.0)
+
+
+def _energy(c):
+    return 0.5 * (c[0] * c[0] + c[2] * c[2]) - 0.5
+
+
+@pytest.mark.parametrize("case", ["2d", "4d", "level_guard", "step_failure"])
+def test_a_streamed_run_keeps_its_last_block_of_the_unstreamed_run(case):
+    # on_block hands each block over and the run then drops it a block
+    # later; the blocks add up to the unstreamed run, bit for bit, and the
+    # streamed trajectory, returned or raised, is its last block with every
+    # event (indices counted from the run's first sample), the run's length
+    # and its invariant_max.  The 4-D runs log events on both sides of every
+    # block boundary, one in the step that ends the first block; the level
+    # guard cuts at sample 13000, in the fourth block, after the march has
+    # logged the event at 13520 that the cut drops; the field turns NaN at
+    # tau = 11, in the third block
+    cfg, kwargs = IntegratorConfig(step=1e-3), {}
+    if case == "2d":  # a reduced run, recording every third step
+        p = Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius)
+        field, y0, span, invariant = p.field, p.project((0.5, -1.0)), 60.0, p.gamma
+        kwargs = {"time_scale": p.clock, "record_every": 3}
+    else:
+        field, y0, span, invariant = _clocked_oscillator, _ON_CLOCK, 25.0, _energy
+    if case == "level_guard":
+        invariant = lambda c: _energy(c) + np.where(c[1] > 12.9995, 0.5, 0.0)
+    elif case == "step_failure":
+        field = lambda y: _clocked_oscillator(y) if y[1] < 11.0 else (math.nan,) * 4
+
+    def run(**more):
+        try:
+            return integrate(field, y0, span, cfg, invariant=invariant, **kwargs, **more), None
+        except StepFailure as exc:
+            return exc.trajectory, str(exc)
+
+    whole, failure = run()
+    blocks = []
+    part, streamed_failure = run(on_block=lambda *block: blocks.append(
+        [np.array(c) for c in block]))
+    assert streamed_failure == failure and (failure is None) == (case in ("2d", "4d"))
+    columns = (whole.tau, whole.t, whole.states, whole.invariant)
+    for k, c in enumerate(columns):
+        assert np.concatenate([b[k] for b in blocks]).tobytes() == c.tobytes()
+    assert [len(b[0]) for b in blocks[:-1]] == [integrators.GUARD_BLOCK] * (len(blocks) - 1)
+    assert whole.offset == 0 and part.offset == len(whole) - len(blocks[-1][0]) > 0
+    assert len(part) == len(whole)
+    for k, c in enumerate((part.tau, part.t, part.states, part.invariant)):
+        assert c.tobytes() == blocks[-1][k].tobytes() == columns[k][part.offset:].tobytes()
+    assert part.events == whole.events
+    indices = [e.index for e in whole.events]
+    assert len({i // integrators.GUARD_BLOCK for i in indices}) >= 3
+    assert case == "2d" or indices[:2] == [953, 4095]
+    assert part.metadata == whole.metadata
+    assert whole.metadata["invariant_max"] == np.max(np.abs(whole.invariant))
+    if case == "level_guard":
+        assert len(whole) == 13001 and indices[-1] == 10378
+    elif case == "step_failure":
+        assert "non-finite" in failure and 10.99 < whole.tau[-1] <= 11.0
+
+
+def test_a_streamed_march_holds_the_same_memory_whatever_its_span():
+    # a streamed march holds at most two blocks of samples: a run four times
+    # longer peaks within 0.5 MB of the shorter one, where keeping every
+    # sample (40 B on a 2-D march) would cost 2.4 MB more
+    import tracemalloc
+
+    p = Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius)
+    peaks = []
+    for span in (20.0, 80.0):
+        tracemalloc.start()
+        try:
+            traj = integrate(p.field, p.project((0.5, -1.0)), span, IntegratorConfig(step=1e-3),
+                             time_scale=p.clock, invariant=p.gamma,
+                             on_block=lambda *block: None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 1000 * span + 1
+    assert abs(peaks[1] - peaks[0]) < 0.5e6
+
+
 def _reduced_reference_setup():
     a = 4.0 * RingConfig.for_count(2).radius
     rhs = Problem.reduced(-1.0, 1e-3, a).field
@@ -1051,7 +1143,11 @@ def test_with_a_helper_the_run_formats_no_block(tmp_path, monkeypatch, forks):
                          on_block=csv.write)
         write_regularized_csv(traj, path, csv)
     assert len(forks) == 1 and _no_child_left()
-    assert path.read_bytes() == _reference_regularized_csv(traj, p.gamma)
+    # the streamed run kept only its last block: the reference is the same
+    # march's, run without on_block
+    whole = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 10.0,
+                      IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=p.gamma)
+    assert path.read_bytes() == _reference_regularized_csv(whole, p.gamma)
 
 
 @pytest.mark.parametrize("helper", [True, False])
@@ -1069,6 +1165,13 @@ def test_a_csv_fed_by_the_march_matches_the_row_by_row_reference(tmp_path, monke
                          on_block=csv.write)
         write_regularized_csv(traj, path, csv)
     assert len(forks) == helper and _no_child_left()
+    # the streamed run kept only its last block, and its CSV is written: it
+    # cannot be written again after the fact
+    with pytest.raises(ParameterError, match="holds 1809 of the 10001 samples"):
+        write_regularized_csv(traj, tmp_path / "again.csv")
+    assert not (tmp_path / "again.csv").exists()
+    traj = integrate(p.field, p.project([0.0, 0.0, -1.0, 0.0]), 10.0,
+                     IntegratorConfig(step=1e-3), time_scale=p.clock, invariant=p.gamma)
     assert path.read_bytes() == _reference_regularized_csv(traj, p.gamma)
     # a writer handed other rows than the trajectory's refuses to finish, and
     # one given another path than its own refuses to write it; neither leaves
@@ -1119,7 +1222,9 @@ def test_a_2d_csv_streamed_through_the_helper_matches_the_row_by_row_reference(
             write_regularized_csv(traj, path, csv)
         assert len(traj) == 20001 and len(forks) == 1 and _no_child_left()
         written.append(path.read_bytes())
-    assert written[0] == written[1] == _reference_regularized_csv(traj, p.gamma)
+    whole = integrate(p.field, p.project(y0), 20.0, IntegratorConfig(step=1e-3),
+                      time_scale=p.clock, invariant=p.gamma)
+    assert written[0] == written[1] == _reference_regularized_csv(whole, p.gamma)
 
 
 def test_the_csv_writer_does_not_wait_on_a_helper_within_its_pipe(tmp_path):
