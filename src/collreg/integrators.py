@@ -499,6 +499,12 @@ def integrate(
 # (a - a) is 0.0 for a finite float and NaN otherwise, so the sum of those
 # terms is the finiteness test of the new state.
 #
+# The differences and the state are handed on one store at a time, oldest
+# difference first: a multiple assignment of five names, or of the four
+# components of a 4-D state, builds a tuple and unpacks it on every step.
+# The only tuples a step builds are the states it passes to the field,
+# _solve and _event.
+#
 # _build_march writes the template out for each size in _ROWS and compiles
 # it once at import, as collections.namedtuple and dataclasses build their
 # code.  In the template {n} is the state size, and a field
@@ -532,7 +538,11 @@ def _march{n}(field, y, dstep, n_steps, tol, clock, stop_after, record_every, ta
                 {comma:c$} = _solve(field, ({comma:y$}), ({comma:c$}), dstep, bound)
             if {plus:(c$ - c$)} != 0.0:
                 raise _non_finite(i, dstep)
-        d4$, d3$, d2$, d1$, d0$ = d3$, d2$, d1$, d0$, c$ - y$
+        d4$ = d3$
+        d3$ = d2$
+        d2$ = d1$
+        d1$ = d0$
+        d0$ = c$ - y$
 
         if y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0):
             event, t = _event(field, ({comma:y$}), ({comma:c$}), dstep, i, t, clock,
@@ -543,7 +553,7 @@ def _march{n}(field, y, dstep, n_steps, tol, clock, stop_after, record_every, ta
             t = i * dstep
         else:
             t += dstep * clock(0.5 * (y0 + c0))
-        {comma:y$} = {comma:c$}
+        y$ = c$
 
         if stopped or i % record_every == 0 or i == n_steps:
             table += pack(i * dstep, t, {comma:y$})

@@ -224,26 +224,33 @@ class Problem:
         c_omu = 4.0 * omu
         c_mu = 4.0 * mu
         momu = mu * omu
+        momu8 = 8.0 * momu
+        neg_momu = -momu
         W = 2.0 * mu * omu
         offset = 16.0 * mu * mu * omu * omu * params.m
         pc_sq = 32.0 * (mu * omu) ** 2 * params.m  # |P1|^2 at Q1 = 0
+        sqrt = math.sqrt
 
         def field(z):
+            # the products and constants are formed once, in the order and
+            # rounding of the closed forms, so the bits are theirs
             Q1, Q2, P1, P2 = z
             q1sq = Q1 * Q1
             A = 2.0 * Q2 + mu * q1sq
             B = 2.0 * Q2 - omu * q1sq
             DA = A * A + r4
             DB = B * B + r4
-            sA = math.sqrt(DA)
-            sB = math.sqrt(DB)
+            sA = sqrt(DA)
+            sB = sqrt(DB)
+            DsA = DA * sA
+            DsB = DB * sB
             U = c_omu / sA + c_mu / sB
-            dU_dQ1 = 8.0 * momu * Q1 * (B / (DB * sB) - A / (DA * sA))
-            dU_dQ2 = -8.0 * (omu * A / (DA * sA) + mu * B / (DB * sB))
+            dU_dQ1 = momu8 * Q1 * (B / DsB - A / DsA)
+            dU_dQ2 = -8.0 * (omu * A / DsA + mu * B / DsB)
             return (
                 P1,
                 momu * q1sq * P2,
-                -momu * P2 * P2 * Q1 + W * (2.0 * Q1 * (U + h) + q1sq * dU_dQ1),
+                neg_momu * P2 * P2 * Q1 + W * (2.0 * Q1 * (U + h) + q1sq * dU_dQ1),
                 W * q1sq * dU_dQ2,
             )
 

@@ -294,6 +294,50 @@ def test_kepler1d_fft_length_has_only_small_prime_factors(h, mu):
         assert rep["samples"] == 100352 == 2**11 * 7**2
 
 
+def _kepler1d_reference(h, mu):
+    """The kepler1d report computed from the whole trajectory: a march with
+    no on_block, Gamma on every state at once, and the window applied as a
+    product."""
+    p = Problem.kepler1d(h, mu)
+    span = 8 * 2.0 * math.pi / math.sqrt(-2.0 * h)
+    v0 = 2.0 * math.sqrt(mu)
+    n_steps = analysis._smooth_count(round(span / 5e-4) + 1) - 1
+    traj = integrate(p.field, (0.0, v0), span, IntegratorConfig(step=span / n_steps))
+    us = traj.states[:, 0]
+    events = traj.collision_events()
+    speeds = [abs(e.state[1]) for e in events]
+    spec = np.abs(np.fft.rfft(us * _blackman_harris(len(us))))
+    spec[0] = 0.0
+    peak = int(np.argmax(spec))
+    side = np.concatenate([spec[:max(peak - 5, 0)], spec[peak + 6:]])
+    return {
+        "h": h,
+        "mu_grav": mu,
+        "energy_relation_residual": float(np.max(np.abs(p.gamma(traj.states.T)))),
+        "collision_count": len(speeds),
+        "collision_speed_expected": v0,
+        "collision_speed_max_dev": float(np.max(np.abs(np.subtract(speeds, v0)))),
+        "x_turning_measured": 0.5 * float(np.max(us)) ** 2,
+        "x_turning_expected": mu / abs(h),
+        "omega_sq_measured": (math.pi / float(np.mean(np.diff([e.tau for e in events])))) ** 2,
+        "omega_sq_expected": -2.0 * h,
+        "fft_peak_ratio": float(spec[peak] / np.max(side)),
+        "samples": len(traj),
+    }
+
+
+@pytest.mark.parametrize("h, mu", [(-0.5, 1.0), (-1.25, 2.0)])
+def test_the_streamed_kepler1d_report_is_the_whole_trajectorys_bit_for_bit(h, mu):
+    # the march hands its samples over a block at a time and the report keeps
+    # u alone; every field is the float the whole trajectory gives
+    rep = kepler1d_validation(h, mu)
+    ref = _kepler1d_reference(h, mu)
+    assert list(rep) == list(ref)
+    for key in ref:
+        assert type(rep[key]) is type(ref[key]), key
+        assert np.array(rep[key]).tobytes() == np.array(ref[key]).tobytes(), key
+
+
 def test_fft_window_is_scipys_blackman_harris():
     # built in numpy so that the kepler1d report needs no scipy.signal
     windows = pytest.importorskip("scipy.signal.windows")

@@ -832,6 +832,18 @@ def test_the_march_is_generated_from_the_template(n):
     }
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_march_step_builds_no_tuple_but_the_states_it_passes_on(n):
+    # the states passed to the field (the Euler guess's and the sweep's),
+    # to _solve and to _event; the differences and the state are handed on
+    # one store at a time, with no tuple built and unpacked
+    import dis
+
+    built = [ins for ins in dis.get_instructions(integrators._MARCHES[n].__code__)
+             if ins.opname == "BUILD_TUPLE"]
+    assert [ins.arg for ins in built] == [n] * 6
+
+
 def test_a_traceback_through_the_march_shows_the_template_line():
     import traceback
 

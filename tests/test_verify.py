@@ -11,9 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from collreg import integrators, physical, regularized, verify
+from collreg import analysis, integrators, physical, regularized, verify
 from collreg.cli import main
-from collreg.errors import DomainError, ParameterError
+from collreg.errors import DomainError, ParameterError, StepFailure
 
 
 class _Runaway(BaseException):
@@ -130,6 +130,47 @@ def test_record_reduces_errors():
     rec = verify._record([], 1.0, passed=True, detail="why")
     assert rec == {"passed": False, "measured": math.inf, "tolerance": 1.0,
                    "detail": "no samples; why"}
+
+
+# -- the long marches: streamed, and under the level guard -------------------
+
+def test_the_long_marches_keep_no_trajectory():
+    # kepler1d streams its march and keeps the column u (0.8 MB); the
+    # gamma-conservation march keeps no sample.  Keeping them, as a march
+    # without on_block does, peaks at 6.2 and 1.8 MiB
+    import tracemalloc
+
+    for run, limit in ((lambda: analysis.kepler1d_validation(-0.5, 1.0), 4 << 20),
+                       (verify.check_gamma_conservation, 1 << 20)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+
+@pytest.mark.parametrize("problem, check", [("kepler1d", verify.check_kepler1d),
+                                            ("reduced", verify.check_monotone_clocks)])
+def test_a_march_that_leaves_its_level_fails_its_check_loudly(monkeypatch, problem, check):
+    # P1' (v' on kepler1d) gains 0.01 P1, which raises Gamma at 0.01 P1^2 a
+    # unit of tau: the level guard stops the march, where a march with no
+    # invariant would go on to a report
+    made = getattr(regularized.Problem, problem)
+
+    def drifting(cls, *args):
+        p = made(*args)
+
+        def field(z):
+            dz = p.field(z)
+            return dz[0], dz[1] + 0.01 * z[1]
+
+        return regularized.Problem(field, p.gamma, p.clock, p.project)
+
+    monkeypatch.setattr(regularized.Problem, problem, classmethod(drifting))
+    with pytest.raises(StepFailure, match="the run has left its level"):
+        check()
 
 
 # -- the helper process that runs the checks that do not march ---------------
