@@ -54,10 +54,11 @@ def classify(h: float) -> OrbitClass:
     bounded collision-bounce motion, parabolic escape, or hyperbolic escape.
 
     The band |h| <= PARABOLIC_BAND is labeled Parabolic because exact
-    parabolicity is measure zero; it only relabels that boundary.
+    parabolicity is measure zero; it only relabels that boundary.  A NaN or
+    infinite h is no energy of an orbit and raises DomainError.
     """
-    if math.isnan(h):
-        raise DomainError("the energy h is NaN; no orbit class")
+    if not math.isfinite(h):
+        raise DomainError(f"the energy h is {h}; no orbit class")
     if h < -PARABOLIC_BAND:
         kind = "Periodic"
     elif h > PARABOLIC_BAND:
@@ -132,11 +133,16 @@ def turning_point(h: float, m: float, r: float) -> float:
                    momentum_radicand(lo, h, m, r))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _gauss_nodes(n: int):
-    """Gauss-Legendre nodes and weights of order n on [-1, 1], from numpy's
-    Golub-Welsch eigenvalue solve; cached, since each period needs n and 2n."""
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights of order n = NODES or 2 * NODES on
+    [-1, 1]: numpy's leggauss(n) bit for bit, mirrored from the positive half
+    committed in tables.GAUSS_HALVES, so no eigenvalue solve runs; cached,
+    since each period needs n and 2n."""
+    from .tables import GAUSS_HALVES
+
+    x, w = (np.array(half) for half in GAUSS_HALVES[n])
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def _period_quadrature(h: float, m: float, r: float) -> float:

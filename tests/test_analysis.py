@@ -122,6 +122,13 @@ def test_turning_point_domain():
             turning_point(h, m, ring_radius(3))
 
 
+@pytest.mark.parametrize("n", [analysis.NODES, 2 * analysis.NODES])
+def test_the_committed_gauss_rules_are_leggauss_bit_for_bit(n):
+    x, w = analysis._gauss_nodes(n)
+    xl, wl = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, xl) and np.array_equal(w, wl)
+
+
 def test_period_methods_agree():
     r = ring_radius(3)
     for h in (-2.0, -1.0, -0.6):

@@ -893,6 +893,8 @@ def test_schema_rejects_bad_state_length(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--h", "nan"],
+    ["classify", "--h", "inf"],
+    ["classify", "--h", "-inf"],
     ["period", "--h", "nan", "--m", "1e-3", "--N", "3"],
     ["period", "--h", "-1", "--m", "inf", "--N", "3"],
     ["levelset", "--h", "nan", "--m", "1e-3", "--N", "3"],

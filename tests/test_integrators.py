@@ -1288,7 +1288,8 @@ def _run_after_importing_the_cli(check) -> int:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     code = f"import sys, collreg.cli; sys.exit({check})"
-    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          stdout=subprocess.DEVNULL).returncode
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
@@ -1306,6 +1307,23 @@ def test_importing_the_cli_builds_no_format_tables():
     assert _run_after_importing_the_cli(
         "b''.join(collreg.integrators._format([[0.5]])) != b'0.5\\n'"
         " or 'fractions' in sys.modules or 'decimal' in sys.modules") == 0
+
+
+def test_importing_the_cli_loads_no_constant_tables():
+    # the tables of the period quadrature and of verify load at their first use
+    assert _run_after_importing_the_cli("'collreg.tables' in sys.modules") == 0
+
+
+def test_verify_and_period_load_neither_numpy_random_nor_numpy_polynomial():
+    # their constants (step_symplectic's starts, the Gauss-Legendre rules) are
+    # committed tables; verify's own draws run in its forked helper
+    assert _run_after_importing_the_cli(
+        "not collreg.integrators._can_fork() or collreg.cli.main(['verify']) != 0"
+        " or 'numpy.random' in sys.modules or 'numpy.polynomial' in sys.modules") == 0
+    assert _run_after_importing_the_cli(
+        "collreg.cli.main(['period', '--h', '-1', '--m', '1e-3', '--N', '3']) != 0"
+        " or 'numpy.polynomial' in sys.modules or 'collreg.tables' not in sys.modules"
+        ) == 0
 
 
 # -- _format against '%.17g' % v, the bytes of every CSV of the package --

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from collreg import analysis, integrators, physical, regularized, verify
+from collreg import analysis, integrators, physical, regularized, tables, verify
 from collreg.cli import main
 from collreg.errors import DomainError, ParameterError, StepFailure
 
@@ -130,6 +130,12 @@ def test_record_reduces_errors():
     rec = verify._record([], 1.0, passed=True, detail="why")
     assert rec == {"passed": False, "measured": math.inf, "tolerance": 1.0,
                    "detail": "no samples; why"}
+
+
+def test_the_step_symplectic_starts_are_the_rngs_draws_bit_for_bit():
+    rng = np.random.default_rng(verify.SEED + 17)
+    draws = [rng.uniform(-2, 2, 2) for _ in range(50)]
+    assert np.array_equal(np.array(tables.STEP_SYMPLECTIC_STARTS), np.array(draws))
 
 
 # -- the long marches: streamed, and under the level guard -------------------
