@@ -189,14 +189,21 @@ def load_run_config(path: str) -> dict:
 
 def _default_outputs(cfg: dict, config_path: str) -> dict:
     """A run's trajectory, events and summary paths: those its outputs name,
-    and the others beside config_path.  Two that resolve to one file raise
-    SchemaError, as the later output would replace the earlier."""
+    and the others beside config_path.  A path that names a directory, or
+    lies in a directory that does not exist, raises OSError naming its
+    outputs.<key>, where the run would fail only once it had marched; two
+    that resolve to one file raise SchemaError, as the later output would
+    replace the earlier."""
     stem = os.path.splitext(config_path)[0]
     out = {key: f"{stem}_{key}.{'csv' if key == 'trajectory' else 'json'}" for key in OUTPUTS}
     out.update(cfg.get("outputs", {}))
     files = {}
     for key in OUTPUTS:
-        other = files.setdefault(os.path.realpath(out[key]), key)
+        path = os.path.realpath(out[key])
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path)):
+            what = "is a directory" if os.path.isdir(path) else "is not in an existing directory"
+            raise OSError(f"outputs.{key} {what}: {out[key]}")
+        other = files.setdefault(path, key)
         if other != key:
             raise SchemaError(f"outputs {other!r} and {key!r} name one file, {out[key]}",
                               field="outputs")
@@ -272,40 +279,57 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
 
 
 def _sweep_job(job):
-    """Merge, validate and run one sweep entry.
+    """Run one sweep job, its config validated and its outputs resolved.
 
     Returns (summary, None) or (None, message): a job that fails is recorded
     as failed and leaves the other jobs running.
     """
-    k, stem, base, override = job
+    cfg, outputs = job
     try:
-        if not isinstance(override, dict):
-            raise SchemaError("sweep entries must be objects", field=f"sweep[{k}]")
-        cfg = validate_run_config({**base, **override, "schema": 1})
-        outputs = _default_outputs(cfg, f"{stem}_sweep{k:03d}.json")
         return run_simulation(cfg, outputs), None
     except RUN_FAILURES as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
 def _run_sweep(cfg: dict, config_path: str) -> int:
+    """Merge and validate every sweep entry and resolve its outputs before
+    any job runs, then run the jobs in a process pool.  A job refused here,
+    among them one that names a file an earlier job writes (the two would
+    interleave their writes), fails without running; the others run."""
     sweep = cfg.get("sweep")
     if not isinstance(sweep, list) or not sweep:
         raise SchemaError("--sweep requires a nonempty 'sweep' list", field="sweep")
-    stem = os.path.splitext(config_path)[0]
-    base = {key: val for key, val in cfg.items()
-            if key not in ("sweep", "_integrator", "outputs")}
-    jobs = [(k, stem, base, override) for k, override in enumerate(sweep)]
     threads = os.environ.get("COLLREG_THREADS", "0")
     if not re.fullmatch("[0-9]+", threads):
         raise ParameterError(f"COLLREG_THREADS must be a nonnegative integer, got {threads!r}")
+    stem = os.path.splitext(config_path)[0]
+    base = {key: val for key, val in cfg.items()
+            if key not in ("sweep", "_integrator", "outputs")}
+    jobs, written = [], {}  # each job, or why it failed; the job that writes each file
+    for k, override in enumerate(sweep):
+        try:
+            if not isinstance(override, dict):
+                raise SchemaError("sweep entries must be objects", field=f"sweep[{k}]")
+            job = validate_run_config({**base, **override, "schema": 1})
+            outputs = _default_outputs(job, f"{stem}_sweep{k:03d}.json")
+            files = {os.path.realpath(path): key for key, path in outputs.items()}
+            for path, key in files.items():
+                if path in written:
+                    raise SchemaError(f"output {key!r} names {outputs[key]}, which sweep job "
+                                      f"{written[path]:03d} writes", field="outputs")
+            written.update(dict.fromkeys(files, k))
+            jobs.append((job, outputs))
+        except RUN_FAILURES as exc:
+            jobs.append(f"{type(exc).__name__}: {exc}")
     workers = int(threads) or min(len(jobs), os.cpu_count() or 1)
     # the stepping loops are pure Python, so real parallelism needs processes
     from concurrent.futures import ProcessPoolExecutor
 
     failed = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for k, (summary, error) in enumerate(pool.map(_sweep_job, jobs)):
+        done = pool.map(_sweep_job, [job for job in jobs if isinstance(job, tuple)])
+        for k, job in enumerate(jobs):
+            summary, error = next(done) if isinstance(job, tuple) else (None, job)
             if error is None:
                 print(f"sweep job {k:03d} done: collisions={summary['collisions']} "
                       f"t_end={summary['t_end']:.6g}")

@@ -67,7 +67,7 @@ import sys
 import threading
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -298,7 +298,8 @@ def _locate_crossing(y_prev, y_next, f_prev, f_next, dstep):
 def _event(field, y_prev, y, dstep, i, t, clock, index):
     """The collision in step i, from y_prev to y, and the clock at the step's
     end, given t at its start.  The event sits at the root of Q1 on the
-    step's cubic Hermite interpolant; index is the last sample before it."""
+    step's cubic Hermite interpolant; index is the run's index of the last
+    sample before it."""
     f_prev = field(y_prev)
     f_next = field(y)
     s = _locate_crossing(y_prev, y, f_prev, f_next, dstep)
@@ -350,7 +351,11 @@ def integrate(
     either side of an event.  Every sign change of Q1, the first state
     component, is logged as a collision event with sub-step localization; a
     step that lands exactly on 0 from a nonzero value is an event at its end,
-    and the step out of that 0 is none.  An event changes no state.
+    and the step out of that 0 is none.  An event changes no state.  Its
+    index is the run's index of the last sample before it: samples are
+    recorded at steps 0, r, 2r, ... (r = record_every), so the march gives
+    an event in step i the index (i - 1) // r; the last sample, recorded at
+    the last or the stopping step whatever r says, comes after every event.
     invariant(columns), when given, is evaluated once on every recorded
     sample, a block of GUARD_BLOCK samples at a time: columns is the block's
     states as an (n, k) array, one row a component, and the invariant returns
@@ -406,21 +411,18 @@ def integrate(
     table = bytearray(_ROWS[n].pack(0.0, 0.0, *y))
     invs = None if invariant is None else array("d")
     events: list[Event] = []
-    # the run's index of the table's first row, the position in events of
-    # the first whose index the march counted from that row, and the
-    # NaN-blind max |invariant| so far
-    offset, fresh, inv_max = 0, 0, math.nan
+    # the run's index of the table's first row, and the NaN-blind max
+    # |invariant| so far
+    offset, inv_max = 0, math.nan
 
     def settle():
         """The invariant on the samples recorded since the last call, and the
         level guard on them; returns the table's size in bytes at which the
         next call is due.  With on_block, the rows before the block it hands
-        over leave the table and the invariant column."""
-        nonlocal offset, fresh, inv_max
-        if offset:  # the march counts event indices from the table's first row
-            events[fresh:] = [replace(e, index=offset + e.index)
-                              for e in events[fresh:]]
-        fresh = len(events)
+        over leave the table and the invariant column; offset counts them,
+        for the guard's cut and Trajectory.offset, and no event changes, as
+        the march gives each its index in the run."""
+        nonlocal offset, inv_max
         hi = len(table) // width
         lo = hi if invs is None else len(invs)
         if lo < hi:
@@ -546,7 +548,7 @@ def _march{n}(field, y, dstep, n_steps, tol, clock, stop_after, record_every, ta
 
         if y0 * c0 < 0.0 or (c0 == 0.0 and y0 != 0.0):
             event, t = _event(field, ({comma:y$}), ({comma:c$}), dstep, i, t, clock,
-                              len(table) // width - 1)
+                              (i - 1) // record_every)
             events.append(event)
             stopped = len(events) == stop_after
         elif clock is None:

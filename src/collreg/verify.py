@@ -353,7 +353,7 @@ def check_reduced_restriction():
     return _record(errs, 1e-13)
 
 
-def check_reduced_chain_rule(field_fn=None):
+def check_reduced_chain_rule():
     """Decisive sign arbitration: the reduced field, pushed through the chart
     q = Q1^2/4, p = P1/Q1, dt = (Q1^2/2) dtau on the level set, must reproduce
     the physical force of the symmetric problem."""
@@ -365,8 +365,6 @@ def check_reduced_chain_rule(field_fn=None):
     m = params.m
     h = -1.0
     p = regularized.Problem.reduced(h, m, a)
-    if field_fn is None:
-        field_fn = p.field
     errs = []
     for _ in range(60):
         Q1 = rng.uniform(0.2, 2.4)
@@ -374,7 +372,7 @@ def check_reduced_chain_rule(field_fn=None):
             P1 = regularized.reduced_level_momentum(Q1, h, m, a) * rng.choice([-1.0, 1.0])
         except DomainError:
             continue
-        dQ1, dP1 = field_fn((Q1, P1))
+        dQ1, dP1 = p.field((Q1, P1))
         g = p.clock(Q1)
         q = 0.25 * Q1 * Q1
         pdot_chain = (dP1 / Q1 - P1 * dQ1 / (Q1 * Q1)) / g

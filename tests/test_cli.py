@@ -11,11 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
-from collreg import analysis, cli, config, integrators, verify
+from collreg import analysis, cli, config, integrators, regularized, verify
 from collreg.cli import build_parser, load_run_config, main
 from collreg.errors import ParameterError, SchemaError, StepFailure
 from collreg.integrators import IntegratorConfig, integrate_physical_oracle
-from collreg.regularized import gamma_reduced, reduced_field
+from collreg.regularized import gamma_reduced
 from collreg.config import MassParams, RingConfig, ring_radius
 
 
@@ -1110,15 +1110,24 @@ def test_verify_full_suite_passes(capsys):
     assert report["all_passed"] and len(report["checks"]) == 30
 
 
-def test_mutation_flipped_sign_fails_chain_rule_oracle():
-    # a deliberately wrong sign in the reduced field must be caught by the
-    # chain-rule oracle
-    def flipped(s):
-        f = reduced_field(s, -1.0, 4.0 * ring_radius(3))
-        return (f[0], -f[1])
+def test_mutation_flipped_sign_fails_chain_rule_oracle(monkeypatch):
+    # a deliberately wrong sign in the reduced field, P1' flipped, must be
+    # caught by the chain-rule oracle
+    made = regularized.Problem.reduced
 
-    rec = verify.check_reduced_chain_rule(field_fn=flipped)
+    def flipped(cls, *args):
+        p = made(*args)
+
+        def field(z):
+            dz = p.field(z)
+            return dz[0], -dz[1]
+
+        return regularized.Problem(field, p.gamma, p.clock, p.project)
+
+    monkeypatch.setattr(regularized.Problem, "reduced", classmethod(flipped))
+    rec = verify.check_reduced_chain_rule()
     assert not rec["passed"]
+    monkeypatch.undo()
     rec_ok = verify.check_reduced_chain_rule()
     assert rec_ok["passed"]
 
@@ -1205,6 +1214,60 @@ def test_sweep_job_that_cannot_write_leaves_the_others_running(tmp_path, capsys,
     for k in (0, 2):
         assert (tmp_path / f"sweep_sweep{k:03d}_summary.json").exists()
     assert not (tmp_path / "sweep_sweep001_summary.json").exists()
+
+
+def test_sweep_jobs_that_name_one_file_run_only_the_first(tmp_path, capsys, monkeypatch):
+    # both jobs name same.csv, where two running jobs would interleave their
+    # rows: every job's outputs are resolved before any runs, so job 001
+    # fails unrun and job 000 writes what it writes alone
+    monkeypatch.chdir(tmp_path)
+    same = {"outputs": {"trajectory": "same.csv"}}
+    cfgp = tmp_path / "sweep.json"
+    write_config(cfgp, span=2.0, sweep=[{"h": -1.0, **same}, {"h": -1.5, **same}])
+    monkeypatch.setenv("COLLREG_THREADS", "2")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out
+    assert ("sweep job 001 failed: SchemaError: output 'trajectory' names same.csv, which "
+            "sweep job 000 writes") in err
+    assert not list(tmp_path.glob("sweep_sweep001_*"))
+    write_config(tmp_path / "alone.json", span=2.0, h=-1.0,
+                 outputs={"trajectory": str(tmp_path / "alone.csv")})
+    assert main(["simulate", str(tmp_path / "alone.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "same.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["trajectory", "events", "summary"])
+def test_an_output_in_no_directory_or_naming_one_is_refused_before_the_march(
+        tmp_path, capsys, monkeypatch, key):
+    # refused before the march: an events or summary path is opened only
+    # after it, which would leave the CSV written and no events or summary
+    calls = [0]
+
+    def counted(field):
+        def f(y):
+            calls[0] += 1
+            return field(y)
+        return f
+
+    _patch_field(monkeypatch, counted)
+    cfgp = tmp_path / "run.json"
+    for bad, what in ((tmp_path / "missing" / "out", "is not in an existing directory"),
+                      (tmp_path, "is a directory")):
+        write_config(cfgp, outputs={key: str(bad)})
+        assert main(["simulate", str(cfgp)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: outputs.{key} {what}: {bad}\n"
+        assert calls[0] == 0 and sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    # in a sweep only that job fails
+    write_config(cfgp, span=1.0, sweep=[{"outputs": {key: str(tmp_path / "missing" / "out")}},
+                                        {}])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert f"sweep job 000 failed: OSError: outputs.{key} is not in an existing" in err
+    assert "sweep job 001 done" in out and not list(tmp_path.glob("run_sweep000_*"))
 
 
 def test_simulate_refuses_a_span_of_more_steps_than_a_float_counts(tmp_path, capsys, forks):

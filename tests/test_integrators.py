@@ -408,7 +408,7 @@ def _energy(c):
     return 0.5 * (c[0] * c[0] + c[2] * c[2]) - 0.5
 
 
-@pytest.mark.parametrize("case", ["2d", "4d", "level_guard", "step_failure"])
+@pytest.mark.parametrize("case", ["2d", "4d", "level_guard", "step_failure", "stop"])
 def test_a_streamed_run_keeps_its_last_block_of_the_unstreamed_run(case):
     # on_block hands each block over and the run then drops it a block
     # later; the blocks add up to the unstreamed run, bit for bit, and the
@@ -418,7 +418,10 @@ def test_a_streamed_run_keeps_its_last_block_of_the_unstreamed_run(case):
     # block boundary, one in the step that ends the first block; the level
     # guard cuts at sample 13000, in the fourth block, after the march has
     # logged the event at 13520 that the cut drops; the field turns NaN at
-    # tau = 11, in the third block
+    # tau = 11, in the third block.  The stopped run records every third
+    # step and ends at its ninth event, in step 26087, off that grid: the
+    # event is indexed 26086 // 3 = 8695, in the third block, and the
+    # stop's sample 8696 comes after it
     cfg, kwargs = IntegratorConfig(step=1e-3), {}
     if case == "2d":  # a reduced run, recording every third step
         p = Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius)
@@ -426,7 +429,9 @@ def test_a_streamed_run_keeps_its_last_block_of_the_unstreamed_run(case):
         kwargs = {"time_scale": p.clock, "record_every": 3}
     else:
         field, y0, span, invariant = _clocked_oscillator, _ON_CLOCK, 25.0, _energy
-    if case == "level_guard":
+    if case == "stop":
+        span, kwargs = 40.0, {"record_every": 3, "stop_after": 9}
+    elif case == "level_guard":
         invariant = lambda c: _energy(c) + np.where(c[1] > 12.9995, 0.5, 0.0)
     elif case == "step_failure":
         field = lambda y: _clocked_oscillator(y) if y[1] < 11.0 else (math.nan,) * 4
@@ -441,7 +446,7 @@ def test_a_streamed_run_keeps_its_last_block_of_the_unstreamed_run(case):
     blocks = []
     part, streamed_failure = run(on_block=lambda *block: blocks.append(
         [np.array(c) for c in block]))
-    assert streamed_failure == failure and (failure is None) == (case in ("2d", "4d"))
+    assert streamed_failure == failure and (failure is None) == (case in ("2d", "4d", "stop"))
     columns = (whole.tau, whole.t, whole.states, whole.invariant)
     for k, c in enumerate(columns):
         assert np.concatenate([b[k] for b in blocks]).tobytes() == c.tobytes()
@@ -453,13 +458,18 @@ def test_a_streamed_run_keeps_its_last_block_of_the_unstreamed_run(case):
     assert part.events == whole.events
     indices = [e.index for e in whole.events]
     assert len({i // integrators.GUARD_BLOCK for i in indices}) >= 3
-    assert case == "2d" or indices[:2] == [953, 4095]
+    assert case in ("2d", "stop") or indices[:2] == [953, 4095]
     assert part.metadata == whole.metadata
     assert whole.metadata["invariant_max"] == np.max(np.abs(whole.invariant))
     if case == "level_guard":
         assert len(whole) == 13001 and indices[-1] == 10378
     elif case == "step_failure":
         assert "non-finite" in failure and 10.99 < whole.tau[-1] <= 11.0
+    elif case == "stop":
+        assert indices[:2] == [317, 1365] and indices[-1] == 8695 == len(whole) - 2
+        assert whole.tau[-1] == 26087 * 1e-3 and part.offset == 2 * integrators.GUARD_BLOCK
+        assert all(whole.tau[i] < e.tau <= whole.tau[i + 1]
+                   for i, e in zip(indices, whole.events))
 
 
 def test_a_streamed_march_holds_the_same_memory_whatever_its_span():
