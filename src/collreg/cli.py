@@ -150,8 +150,8 @@ RUNS = {
 
 
 def validate_run_config(cfg) -> dict:
-    """Check a parsed document against schema 1; returns it with its
-    IntegratorConfig attached under "_integrator"."""
+    """Check a parsed document against schema 1; returns it unchanged, so a
+    validated document validates again."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
     if cfg.get("schema") != 1:
@@ -168,12 +168,9 @@ def validate_run_config(cfg) -> dict:
     state = (lambda s: isinstance(s, list) and len(s) == run.size and all(map(_is_number, s)),
              f"{run.size} finite numbers for problem {problem!r}")
     _check(cfg["initial"], {"chart": TEXT, "state": state}, "initial.", "initial setting %r")
-    integ = cfg.get("integrator", {})
-    _check(integ, INTEGRATOR, "integrator.", "integrator setting %r", INTEGRATOR)
+    _check(cfg.get("integrator", {}), INTEGRATOR, "integrator.", "integrator setting %r",
+           INTEGRATOR)
     _check(cfg.get("outputs", {}), OUTPUTS, "outputs.", "output %r", OUTPUTS)
-    # step and newton_tol are floats, as IntegratorConfig's defaults are
-    cfg["_integrator"] = IntegratorConfig(
-        **{k: v if k == "method" else float(v) for k, v in integ.items()})
     return cfg
 
 
@@ -187,13 +184,14 @@ def load_run_config(path: str) -> dict:
     return validate_run_config(cfg)
 
 
-def _default_outputs(cfg: dict, config_path: str) -> dict:
+def _default_outputs(cfg: dict, config_path: str, written: dict, job=None) -> dict:
     """A run's trajectory, events and summary paths: those its outputs name,
     and the others beside config_path.  A path that names a directory, or
     lies in a directory that does not exist, raises OSError naming its
-    outputs.<key>, where the run would fail only once it had marched; two
-    that resolve to one file raise SchemaError, as the later output would
-    replace the earlier."""
+    outputs.<key>, where the run would fail only once it had marched.  A
+    file another output names, or an earlier sweep job writes (written:
+    file -> job), raises SchemaError; else written takes the run's files
+    under job.  A lone run passes {}."""
     stem = os.path.splitext(config_path)[0]
     out = {key: f"{stem}_{key}.{'csv' if key == 'trajectory' else 'json'}" for key in OUTPUTS}
     out.update(cfg.get("outputs", {}))
@@ -203,10 +201,14 @@ def _default_outputs(cfg: dict, config_path: str) -> dict:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path)):
             what = "is a directory" if os.path.isdir(path) else "is not in an existing directory"
             raise OSError(f"outputs.{key} {what}: {out[key]}")
-        other = files.setdefault(path, key)
-        if other != key:
-            raise SchemaError(f"outputs {other!r} and {key!r} name one file, {out[key]}",
+        if path in files:
+            raise SchemaError(f"outputs {files[path]!r} and {key!r} name one file, {out[key]}",
                               field="outputs")
+        if path in written:
+            raise SchemaError(f"output {key!r} names {out[key]}, which sweep job "
+                              f"{written[path]:03d} writes", field="outputs")
+        files[path] = key
+    written.update(dict.fromkeys(files, job))
     return out
 
 
@@ -217,7 +219,6 @@ def _problem(cfg: dict) -> Problem:
 
 def run_simulation(cfg: dict, outputs: dict) -> dict:
     """Execute one validated run configuration; returns the summary dict."""
-    icfg: IntegratorConfig = cfg["_integrator"]
     problem = cfg["problem"]
     span = float(cfg["span"])
     state = [float(v) for v in cfg["initial"]["state"]]
@@ -241,6 +242,9 @@ def run_simulation(cfg: dict, outputs: dict) -> dict:
     else:
         p = _problem(cfg)
         y0 = p.project(state)
+        # step and newton_tol are floats, as IntegratorConfig's defaults are
+        icfg = IntegratorConfig(**{k: v if k == "method" else float(v)
+                                   for k, v in cfg.get("integrator", {}).items()})
         # the CSV is opened before the march, which hands it each block of
         # samples as the level guard passes it and then drops them: traj
         # holds the last block, and max |Gamma| over every sample
@@ -292,33 +296,28 @@ def _sweep_job(job):
 
 
 def _run_sweep(cfg: dict, config_path: str) -> int:
-    """Merge and validate every sweep entry and resolve its outputs before
-    any job runs, then run the jobs in a process pool.  A job refused here,
-    among them one that names a file an earlier job writes (the two would
-    interleave their writes), fails without running; the others run."""
+    """Merge each sweep entry over the config less its sweep list, validate
+    it and resolve its outputs before any job runs, then run the jobs in a
+    process pool.  A job refused here, among them one that names a file an
+    earlier job writes (the two would interleave their writes), fails unrun."""
     sweep = cfg.get("sweep")
     if not isinstance(sweep, list) or not sweep:
         raise SchemaError("--sweep requires a nonempty 'sweep' list", field="sweep")
+    if "outputs" in cfg:
+        raise SchemaError("--sweep refuses a top-level 'outputs': each entry names its own",
+                          field="outputs")
     threads = os.environ.get("COLLREG_THREADS", "0")
     if not re.fullmatch("[0-9]+", threads):
         raise ParameterError(f"COLLREG_THREADS must be a nonnegative integer, got {threads!r}")
     stem = os.path.splitext(config_path)[0]
-    base = {key: val for key, val in cfg.items()
-            if key not in ("sweep", "_integrator", "outputs")}
+    base = {key: val for key, val in cfg.items() if key != "sweep"}
     jobs, written = [], {}  # each job, or why it failed; the job that writes each file
     for k, override in enumerate(sweep):
         try:
             if not isinstance(override, dict):
                 raise SchemaError("sweep entries must be objects", field=f"sweep[{k}]")
-            job = validate_run_config({**base, **override, "schema": 1})
-            outputs = _default_outputs(job, f"{stem}_sweep{k:03d}.json")
-            files = {os.path.realpath(path): key for key, path in outputs.items()}
-            for path, key in files.items():
-                if path in written:
-                    raise SchemaError(f"output {key!r} names {outputs[key]}, which sweep job "
-                                      f"{written[path]:03d} writes", field="outputs")
-            written.update(dict.fromkeys(files, k))
-            jobs.append((job, outputs))
+            job = validate_run_config({**base, **override})
+            jobs.append((job, _default_outputs(job, f"{stem}_sweep{k:03d}.json", written, k)))
         except RUN_FAILURES as exc:
             jobs.append(f"{type(exc).__name__}: {exc}")
     workers = int(threads) or min(len(jobs), os.cpu_count() or 1)
@@ -343,7 +342,7 @@ def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     if args.sweep:
         return _run_sweep(cfg, args.config)
-    outputs = _default_outputs(cfg, args.config)
+    outputs = _default_outputs(cfg, args.config, {})
     try:
         summary = run_simulation(cfg, outputs)
     except StepFailure as exc:

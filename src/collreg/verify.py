@@ -61,6 +61,21 @@ def _record(errors, tolerance, passed=None, detail=None):
     return rec
 
 
+def _signed_start(rng, lo, hi, spread):
+    """A regularized state [Q1, Q2, P1, P2]: |Q1| drawn in [lo, hi], then
+    its sign, then Q2, P1 and P2 each in [-spread, spread]."""
+    return np.array([rng.uniform(lo, hi) * rng.choice([-1.0, 1.0]),
+                     *(rng.uniform(-spread, spread) for _ in range(3))])
+
+
+def _ordered_start(rng, lo, hi, spread):
+    """A physical state [q1, q2, p1, p2] with q1 > q2: q2 drawn in [-2, 1],
+    then q1 - q2 in [lo, hi], then p1 and p2 each in [-spread, spread]."""
+    q2 = rng.uniform(-2.0, 1.0)
+    q1 = q2 + rng.uniform(lo, hi)
+    return np.array([q1, q2, rng.uniform(-spread, spread), rng.uniform(-spread, spread)])
+
+
 def check_relative_map_symplectic():
     rng = np.random.default_rng(SEED)
     return _record([symplectic.symplectic_defect(symplectic.build_relative_map(mu))
@@ -84,12 +99,7 @@ def check_chart_jacobian_defect():
     for eps in (0.0, 0.25, 0.5, 0.9):
         params = MassParams(m=1e-3, epsilon=eps)
         for _ in range(25):
-            z = np.array([
-                rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]),
-                rng.uniform(-2.0, 2.0),
-                rng.uniform(-2.0, 2.0),
-                rng.uniform(-2.0, 2.0),
-            ])
+            z = _signed_start(rng, 0.1, 3.0, 2.0)
             jac = symplectic.fd_jacobian(lambda w: regularized.chart_to_physical(w, params), z)
             errs.append(symplectic.symplectic_defect(jac))
     return _record(errs, 1e-6)
@@ -153,9 +163,7 @@ def check_field_gradient():
     omega = symplectic.canonical_form(4)
     errs = []
     for _ in range(100):
-        q2 = rng.uniform(-2.0, 1.0)
-        q1 = q2 + rng.uniform(0.3, 3.0)
-        y = np.array([q1, q2, rng.uniform(-2, 2), rng.uniform(-2, 2)])
+        y = _ordered_start(rng, 0.3, 3.0, 2.0)
         grad = symplectic.fd_jacobian(lambda w: physical.hamiltonian(w, params, ring), y)[0]
         errs.append(np.abs(omega @ grad - physical.physical_field(y, params, ring)))
     return _record(errs, 1e-7)
@@ -171,15 +179,10 @@ def check_general_equivalence():
     errs = []
     for N in (2, 3, 5, 8):
         ring = RingConfig.for_count(N)
-        ys, phase = [], []
-        for _ in range(25):
-            q2 = rng.uniform(-2.0, 1.0)
-            q1 = q2 + rng.uniform(0.3, 3.0)
-            ys.append((q1, q2, rng.uniform(-2, 2), rng.uniform(-2, 2)))
-            phase.append(rng.uniform(0, 10))
-        ys = np.array(ys)
-        pull = physical.infinitesimal_accel_3d(ys[:, :2], ring, np.array(phase)[:, None])[..., 2]
-        for (q1, q2, p1, p2), (pull1, pull2) in zip(ys.tolist(), pull.tolist()):
+        # each row a state and then its ring phase
+        ys = np.array([[*_ordered_start(rng, 0.3, 3.0, 2.0), rng.uniform(0, 10)] for _ in range(25)])
+        pull = physical.infinitesimal_accel_3d(ys[:, :2], ring, ys[:, 4:])[..., 2]
+        for (q1, q2, p1, p2, _), (pull1, pull2) in zip(ys.tolist(), pull.tolist()):
             mutual = params.m * a * b / (q1 - q2) ** 2
             want = (p1 / a, p2 / b, a * pull1 - mutual, b * pull2 + mutual)
             errs.append(np.abs(physical.physical_field((q1, q2, p1, p2), params, ring) - want))
@@ -204,12 +207,7 @@ def check_defining_identity():
         for N in (2, 3, 4, 8):
             ring = RingConfig.for_count(N)
             for _ in range(63):
-                z = np.array([
-                    rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0]),
-                    rng.uniform(-2.0, 2.0),
-                    rng.uniform(-2.0, 2.0),
-                    rng.uniform(-2.0, 2.0),
-                ])
+                z = _signed_start(rng, 0.3, 2.5, 2.0)
                 h = rng.uniform(-2.0, 1.0)
                 g = regularized.time_scale(z, params)
                 lhs = regularized.gamma(z, h, params, ring)
@@ -225,12 +223,7 @@ def check_zero_set():
     ring = RingConfig.for_count(3)
     errs = []
     for _ in range(1000):  # draws; a refused projection is drawn again
-        z = np.array([
-            rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]),
-            rng.uniform(-1.0, 1.0),
-            rng.uniform(-1.0, 1.0),
-            rng.uniform(-1.0, 1.0),
-        ])
+        z = _signed_start(rng, 0.3, 2.0, 1.0)
         h = rng.uniform(-2.0, 0.5)
         try:
             zs = regularized.project_to_level(z, h, params, ring)
@@ -250,9 +243,7 @@ def check_chart_roundtrip():
     for eps in (0.0, 0.3, 0.7):
         params = MassParams(m=1e-3, epsilon=eps)
         for _ in range(34):
-            q2 = rng.uniform(-2.0, 1.0)
-            q1 = q2 + rng.uniform(1e-3, 4.0)
-            y = np.array([q1, q2, rng.uniform(-3, 3), rng.uniform(-3, 3)])
+            y = _ordered_start(rng, 1e-3, 4.0, 3.0)
             back = regularized.chart_to_physical(
                 regularized.chart_to_regularized(y, params), params)
             errs.append(float(np.max(np.abs(back - y))) / max(1.0, float(np.max(np.abs(y)))))
@@ -403,19 +394,16 @@ def check_step_symplectic():
 def check_reversibility():
     params = MassParams(m=1e-3, epsilon=0.25)
     cfg = integrators.IntegratorConfig(step=1e-3, newton_tol=1e-15)
-    # reduced system
-    p = regularized.Problem.reduced(-1.0, params.m, 4.0 * RingConfig.for_count(2).radius)
-    y = p.project((0.7, 1.0))
-    fwd = integrators.integrate(p.field, y, 2.0, cfg).states[-1]
-    back = integrators.integrate(p.field, (fwd[0], -fwd[1]), 2.0, cfg).states[-1]
-    errs = [abs(back[0] - y[0]), abs(back[1] + y[1])]
-    # full system
-    p = regularized.Problem.sitnikov(-1.0, params, RingConfig.for_count(3))
-    z = p.project((0.9, 0.1, 1.0, -0.2))
-    fwd = integrators.integrate(p.field, z, 2.0, cfg).states[-1]
-    zr = np.array([fwd[0], fwd[1], -fwd[2], -fwd[3]])
-    back = integrators.integrate(p.field, zr, 2.0, cfg).states[-1]
-    errs.extend(np.abs(back * np.array([1, 1, -1, -1]) - z))
+    reduced = regularized.Problem.reduced(-1.0, params.m, 4.0 * RingConfig.for_count(2).radius)
+    full = regularized.Problem.sitnikov(-1.0, params, RingConfig.for_count(3))
+    errs = []
+    # each system marches, flips its momenta, marches back and flips them again
+    for p, start in ((reduced, (0.7, 1.0)), (full, (0.9, 0.1, 1.0, -0.2))):
+        y = p.project(start)
+        flip = np.repeat([1.0, -1.0], len(y) // 2)
+        fwd = integrators.integrate(p.field, y, 2.0, cfg).states[-1]
+        back = integrators.integrate(p.field, fwd * flip, 2.0, cfg).states[-1]
+        errs.extend(np.abs(back * flip - y))
     return _record(errs, 1e-8)
 
 

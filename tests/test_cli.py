@@ -395,6 +395,19 @@ class _FieldBug(Exception):
     pass
 
 
+def _handed_configs(monkeypatch):
+    """The IntegratorConfig of each call run_simulation makes to integrate,
+    recorded by a wrapper around cli.integrate."""
+    handed, integrate = [], cli.integrate
+
+    def recorded(field, y0, span, cfg, **kwargs):
+        handed.append(cfg)
+        return integrate(field, y0, span, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", recorded)
+    return handed
+
+
 def _failing_after(calls, make_failure):
     def field_of(field):
         count = [0]
@@ -440,6 +453,7 @@ def test_a_failed_run_stops_its_csv_helper_and_keeps_its_trajectory(
         monkeypatch.setattr(integrators, "_format", format_rows)
     outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
     run = _config_file(tmp_path, cfg, outs)
+    handed = _handed_configs(monkeypatch)
     if failure == "helper_fails":
         assert main(["simulate", run]) == 2
         err = capsys.readouterr().err
@@ -458,9 +472,10 @@ def test_a_failed_run_stops_its_csv_helper_and_keeps_its_trajectory(
         # march without on_block keeps them all
         cfg = load_run_config(run)
         p = cli._problem(cfg)
+        (icfg,) = handed  # the run's one march
         with pytest.raises(StepFailure) as whole:
             integrators.integrate(p.field, p.project(cfg["initial"]["state"]), cfg["span"],
-                                  cfg["_integrator"], time_scale=p.clock, invariant=p.gamma)
+                                  icfg, time_scale=p.clock, invariant=p.gamma)
         assert str(whole.value) == str(exc.value)
         assert len(whole.value.trajectory) == len(part)
         integrators.write_regularized_csv(whole.value.trajectory, tmp_path / "after.csv")
@@ -626,11 +641,28 @@ def test_unknown_integrator_keys_are_refused(tmp_path, capsys, key):
     assert not any(tmp_path.glob("run_*"))
 
 
-def test_integrator_settings_left_out_take_the_dataclass_defaults(tmp_path):
+def test_integrator_settings_left_out_take_the_dataclass_defaults(tmp_path, monkeypatch):
+    # observed where run_simulation hands its IntegratorConfig to integrate
     cfgp = tmp_path / "run.json"
     write_config(cfgp, integrator={"step": 2})
-    icfg = load_run_config(str(cfgp))["_integrator"]
+    handed = _handed_configs(monkeypatch)
+    outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
+    with pytest.raises(StepFailure):  # a step of 2 leaves the level in the first step
+        cli.run_simulation(load_run_config(str(cfgp)), outs)
+    (icfg,) = handed
     assert icfg == IntegratorConfig(step=2.0) and isinstance(icfg.step, float)
+
+
+@pytest.mark.parametrize("problem", sorted(PINNED_RUNS))
+def test_a_validated_config_validates_again(tmp_path, problem):
+    # validation returns the document it checks, unchanged: nothing is
+    # attached that a second validation would refuse as an unknown key
+    cfg, _ = PINNED_RUNS[problem]
+    outs = {k: str(tmp_path / k) for k in ("trajectory", "events", "summary")}
+    doc = {"schema": 1, **cfg, "outputs": outs, "sweep": [{"h": -2.0}]}
+    copy = json.loads(json.dumps(doc))
+    assert cli.validate_run_config(cli.validate_run_config(doc)) == copy
+    assert doc == copy
 
 
 @pytest.mark.parametrize("setting", ["--step=inf", "--step=nan"])
@@ -1236,6 +1268,38 @@ def test_sweep_jobs_that_name_one_file_run_only_the_first(tmp_path, capsys, monk
     assert main(["simulate", str(tmp_path / "alone.json")]) == 0
     capsys.readouterr()
     assert (tmp_path / "same.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_a_sweep_refuses_a_top_level_outputs(tmp_path, capsys, monkeypatch):
+    # every job would take the one top-level outputs; each entry names its
+    # own, so the sweep is refused before any job runs or any file is written
+    monkeypatch.chdir(tmp_path)
+    cfgp = tmp_path / "sweep.json"
+    write_config(cfgp, span=1.0, outputs={"trajectory": "wanted.csv"},
+                 sweep=[{}, {"h": -1.5}])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("configuration error (field outputs): ")
+    assert err.count("\n") == 1 and "outputs" in err.split(": ", 1)[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+    # the same run without --sweep takes its outputs
+    assert main(["simulate", str(cfgp)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "wanted.csv").exists()
+
+
+def test_a_sweep_entry_schema_is_checked(tmp_path, capsys, monkeypatch):
+    # an entry's own schema is validated, not overwritten: only that job fails
+    cfgp = tmp_path / "sweep.json"
+    write_config(cfgp, span=1.0, sweep=[{"schema": 1}, {"schema": 7, "h": -1.5}, {"h": -2.0}])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out and "sweep job 002 done" in out
+    assert "sweep job 001 failed: SchemaError: unsupported schema 7" in err
+    assert not list(tmp_path.glob("sweep_sweep001_*"))
+    assert len(list(tmp_path.glob("sweep_sweep00[02]_*"))) == 6
 
 
 @pytest.mark.parametrize("key", ["trajectory", "events", "summary"])
