@@ -13,10 +13,11 @@ chart; kepler1d [u, v].  Regularized initial states are projected onto the
 energy level by solving for |P1| (sign preserved); states with no real
 momentum are refused.  A physical-chart run integrates H with the
 Gragg-Bulirsch-Stoer oracle, which alone reads "stop_at_q" and reads no
-"integrator" setting.  Every number must be finite (no NaN, no infinity,
-no int beyond float range) and not a boolean.  Numeric file output uses
-17 significant digits and LF line endings, so a fixed configuration yields
-byte-identical data files.
+"integrator" setting.  A config with a "sweep" list runs as a sweep, one job
+an entry.  Every number must be finite (no NaN, no infinity, no int beyond
+float range) and not a boolean.  Numeric file output uses 17 significant
+digits and LF line endings, so a fixed configuration yields byte-identical
+data files.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
 SYMMETRIC = (lambda v: _is_number(v) and v == 0, "0 in the symmetric (reduced) problem")
 RING = {"N": COUNT, "m": POSITIVE, "epsilon": NUMBER, "h": NUMBER}
 
-# The keys every run takes (schema is checked first, sweep by --sweep); each
-# row of RUNS names the others its run reads.
+# The keys every run takes (schema is checked first); RUNS rows name the rest.
 COMMON = {"schema": ANY, "problem": TEXT, "initial": OBJECT, "integrator": OBJECT,
-          "span": NUMBER, "outputs": OBJECT, "sweep": ANY}
+          "span": NUMBER, "outputs": OBJECT,
+          "sweep": (lambda v: isinstance(v, list) and v != [], "a nonempty list")}
 # A setting left out takes IntegratorConfig's default.  IntegratorConfig
 # checks them too, as MassParams checks RING's m.
 INTEGRATOR = {"method": (lambda v: v in METHODS, f"one of {METHODS}"),
@@ -296,15 +297,13 @@ def _sweep_job(job):
 
 
 def _run_sweep(cfg: dict, config_path: str) -> int:
-    """Merge each sweep entry over the config less its sweep list, validate
-    it and resolve its outputs before any job runs, then run the jobs in a
-    process pool.  A job refused here, among them one that names a file an
-    earlier job writes (the two would interleave their writes), fails unrun."""
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, list) or not sweep:
-        raise SchemaError("--sweep requires a nonempty 'sweep' list", field="sweep")
+    """Merge each entry of the config's sweep list over the config less the
+    list, validate it and resolve its outputs before any job runs, then run
+    the jobs in a pool of one process a runnable job, up to COLLREG_THREADS
+    or the cores.  A job refused here (an entry with a sweep of its own, or
+    one that names a file an earlier job writes) fails unrun."""
     if "outputs" in cfg:
-        raise SchemaError("--sweep refuses a top-level 'outputs': each entry names its own",
+        raise SchemaError("a sweep refuses a top-level 'outputs': each entry names its own",
                           field="outputs")
     threads = os.environ.get("COLLREG_THREADS", "0")
     if not re.fullmatch("[0-9]+", threads):
@@ -312,21 +311,24 @@ def _run_sweep(cfg: dict, config_path: str) -> int:
     stem = os.path.splitext(config_path)[0]
     base = {key: val for key, val in cfg.items() if key != "sweep"}
     jobs, written = [], {}  # each job, or why it failed; the job that writes each file
-    for k, override in enumerate(sweep):
+    for k, override in enumerate(cfg["sweep"]):
         try:
-            if not isinstance(override, dict):
-                raise SchemaError("sweep entries must be objects", field=f"sweep[{k}]")
+            if not isinstance(override, dict) or "sweep" in override:
+                raise SchemaError("sweep entries must be objects with no sweep of their own",
+                                  field=f"sweep[{k}]")
             job = validate_run_config({**base, **override})
             jobs.append((job, _default_outputs(job, f"{stem}_sweep{k:03d}.json", written, k)))
         except RUN_FAILURES as exc:
             jobs.append(f"{type(exc).__name__}: {exc}")
-    workers = int(threads) or min(len(jobs), os.cpu_count() or 1)
-    # the stepping loops are pure Python, so real parallelism needs processes
+    runnable = [job for job in jobs if isinstance(job, tuple)]
+    # the stepping loops are pure Python, so real parallelism needs processes;
+    # the pool forks all its workers at once, hence no more than it has jobs
+    workers = max(1, min(int(threads) or os.cpu_count() or 1, len(runnable)))
     from concurrent.futures import ProcessPoolExecutor
 
     failed = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(_sweep_job, [job for job in jobs if isinstance(job, tuple)])
+        done = pool.map(_sweep_job, runnable)
         for k, job in enumerate(jobs):
             summary, error = next(done) if isinstance(job, tuple) else (None, job)
             if error is None:
@@ -340,7 +342,7 @@ def _run_sweep(cfg: dict, config_path: str) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    if args.sweep:
+    if "sweep" in cfg:
         return _run_sweep(cfg, args.config)
     outputs = _default_outputs(cfg, args.config, {})
     try:
@@ -421,11 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="also write the report to this path")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("simulate", help="run a configuration file")
+    p = sub.add_parser("simulate", help="run a configuration file, or each job of its sweep list")
     p.add_argument("config", help="path to a run-configuration JSON document")
-    p.add_argument("--sweep", action="store_true",
-                   help="fan out the config's 'sweep' overrides as independent runs "
-                        "(COLLREG_THREADS limits parallelism)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("classify", help="orbit class from the energy")

@@ -533,7 +533,7 @@ def test_a_run_that_cannot_fork_writes_the_same_bytes(tmp_path, capsys, monkeypa
     proc.join(120)
     assert proc.exitcode == 0
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", config_in("sweep", sweep=[{}]), "--sweep"]) == 0
+    assert main(["simulate", config_in("sweep", sweep=[{}])]) == 0
     capsys.readouterr()
     alone = outputs("alone")
     assert alone[0].count(b"\n") == 1 + 10001
@@ -715,7 +715,7 @@ def test_an_unknown_top_level_key_is_refused(tmp_path, capsys, monkeypatch, key)
     # in a sweep, on the merged entry: only that job fails
     write_config(cfgp, span=1.0, sweep=[{}, {key: 3}])
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out
     assert f"sweep job 001 failed: SchemaError: unknown run setting {key!r}" in err
@@ -743,7 +743,7 @@ def test_stop_at_q_is_refused_outside_a_physical_run(tmp_path, capsys, monkeypat
     del cfg["stop_at_q"]
     cfgp.write_text(json.dumps({**cfg, "span": 1.0, "sweep": [{}, {"stop_at_q": 0.5}]}))
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out
     assert ("sweep job 001 failed: SchemaError: unknown run setting 'stop_at_q' for a "
@@ -774,7 +774,7 @@ def test_a_number_its_run_does_not_read_is_refused(tmp_path, capsys, monkeypatch
     # in a sweep, on the merged entry: only that job fails
     write_config(cfgp, **runs[problem], span=1.0, sweep=[{}, unread])
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out
     assert f"sweep job 001 failed: SchemaError: unknown run setting {key!r}" in err
@@ -832,7 +832,7 @@ def test_an_unknown_key_in_any_block_is_refused(tmp_path, capsys, monkeypatch, f
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
     write_config(cfgp, span=1.0, sweep=[{}, bad])
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out and "sweep job 001 done" not in out
     assert "sweep job 001 failed: SchemaError: unknown " in err
@@ -1179,7 +1179,7 @@ def test_sweep_runs(tmp_path, capsys):
     import os
     os.environ["COLLREG_THREADS"] = "2"
     try:
-        assert main(["simulate", str(cfgp), "--sweep"]) == 0
+        assert main(["simulate", str(cfgp)]) == 0
     finally:
         del os.environ["COLLREG_THREADS"]
     capsys.readouterr()
@@ -1193,7 +1193,7 @@ def test_sweep_refuses_a_thread_count_that_is_not_a_count(tmp_path, capsys, monk
     cfgp = tmp_path / "sweep.json"
     write_config(cfgp, span=1.0, sweep=[{}])
     monkeypatch.setenv("COLLREG_THREADS", threads)
-    assert main(["simulate", str(cfgp), "--sweep"]) == 2
+    assert main(["simulate", str(cfgp)]) == 2
     out, err = capsys.readouterr()
     assert not out and err == (f"error: COLLREG_THREADS must be a nonnegative integer, "
                                f"got {threads!r}\n")
@@ -1214,7 +1214,7 @@ def test_sweep_failed_job_leaves_the_others_running(tmp_path, capsys, monkeypatc
                   {"h": -2.0}],
     }))
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out and "sweep job 002 done" in out
     assert "sweep job 001 failed" in err and "no real momentum" in err
@@ -1239,7 +1239,7 @@ def test_sweep_job_that_cannot_write_leaves_the_others_running(tmp_path, capsys,
         "sweep": [{}, {"outputs": {"trajectory": str(tmp_path)}}, {"h": -2.0}],
     }))
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out and "sweep job 002 done" in out
     assert "sweep job 001 failed" in err and "Traceback" not in err
@@ -1257,7 +1257,7 @@ def test_sweep_jobs_that_name_one_file_run_only_the_first(tmp_path, capsys, monk
     cfgp = tmp_path / "sweep.json"
     write_config(cfgp, span=2.0, sweep=[{"h": -1.0, **same}, {"h": -1.5, **same}])
     monkeypatch.setenv("COLLREG_THREADS", "2")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out
     assert ("sweep job 001 failed: SchemaError: output 'trajectory' names same.csv, which "
@@ -1272,21 +1272,18 @@ def test_sweep_jobs_that_name_one_file_run_only_the_first(tmp_path, capsys, monk
 
 def test_a_sweep_refuses_a_top_level_outputs(tmp_path, capsys, monkeypatch):
     # every job would take the one top-level outputs; each entry names its
-    # own, so the sweep is refused before any job runs or any file is written
+    # own, so the sweep is refused before any job runs or any file is written.
+    # The sweep list alone makes it a sweep: no lone run takes the outputs
     monkeypatch.chdir(tmp_path)
     cfgp = tmp_path / "sweep.json"
     write_config(cfgp, span=1.0, outputs={"trajectory": "wanted.csv"},
                  sweep=[{}, {"h": -1.5}])
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 2
+    assert main(["simulate", str(cfgp)]) == 2
     out, err = capsys.readouterr()
     assert not out and err.startswith("configuration error (field outputs): ")
     assert err.count("\n") == 1 and "outputs" in err.split(": ", 1)[1]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
-    # the same run without --sweep takes its outputs
-    assert main(["simulate", str(cfgp)]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "wanted.csv").exists()
 
 
 def test_a_sweep_entry_schema_is_checked(tmp_path, capsys, monkeypatch):
@@ -1294,12 +1291,105 @@ def test_a_sweep_entry_schema_is_checked(tmp_path, capsys, monkeypatch):
     cfgp = tmp_path / "sweep.json"
     write_config(cfgp, span=1.0, sweep=[{"schema": 1}, {"schema": 7, "h": -1.5}, {"h": -2.0}])
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out and "sweep job 002 done" in out
     assert "sweep job 001 failed: SchemaError: unsupported schema 7" in err
     assert not list(tmp_path.glob("sweep_sweep001_*"))
     assert len(list(tmp_path.glob("sweep_sweep00[02]_*"))) == 6
+
+
+def test_a_config_with_a_sweep_list_runs_as_a_sweep(tmp_path, capsys, monkeypatch):
+    # no flag: the list makes the run a sweep, and no lone run of the base
+    cfgp = tmp_path / "s.json"
+    write_config(cfgp, span=1.0, sweep=[{}, {"h": -1.5}])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("sweep job 000 done: ") and "\nsweep job 001 done: " in out
+    assert not err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"] + sorted(
+        f"s_sweep00{k}_{name}" for k in (0, 1)
+        for name in ("events.json", "summary.json", "trajectory.csv"))
+
+
+@pytest.mark.parametrize("sweep", [[], {}, 3], ids=["empty", "object", "number"])
+def test_a_sweep_that_is_not_a_nonempty_list_is_refused(tmp_path, capsys, sweep):
+    cfgp = tmp_path / "s.json"
+    write_config(cfgp, span=1.0, sweep=sweep)
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == (f"configuration error (field sweep): field 'sweep' must be "
+                               f"a nonempty list, got {sweep!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def test_a_sweep_entry_with_a_sweep_of_its_own_fails_its_job(tmp_path, capsys, monkeypatch):
+    # a nested list would otherwise be dropped and its entry run as a lone job
+    cfgp = tmp_path / "s.json"
+    write_config(cfgp, span=1.0, sweep=[{}, {"h": -1.5, "sweep": [{"h": -3.0}]}, {"h": -2.0}])
+    monkeypatch.setenv("COLLREG_THREADS", "1")
+    assert main(["simulate", str(cfgp)]) == 3
+    out, err = capsys.readouterr()
+    assert "sweep job 000 done" in out and "sweep job 002 done" in out
+    assert err == ("sweep job 001 failed: SchemaError: sweep entries must be objects with no "
+                   "sweep of their own\n")
+    assert not list(tmp_path.glob("s_sweep001_*"))
+    assert len(list(tmp_path.glob("s_sweep00[02]_*"))) == 6
+
+
+def test_simulate_has_no_sweep_flag(tmp_path, capsys):
+    # whether a run is a sweep is the config's to say, not the command line's
+    cfgp = tmp_path / "s.json"
+    write_config(cfgp, span=1.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(cfgp), "--sweep"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sweep" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+@pytest.mark.parametrize("threads, cpus", [("100000", 2), ("0", 64), (None, 64)])
+def test_a_sweep_pool_takes_no_more_workers_than_runnable_jobs(
+        tmp_path, capsys, monkeypatch, threads, cpus):
+    # the pool forks all its workers at its first job, so its size is checked
+    # on a stand-in that records it and runs the jobs here; two of the four
+    # entries are refused before any job runs
+    import concurrent.futures
+
+    recorded = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if threads is None:
+        monkeypatch.delenv("COLLREG_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("COLLREG_THREADS", threads)
+    cfgp = tmp_path / "s.json"
+    write_config(cfgp, span=1.0, sweep=[{}, 7, {"spn": 1.0}, {"h": -1.5}])
+    assert main(["simulate", str(cfgp)]) == 3
+    out, err = capsys.readouterr()
+    assert out.count(" done: ") == 2 and err.count(" failed: ") == 2
+    assert recorded == [2]
+    # a sweep whose every job is refused asks for one worker and runs none
+    recorded.clear()
+    write_config(cfgp, span=1.0, sweep=[7, {"spn": 1.0}])
+    assert main(["simulate", str(cfgp)]) == 3
+    assert capsys.readouterr().err.count(" failed: ") == 2
+    assert recorded == [1]
 
 
 @pytest.mark.parametrize("key", ["trajectory", "events", "summary"])
@@ -1328,7 +1418,7 @@ def test_an_output_in_no_directory_or_naming_one_is_refused_before_the_march(
     write_config(cfgp, span=1.0, sweep=[{"outputs": {key: str(tmp_path / "missing" / "out")}},
                                         {}])
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert f"sweep job 000 failed: OSError: outputs.{key} is not in an existing" in err
     assert "sweep job 001 done" in out and not list(tmp_path.glob("run_sweep000_*"))
@@ -1353,7 +1443,7 @@ def test_sweep_job_of_too_many_steps_leaves_the_other_running(tmp_path, capsys, 
     cfgp = tmp_path / "sweep.json"
     write_config(cfgp, span=3.0, sweep=[{"span": 1e308}, {}])
     monkeypatch.setenv("COLLREG_THREADS", "2")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 failed: ParameterError" in err and "too many steps" in err
     assert "Traceback" not in err and "sweep job 001 done" in out
@@ -1368,7 +1458,7 @@ def test_sweep_job_with_an_int_beyond_float_range_leaves_the_others_running(
     cfgp = tmp_path / "sweep.json"
     write_config(cfgp, span=1.0, sweep=[{}, {"span": 10**400}, {"h": -2.0}])
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 done" in out and "sweep job 002 done" in out
     assert "sweep job 001 failed: SchemaError: field 'span' must be a finite number" in err
@@ -1392,7 +1482,7 @@ def test_outputs_that_name_one_file_are_refused(tmp_path, capsys, monkeypatch, s
     # a sweep job that names one file fails alone
     write_config(cfgp, span=1.0, sweep=[{"outputs": {same[0]: "out", same[1]: "./out"}}, {}])
     monkeypatch.setenv("COLLREG_THREADS", "1")
-    assert main(["simulate", str(cfgp), "--sweep"]) == 3
+    assert main(["simulate", str(cfgp)]) == 3
     out, err = capsys.readouterr()
     assert "sweep job 000 failed: SchemaError" in err and "sweep job 001 done" in out
     assert not (tmp_path / "out").exists() and not list(tmp_path.glob("run_sweep000_*"))
