@@ -155,7 +155,8 @@ def validate_run_config(cfg) -> dict:
     validated document validates again."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
-    if cfg.get("schema") != 1:
+    # True == 1.0 == 1 in Python: the schema is an integer, as COUNT tests one
+    if not (COUNT[0](cfg.get("schema")) and cfg["schema"] == 1):
         raise SchemaError(f"unsupported schema {cfg.get('schema')!r}", field="schema")
     problem = _field(cfg, "problem", TEXT)
     if problem not in {p for p, _ in RUNS}:
@@ -306,8 +307,13 @@ def _run_sweep(cfg: dict, config_path: str) -> int:
         raise SchemaError("a sweep refuses a top-level 'outputs': each entry names its own",
                           field="outputs")
     threads = os.environ.get("COLLREG_THREADS", "0")
-    if not re.fullmatch("[0-9]+", threads):
-        raise ParameterError(f"COLLREG_THREADS must be a nonnegative integer, got {threads!r}")
+    try:
+        count = int(threads) if re.fullmatch("[0-9]+", threads) else None
+    except ValueError:  # more digits than Python's int() converts
+        count = None
+    if count is None:
+        raise ParameterError(f"COLLREG_THREADS must be a nonnegative integer, "
+                             f"got {_shown(threads)}")
     stem = os.path.splitext(config_path)[0]
     base = {key: val for key, val in cfg.items() if key != "sweep"}
     jobs, written = [], {}  # each job, or why it failed; the job that writes each file
@@ -323,7 +329,7 @@ def _run_sweep(cfg: dict, config_path: str) -> int:
     runnable = [job for job in jobs if isinstance(job, tuple)]
     # the stepping loops are pure Python, so real parallelism needs processes;
     # the pool forks all its workers at once, hence no more than it has jobs
-    workers = max(1, min(int(threads) or os.cpu_count() or 1, len(runnable)))
+    workers = max(1, min(count or os.cpu_count() or 1, len(runnable)))
     from concurrent.futures import ProcessPoolExecutor
 
     failed = 0

@@ -9,13 +9,17 @@ extrapolation through its last six accepted states, from backward
 differences it carries from step to step, at no field evaluation, and the
 first sweep then nearly always converges; the first five steps of a march
 use the explicit-Euler guess.  integrate, the one way to take midpoint steps,
-runs one fused loop per state size, 2-D or 4-D, on local floats: predictor,
-first sweep, convergence and finiteness tests, event test, clock and
-recording, one packed row (tau, t, state) a sample.  Both loops are
-unrolled from one template, _MARCH, and compiled at import; later sweeps, the
-Newton fallback and event localization are shared helpers it calls only
-when needed, and the invariant and its level guard run in numpy on each
-block of recorded samples.
+runs one fused loop per state size, 2-D or 4-D, and per field and clock, on
+local floats: predictor, first sweep, convergence and finiteness tests,
+event test, clock and recording, one packed row (tau, t, state) a sample.
+Every loop is unrolled from one template, _MARCH, and compiled at its first
+use.  The template's field and clock lines are slots: a Problem's own field
+and clock, straight-line defs, are written out in them, so that a step of a
+Problem's march calls neither, and any other callable, a wrapper around a
+Problem's field too, is called there.  Later sweeps, the Newton fallback
+and event localization are shared helpers the loop calls only when needed,
+and they call the field; the invariant and its level guard run in numpy on
+each block of recorded samples.
 The first sweep's convergence test has two stages.  Every component's
 change within the bare tolerance tol accepts the step at once; only a step
 that fails that runs _solve's test against tol * (1 + max|y_k|), and the
@@ -55,7 +59,10 @@ length of the step in which they fire.
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import functools
+import inspect
 import json
 import linecache
 import math
@@ -64,7 +71,9 @@ import re
 import stat
 import struct
 import sys
+import textwrap
 import threading
+import types
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -75,6 +84,7 @@ import numpy as np
 from .config import MassParams, RingConfig
 from .errors import CollisionError, ParameterError, StepFailure
 from .physical import hamiltonian, make_physical_rhs
+from .regularized import Problem
 from .symplectic import fd_jacobian
 
 __all__ = [
@@ -398,8 +408,8 @@ def integrate(
         raise ParameterError("on_block takes the invariant's values, and no invariant was given")
     n = len(y)
     # the sizes of the regularized systems: 2 (reduced, kepler1d), 4 (sitnikov)
-    if n not in _MARCHES:
-        sizes = " or ".join(f"{k}-D" for k in _MARCHES)
+    if n not in _ROWS:
+        sizes = " or ".join(f"{k}-D" for k in _ROWS)
         raise ParameterError(f"the implicit midpoint method takes {sizes} states, got {n}-D")
     n_steps = max(int(round(span / cfg.step)), 1) if span > 0.0 else 0
     dstep = span / n_steps if n_steps else 0.0
@@ -452,10 +462,11 @@ def integrate(
                 raise _off_level(float(peak[k - lo]), float(block[k - lo, 0]))
         return (hi + GUARD_BLOCK) * width
 
+    march, consts = _march(n, field, time_scale)
     try:
         try:
-            _MARCHES[n](field, y, dstep, n_steps, cfg.newton_tol, time_scale, stop_after,
-                        record_every, table, events, settle)
+            march(field, y, dstep, n_steps, cfg.newton_tol, time_scale, stop_after,
+                  record_every, table, events, settle, consts)
         except StepFailure:
             settle()  # an off-level sample before the failure fails the run first
             raise
@@ -466,11 +477,12 @@ def integrate(
     return _bundle(table, n, invs, events, offset, inv_max)
 
 
-# The march is the hot loop of integrate: one function per state size, on
-# local floats only, each unrolled from the one template _MARCH below.  A
-# step calls nothing but the field and the clock unless it needs a second
-# sweep (_solve) or holds an event (_event), and a recorded sample calls
-# settle only when it completes a block.
+# The march is the hot loop of integrate: one function per state size and
+# per field and clock, on local floats only, each unrolled from the one
+# template _MARCH below.  A step calls nothing but the field and the clock,
+# or nothing at all where both are written out in place (see the slots
+# below), unless it needs a second sweep (_solve) or holds an event
+# (_event), and a recorded sample calls settle only when it completes a block.
 #
 # The predictor is the quintic extrapolation
 # 6 y - 15 y1 + 20 y2 - 15 y3 + 6 y4 - y5 through the last six accepted
@@ -504,19 +516,42 @@ def integrate(
 # The differences and the state are handed on one store at a time, oldest
 # difference first: a multiple assignment of five names, or of the four
 # components of a 4-D state, builds a tuple and unpacks it on every step.
-# The only tuples a step builds are the states it passes to the field,
+# The only tuples a step builds are the states it passes to a called field,
 # _solve and _event.
 #
-# _build_march writes the template out for each size in _ROWS and compiles
-# it once at import, as collections.namedtuple and dataclasses build their
-# code.  In the template {n} is the state size, and a field
+# The template has two slots, _FIELD_CALL (the two lines that evaluate the
+# field, for the Euler guess and for the first sweep) and _CLOCK_CALL (the
+# line that advances the clock).  A slot holds the call, as written, for any
+# callable.  For a Problem's own field or clock, the straight-line def its
+# constructor wrote (_straight_line), it holds that function's body written
+# out in place instead: the argument's components are assigned to the
+# names the body unpacks them into, the body's assignments follow, and its
+# return value's components are assigned to f0, f1, ... (for the clock,
+# added as dstep * (value) to t).  Every name of the body is prefixed with
+# field_ or clock_, and its closure's values come in as the march's consts,
+# unpacked into locals once a march.  The body's operations are the
+# function's, in its order, on the same floats, so the march gives the
+# bits, events and failures of the calling one; _solve, _midpoint_newton and
+# _event, which only the rare steps that need them run, still call the
+# field.  Only the Problem functions' own code objects (_INLINED) are
+# written out, since only their bodies are known to be straight-line code
+# with nothing to do but compute: any other callable, a wrapper around a
+# Problem's field among them (a counter, a patched Problem, a tracer), is
+# called, once an evaluation as always, so that what it does besides
+# computing, such as counting, still happens.
+#
+# _build_march writes the template out for a state size in _ROWS and a
+# field and clock, and compiles it at its first use (_march), as
+# collections.namedtuple and dataclasses build their code.  In the template
+# {n} is the state size, {consts} the constants' names, and a field
 # {sep:form} is form once per component, joined by ", " (comma), " and "
 # (and) or " + " (plus).  $ stands for the component: a line that still
 # holds a $ after the fields are filled is written once per component.  The
 # template has no comment, brace or $ of its own.
 _MARCH = """\
 def _march{n}(field, y, dstep, n_steps, tol, clock, stop_after, record_every, table,
-              events, settle):
+              events, settle, consts):
+    [{consts}] = consts
     {comma:y$} = y
     d0$ = d1$ = d2$ = d3$ = d4$ = 0.0
     t = 0.0
@@ -565,22 +600,121 @@ def _march{n}(field, y, dstep, n_steps, tol, clock, stop_after, record_every, ta
                 break
 """
 
+# The template's slots, each found by the call it holds: the field's
+# argument, a state written with $, and the clock's, an expression for Q1.
+_FIELD_CALL = re.compile(r"^( *)\{comma:f\$\} = field\(\(\{comma:(.*)\}\)\)\n", re.M)
+_CLOCK_CALL = re.compile(r"^( *)t \+= dstep \* clock\((.*)\)\n", re.M)
 
-def _build_march(n: int):
-    """The template written out for n-D states and compiled in this module's
-    own globals, not a copy, so that the march looks up _solve, _event and
-    the rest where a patch of this module puts them; under the file name
-    <march{n}>, with its source in linecache for tracebacks and debuggers."""
+
+# The code object of every Problem constructor's field and clock, to its
+# name, Problem.<constructor>.<field or clock>: read at import, before
+# anything may patch a constructor.
+_INLINED = {code: f"Problem.{name}.{code.co_name}"
+            for name in ("sitnikov", "reduced", "kepler1d")
+            for code in getattr(Problem, name).__func__.__code__.co_consts
+            if isinstance(code, types.CodeType) and code.co_name in ("field", "clock")}
+
+
+@functools.lru_cache(maxsize=None)
+def _straight_line(code):
+    """The def of a Problem's field or clock, read from its source once a
+    code object, as code a march writes out in place: (inputs, lines,
+    outputs, consts), each a list of source text.  inputs are the names the
+    first line unpacks the state into, or for a clock the argument itself;
+    lines are the assignments that follow, outputs the components of the
+    returned value, and consts the names of the closure's values, in
+    code.co_freevars order.  Every name is prefixed with the def's own name
+    and _, and must be an input, an assigned name or a closure's value.
+    None where the source cannot be read, or no longer compiles to code (a
+    file edited since its import)."""
+    try:
+        source = textwrap.dedent(inspect.getsource(code))
+    except OSError:  # no source file: the march calls the function
+        return None
+    # the def compiled again, inside a function that holds its free names
+    free = "".join(f"    {name} = None\n" for name in code.co_freevars)
+    outer = compile(f"def outer():\n{free}{textwrap.indent(source, '    ')}",
+                    code.co_filename, "exec").co_consts[0]
+    if not any(c.co_code == code.co_code and c.co_consts == code.co_consts
+               for c in outer.co_consts if isinstance(c, types.CodeType)):
+        return None
+    fn = ast.parse(source).body[0]
+    (arg,), (*body, ret) = fn.args.args, fn.body
+    inputs = [arg.arg]
+    if (body and isinstance(body[0], ast.Assign) and isinstance(body[0].value, ast.Name)
+            and body[0].value.id == arg.arg and isinstance(body[0].targets[0], ast.Tuple)):
+        inputs = [name.id for name in body.pop(0).targets[0].elts]
+    known = {*inputs, *code.co_freevars}
+    for stmt in body:
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)):
+            raise TypeError(f"{_INLINED[code]} is not straight-line code: "
+                            f"{ast.unparse(stmt)}")
+        known.add(stmt.targets[0].id)
+    prefix = f"{code.co_name}_"
+    for node in ast.walk(ast.Module(body=[*body, ret], type_ignores=[])):
+        if isinstance(node, ast.Name):
+            if node.id not in known:
+                raise TypeError(f"{_INLINED[code]} reads {node.id!r}, which is not its own")
+            node.id = prefix + node.id
+    value = ret.value
+    outputs = value.elts if isinstance(value, ast.Tuple) else [value]
+    return ([prefix + name for name in inputs], [ast.unparse(stmt) for stmt in body],
+            [ast.unparse(e) for e in outputs], [prefix + name for name in code.co_freevars])
+
+
+def _inlined(fn, size):
+    """fn's code object if fn is a Problem's own field or clock that takes
+    size inputs and can be written out in place, else None."""
+    code = getattr(fn, "__code__", None)
+    if code not in _INLINED:
+        return None
+    written = _straight_line(code)
+    return code if written is not None and len(written[0]) == size else None
+
+
+def _march(n, field, clock):
+    """The march of integrate for n-D states with field and clock, built at
+    its first use, and its consts: the closure values of the functions it
+    writes out in place, in the order it unpacks them."""
+    key = (n, _inlined(field, n), _inlined(clock, 1))
+    march = _MARCHES.get(key)
+    if march is None:
+        march = _MARCHES[key] = _build_march(*key)
+    consts = tuple(cell.cell_contents for fn, code in zip((field, clock), key[1:])
+                   if code is not None for cell in fn.__closure__ or ())
+    return march, consts
+
+
+def _build_march(n: int, field=None, clock=None):
+    """The template written out for n-D states, with the code objects field
+    and clock (or None: called) written out in its slots, and compiled in
+    this module's own globals, not a copy, so that the march looks up
+    _solve, _event and the rest where a patch of this module puts them;
+    under the file name <march{n}>, or <march{n} ...> naming the functions
+    written out, with its source in linecache for tracebacks and debuggers."""
     joins = {"comma": ", ", "and": " and ", "plus": " + "}
 
     def join(m):
         return joins[m[1]].join(m[2].replace("$", str(k)) for k in range(n))
 
+    # a slot written out: the argument's components, the body, and the
+    # value's components taken as take says
+    text, consts, label = _MARCH.replace("{n}", str(n)), [], ""
+    for code, slot, take in ((field, _FIELD_CALL, "f{k} = {}"),
+                             (clock, _CLOCK_CALL, "t += dstep * ({})")):
+        if code is not None:
+            inputs, body, outputs, names = _straight_line(code)
+            text = slot.sub(lambda m: "".join(f"{m[1]}{line}\n" for line in [
+                *(f"{name} = {m[2].replace('$', str(k))}" for k, name in enumerate(inputs)),
+                *body, *(take.format(e, k=k) for k, e in enumerate(outputs))]), text)
+            consts += names
+            label += f" {_INLINED[code]}"
     lines = []
-    for line in _MARCH.replace("{n}", str(n)).splitlines(keepends=True):
+    for line in text.replace("{consts}", ", ".join(consts)).splitlines(keepends=True):
         line = re.sub(r"\{(\w+):([^}]*)\}", join, line)
         lines += [line.replace("$", str(k)) for k in range(n)] if "$" in line else [line]
-    filename = f"<march{n}>"
+    filename = f"<march{n}{label}>"
     linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
     namespace = {}
     exec(compile("".join(lines), filename, "exec"), globals(), namespace)
@@ -590,7 +724,9 @@ def _build_march(n: int):
 # A recorded sample of a march on n-D states: one row (tau, t, *state) of
 # native doubles in the sample table.
 _ROWS = {n: struct.Struct(f"{2 + n}d") for n in (2, 4)}
-_MARCHES = {n: _build_march(n) for n in _ROWS}
+# Every march built, by (n, field, clock): the code objects written out in
+# its slots, or None where it calls.
+_MARCHES: dict = {}
 
 
 def _bundle(table, n, invs, events, offset, inv_max) -> Trajectory:

@@ -206,6 +206,14 @@ class Problem:
     alone, as every clock here does; project(z) solves Gamma = 0 for |P1|
     (the momentum paired with Q1), keeping its sign, and raises DomainError
     where the level has no real momentum.
+
+    Each constructor writes its field and clock as straight-line defs: the
+    field unpacks its state into names, assigns, and returns one expression
+    a component; the clock returns one expression of Q1; both read nothing
+    but their argument, their own names and the constructor's constants.
+    integrate's march writes those bodies out in place of the calls
+    (integrators._MARCH), with the same operations in the same order, so a
+    new constructor's field and clock keep that shape.
     """
 
     field: Callable
@@ -294,22 +302,26 @@ class Problem:
             raise DomainError(f"need a > 0, got {a}")
         asq = a * a
         h8 = h / 8.0
+        sqrt = math.sqrt
 
         def field(s):
             Q1, P1 = s
             d = Q1 * Q1 * Q1 * Q1 + asq
-            return (P1, 8.0 * Q1 * (asq / (d * math.sqrt(d)) + h8))
+            return (P1, 8.0 * Q1 * (asq / (d * sqrt(d)) + h8))
 
         def gam(s):
             Q1, P1 = s
             q = Q1 * Q1
             return 0.5 * P1 * P1 - 4.0 * q * (1.0 / _sqrt(q * q + asq) + h8) - m
 
+        def clock(Q1):
+            return 0.5 * Q1 * Q1
+
         def project(s):
             Q1 = float(s[0])
             return (Q1, _signed(reduced_level_momentum(Q1, h, m, a), float(s[1])))
 
-        return cls(field, gam, lambda Q1: 0.5 * Q1 * Q1, project)
+        return cls(field, gam, clock, project)
 
     @classmethod
     def kepler1d(cls, h: float, mu_grav: float) -> "Problem":
@@ -319,6 +331,17 @@ class Problem:
         v^2/4 - (h/2) u^2 - mu_grav."""
         two_h = 2.0 * h
 
+        def field(s):
+            u, v = s
+            return (v, two_h * u)
+
+        def gam(s):
+            u, v = s
+            return 0.25 * (v * v) - 0.5 * h * (u * u) - mu_grav
+
+        def clock(u):
+            return u * u
+
         def project(s):
             u = float(s[0])
             vsq = 4.0 * (mu_grav + 0.5 * h * u ** 2)
@@ -326,6 +349,4 @@ class Problem:
                 raise DomainError(f"no real momentum on the level h={h} at u={u}")
             return (u, _signed(math.sqrt(vsq), float(s[1])))
 
-        return cls(lambda s: (s[1], two_h * s[0]),
-                   lambda s: 0.25 * (s[1] * s[1]) - 0.5 * h * (s[0] * s[0]) - mu_grav,
-                   lambda u: u * u, project)
+        return cls(field, gam, clock, project)

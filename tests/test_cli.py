@@ -915,6 +915,19 @@ def test_schema_errors_name_the_field(tmp_path, capsys):
     assert exc.value.field == "problem"
 
 
+@pytest.mark.parametrize("schema", [True, 1.0])
+def test_a_schema_that_equals_1_but_is_no_integer_is_refused(tmp_path, capsys, schema):
+    # True == 1.0 == 1 in Python; the schema is the integer 1, so neither
+    # runs, and no file is written
+    cfgp = tmp_path / "run.json"
+    write_config(cfgp, span=1.0, schema=schema)
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == (f"configuration error (field schema): "
+                               f"unsupported schema {schema!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 def test_schema_rejects_bad_state_length(tmp_path):
     cfgp = tmp_path / "bad2.json"
     write_config(cfgp, initial={"chart": "regularized", "state": [0.0, 1.0, 2.0]})
@@ -1197,6 +1210,28 @@ def test_sweep_refuses_a_thread_count_that_is_not_a_count(tmp_path, capsys, monk
     out, err = capsys.readouterr()
     assert not out and err == (f"error: COLLREG_THREADS must be a nonnegative integer, "
                                f"got {threads!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
+@pytest.mark.parametrize("digits", ["1" * 5000, "0" * 4999 + "1"], ids=["ones", "zeros_then_1"])
+def test_sweep_refuses_a_thread_count_beyond_the_digits_int_converts(
+        tmp_path, capsys, monkeypatch, digits):
+    # int() refuses a string of more than 4300 digits with an error that does
+    # not name the variable; the sweep refuses it as any other bad count,
+    # before any job runs and with no pool started
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfgp = tmp_path / "sweep.json"
+    write_config(cfgp, span=1.0, sweep=[{}])
+    monkeypatch.setenv("COLLREG_THREADS", digits)
+    assert main(["simulate", str(cfgp)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == ("error: COLLREG_THREADS must be a nonnegative integer, "
+                               "got a str of 5002 characters\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
 

@@ -823,35 +823,79 @@ def test_midpoint_takes_only_2d_and_4d_states():
         assert calls[0] == 0  # refused before the first step
 
 
+def _marches(n):
+    """Each march integrate runs on n-D states, by the functions it writes
+    out in place: none (a called field and clock), or a Problem's own field
+    with its clock, with no clock or with a called clock."""
+    a = 4.0 * RingConfig.for_count(2).radius
+    called = lambda Q1: Q1 * Q1
+    problems = {2: [("reduced", Problem.reduced(-1.0, 1e-3, a)),
+                    ("kepler1d", Problem.kepler1d(-0.5, 1.0))],
+                4: [("sitnikov", Problem.sitnikov(-2.5, MassParams(m=1e-3, epsilon=0.3),
+                                                  RingConfig.for_count(2)))]}[n]
+    marches = {(): integrators._march(n, lambda y: y, None)[0]}
+    for name, p in problems:
+        field, clock = f"Problem.{name}.field", f"Problem.{name}.clock"
+        marches[field, clock] = integrators._march(n, p.field, p.clock)[0]
+        marches[field,] = integrators._march(n, p.field, None)[0]
+        assert integrators._march(n, p.field, called)[0] is marches[field,]
+    return marches
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_the_march_is_generated_from_the_template(n):
     import inspect
     import re
 
-    march = integrators._MARCHES[n]
-    code = march.__code__
-    assert code.co_filename == f"<march{n}>"
-    source = inspect.getsource(march)
-    fast = re.search(r"if not \((.*)\):", source)[1]
-    assert fast == " and ".join(f"-tol <= c{k} - a{k} <= tol" for k in range(n))
-    # every global and attribute the hot loop looks up; a template edit that
-    # adds one shows here
-    assert set(code.co_names) == {
-        "range", "max", "abs", "len", "_ROWS", "pack", "size", "GUARD_BLOCK", "append",
-        "_solve", "_event", "_midpoint_nan", "_non_finite",
-    }
+    for written_out, march in _marches(n).items():
+        code = march.__code__
+        assert code.co_filename == "".join([f"<march{n}", *(" " + w for w in written_out), ">"])
+        source = inspect.getsource(march)
+        fast = re.search(r"if not \((.*)\):", source)[1]
+        assert fast == " and ".join(f"-tol <= c{k} - a{k} <= tol" for k in range(n))
+        # every global and attribute the hot loop looks up; a template edit that
+        # adds one shows here, and so does a body written out that reads one
+        assert set(code.co_names) == {
+            "range", "max", "abs", "len", "_ROWS", "pack", "size", "GUARD_BLOCK", "append",
+            "_solve", "_event", "_midpoint_nan", "_non_finite",
+        }
+        # a slot written out holds no call; _solve and _event take the field
+        assert (source.count("= field((") == 2) == (len(written_out) == 0)
+        assert ("* clock(" in source) == (len(written_out) < 2)
+        assert "_solve(field, " in source and "_event(field, " in source
+    # every Problem's field and clock is written out, none falls back to a call
+    assert len(integrators._INLINED) == 6
+    for code in integrators._INLINED:
+        assert integrators._straight_line(code) is not None
+
+
+def test_a_field_whose_source_no_longer_compiles_to_its_code_is_called(monkeypatch):
+    # a file edited after its import: the source inspect reads is not the
+    # code the Problem runs, so the march calls the function
+    import inspect
+
+    code = Problem.reduced(-1.0, 1e-3, 1.0).field.__code__
+    read = inspect.getsource
+    monkeypatch.setattr(inspect, "getsource",
+                        lambda obj: read(obj).replace("+ h8)", "- h8)"))
+    assert "- h8)" in inspect.getsource(code)
+    assert integrators._straight_line.__wrapped__(code) is None
+    monkeypatch.undo()
+    assert integrators._straight_line.__wrapped__(code) is not None
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_a_march_step_builds_no_tuple_but_the_states_it_passes_on(n):
-    # the states passed to the field (the Euler guess's and the sweep's),
-    # to _solve and to _event; the differences and the state are handed on
-    # one store at a time, with no tuple built and unpacked
+    # the states passed to a called field (the Euler guess's and the
+    # sweep's), to _solve and to _event; the differences and the state are
+    # handed on one store at a time, with no tuple built and unpacked.  A
+    # field written out in place takes its state component by component
     import dis
 
-    built = [ins for ins in dis.get_instructions(integrators._MARCHES[n].__code__)
-             if ins.opname == "BUILD_TUPLE"]
-    assert [ins.arg for ins in built] == [n] * 6
+    for written_out, march in _marches(n).items():
+        built = [ins for ins in dis.get_instructions(march.__code__)
+                 if ins.opname == "BUILD_TUPLE"]
+        assert [ins.arg for ins in built] == [n] * (4 if written_out else 6)
 
 
 def test_a_traceback_through_the_march_shows_the_template_line():
@@ -867,6 +911,101 @@ def test_a_traceback_through_the_march_shows_the_template_line():
     assert len(frames) == 1
     assert frames[0].name == "_march4"
     assert frames[0].line == "f0, f1, f2, f3 = field((y0, y1, y2, y3))"
+
+
+def _march_outcome(field, y0, span, step, clock, invariant, **kwargs):
+    """All a march gives, as bytes and values: the sample table's columns,
+    the invariant column, the events, the metadata, and a failure's message
+    and residual."""
+    try:
+        traj, failure = integrate(field, y0, span, IntegratorConfig(step=step),
+                                  time_scale=clock, invariant=invariant, **kwargs), None
+    except StepFailure as exc:
+        traj, failure = exc.trajectory, (str(exc), repr(exc.residual))
+    return (traj.tau.tobytes(), traj.t.tobytes(), traj.states.tobytes(),
+            None if traj.invariant is None else traj.invariant.tobytes(),
+            traj.events, repr(traj.metadata), len(traj), failure)
+
+
+_WRITTEN_OUT_CASES = {
+    # span, step, invariant, integrate's keywords
+    "samples": (25.0, 1e-3, True, {}),
+    "record_every": (25.0, 5e-3, True, {"record_every": 3}),
+    "stop_after": (25.0, 5e-3, True, {"stop_after": 2}),
+    # the level guard cuts the sitnikov and reduced runs
+    "level_guard": (40.0, 0.05, True, {}),
+    # most steps need _solve and many Newton; the sitnikov run fails in
+    # Newton's damping with a residual
+    "newton": (60.0, 3.0, False, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITTEN_OUT_CASES))
+@pytest.mark.parametrize("problem", ["sitnikov", "reduced", "kepler1d"])
+def test_a_march_that_writes_out_the_field_and_clock_gives_the_calling_marchs_bits(
+        monkeypatch, problem, case):
+    p, y0 = {
+        "sitnikov": (Problem.sitnikov(-2.5, MassParams(m=1e-3, epsilon=0.3),
+                                      RingConfig.for_count(2)), (0.0, 0.0, 1.0, 0.0)),
+        "reduced": (Problem.reduced(-1.0, 1e-3, 4.0 * RingConfig.for_count(2).radius),
+                    (0.0, 1.0)),
+        "kepler1d": (Problem.kepler1d(-0.5, 1.0), (0.0, 1.0)),
+    }[problem]
+    y0 = tuple(p.project(y0))
+    span, step, guarded, kwargs = _WRITTEN_OUT_CASES[case]
+    calls = dict.fromkeys(("_solve", "_event", "_midpoint_newton"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(integrators, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(integrators, name, counted)
+    invariant = p.gamma if guarded else None
+    outcomes = {}
+    for clock in (p.clock, None):
+        for how, field, clock_as in (("written out", p.field, clock),
+                                     ("called", lambda z: p.field(z),
+                                      clock and (lambda Q1: p.clock(Q1)))):
+            n = len(y0)
+            march = integrators._march(n, field, clock_as)[0]
+            assert (march.__code__.co_filename == f"<march{n}>") == (how == "called")
+            calls.update(dict.fromkeys(calls, 0))
+            outcome = _march_outcome(field, y0, span, step, clock_as, invariant, **kwargs)
+            outcomes[how] = (outcome, dict(calls))
+        assert outcomes["written out"] == outcomes["called"]
+    # each case reaches the paths it is there for
+    (_, _, _, _, events, _, samples, failure), calls = outcomes["called"]
+    assert calls["_event"] >= len(events) and calls["_event"] > 0 and calls["_solve"] > 0
+    assert calls["_midpoint_newton"] > 0 or case != "newton"
+    if case == "level_guard" and problem != "kepler1d":
+        assert "the run has left its level" in failure[0]
+    if case == "newton" and problem == "sitnikov":
+        assert "midpoint Newton damping underflow" in failure[0]
+    if case == "stop_after":
+        assert len(events) == 2 and samples < span / step
+
+
+def test_a_wrapped_problem_field_is_called_once_an_evaluation(monkeypatch):
+    # a counter around a Problem's field, as a benchmark's tracer hands
+    # integrate one, is not the Problem's own code: the march calls it for
+    # every evaluation, the count the benchmark gates on for the period
+    # march, and the report is the one of the march that writes it out
+    from collreg import analysis
+
+    bare = analysis.period_report(-1.0, 1e-3, 3)
+    count = [0]
+    original = integrators.integrate
+
+    def traced(field, *args, **kwargs):
+        def counted(y):
+            count[0] += 1
+            return field(y)
+
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "integrate", traced)
+    assert analysis.period_report(-1.0, 1e-3, 3) == bare
+    assert count[0] == 41060
 
 
 def test_field_evaluation_counts_are_pinned():
@@ -1317,6 +1456,18 @@ def test_importing_the_cli_builds_no_format_tables():
     assert _run_after_importing_the_cli(
         "b''.join(collreg.integrators._format([[0.5]])) != b'0.5\\n'"
         " or 'fractions' in sys.modules or 'decimal' in sys.modules") == 0
+
+
+def test_importing_the_cli_compiles_no_march():
+    # each march is built at its first use, by its state size and the
+    # functions it writes out in place
+    assert _run_after_importing_the_cli(
+        "collreg.integrators._MARCHES != {}"
+        " or any(name.startswith('<march') for name in __import__('linecache').cache)") == 0
+    assert _run_after_importing_the_cli(
+        "collreg.cli.main(['period', '--h', '-1', '--m', '1e-3', '--N', '3']) != 0"
+        " or list(collreg.integrators._MARCHES) != [(2, *(code for code, name in"
+        " collreg.integrators._INLINED.items() if name.startswith('Problem.reduced.')))]") == 0
 
 
 def test_importing_the_cli_loads_no_constant_tables():
